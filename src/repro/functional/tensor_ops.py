@@ -13,7 +13,7 @@ the CompHeavy tile realises with its 2D-PE array.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -190,75 +190,187 @@ def conv2d_plane_batched(
     return np.einsum("bijhw,bij->bhw", windows, kernels)
 
 
-def conv_rowgroup(weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """One fused convolution step over a group of output features.
+#: One step of a ragged conv block: (features or None, plane indices,
+#: kernel slice) — see :class:`ConvBlockPlan`.
+_RaggedStep = Tuple[Optional[np.ndarray], np.ndarray, slice]
 
-    ``weights`` is (F, k*k) — one single-plane kernel per feature — and
-    ``cols`` is (F, k*k, N), each feature's im2col'd source plane.
-    Returns the (F, N) partial sums.
 
-    This is the superop fast path's replacement for F separate NDCONV
-    dispatches.  Bit-exactness matters: numpy's batched ``matmul`` of
-    (F, 1, k*k) @ (F, k*k, N) produces bitwise-identical results to the
-    per-slice (1, k*k) @ (k*k, N) products that
-    :func:`conv2d_forward` computes (property-checked in the tests —
-    note a plain (F, k*k) @ (k*k, N) GEMM does *not* have this
-    property), and the trailing ``+ 0.0`` reproduces the zero-bias add
-    in :func:`conv2d_forward` so signed zeros match too.
+class ConvBlockPlan(NamedTuple):
+    """The static gather plan of one fused conv block, built once by
+    :func:`conv_block_plan` and replayed by :func:`conv_block_forward`.
+
+    ``planes`` holds the word address of every source plane the block
+    reads.  In a *shared* block (``ragged is None``) step ``s`` reads
+    plane ``planes[s]`` for every feature and ``kernels`` is the
+    (steps, features) grid of kernel addresses.  In a *ragged* block
+    ``planes`` holds each distinct plane once, ``kernels`` is flat in
+    step order, and ``ragged`` lists per step ``(features, plane
+    indices, kernel slice)``, with ``features`` None for step 0, which
+    covers every feature in order.
     """
-    return np.matmul(weights[:, None, :], cols)[:, 0, :] + np.float32(0.0)
+
+    kernel: int
+    stride: int
+    pad: int
+    in_shape: Tuple[int, int]
+    planes: np.ndarray
+    kernels: np.ndarray
+    ragged: Optional[Tuple[_RaggedStep, ...]]
+
+    @property
+    def extent(self) -> Tuple[int, int]:
+        """The half-open word range the block's gathers read."""
+        h, w = self.in_shape
+        return (
+            int(min(self.planes.min(), self.kernels.min())),
+            int(max(
+                self.planes.max() + h * w,
+                self.kernels.max() + self.kernel * self.kernel,
+            )),
+        )
 
 
-def conv_block_forward(
-    src_words: np.ndarray,
+def conv_block_plan(
     steps,
     kernel: int,
     stride: int,
     pad: int,
     in_shape: Tuple[int, int],
-    out_size: int,
     n_features: int,
+) -> ConvBlockPlan:
+    """Build the gather plan of a fused conv block from its ``steps``.
+
+    ``steps`` lists one entry per input-source *step* ``i`` — the
+    ``i``-th source of every output feature that has at least ``i+1``
+    sources — as ``(feature_indices, in_addrs, kernel_addrs)``.  Step 0
+    must cover all ``n_features`` features in order (the code generator
+    emits each feature's first source with ``is_accum=0``).
+
+    A block is *shared* when every step covers every feature and all
+    of them read one plane, as every plain or grouped convolution does;
+    connection-table convolutions are *ragged*.
+    """
+    h, w = in_shape
+    out_h = (h + 2 * pad - kernel) // stride + 1
+    out_w = (w + 2 * pad - kernel) // stride + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ShapeError(
+            f"kernel {kernel} stride {stride} pad {pad} does not fit "
+            f"{in_shape}"
+        )
+    if not steps or tuple(steps[0][0]) != tuple(range(n_features)):
+        raise ShapeError(
+            f"conv block step 0 must cover features 0..{n_features - 1} "
+            "in order"
+        )
+    if all(
+        len(feats) == n_features and len(set(in_addrs)) == 1
+        for feats, in_addrs, _ in steps
+    ):
+        return ConvBlockPlan(
+            kernel, stride, pad, in_shape,
+            np.array([in_addrs[0] for _, in_addrs, _ in steps], np.intp),
+            np.array([k_addrs for _, _, k_addrs in steps], np.intp),
+            None,
+        )
+    distinct: Dict[int, int] = {}
+    ragged = []
+    lo = 0
+    for i, (feats, in_addrs, _) in enumerate(steps):
+        idx = [distinct.setdefault(a, len(distinct)) for a in in_addrs]
+        ragged.append((
+            None if i == 0 else np.array(feats, np.intp),
+            np.array(idx, np.intp),
+            slice(lo, lo + len(feats)),
+        ))
+        lo += len(feats)
+    return ConvBlockPlan(
+        kernel, stride, pad, in_shape,
+        np.array(list(distinct), np.intp),
+        np.array([a for _, _, k_addrs in steps for a in k_addrs], np.intp),
+        tuple(ragged),
+    )
+
+
+def _plane_cols(planes: np.ndarray, plan: ConvBlockPlan) -> np.ndarray:
+    """Pad each gathered plane (a row of ``h*w`` words) and unfold it
+    into its own im2col matrix: returns (C, k*k, out_h*out_w).
+
+    Each matrix keeps the strides :func:`im2col` gives one plane — a
+    view where the windows tile as one (a kernel as wide as the padded
+    plane), else a contiguous copy — because those strides decide
+    whether ``matmul`` calls BLAS or its own loop, and the two round
+    differently."""
+    h, w = plan.in_shape
+    k, stride = plan.kernel, plan.stride
+    xp = pad_spatial(planes.reshape(-1, h, w), plan.pad)
+    c, hp, wp = xp.shape
+    out_h = (hp - k) // stride + 1
+    out_w = (wp - k) // stride + 1
+    s0, s1, s2 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (c, k, k, out_h, out_w), (s0, s1, s2, s1 * stride, s2 * stride)
+    )
+    return windows.reshape(c, k * k, out_h * out_w)
+
+
+def conv_block_forward(
+    plane_rows: np.ndarray,
+    kernel_rows: np.ndarray,
+    plan: ConvBlockPlan,
     bias_block: np.ndarray,
     fn: Activation,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Whole-layer fused convolution: every NDCONV/NDACCUM/NDACTFN of
     one conv program slice collapsed into a handful of numpy calls.
 
-    ``steps`` lists one entry per input-source *step* ``i`` — the
-    ``i``-th source of every output feature that has at least ``i+1``
-    sources — as ``(feature_indices, in_addrs, kernel_addrs)`` over
-    ``src_words`` (the staging scratchpad).  Step 0 must cover all
-    ``n_features`` features in order (the code generator emits each
-    feature's first source with ``is_accum=0``).
+    ``plane_rows`` and ``kernel_rows`` are sliding-window views over the
+    source scratchpad (``sliding_window_view(words, h * w)`` and
+    ``sliding_window_view(words, k * k)``): row ``a`` is the plane or
+    kernel stored at word ``a``, so one fancy index per call gathers
+    every plane, and one every kernel, from the plan's addresses.  A
+    shared block pads and im2cols all its planes together once; a
+    ragged block does so for each step's share of its planes.
+
+    Every (feature, source) product stays a (1, k*k) @ (k*k, N)
+    vector-matrix ``matmul`` on the strides the per-instruction NDCONV
+    passes through :func:`conv2d_forward`, so numpy makes the same call
+    for it: BLAS gemv, or its own loop for the shapes
+    :func:`_plane_cols` notes.  A shared block broadcasts each step's
+    plane across its features in one ``matmul`` instead of copying the
+    plane per feature.  Folding the features into an (F, k*k) @
+    (k*k, N) GEMM would be faster still but is *not* bitwise identical
+    to gemv.  The ``+ 0.0`` on each product reproduces the zero-bias
+    add in :func:`conv2d_forward`, so signed zeros match too, and the
+    steps accumulate in source order, as the NDCONV ``is_accum`` chain
+    does.
 
     Returns ``(pre, out)``: the pre-activation block (the values the
     per-instruction path leaves in the accumulation scratchpad) and the
     activated output block, both bitwise identical to per-instruction
     execution.
     """
-    h, w = in_shape
-    in_words = h * w
-    kk = kernel * kernel
-    cols_cache: dict = {}
-    acc = np.empty((n_features, out_size), dtype=np.float32)
-    for i, (feats, in_addrs, kernel_addrs) in enumerate(steps):
-        stacked = []
-        for addr in in_addrs:
-            cols = cols_cache.get(addr)
-            if cols is None:
-                plane = src_words[addr : addr + in_words].reshape(1, h, w)
-                cols, _, _ = im2col(plane, kernel, stride, pad)
-                cols_cache[addr] = cols
-            stacked.append(cols)
-        weights = np.stack(
-            [src_words[a : a + kk] for a in kernel_addrs]
-        )
-        contrib = conv_rowgroup(weights, np.stack(stacked))
-        if i == 0:
-            acc[...] = contrib
-        else:
-            acc[list(feats)] += contrib
-    acc += bias_block.reshape(n_features, out_size)
+    weights = kernel_rows[plan.kernels]
+    if plan.ragged is None:
+        # (S, F, 1, k*k) @ (S, 1, k*k, N): one gemv per (step, feature).
+        cols = _plane_cols(plane_rows[plan.planes], plan)
+        contrib = np.matmul(weights[:, :, None, :], cols[:, None])[:, :, 0]
+        contrib += np.float32(0.0)
+        acc = contrib[0]
+        for part in contrib[1:]:
+            acc += part
+    else:
+        planes = plane_rows[plan.planes]
+        for feats, idx, kernels in plan.ragged:
+            part = np.matmul(
+                weights[kernels, None, :], _plane_cols(planes[idx], plan)
+            )[:, 0]
+            part += np.float32(0.0)
+            if feats is None:
+                acc = part
+            else:
+                acc[feats] += part
+    acc += bias_block.reshape(acc.shape)
     pre = acc.reshape(-1)
     return pre, activate(pre.copy(), fn)
 

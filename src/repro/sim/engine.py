@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.dnn.layers import Activation, PoolMode
-from repro.errors import SimulationError, SimulationTimeout
+from repro.errors import ShapeError, SimulationError, SimulationTimeout
 from repro.functional import tensor_ops as ops
 from repro.isa.instructions import Instruction, InstrGroup, Opcode
 from repro.isa.program import Program
@@ -806,21 +806,28 @@ class Engine:
         pcs it jumps over (never dispatched; correct if ever reached),
         and the normal full decode everywhere else.  Returns None when a
         superop doesn't validate against this program — the caller falls
-        back to the per-instruction table."""
+        back to the per-instruction table, and the refusal is counted
+        in ``engine.fallback`` as ``superop.<kind>:<error type>``."""
         instrs = tile.program.instructions
         n = len(instrs)
         entries: List[Optional[_Decoded]] = [None] * n
-        try:
-            for sup in tile.program.superops:
+        for sup in tile.program.superops:
+            try:
                 if not (0 <= sup.start < sup.end <= n):
-                    return None
-                entries[sup.start] = self._build_super(sup, instrs, tile)
-                for pc in range(sup.start + 1, sup.end):
-                    entries[pc] = _Decoded(
-                        instrs[pc], fallback=True, batch_safe=False
+                    raise SimulationError(
+                        f"superop [{sup.start}, {sup.end}) outside the "
+                        f"{n}-instruction program"
                     )
-        except (SimulationError, KeyError, ZeroDivisionError):
-            return None
+                entries[sup.start] = self._build_super(sup, instrs, tile)
+            except (SimulationError, KeyError, ZeroDivisionError) as exc:
+                self._note_fallback(
+                    f"superop.{sup.kind}", type(exc).__name__
+                )
+                return None
+            for pc in range(sup.start + 1, sup.end):
+                entries[pc] = _Decoded(
+                    instrs[pc], fallback=True, batch_safe=False
+                )
         for pc in range(n):
             if entries[pc] is None:
                 entries[pc] = self._decode_instr(instrs[pc], tile.tile_id)
@@ -912,12 +919,26 @@ class Engine:
     def _super_conv_block(self, params: dict, tile_id: str):
         in_tile = self._tile(params["in_port"])
         src_words = in_tile.words if in_tile is not None else self.external
-        h, w = params["h"], params["w"]
-        k, stride, pad = params["k"], params["stride"], params["pad"]
+        h, w, k = params["h"], params["w"], params["k"]
         out_size = params["out_size"]
         n_features = params["n_features"]
         pre_base, bias_base = params["pre_base"], params["bias_base"]
-        steps = params["steps"]
+        try:
+            plan = ops.conv_block_plan(
+                params["steps"], k, params["stride"], params["pad"],
+                (h, w), n_features,
+            )
+        except ShapeError as exc:
+            raise SimulationError(f"conv_block on {tile_id}: {exc}") from exc
+        lo, hi = plan.extent
+        if lo < 0 or hi > src_words.size:
+            raise SimulationError(
+                f"conv_block on {tile_id} gathers words [{lo}, {hi}) "
+                f"outside its {src_words.size}-word source"
+            )
+        windows = np.lib.stride_tricks.sliding_window_view
+        plane_rows = windows(src_words, h * w)
+        kernel_rows = windows(src_words, k * k)
         fn_act = _CODE_TO_ACT[params["fn_type"]]
         rd_bias = self._reader(params["out_port"])
         wr_pre = self._writer(params["out_port"])
@@ -927,8 +948,7 @@ class Engine:
         def conv_block() -> None:
             bias = rd_bias(bias_base, n_features * out_size)
             pre, act = ops.conv_block_forward(
-                src_words, steps, k, stride, pad, (h, w),
-                out_size, n_features, bias, fn_act,
+                plane_rows, kernel_rows, plan, bias, fn_act
             )
             wr_pre(pre_base, pre, False)
             wr_home(home_addr, act, False)
@@ -978,13 +998,11 @@ class Engine:
 
         return pool_run
 
-    def _note_fallback(self, instr: Instruction, reason: str) -> None:
-        """Count one decode→interpreter fallback, keyed by opcode and
-        the reason the fast path refused the instruction."""
+    def _note_fallback(self, what: str, reason: str) -> None:
+        """Count one decode→interpreter fallback, keyed by what was
+        refused (an opcode or ``superop.<kind>``) and why."""
         if self._tel_on:
-            self.telemetry.count(
-                "engine.fallback", f"{instr.opcode.value}:{reason}"
-            )
+            self.telemetry.count("engine.fallback", f"{what}:{reason}")
 
     def _decode_instr(self, instr: Instruction, tile_id: str) -> _Decoded:
         group = instr.group
@@ -992,11 +1010,11 @@ class Engine:
             # Register/branch/halt: cheap already, and inherently
             # dynamic — always interpreted.  Touches no scratchpad
             # words, so it is safe under batched execution too.
-            self._note_fallback(instr, "scalar-control")
+            self._note_fallback(instr.opcode.value, "scalar-control")
             return _Decoded(instr, fallback=True, batch_safe=True)
         if any(is_reg_operand(v) for v in instr.operands):
             # Fig 13-style R-operands resolve at issue time only.
-            self._note_fallback(instr, "register-indirect")
+            self._note_fallback(instr.opcode.value, "register-indirect")
             return _Decoded(
                 instr, fallback=True,
                 batch_safe=group is InstrGroup.TRACK,
@@ -1009,13 +1027,13 @@ class Engine:
             )
             if port == EXTERNAL_PORT:
                 # Arming external memory raises at execution time.
-                self._note_fallback(instr, "external-port")
+                self._note_fallback(instr.opcode.value, "external-port")
                 return _Decoded(instr, fallback=True, batch_safe=True)
             try:
                 trackers = self.machine.mem_tile(port).trackers
             except SimulationError:
                 # Out-of-mesh port: raise at execution, like _execute.
-                self._note_fallback(instr, "out-of-mesh-port")
+                self._note_fallback(instr.opcode.value, "out-of-mesh-port")
                 return _Decoded(instr, fallback=True, batch_safe=True)
             addr, size = o["addr"], o["size"]
             num_updates, num_reads = o["num_updates"], o["num_reads"]
@@ -1036,7 +1054,7 @@ class Engine:
             # error timing and semantics are unchanged.  Anything else
             # is a genuine engine bug and surfaces here, at decode.
             self._note_fallback(
-                instr, f"decode-error:{type(exc).__name__}"
+                instr.opcode.value, f"decode-error:{type(exc).__name__}"
             )
             return _Decoded(instr, fallback=True, batch_safe=False)
 

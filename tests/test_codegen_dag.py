@@ -1,5 +1,7 @@
 """DAG code generation: branches, joins and gates on the engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from repro.compiler.trackers import audit_trackers
 from repro.dnn.builder import NetworkBuilder
 from repro.dnn.layers import Activation, PoolMode
 from repro.dnn.recurrent import unrolled_lstm, unrolled_rnn
-from repro.dnn.zoo import tiny_cnn
+from repro.dnn.zoo import lenet5, tiny_cnn
 from repro.errors import MappingError
 from repro.functional import ReferenceModel
+from repro.functional.tensor_ops import conv_block_plan
+from repro.telemetry import capture
 
 
 def model_with_biases(net, seed=3):
@@ -61,6 +65,24 @@ def mini_resnet():
     out = b.add([c2, trunk], name="rb_add")
     b.global_pool(name="gp", inputs=[out])
     b.fc(4, activation=Activation.SOFTMAX, name="head")
+    return b.build()
+
+
+def grouped_net():
+    b = NetworkBuilder("grouped")
+    b.input(4, 8)
+    b.conv(6, kernel=3, pad=1, groups=2)
+    b.fc(3, activation=Activation.SOFTMAX)
+    return b.build()
+
+
+def alexnet_grouped_block():
+    b = NetworkBuilder("alexblock")
+    b.input(4, 12)
+    b.conv(8, kernel=3, pad=1, name="c1")
+    b.conv(8, kernel=5, pad=2, groups=2, name="c2")
+    b.global_pool()
+    b.fc(4, activation=Activation.SOFTMAX)
     return b.build()
 
 
@@ -223,8 +245,6 @@ class TestTableAndGroupedConvs:
     def test_lenet5_with_connection_table_on_engine(self):
         """LeNet-5 — including C3's classic connection table — compiled
         to ISA programs and executed end to end."""
-        from repro.dnn.zoo import lenet5
-
         net = lenet5(num_classes=10)
         model = ReferenceModel(net, seed=1)
         compiled = compile_dag_forward(net, model, rows=2)
@@ -248,11 +268,7 @@ class TestTableAndGroupedConvs:
         assert c3_convs == 60  # sum of table row lengths, not 96
 
     def test_grouped_conv_on_engine(self):
-        b = NetworkBuilder("grouped")
-        b.input(4, 8)
-        b.conv(6, kernel=3, pad=1, groups=2)
-        b.fc(3, activation=Activation.SOFTMAX)
-        net = b.build()
+        net = grouped_net()
         model = model_with_biases(net)
         compiled = compile_dag_forward(net, model, rows=2)
         img = random_image(net)
@@ -261,15 +277,131 @@ class TestTableAndGroupedConvs:
 
     def test_alexnet_style_grouped_block(self):
         """A grouped 5x5 stage like AlexNet's conv2 (two-GPU split)."""
-        b = NetworkBuilder("alexblock")
-        b.input(4, 12)
-        b.conv(8, kernel=3, pad=1, name="c1")
-        b.conv(8, kernel=5, pad=2, groups=2, name="c2")
-        b.global_pool()
-        b.fc(4, activation=Activation.SOFTMAX)
-        net = b.build()
+        net = alexnet_grouped_block()
         model = model_with_biases(net)
         compiled = compile_dag_forward(net, model, rows=2)
         img = random_image(net, seed=8)
         got, _ = compiled.run(img)
         np.testing.assert_allclose(got, model.forward(img), atol=1e-4)
+
+
+#: The DAG test nets.  Between them they hold every conv-block shape
+#: tier 1 compiles: branches and concat, a residual add, both
+#: grouped-conv nets, and LeNet-5, whose C3 connection table holds the
+#: only ragged blocks.
+DAG_NETS = {
+    "mini_inception": mini_inception,
+    "mini_resnet": mini_resnet,
+    "grouped": grouped_net,
+    "alexblock": alexnet_grouped_block,
+    "lenet5": lambda: lenet5(num_classes=10),
+    "padpool-avg": lambda: padded_pool_net(PoolMode.AVG),
+    "padpool-max": lambda: padded_pool_net(PoolMode.MAX),
+    "rnn": lambda: unrolled_rnn(
+        input_size=5, hidden_size=7, timesteps=3, num_classes=3
+    ),
+    "lstm": lambda: unrolled_lstm(
+        input_size=4, hidden_size=6, timesteps=3, num_classes=3
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DAG_NETS))
+def dag_case(request):
+    net = DAG_NETS[request.param]()
+    compiled = compile_dag_forward(net, model_with_biases(net))
+    return request.param, net, compiled
+
+
+class TestFusionIdentity:
+    """Fused superop execution reproduces per-instruction execution bit
+    for bit, on outputs and on the fusion-invariant report counts."""
+
+    def test_fused_matches_unfused(self, dag_case):
+        name, net, compiled = dag_case
+        image = random_image(net, seed=11)
+        fused, fused_report = compiled.run(image, fused=True)
+        plain, plain_report = compiled.run(image, fused=False)
+        assert np.array_equal(fused, plain), name
+        assert fused_report.instructions == plain_report.instructions
+        assert fused_report.busy_cycles == plain_report.busy_cycles
+
+    def test_every_superop_decodes(self, dag_case):
+        """No superop is refused at decode (a refusal silently runs the
+        whole tile unfused), and each one executes as one fused span."""
+        name, net, compiled = dag_case
+        with capture() as tel:
+            compiled.run(random_image(net))
+        refused = [
+            key for key in tel.counters.group("engine.fallback")
+            if key.startswith("superop.")
+        ]
+        assert refused == [], name
+        declared = sorted(
+            sup.kind for prog in compiled.programs for sup in prog.superops
+        )
+        executed = sorted(
+            event.name.split("[")[0][len("superop."):]
+            for event in tel.events_in("engine.instr")
+            if event.name.startswith("superop.")
+        )
+        assert declared and executed == declared, name
+
+    def test_lenet5_holds_ragged_conv_blocks(self):
+        """The ragged kernel path stays exercised: C3's table blocks."""
+        net = lenet5(num_classes=10)
+        compiled = compile_dag_forward(net, model_with_biases(net))
+        shapes = set()
+        for prog in compiled.programs:
+            for sup in prog.superops:
+                if sup.kind == "conv_block":
+                    p = dict(sup.params)
+                    plan = conv_block_plan(
+                        p["steps"], p["k"], p["stride"], p["pad"],
+                        (p["h"], p["w"]), p["n_features"],
+                    )
+                    shapes.add(plan.ragged is None)
+        assert shapes == {True, False}
+
+    def test_out_of_range_gather_is_refused(self):
+        """A conv block whose gathers would leave the source tile is
+        refused at decode and counted, never read out of bounds; its
+        tile runs per instruction instead."""
+        net = mini_resnet()
+        compiled = compile_dag_forward(net, model_with_biases(net))
+        image = random_image(net)
+        want, _ = compiled.run(image, fused=False)
+        last_word = compiled.chip.mem_tile.capacity_bytes // 4 - 1
+        for prog in compiled.programs:
+            superops = []
+            for sup in prog.superops:
+                if sup.kind == "conv_block":
+                    params = dict(sup.params)
+                    feats, planes, kernels = params["steps"][-1]
+                    params["steps"] = params["steps"][:-1] + (
+                        (feats, (last_word,) * len(planes), kernels),
+                    )
+                    sup = replace(sup, params=tuple(sorted(params.items())))
+                superops.append(sup)
+            prog.superops = tuple(superops)
+        with capture() as tel:
+            got, _ = compiled.run(image)
+        assert np.array_equal(got, want)
+        refused = tel.counters.group("engine.fallback")
+        assert refused.get("superop.conv_block:SimulationError", 0) > 0
+
+
+class TestPersistentFusedRunner:
+    @pytest.mark.parametrize("build", [mini_inception, mini_resnet])
+    def test_stream_matches_fresh_unfused_runs(self, build):
+        """Weights stay resident and per-image state is overwritten:
+        every streamed image matches a fresh per-instruction run."""
+        net = build()
+        compiled = compile_dag_forward(net, model_with_biases(net))
+        runner = compiled.runner()
+        for seed in range(4):
+            image = random_image(net, seed=seed)
+            got, _ = runner(image)
+            want, _ = compiled.run(image, fused=False)
+            assert np.array_equal(got, want), (net.name, seed)
+        assert runner.images_run == 4

@@ -127,6 +127,135 @@ class TestIm2Col:
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+def _conv_block_reference(words, sources, k, stride, pad, shape, bias, fn):
+    """Per-instruction execution of one conv block: a ``conv2d_forward``
+    per (feature, source) NDCONV, accumulated in place, then the bias
+    NDACCUM and the block's NDACTFN."""
+    h, w = shape
+    zero_bias = np.zeros(1, np.float32)
+    acc = []
+    for f, srcs in enumerate(sources):
+        for s, (plane, kern) in enumerate(srcs):
+            out = ops.conv2d_forward(
+                words[plane : plane + h * w].reshape(1, h, w),
+                words[kern : kern + k * k].reshape(1, 1, k, k),
+                zero_bias, stride, pad,
+            ).reshape(-1)
+            if s == 0:
+                acc.append(out.astype(np.float32))
+            else:
+                acc[f] += out
+        acc[f] += bias[f]
+    pre = np.concatenate(acc)
+    return pre, ops.activate(pre.copy(), fn)
+
+
+def _conv_block_steps(sources):
+    """The fuse pass's step grouping: step ``s`` holds the ``s``-th
+    source of every feature that has one, in feature order."""
+    steps = []
+    for s in range(max(len(srcs) for srcs in sources)):
+        feats = tuple(f for f, srcs in enumerate(sources) if len(srcs) > s)
+        steps.append((
+            feats,
+            tuple(sources[f][s][0] for f in feats),
+            tuple(sources[f][s][1] for f in feats),
+        ))
+    return steps
+
+
+class TestConvBlockKernel:
+    """The fused conv-block kernel against per-instruction execution,
+    compared byte for byte (signed zeros included)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        k=st.sampled_from([1, 3, 5]),
+        stride=st.sampled_from([1, 2]),
+        data=st.data(),
+        n_features=st.integers(1, 5),
+        ragged=st.booleans(),
+        zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+        fn=st.sampled_from(
+            [Activation.RELU, Activation.NONE, Activation.TANH]
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_instruction_bytes(
+        self, k, stride, data, n_features, ragged, zero_frac, fn, seed
+    ):
+        pad = data.draw(st.integers(0, k - 1), label="pad")
+        lo = max(1, k - 2 * pad)  # the smallest plane: a 1-wide output
+        h = data.draw(st.integers(lo, lo + 5), label="h")
+        w = data.draw(st.integers(lo, lo + 5), label="w")
+        n_planes = data.draw(st.integers(1, 4), label="planes")
+        rng = np.random.default_rng(seed)
+        gap = int(rng.integers(0, 3))
+        planes = [7 + i * (h * w + gap) for i in range(n_planes)]
+        kern_base = planes[-1] + h * w + gap
+        if ragged:
+            # Connection-table style: each feature reads its own subset
+            # of the planes, in its own order.
+            chosen = [
+                rng.permutation(n_planes)[: rng.integers(1, n_planes + 1)]
+                for _ in range(n_features)
+            ]
+        else:
+            chosen = [np.arange(n_planes)] * n_features
+        sources, slot = [], 0
+        for picks in chosen:
+            srcs = []
+            for p in picks:
+                srcs.append((planes[p], kern_base + slot * k * k))
+                slot += 1
+            sources.append(srcs)
+
+        def with_zeros(values):
+            # Zeros of both signs, so a -0.0 product could surface.
+            mask = rng.random(values.shape) < zero_frac
+            values[mask] = np.copysign(0.0, rng.normal(0, 1, mask.sum()))
+            return values.astype(np.float32)
+
+        words = with_zeros(rng.normal(0, 1, kern_base + slot * k * k + 5))
+        out_h = (h + 2 * pad - k) // stride + 1
+        out_w = (w + 2 * pad - k) // stride + 1
+        bias = with_zeros(rng.normal(0, 1, (n_features, out_h * out_w)))
+
+        plan = ops.conv_block_plan(
+            _conv_block_steps(sources), k, stride, pad, (h, w), n_features
+        )
+        shared = all(
+            len(c) == len(chosen[0]) and (c == chosen[0]).all()
+            for c in chosen
+        )
+        assert (plan.ragged is None) == shared
+        windows = np.lib.stride_tricks.sliding_window_view
+        pre, out = ops.conv_block_forward(
+            windows(words, h * w), windows(words, k * k), plan,
+            bias.reshape(-1), fn,
+        )
+        want_pre, want_out = _conv_block_reference(
+            words, sources, k, stride, pad, (h, w), bias, fn
+        )
+        assert pre.tobytes() == want_pre.tobytes()
+        assert out.tobytes() == want_out.tobytes()
+
+    def test_plan_extent_covers_every_gather(self):
+        steps = [
+            ((0, 1), (10, 10), (100, 109)),
+            ((0, 1), (26, 26), (118, 127)),
+        ]
+        plan = ops.conv_block_plan(steps, 3, 1, 1, (4, 4), 2)
+        assert plan.ragged is None
+        assert plan.extent == (10, 136)
+
+    def test_step_zero_must_cover_every_feature(self):
+        with pytest.raises(ShapeError):
+            ops.conv_block_plan(
+                [((1,), (0,), (16,))], 1, 1, 0, (4, 4), 2
+            )
+
+
 class TestPooling:
     def test_max_pool_values(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
