@@ -474,12 +474,13 @@ def cmd_validate(args: argparse.Namespace) -> None:
     import json as json_mod
 
     from repro.bench.export import write_validation_json
-    from repro.sim.validation import (
-        DEFAULT_SPEEDUP_BATCH,
-        MIN_RANK_AGREEMENT,
-        validate_zoo,
-    )
+    from repro.sim.validation import MIN_RANK_AGREEMENT, validate_zoo
 
+    if args.rows < 1:
+        print(
+            f"repro: --rows must be >= 1, got {args.rows}", file=sys.stderr
+        )
+        raise SystemExit(2)
     names = None
     if args.networks:
         from repro.sim.validation import VALIDATION_VARIANTS
@@ -511,7 +512,6 @@ def cmd_validate(args: argparse.Namespace) -> None:
             else MIN_RANK_AGREEMENT
         ),
         speedup=not args.no_speedup,
-        speedup_batch=args.batch or DEFAULT_SPEEDUP_BATCH,
     )
 
     if args.json:
@@ -1234,10 +1234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--min-rank", type=float, default=None,
         help="rank-agreement threshold override",
-    )
-    p.add_argument(
-        "--batch", type=int, default=None,
-        help="minibatch size for the speedup measurement",
     )
     p.add_argument(
         "--no-speedup", action="store_true",

@@ -49,7 +49,7 @@ from repro.compiler.passes.schedule import SchedulePass
 from repro.compiler.passes.tracker_assign import TrackerAssignPass
 from repro.compiler.templates import Preload, align_prologues
 from repro.dnn.network import Network
-from repro.errors import MappingError, SimulationError
+from repro.errors import MappingError, ShapeError
 from repro.functional.reference import ReferenceModel
 from repro.isa.program import Program
 from repro.sim.engine import Engine, RunReport
@@ -86,6 +86,33 @@ class CompiledForward:
             machine.load_program(program)
         return machine
 
+    def load_image(self, machine: Machine, image: np.ndarray) -> None:
+        """Write one ``(C, H, W)`` input image into column 0's home
+        blocks of ``machine``.  Any other shape raises
+        :class:`~repro.errors.ShapeError` — a short or flat image would
+        otherwise leave stale words in the blocks it does not reach."""
+        shape = self.network.input.output_shape
+        if image.shape != (shape.count, shape.height, shape.width):
+            raise ShapeError(
+                f"input shape {image.shape} != network input {shape}"
+            )
+        for home in self.partition.blocks_of(self.network.input.name):
+            tile = machine.mem_tile(machine.mem_tile_id(0, home.row))
+            block = image[
+                home.first_feature : home.first_feature + home.feature_count
+            ]
+            tile.write(home.address, block, accumulate=False)
+
+    def read_output(self, machine: Machine) -> np.ndarray:
+        """A copy of the network's output vector from ``machine``."""
+        col = self.partition.column_of[self.network.output.name]
+        return np.concatenate([
+            machine.mem_tile(machine.mem_tile_id(col, home.row))
+            .read(home.address, home.feature_count * home.feature_words)
+            .copy()
+            for home in self.output_blocks
+        ])
+
     def run(
         self, image: np.ndarray, fast: bool = True, fused: bool = True
     ) -> Tuple[np.ndarray, RunReport]:
@@ -98,67 +125,9 @@ class CompiledForward:
         ``cycles``/``rounds``/blocked counts may differ (see
         :class:`~repro.sim.engine.RunReport`)."""
         machine = self.build_machine()
-        # Write the input image into column 0's home blocks.
-        in_node = self.network.input
-        for home in self.partition.blocks_of(in_node.name):
-            tile = machine.mem_tile(machine.mem_tile_id(0, home.row))
-            block = image[
-                home.first_feature : home.first_feature + home.feature_count
-            ]
-            tile.write(home.address, block, accumulate=False)
-        engine = Engine(machine, fast=fast, fused=fast and fused)
-        report = engine.run()
-        out = np.concatenate([
-            machine.mem_tile(
-                machine.mem_tile_id(
-                    self.partition.column_of[self.network.output.name],
-                    home.row,
-                )
-            ).read(home.address, home.feature_count * home.feature_words)
-            .copy()
-            for home in self.output_blocks
-        ])
-        return out, report
-
-    def run_batch(
-        self, images: np.ndarray
-    ) -> Tuple[np.ndarray, RunReport]:
-        """Execute the forward pass on a minibatch at once: ``images``
-        is ``(batch, channels, height, width)`` (any per-image layout
-        matching :meth:`run`'s input works — only the leading batch axis
-        is special).  Decoded op tables are shared and every tensor op
-        vectorises across the batch on mirrored scratchpads; cycles and
-        instruction counts model ONE image's program, identical to
-        :meth:`run`.  Returns ``(batch, features)`` outputs plus the
-        report."""
-        images = np.asarray(images, dtype=np.float32)
-        if images.ndim < 2:
-            raise SimulationError(
-                f"run_batch needs a leading batch axis, got shape "
-                f"{images.shape}"
-            )
-        machine = self.build_machine()
-        engine = Engine(machine)
-        state = engine.make_batch(images.shape[0])
-        in_node = self.network.input
-        for home in self.partition.blocks_of(in_node.name):
-            port = machine.mem_tile_id(0, home.row)
-            block = images[
-                :, home.first_feature : home.first_feature
-                + home.feature_count
-            ]
-            state.write(port, home.address, block, accumulate=False)
-        report = engine.run()
-        out_col = self.partition.column_of[self.network.output.name]
-        out = np.concatenate([
-            state.read(
-                machine.mem_tile_id(out_col, home.row),
-                home.address,
-                home.feature_count * home.feature_words,
-            ).copy()
-            for home in self.output_blocks
-        ], axis=1)
-        return out, report
+        self.load_image(machine, image)
+        report = Engine(machine, fast=fast, fused=fused).run()
+        return self.read_output(machine), report
 
     @property
     def instruction_count(self) -> int:
@@ -199,53 +168,29 @@ class CompiledForward:
             preloaded=self.preloaded_regions(), host_writes=host_writes,
         )
 
-    def runner(
-        self, fast: bool = True, fused: bool = True
-    ) -> "ForwardRunner":
+    def runner(self) -> "ForwardRunner":
         """A persistent-machine runner for streaming many images: the
         machine is built once, weights stay resident, and programs are
         rewound per image (the steady-state operation of Sec 3.2.3,
         minus the inter-image overlap)."""
-        return ForwardRunner(self, fast=fast, fused=fused)
+        return ForwardRunner(self)
 
 
 class ForwardRunner:
-    """Streams images through one compiled forward pass."""
+    """Streams images through one compiled forward pass (fused)."""
 
-    def __init__(
-        self,
-        compiled: CompiledForward,
-        fast: bool = True,
-        fused: bool = True,
-    ) -> None:
+    def __init__(self, compiled: CompiledForward) -> None:
         self.compiled = compiled
         self.machine = compiled.build_machine()
-        self.engine = Engine(self.machine, fast=fast, fused=fast and fused)
+        self.engine = Engine(self.machine, fused=True)
         self.images_run = 0
 
     def __call__(self, image: np.ndarray) -> Tuple[np.ndarray, RunReport]:
-        compiled = self.compiled
+        self.compiled.load_image(self.machine, image)
         self.machine.reset_programs()
-        in_node = compiled.network.input
-        for home in compiled.partition.blocks_of(in_node.name):
-            tile = self.machine.mem_tile(
-                self.machine.mem_tile_id(0, home.row)
-            )
-            tile.write(
-                home.address,
-                image[home.first_feature:
-                      home.first_feature + home.feature_count],
-                accumulate=False,
-            )
         report = self.engine.run()
-        out_col = compiled.partition.column_of[compiled.network.output.name]
-        out = np.concatenate([
-            self.machine.mem_tile(self.machine.mem_tile_id(out_col, h.row))
-            .read(h.address, h.feature_count * h.feature_words).copy()
-            for h in compiled.output_blocks
-        ])
         self.images_run += 1
-        return out, report
+        return self.compiled.read_output(self.machine), report
 
 
 class ForwardCompiler:
@@ -273,15 +218,15 @@ class ForwardCompiler:
         model: ReferenceModel,
         chip: Optional[ChipConfig] = None,
         rows: int = 2,
-        fuse: bool = True,
     ) -> None:
         if model.net is not net:
             raise MappingError("model must be built from the same network")
+        if rows < 1:
+            raise MappingError(f"rows must be >= 1, got {rows}")
         self.net = net
         self.model = model
         self.chip = chip or conv_chip()
         self.rows = rows
-        self.fuse = bool(fuse) and self.supports_fusion
         self.partition = self._partition()
         self.preloads: List[_Preload] = []
         self.ir: Optional[MappingIR] = None
@@ -303,7 +248,7 @@ class ForwardCompiler:
         ]
         # Fusion needs final pcs: with align=False the caller will
         # prepend prologue pads later, which would shift every span.
-        if self.fuse and align:
+        if self.supports_fusion and align:
             passes.append(FusePass())
         return PassManager(passes)
 

@@ -57,9 +57,8 @@ class DagForwardCompiler(ForwardCompiler):
         model: ReferenceModel,
         chip: Optional[ChipConfig] = None,
         rows: int = 2,
-        fuse: bool = True,
     ) -> None:
-        super().__init__(net, model, chip, rows, fuse=fuse)
+        super().__init__(net, model, chip, rows)
         # Scope violations surface at construction, as they always have
         # for the DAG compiler (the pipeline's legalize pass re-checks).
         check_dag_scope(net)
@@ -75,26 +74,6 @@ def compile_dag_forward(
     model: ReferenceModel,
     chip: Optional[ChipConfig] = None,
     rows: int = 2,
-    fuse: bool = True,
 ) -> CompiledForward:
-    """Compile the forward pass of an arbitrary network DAG.
-
-    ``fuse=False`` skips the superop fusion pass (per-instruction
-    execution only; same programs, same outputs — kept addressable for
-    the fused-vs-unfused equivalence tests and cache keying)."""
-    return DagForwardCompiler(net, model, chip, rows, fuse=fuse).compile()
-
-
-def run_dag_batch(
-    net: Network,
-    model: ReferenceModel,
-    images,
-    chip: Optional[ChipConfig] = None,
-    rows: int = 2,
-):
-    """Batch-aware entry: compile ``net`` (DAG dialect) and execute a
-    whole ``(batch, channels, height, width)`` minibatch at once on the
-    engine's pre-decoded batched path.  Returns ``(outputs, report)``
-    with outputs shaped ``(batch, features)``; cycles model one image's
-    program, identical to :meth:`CompiledForward.run`."""
-    return compile_dag_forward(net, model, chip, rows).run_batch(images)
+    """Compile the forward pass of an arbitrary network DAG."""
+    return DagForwardCompiler(net, model, chip, rows).compile()

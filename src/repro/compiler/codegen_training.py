@@ -125,19 +125,8 @@ class CompiledTraining:
         :meth:`train_minibatch`."""
         engine = self._ensure_machine()
         machine = engine.machine
+        self.forward.load_image(machine, image)
         machine.reset_programs()
-
-        # Load the image into column 0's home blocks.
-        part = self.forward.partition
-        in_node = self.network.input
-        for home in part.blocks_of(in_node.name):
-            tile = machine.mem_tile(machine.mem_tile_id(0, home.row))
-            tile.write(
-                home.address,
-                image[home.first_feature:
-                      home.first_feature + home.feature_count],
-                accumulate=False,
-            )
 
         # Phase 1: forward propagation; BP/WG tiles block on their first
         # tracker-gated access until the loss gradient arrives.
@@ -145,12 +134,7 @@ class CompiledTraining:
             raise_on_deadlock=False,
             exclude_tiles=self.update_tiles or None,
         )
-        out_col = part.column_of[self.network.output.name]
-        output = np.concatenate([
-            machine.mem_tile(machine.mem_tile_id(out_col, h.row))
-            .read(h.address, h.feature_count * h.feature_words).copy()
-            for h in self.forward.output_blocks
-        ])
+        output = self.forward.read_output(machine)
         loss, grad = ops.softmax_cross_entropy(output, label)
 
         # Phase 2: inject dLoss/dpre at the output and run BP/WG/update.

@@ -36,10 +36,10 @@ from repro.dnn.network import Network
 #: "4": multi-node scale-out — digests gain a ``system`` slot (topology
 #: + parallelism strategy), so system-level results can never collide
 #: with single-node entries cached under older versions.
-#: "5": superop fusion — lowered programs carry fusion plans and
-#: codegen digests bake in the fuse flag, so fused and unfused
-#: compilations (and anything cached before fusion existed) never
-#: share a cache entry.
+#: "5": superop fusion — lowered programs carry fusion plans.  Codegen
+#: digests first baked in a fuse flag; fusion is now unconditional and
+#: the flag left the payload, which changes every codegen digest, so no
+#: entry cached with the flag can collide.
 COMPILER_VERSION = "5"
 
 

@@ -153,43 +153,6 @@ def conv2d_backward(
     return grad_x, grad_w, grad_b
 
 
-def conv2d_plane_batched(
-    x: np.ndarray, kernels: np.ndarray, stride: int = 1, pad: int = 0
-) -> np.ndarray:
-    """Batched single-plane convolution: ``x`` is (B, H, W) — one plane
-    per image — and ``kernels`` is (B, k, k), one (usually identical)
-    kernel per image.  Returns (B, out_h, out_w).
-
-    This is the engine's NDCONV vectorised across a minibatch: each
-    image convolves independently, so the batch axis rides along the
-    im2col window gather and one einsum contracts every image at once.
-    """
-    _check_3d(x, "batched conv input")
-    b, h, w = x.shape
-    k = kernels.shape[-1]
-    if kernels.shape != (b, k, k):
-        raise ShapeError(
-            f"batched conv kernels {kernels.shape} != ({b}, {k}, {k})"
-        )
-    xp = pad_spatial(np.ascontiguousarray(x), pad)
-    out_h = (h + 2 * pad - k) // stride + 1
-    out_w = (w + 2 * pad - k) // stride + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ShapeError(
-            f"kernel {k} stride {stride} pad {pad} does not fit {x.shape}"
-        )
-    shape = (b, k, k, out_h, out_w)
-    strides = (
-        xp.strides[0],
-        xp.strides[1],
-        xp.strides[2],
-        xp.strides[1] * stride,
-        xp.strides[2] * stride,
-    )
-    windows = np.lib.stride_tricks.as_strided(xp, shape, strides)
-    return np.einsum("bijhw,bij->bhw", windows, kernels)
-
-
 #: One step of a ragged conv block: (features or None, plane indices,
 #: kernel slice) — see :class:`ConvBlockPlan`.
 _RaggedStep = Tuple[Optional[np.ndarray], np.ndarray, slice]
@@ -390,24 +353,6 @@ def fc_block_forward(
     pre = mat @ vec
     pre += bias
     return pre, activate(pre.copy(), fn)
-
-
-def matmul_rows(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Batched matrix-vector multiply: ``mats`` (B, rows, cols) @
-    ``vecs`` (B, cols) -> (B, rows) — the engine's MATMUL vectorised
-    across a minibatch (the matrix is usually identical per image)."""
-    return np.matmul(mats, vecs[:, :, None])[:, :, 0]
-
-
-def activate_rows(x: np.ndarray, fn: Activation) -> np.ndarray:
-    """Row-wise activation over a (B, n) batch.  Elementwise functions
-    delegate to :func:`activate`; softmax normalises each row
-    independently (the single-image path flattens, which would couple
-    the batch)."""
-    if fn is Activation.SOFTMAX:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
-    return activate(x, fn)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -108,144 +108,77 @@ class RunReport:
         )
 
 
-class _Decoded:
-    """One pre-decoded instruction slot of a tile's flat op table.
+class _Tag(NamedTuple):
+    """How telemetry reports one op-table entry."""
 
-    The fast path resolves everything static once per program: the gated
-    address quads (with the MemTile objects already bound), the cycle
-    cost, and a closure executing the exact numpy calls of the legacy
-    interpreter.  Instructions the decoder cannot resolve statically —
-    scalar/control, register-indirect operands, or anything whose decode
-    raises — keep ``fallback=True`` and run through :meth:`Engine._execute`
-    so error timing and semantics are unchanged.
+    name: str  # span name (and execution-trace text of a superop)
+    metric: str  # ``engine.instr_cycles`` key
+    dma: bool  # whether its cycles count as the tile's ``dma_cycles``
+    args: Dict[str, int]  # extra span arguments (read-only)
+
+
+#: Tags of single-instruction entries, shared per opcode.
+_OPCODE_TAGS = {
+    op: _Tag(op.value, op.value, op in _DMA_OPCODES, {}) for op in Opcode
+}
+
+
+class _Decoded:
+    """One entry of a tile's flat op table, covering pcs ``[pc, pc + count)``.
+
+    A plain entry is one pre-decoded instruction: the fast path resolves
+    everything static once per program — the gated address quads (with
+    the MemTile objects already bound), the cycle cost, and a closure
+    ``fn`` executing the exact numpy calls of the legacy interpreter.
+    Instructions the decoder cannot resolve statically — scalar/control,
+    register-indirect operands, or anything whose decode raises — get no
+    closure (``fn is None``) and run through :meth:`Engine._execute` so
+    error timing and semantics are unchanged; the legacy interpreter is
+    a table of such fallback entries only.
+
+    A superop entry (``sup`` given) is a fused run of ``count``
+    instructions placed at the run's first pc.  Its quads are the
+    *external* tracker accesses to gate atomically, ``expire`` holds the
+    pre-bound tracker ranges to force-expire on completion (the exact
+    end state of the internal handshakes it elides), and ``cost`` is
+    pre-summed from the members' decoded per-instruction costs — so
+    reports stay reconciled with per-instruction execution.
     """
 
-    is_super = False
-
     __slots__ = (
-        "instr", "fallback", "batch_safe", "fn", "fn_batch",
-        "reads", "writes", "cost",
+        "instr", "fn", "reads", "writes", "cost", "count", "expire", "tag",
     )
 
     def __init__(
         self,
-        instr: Instruction,
-        fallback: bool = False,
-        batch_safe: bool = True,
+        instr: Optional[Instruction],
         fn=None,
-        fn_batch=None,
         reads=(),
         writes=(),
         cost: int = 0,
+        sup=None,
+        expire=(),
     ) -> None:
         self.instr = instr
-        self.fallback = fallback
-        self.batch_safe = batch_safe
-        self.fn = fn
-        self.fn_batch = fn_batch
-        self.reads = reads
-        self.writes = writes
-        self.cost = cost
-
-
-class _Super:
-    """One superop slot: a fused run of instructions executed at once.
-
-    Placed at the run's first pc of a fused op table (member pcs hold
-    per-instruction fallback sentinels that are skipped over).  Carries
-    the *external* tracker quads to gate atomically, the pre-bound
-    tracker ranges to force-expire on completion (the exact end state of
-    the internal handshakes it elides), and the cycle cost pre-summed
-    from the members' decoded per-instruction costs — so reports stay
-    reconciled with per-instruction execution.
-    """
-
-    is_super = True
-    fallback = False
-
-    __slots__ = (
-        "kind", "start", "end", "count", "cost", "fn",
-        "reads", "writes", "expire", "label",
-    )
-
-    def __init__(
-        self, kind, start, end, count, cost, fn, reads, writes, expire
-    ) -> None:
-        self.kind = kind
-        self.start = start
-        self.end = end
-        self.count = count
-        self.cost = cost
         self.fn = fn
         self.reads = reads
         self.writes = writes
+        self.cost = cost
         self.expire = expire
-        self.label = f"superop.{kind}[{start}:{end}]"
-
-
-class BatchState:
-    """Per-image scratchpad mirrors behind batched execution.
-
-    Each MemHeavy tile (and the external memory) gains a lazily
-    materialised ``(batch, words)`` mirror seeded from the machine's
-    current contents — so preloaded weights and biases replicate to
-    every image, while inputs written through :meth:`write` stay
-    per-image.  Trackers, registers and program counters remain shared:
-    compiled forward programs are data-independent, so one control-flow
-    trace drives the whole minibatch.
-    """
-
-    def __init__(self, engine: "Engine", batch: int) -> None:
-        if batch < 1:
-            raise SimulationError(f"batch size must be >= 1, got {batch}")
-        self.engine = engine
-        self.batch = batch
-        self._mem: Dict[int, np.ndarray] = {}
-        self._external: Optional[np.ndarray] = None
-
-    def words(self, port: int) -> np.ndarray:
-        """The (batch, words) mirror for ``port``, materialising it on
-        first touch."""
-        if port == EXTERNAL_PORT:
-            if self._external is None:
-                self._external = np.repeat(
-                    self.engine.external[None, :], self.batch, axis=0
-                )
-            return self._external
-        arr = self._mem.get(port)
-        if arr is None:
-            arr = self.engine.machine.mem_tile(port).batched_words(
-                self.batch
-            )
-            self._mem[port] = arr
-        return arr
-
-    def read(self, port: int, addr: int, count: int) -> np.ndarray:
-        words = self.words(port)
-        if addr < 0 or addr + count > words.shape[1]:
-            raise SimulationError(
-                f"port {port}: batched read [{addr}, {addr + count}) out "
-                f"of bounds ({words.shape[1]} words)"
-            )
-        return words[:, addr : addr + count]
-
-    def write(
-        self, port: int, addr: int, data: np.ndarray, accumulate: bool
-    ) -> None:
-        words = self.words(port)
-        # astype always copies — mirrors MemTile.write, and keeps an
-        # accumulating NDACCUM safe when source and target ranges alias.
-        flat = np.asarray(data).astype(np.float32).reshape(self.batch, -1)
-        count = flat.shape[1]
-        if addr < 0 or addr + count > words.shape[1]:
-            raise SimulationError(
-                f"port {port}: batched write [{addr}, {addr + count}) out "
-                f"of bounds ({words.shape[1]} words)"
-            )
-        if accumulate:
-            words[:, addr : addr + count] += flat
+        if sup is None:
+            self.count = 1
+            self.tag = _OPCODE_TAGS[instr.opcode]
         else:
-            words[:, addr : addr + count] = flat
+            self.count = sup.end - sup.start
+            metric = f"superop.{sup.kind}"
+            self.tag = _Tag(
+                f"{metric}[{sup.start}:{sup.end}]", metric,
+                sup.kind == "load_run", {"instructions": self.count},
+            )
+
+    def __str__(self) -> str:
+        """The execution-trace text: the instruction, or the superop."""
+        return self.tag.name if self.instr is None else str(self.instr)
 
 
 class Engine:
@@ -274,13 +207,12 @@ class Engine:
         self.fast = fast
         #: Superop execution: honour the compiler's fusion plans
         #: (``Program.superops``) by executing whole fused runs per
-        #: dispatch.  Needs the fast path; silently ignored for batched
-        #: runs and dma-bitflip faults (per-transfer semantics).
-        #: Outputs, ``instructions`` and ``busy_cycles`` stay
-        #: bit-identical to per-instruction execution.
+        #: dispatch.  Needs the fast path; silently ignored under
+        #: dma-bitflip faults (per-transfer semantics).  Outputs,
+        #: ``instructions`` and ``busy_cycles`` stay bit-identical to
+        #: per-instruction execution.
         self.fused = fused and fast
         self._decoded: Dict[str, List[_Decoded]] = {}
-        self._batch: Optional[BatchState] = None
         #: Watchdog: seconds of host wall-clock a run() may take before
         #: it is killed with a :class:`SimulationTimeout` (None = no
         #: limit; the ``max_rounds`` cycle budget always applies).
@@ -730,30 +662,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Pre-decoded fast path
     # ------------------------------------------------------------------
-    def make_batch(self, batch: int) -> BatchState:
-        """Prepare batched multi-image execution: the next :meth:`run`
-        executes every decoded data instruction across ``batch`` images
-        at once (numpy ops vectorised over a leading batch axis), on
-        lazily materialised scratchpad mirrors.  Returns the
-        :class:`BatchState` — write per-image inputs into it before the
-        run and read per-image outputs after."""
-        if not self.fast:
-            raise SimulationError(
-                "batched execution requires the pre-decoded fast path "
-                "(fast=True)"
-            )
-        if self._dma_flip_rate:
-            raise SimulationError(
-                "batched execution is incompatible with dma-bitflip "
-                "faults: flips target single transfers, not minibatches"
-            )
-        if self.fused:
-            # Fused op tables hold _Super entries that bypass the batch
-            # mirrors — drop them so the next decode is per-instruction.
-            self._decoded.clear()
-        self._batch = BatchState(self, batch)
-        return self._batch
-
     def _reader(self, port: int):
         """A bound ``(addr, count) -> words`` reader for ``port``."""
         tile = self._tile(port)
@@ -784,24 +692,27 @@ class Engine:
         cached = self._decoded.get(tile.tile_id)
         if cached is not None and len(cached) == len(tile.program):
             return cached
+        instrs = tile.program.instructions
         entries = None
-        if (
+        if not self.fast:
+            # The legacy interpreter re-parses every instruction per
+            # dispatch: a table of fallback entries only.
+            entries = [_Decoded(instr) for instr in instrs]
+        elif (
             self.fused
-            and self._batch is None
             and not self._dma_flip_rate
             and getattr(tile.program, "superops", ())
         ):
             entries = self._decode_fused(tile)
         if entries is None:
             entries = [
-                self._decode_instr(instr, tile.tile_id)
-                for instr in tile.program.instructions
+                self._decode_instr(instr, tile.tile_id) for instr in instrs
             ]
         self._decoded[tile.tile_id] = entries
         return entries
 
     def _decode_fused(self, tile: CompTile) -> Optional[List[_Decoded]]:
-        """Build the fused op table: one :class:`_Super` per superop at
+        """Build the fused op table: one superop entry per superop at
         its first pc, per-instruction fallback sentinels at the member
         pcs it jumps over (never dispatched; correct if ever reached),
         and the normal full decode everywhere else.  Returns None when a
@@ -825,9 +736,7 @@ class Engine:
                 )
                 return None
             for pc in range(sup.start + 1, sup.end):
-                entries[pc] = _Decoded(
-                    instrs[pc], fallback=True, batch_safe=False
-                )
+                entries[pc] = _Decoded(instrs[pc])
         for pc in range(n):
             if entries[pc] is None:
                 entries[pc] = self._decode_instr(instrs[pc], tile.tile_id)
@@ -861,9 +770,7 @@ class Engine:
             f"superop member {op.value} has no fused cost"
         )
 
-    def _build_super(
-        self, sup, instrs, tile: CompTile
-    ) -> "_Super":
+    def _build_super(self, sup, instrs, tile: CompTile) -> _Decoded:
         cost = sum(
             self._instr_cost(instrs[pc])
             for pc in range(sup.start, sup.end)
@@ -889,10 +796,9 @@ class Engine:
         }.get(sup.kind)
         if builder is None:
             raise SimulationError(f"unknown superop kind {sup.kind!r}")
-        fn = builder(params, tile.tile_id)
-        return _Super(
-            sup.kind, sup.start, sup.end, sup.end - sup.start, cost, fn,
-            reads, writes, expire,
+        return _Decoded(
+            None, fn=builder(params, tile.tile_id), reads=reads,
+            writes=writes, cost=cost, sup=sup, expire=expire,
         )
 
     def _super_load_run(self, params: dict, tile_id: str):
@@ -1008,17 +914,13 @@ class Engine:
         group = instr.group
         if group is InstrGroup.SCALAR:
             # Register/branch/halt: cheap already, and inherently
-            # dynamic — always interpreted.  Touches no scratchpad
-            # words, so it is safe under batched execution too.
+            # dynamic — always interpreted.
             self._note_fallback(instr.opcode.value, "scalar-control")
-            return _Decoded(instr, fallback=True, batch_safe=True)
+            return _Decoded(instr)
         if any(is_reg_operand(v) for v in instr.operands):
             # Fig 13-style R-operands resolve at issue time only.
             self._note_fallback(instr.opcode.value, "register-indirect")
-            return _Decoded(
-                instr, fallback=True,
-                batch_safe=group is InstrGroup.TRACK,
-            )
+            return _Decoded(instr)
         if group is InstrGroup.TRACK:
             o = instr.named_operands()
             port = (
@@ -1028,22 +930,20 @@ class Engine:
             if port == EXTERNAL_PORT:
                 # Arming external memory raises at execution time.
                 self._note_fallback(instr.opcode.value, "external-port")
-                return _Decoded(instr, fallback=True, batch_safe=True)
+                return _Decoded(instr)
             try:
                 trackers = self.machine.mem_tile(port).trackers
             except SimulationError:
                 # Out-of-mesh port: raise at execution, like _execute.
                 self._note_fallback(instr.opcode.value, "out-of-mesh-port")
-                return _Decoded(instr, fallback=True, batch_safe=True)
+                return _Decoded(instr)
             addr, size = o["addr"], o["size"]
             num_updates, num_reads = o["num_updates"], o["num_reads"]
 
             def arm() -> None:
                 trackers.arm(addr, size, num_updates, num_reads)
 
-            return _Decoded(
-                instr, fn=arm, fn_batch=lambda state: arm(), cost=1
-            )
+            return _Decoded(instr, fn=arm, cost=1)
         try:
             return self._decode_data(instr, tile_id)
         except (SimulationError, KeyError, ZeroDivisionError) as exc:
@@ -1056,7 +956,7 @@ class Engine:
             self._note_fallback(
                 instr.opcode.value, f"decode-error:{type(exc).__name__}"
             )
-            return _Decoded(instr, fallback=True, batch_safe=False)
+            return _Decoded(instr)
 
     def _decode_data(self, instr: Instruction, tile_id: str) -> _Decoded:
         """Decode one data instruction into a :class:`_Decoded` entry.
@@ -1100,18 +1000,9 @@ class Engine:
                 )
                 wr(out_addr, out, accum)
 
-            def conv_batch(state: BatchState) -> None:
-                x = state.read(in_port, in_addr, h * w)
-                kern = state.read(in_port, kernel_addr, k * k)
-                out = ops.conv2d_plane_batched(
-                    x.reshape(-1, h, w), kern.reshape(-1, k, k),
-                    stride, pad,
-                )
-                state.write(out_port, out_addr, out, accum)
-
             return _Decoded(
-                instr, fn=conv, fn_batch=conv_batch, reads=reads,
-                writes=writes, cost=self._conv_cycles(out_h * out_w, k),
+                instr, fn=conv, reads=reads, writes=writes,
+                cost=self._conv_cycles(out_h * out_w, k),
             )
 
         if op is Opcode.MATMUL:
@@ -1134,18 +1025,9 @@ class Engine:
                 mat = rd_mat(in2_addr, rows * cols).reshape(rows, cols)
                 wr(out_addr, mat @ vec, accum)
 
-            def matmul_batch(state: BatchState) -> None:
-                vec = state.read(in1_port, in1_addr, n)
-                mat = state.read(
-                    in2_port, in2_addr, rows * cols
-                ).reshape(-1, rows, cols)
-                state.write(
-                    out_port, out_addr, ops.matmul_rows(mat, vec), accum
-                )
-
             return _Decoded(
-                instr, fn=matmul, fn_batch=matmul_batch, reads=reads,
-                writes=writes, cost=self._matmul_cycles(rows * cols),
+                instr, fn=matmul, reads=reads, writes=writes,
+                cost=self._matmul_cycles(rows * cols),
             )
 
         if op is Opcode.NDACTFN:
@@ -1160,16 +1042,9 @@ class Engine:
                 data = rd(in_addr, size)
                 wr(out_addr, ops.activate(data.copy(), fn_act), False)
 
-            def actfn_batch(state: BatchState) -> None:
-                data = state.read(port, in_addr, size)
-                state.write(
-                    out_port, out_addr,
-                    ops.activate_rows(data.copy(), fn_act), False,
-                )
-
             return _Decoded(
-                instr, fn=actfn, fn_batch=actfn_batch, reads=reads,
-                writes=writes, cost=self._offload_cycles(size),
+                instr, fn=actfn, reads=reads, writes=writes,
+                cost=self._offload_cycles(size),
             )
 
         if op is Opcode.NDACTBP:
@@ -1189,17 +1064,9 @@ class Engine:
                     ops.activate_backward(err.copy(), act, fn_act), False,
                 )
 
-            def actbp_batch(state: BatchState) -> None:
-                err = state.read(port, err_addr, size)
-                act = state.read(port, act_addr, size)
-                state.write(
-                    out_port, out_addr,
-                    ops.activate_backward(err.copy(), act, fn_act), False,
-                )
-
             return _Decoded(
-                instr, fn=actbp, fn_batch=actbp_batch, reads=reads,
-                writes=writes, cost=self._offload_cycles(size),
+                instr, fn=actbp, reads=reads, writes=writes,
+                cost=self._offload_cycles(size),
             )
 
         if op is Opcode.NDSUBSAMP:
@@ -1218,18 +1085,9 @@ class Engine:
                 )
                 wr(out_addr, out, False)
 
-            def subsamp_batch(state: BatchState) -> None:
-                # Batch rides the channel axis: pool_forward pools each
-                # leading-axis plane independently.
-                x = state.read(port, in_addr, h * w)
-                out, _ = ops.pool_forward(
-                    x.reshape(-1, h, w), window, stride, 0, mode
-                )
-                state.write(out_port, out_addr, out, False)
-
             return _Decoded(
-                instr, fn=subsamp, fn_batch=subsamp_batch, reads=reads,
-                writes=writes, cost=self._offload_cycles(h * w),
+                instr, fn=subsamp, reads=reads, writes=writes,
+                cost=self._offload_cycles(h * w),
             )
 
         if op is Opcode.NDUPSAMP:
@@ -1250,15 +1108,6 @@ class Engine:
                     up[0, ::stride, ::stride] = err[0]
                     wr(out_addr, up, False)
 
-                def upsamp_batch(state: BatchState) -> None:
-                    err = state.read(port, in_addr, h * w)
-                    err = err.reshape(-1, h, w)
-                    up = np.zeros(
-                        (err.shape[0], out_h, out_w), dtype=np.float32
-                    )
-                    up[:, ::stride, ::stride] = err
-                    state.write(out_port, out_addr, up, False)
-
             elif mode == SAMP_CODES[PoolMode.MAX]:
                 out_h, out_w = h * stride, w * stride
                 orig_addr = in_addr + h * w
@@ -1277,21 +1126,6 @@ class Engine:
                     )
                     wr(out_addr, up, False)
 
-                def upsamp_batch(state: BatchState) -> None:
-                    err = state.read(port, in_addr, h * w)
-                    err = err.reshape(-1, h, w)
-                    original = state.read(
-                        port, orig_addr, out_h * out_w
-                    ).reshape(-1, out_h, out_w)
-                    _, argmax = ops.pool_forward(
-                        original, window, stride, 0, PoolMode.MAX
-                    )
-                    up = ops.pool_backward(
-                        err.copy(), original.shape, window, stride, 0,
-                        PoolMode.MAX, argmax,
-                    )
-                    state.write(out_port, out_addr, up, False)
-
             elif mode == SAMP_CODES[PoolMode.AVG]:
                 out_h, out_w = h * stride, w * stride
 
@@ -1303,21 +1137,12 @@ class Engine:
                     )
                     wr(out_addr, up, False)
 
-                def upsamp_batch(state: BatchState) -> None:
-                    err = state.read(port, in_addr, h * w)
-                    err = err.reshape(-1, h, w)
-                    up = ops.pool_backward(
-                        err.copy(), (err.shape[0], out_h, out_w),
-                        window, stride, 0, PoolMode.AVG, np.empty(0),
-                    )
-                    state.write(out_port, out_addr, up, False)
-
             else:
                 raise SimulationError(f"unknown NDUPSAMP mode {mode}")
 
             return _Decoded(
-                instr, fn=upsamp, fn_batch=upsamp_batch, reads=reads,
-                writes=writes, cost=self._offload_cycles(out_h * out_w),
+                instr, fn=upsamp, reads=reads, writes=writes,
+                cost=self._offload_cycles(out_h * out_w),
             )
 
         if op is Opcode.NDACCUM:
@@ -1330,14 +1155,9 @@ class Engine:
             def accum() -> None:
                 wr(dst_addr, rd(src_addr, size), True)
 
-            def accum_batch(state: BatchState) -> None:
-                state.write(
-                    port, dst_addr, state.read(port, src_addr, size), True
-                )
-
             return _Decoded(
-                instr, fn=accum, fn_batch=accum_batch, reads=reads,
-                writes=writes, cost=self._offload_cycles(size),
+                instr, fn=accum, reads=reads, writes=writes,
+                cost=self._offload_cycles(size),
             )
 
         if op is Opcode.VECMUL:
@@ -1351,14 +1171,9 @@ class Engine:
             def vecmul() -> None:
                 wr(out_addr, rd(in1_addr, size) * rd(in2_addr, size), False)
 
-            def vecmul_batch(state: BatchState) -> None:
-                a = state.read(port, in1_addr, size)
-                b = state.read(port, in2_addr, size)
-                state.write(port, out_addr, a * b, False)
-
             return _Decoded(
-                instr, fn=vecmul, fn_batch=vecmul_batch, reads=reads,
-                writes=writes, cost=self._offload_cycles(size),
+                instr, fn=vecmul, reads=reads, writes=writes,
+                cost=self._offload_cycles(size),
             )
 
         if op is Opcode.WUPDATE:
@@ -1375,14 +1190,9 @@ class Engine:
                 wr(weight_addr, -lr * grad, True)
                 wr(grad_addr, zeros, False)
 
-            def wupdate_batch(state: BatchState) -> None:
-                grad = state.read(port, grad_addr, size).copy()
-                state.write(port, weight_addr, -lr * grad, True)
-                state.write(port, grad_addr, np.zeros_like(grad), False)
-
             return _Decoded(
-                instr, fn=wupdate, fn_batch=wupdate_batch, reads=reads,
-                writes=writes, cost=self._offload_cycles(size),
+                instr, fn=wupdate, reads=reads, writes=writes,
+                cost=self._offload_cycles(size),
             )
 
         if op in (Opcode.DMALOAD, Opcode.DMASTORE):
@@ -1392,7 +1202,6 @@ class Engine:
             accum = bool(o["is_accum"])
             rd = self._reader(src_port)
             wr = self._writer(dst_port)
-            cost = self._dma_cycles(size, src_port, dst_port)
 
             def dma() -> None:
                 data = rd(src_addr, size)
@@ -1400,27 +1209,15 @@ class Engine:
                 if self._tel_on:
                     self._observe_dma(tile_id, size)
 
-            def dma_batch(state: BatchState) -> None:
-                # make_batch refuses dma-bitflip faults, so the payload
-                # is a plain copy here.
-                data = state.read(src_port, src_addr, size)
-                state.write(
-                    dst_port, dst_addr,
-                    np.array(data, dtype=np.float32), accum,
-                )
-                if self._tel_on:
-                    self._observe_dma(tile_id, size)
-
             return _Decoded(
-                instr, fn=dma, fn_batch=dma_batch, reads=reads,
-                writes=writes, cost=cost,
+                instr, fn=dma, reads=reads, writes=writes,
+                cost=self._dma_cycles(size, src_port, dst_port),
             )
 
         if op in (Opcode.PASSBUFF_RD, Opcode.PASSBUFF_WR):
             noop = lambda: None  # noqa: E731 — handshake only
             return _Decoded(
-                instr, fn=noop, fn_batch=lambda state: None,
-                reads=reads, writes=writes, cost=2,
+                instr, fn=noop, reads=reads, writes=writes, cost=2
             )
 
         if op is Opcode.PREFETCH:
@@ -1428,7 +1225,6 @@ class Engine:
             src_addr = o["src_addr"]
             dst_port, dst_addr = o["dst_port"], o["dst_addr"]
             wr = self._writer(dst_port)
-            cost = self._dma_cycles(size, EXTERNAL_PORT, dst_port)
 
             def prefetch() -> None:
                 data = self.external[src_addr : src_addr + size]
@@ -1436,18 +1232,9 @@ class Engine:
                 if self._tel_on:
                     self._observe_dma(tile_id, size)
 
-            def prefetch_batch(state: BatchState) -> None:
-                data = state.read(EXTERNAL_PORT, src_addr, size)
-                state.write(
-                    dst_port, dst_addr,
-                    np.array(data, dtype=np.float32), False,
-                )
-                if self._tel_on:
-                    self._observe_dma(tile_id, size)
-
             return _Decoded(
-                instr, fn=prefetch, fn_batch=prefetch_batch, reads=reads,
-                writes=writes, cost=cost,
+                instr, fn=prefetch, reads=reads, writes=writes,
+                cost=self._dma_cycles(size, EXTERNAL_PORT, dst_port),
             )
 
         raise SimulationError(f"engine cannot decode {op.value}")
@@ -1512,17 +1299,9 @@ class Engine:
             time.monotonic() + self.wall_clock_limit
             if self.wall_clock_limit is not None else None
         )
-        batch = self._batch
-        if batch is not None and not self.fast:
-            raise SimulationError(
-                "batched execution requires the pre-decoded fast path"
-            )
-        # Pre-decoded fast path: one flat op table per tile, indexed by
-        # pc in lockstep with the program (same list semantics).
-        work: List[Tuple[CompTile, Optional[List[_Decoded]]]] = [
-            (t, self._decode_program(t) if self.fast else None)
-            for t in tiles
-        ]
+        # One flat op table per tile, indexed by pc in lockstep with the
+        # program (same list semantics); see _decode_program.
+        work = [(t, self._decode_program(t)) for t in tiles]
         while True:
             self.rounds += 1
             if self.rounds > self.max_rounds:
@@ -1546,91 +1325,23 @@ class Engine:
                     continue
                 live = True
                 pc = tile.pc
-                tile.pc = pc + 1
+                entry = entries[pc]
+                tile.pc = pc + entry.count
                 start_cycle = tile.cycles
-                if entries is None:
-                    instr = tile.program[pc]
-                    cost = self._execute(tile, instr)
+                if entry.fn is None:
+                    cost = self._execute(tile, entry.instr)
+                elif self._gate_quads(tile, entry.reads, entry.writes):
+                    # A superop's external quads gate atomically; on
+                    # completion its internal tracker handshakes are
+                    # force-expired to their per-instruction end state.
+                    entry.fn()
+                    for trackers, addr, size in entry.expire:
+                        trackers.expire(addr, size)
+                    cost = entry.cost
                 else:
-                    entry = entries[pc]
-                    if entry.is_super:
-                        # One fused run: gate the external quads
-                        # atomically, execute the whole-plane kernel,
-                        # force-expire the internal tracker handshakes
-                        # to their exact per-instruction end state, and
-                        # charge the pre-summed member costs.
-                        if self._gate_quads(
-                            tile, entry.reads, entry.writes
-                        ):
-                            entry.fn()
-                            for trackers, addr, size in entry.expire:
-                                trackers.expire(addr, size)
-                            tile.pc = entry.end
-                            tile.blocked = False
-                            tile.cycles += entry.cost
-                            tile.instructions_executed += entry.count
-                            progress = True
-                            if tel_on:
-                                tel.span(
-                                    entry.label, "engine.instr",
-                                    ("engine", f"tile {tile.tile_id}"),
-                                    start_cycle, entry.cost,
-                                    round=self.rounds,
-                                    instructions=entry.count,
-                                    blocked_retries=tile.blocked_retries,
-                                )
-                                tel.observe(
-                                    "engine.instr_cycles",
-                                    f"superop.{entry.kind}", entry.cost,
-                                )
-                                if entry.kind == "load_run":
-                                    tel.count(
-                                        f"tile/{tile.tile_id}",
-                                        "dma_cycles", entry.cost,
-                                    )
-                                if tile.blocked_retries:
-                                    tel.observe(
-                                        "engine.block_cycles", "tracker",
-                                        float(tile.blocked_retries),
-                                    )
-                            tile.blocked_retries = 0
-                            if (
-                                self.trace_enabled
-                                and len(self.trace) < self.trace_limit
-                            ):
-                                self.trace.append((
-                                    self.rounds, tile.tile_id,
-                                    entry.label,
-                                ))
-                        else:
-                            tile.pc = pc  # retry the blocked superop
-                            tile.blocked = True
-                            tile.cycles += 1  # stall cycle
-                            tile.stalled_cycles += 1
-                            tile.blocked_retries += 1
-                        continue
-                    instr = entry.instr
-                    if entry.fallback:
-                        if batch is not None and not entry.batch_safe:
-                            raise SimulationError(
-                                f"{instr.opcode.value} needs the "
-                                "single-image interpreter (register-"
-                                "indirect or undecodable operands) and "
-                                "cannot run in a batched execution"
-                            )
-                        cost = self._execute(tile, instr)
-                    elif not self._gate_quads(
-                        tile, entry.reads, entry.writes
-                    ):
-                        cost = None
-                    elif batch is not None:
-                        entry.fn_batch(batch)
-                        cost = entry.cost
-                    else:
-                        entry.fn()
-                        cost = entry.cost
+                    cost = None
                 if cost is None:
-                    tile.pc -= 1  # retry the blocked instruction
+                    tile.pc = pc  # retry the blocked entry
                     tile.blocked = True
                     tile.cycles += 1  # stall cycle
                     tile.stalled_cycles += 1
@@ -1638,24 +1349,23 @@ class Engine:
                     continue
                 tile.blocked = False
                 tile.cycles += cost
-                tile.instructions_executed += 1
+                tile.instructions_executed += entry.count
                 progress = True
                 if tel_on:
+                    tag = entry.tag
                     tel.span(
-                        instr.opcode.value, "engine.instr",
+                        tag.name, "engine.instr",
                         ("engine", f"tile {tile.tile_id}"),
                         start_cycle, cost,
-                        round=self.rounds,
+                        round=self.rounds, **tag.args,
                         blocked_retries=tile.blocked_retries,
                     )
                     # Distribution metrics: per-instruction-class cycle
                     # costs, and tracker-block durations (each blocked
                     # retry is one stall cycle, so the retry count at
-                    # the unblocking instruction is the block duration).
-                    tel.observe(
-                        "engine.instr_cycles", instr.opcode.value, cost
-                    )
-                    if instr.opcode in _DMA_OPCODES:
+                    # the unblocking entry is the block duration).
+                    tel.observe("engine.instr_cycles", tag.metric, cost)
+                    if tag.dma:
                         tel.count(
                             f"tile/{tile.tile_id}", "dma_cycles", cost
                         )
@@ -1666,9 +1376,7 @@ class Engine:
                         )
                 tile.blocked_retries = 0
                 if self.trace_enabled and len(self.trace) < self.trace_limit:
-                    self.trace.append(
-                        (self.rounds, tile.tile_id, str(instr))
-                    )
+                    self.trace.append((self.rounds, tile.tile_id, str(entry)))
             if not live:
                 break
             if not progress:

@@ -80,13 +80,6 @@ class MemTile:
     def capacity_words(self) -> int:
         return len(self.words)
 
-    def batched_words(self, batch: int) -> np.ndarray:
-        """``batch`` copies of this scratchpad's current contents, one
-        row per image — the lazily-materialised state behind the
-        engine's batched execution (preloaded weights/biases replicate
-        to every image)."""
-        return np.repeat(self.words[None, :], batch, axis=0)
-
     def read(self, addr: int, count: int) -> np.ndarray:
         if addr < 0 or addr + count > len(self.words):
             raise SimulationError(

@@ -42,7 +42,7 @@ from repro.dnn.builder import NetworkBuilder
 from repro.dnn.layers import Activation, LayerKind, PoolMode
 from repro.dnn.network import Network
 from repro.dnn.zoo.engine_proxies import PROXY_PARAMS, engine_proxy
-from repro.errors import ReproError, ValidationError
+from repro.errors import ConfigError, ReproError, ValidationError
 from repro.functional.reference import ReferenceModel
 
 #: Above this weight count a network is not engine-executed directly;
@@ -64,10 +64,6 @@ MIN_RANK_AGREEMENT = 0.8
 #: overhead dominated: the engine's fixed setup costs (8 cycles per
 #: coarse op) swamp the streaming estimate, so its band is wide.
 OVERHEAD_CYCLE_FLOOR = 100.0
-
-#: Images per minibatch for the fast-path speedup measurement.
-DEFAULT_SPEEDUP_BATCH = 16
-
 
 @dataclass(frozen=True)
 class ToleranceBand:
@@ -280,29 +276,19 @@ def _sign(delta: float) -> int:
 @dataclass(frozen=True)
 class SpeedupResult:
     """Wall-clock comparison of the engine's execution paths on one
-    network (per-image seconds; ``batch_seconds`` amortises one
-    ``run_batch`` over its minibatch; ``fused_seconds`` is the fast
-    path with superop fusion engaged)."""
+    network (per-image seconds; ``fused_seconds`` is the fast path with
+    superop fusion engaged)."""
 
     network: str
-    batch: int
     legacy_seconds: float
     fast_seconds: float
-    batch_seconds: float
-    fused_seconds: float = 0.0
+    fused_seconds: float
 
     @property
     def fast_speedup(self) -> float:
         return (
             self.legacy_seconds / self.fast_seconds
             if self.fast_seconds > 0 else float("inf")
-        )
-
-    @property
-    def batch_speedup(self) -> float:
-        return (
-            self.legacy_seconds / self.batch_seconds
-            if self.batch_seconds > 0 else float("inf")
         )
 
     @property
@@ -320,9 +306,7 @@ class SpeedupResult:
             f"ms/image, fast {self.fast_seconds * 1e3:.1f} ms "
             f"({self.fast_speedup:.1f}x), fused "
             f"{self.fused_seconds * 1e3:.1f} ms "
-            f"({self.fused_speedup:.1f}x over fast), batched "
-            f"x{self.batch} {self.batch_seconds * 1e3:.1f} ms/image "
-            f"({self.batch_speedup:.1f}x)"
+            f"({self.fused_speedup:.1f}x over fast)"
         )
 
 
@@ -330,18 +314,14 @@ def measure_speedup(
     net: Network,
     rows: int = 2,
     seed: int = 0,
-    batch: int = DEFAULT_SPEEDUP_BATCH,
     repeats: int = 2,
 ) -> SpeedupResult:
-    """Time the legacy interpreter against the pre-decoded fast path,
-    the superop-fused fast path, and batched execution on ``net`` (best
-    of ``repeats`` for each path, to damp scheduler noise)."""
+    """Time the legacy interpreter against the pre-decoded fast path
+    and the superop-fused fast path on ``net`` (best of ``repeats`` for
+    each path, to damp scheduler noise)."""
     model = ReferenceModel(net, seed=seed)
     compiled = compile_dag_forward(net, model, rows=rows)
     image = _random_image(net, seed)
-    images = np.stack([
-        _random_image(net, seed + i) for i in range(batch)
-    ])
 
     def best(fn) -> float:
         return min(_timed(fn) for _ in range(max(1, repeats)))
@@ -349,10 +329,9 @@ def measure_speedup(
     legacy = best(lambda: compiled.run(image, fast=False))
     fast = best(lambda: compiled.run(image, fast=True, fused=False))
     fused = best(lambda: compiled.run(image, fast=True, fused=True))
-    batched = best(lambda: compiled.run_batch(images)) / batch
     return SpeedupResult(
-        network=net.name, batch=batch, legacy_seconds=legacy,
-        fast_seconds=fast, batch_seconds=batched, fused_seconds=fused,
+        network=net.name, legacy_seconds=legacy, fast_seconds=fast,
+        fused_seconds=fused,
     )
 
 
@@ -465,14 +444,11 @@ class ValidationReport:
             "speedup": (
                 None if self.speedup is None else {
                     "network": self.speedup.network,
-                    "batch": self.speedup.batch,
                     "legacy_seconds": self.speedup.legacy_seconds,
                     "fast_seconds": self.speedup.fast_seconds,
                     "fused_seconds": self.speedup.fused_seconds,
-                    "batch_seconds": self.speedup.batch_seconds,
                     "fast_speedup": self.speedup.fast_speedup,
                     "fused_speedup": self.speedup.fused_speedup,
-                    "batch_speedup": self.speedup.batch_speedup,
                 }
             ),
         }
@@ -503,7 +479,6 @@ def validate_zoo(
     min_rank_agreement: float = MIN_RANK_AGREEMENT,
     max_output_error: float = MAX_OUTPUT_ERROR,
     speedup: bool = True,
-    speedup_batch: int = DEFAULT_SPEEDUP_BATCH,
 ) -> ValidationReport:
     """Run the differential harness across every zoo network (plus the
     :data:`VALIDATION_VARIANTS`), or across ``names`` when given.
@@ -514,8 +489,11 @@ def validate_zoo(
     only networks that are genuinely outside the engine's scope (and
     have no proxy) become ``skipped`` rows.  Requested ``names`` are
     deduplicated by canonical zoo name, so ``vgg16`` beside ``VGG-D``
-    yields one row, not two.
+    yields one row, not two.  ``rows`` below 1 raises
+    :class:`~repro.errors.ConfigError` before anything compiles.
     """
+    if rows < 1:
+        raise ConfigError(f"engine rows must be >= 1, got {rows}")
     candidates: List[tuple] = []
     seen: set = set()
     if names:
@@ -569,9 +547,7 @@ def validate_zoo(
 
     speedup_result: Optional[SpeedupResult] = None
     if speedup and largest is not None:
-        speedup_result = measure_speedup(
-            largest, rows=rows, seed=seed, batch=speedup_batch
-        )
+        speedup_result = measure_speedup(largest, rows=rows, seed=seed)
 
     report = ValidationReport(
         rows=out_rows,

@@ -297,14 +297,13 @@ def cached_forward_codegen(
     chip=None,
     rows: int = 2,
     cache: Optional[CompileCache] = None,
-    fuse: bool = True,
 ):
     """Engine codegen (compiled forward pass), content-cached.
 
     The reference model's weights are a pure function of the topology
-    and ``seed``, so the digest — (topology, chip, rows, seed, fuse
-    flag, compiler version) — covers everything the generated programs,
-    fusion plans and preloads depend on.
+    and ``seed``, so the digest — (topology, chip, rows, seed, compiler
+    version) — covers everything the generated programs, fusion plans
+    and preloads depend on.
     """
     from repro.arch.presets import conv_chip
     from repro.compiler.codegen import compile_forward
@@ -314,13 +313,12 @@ def cached_forward_codegen(
     chip = chip if chip is not None else conv_chip()
     digest = compile_digest(
         net, None, artifact="codegen", seed=seed, chip=chip, rows=rows,
-        fuse=bool(fuse),
     )
     return cache.get(
         "codegen",
         digest,
         lambda: compile_forward(
-            net, ReferenceModel(net, seed=seed), chip, rows, fuse=fuse
+            net, ReferenceModel(net, seed=seed), chip, rows
         ),
     )
 
@@ -330,7 +328,6 @@ def cached_dag_forward_codegen(
     seed: int = 0,
     rows: int = 2,
     cache: Optional[CompileCache] = None,
-    fuse: bool = True,
 ):
     """DAG-scheduled engine codegen, content-cached.
 
@@ -345,13 +342,12 @@ def cached_dag_forward_codegen(
 
     cache = cache if cache is not None else get_cache()
     digest = compile_digest(
-        net, None, artifact="codegen_dag", seed=seed, rows=rows,
-        fuse=bool(fuse),
+        net, None, artifact="codegen_dag", seed=seed, rows=rows
     )
     return cache.get(
         "codegen",
         digest,
         lambda: compile_dag_forward(
-            net, ReferenceModel(net, seed=seed), rows=rows, fuse=fuse
+            net, ReferenceModel(net, seed=seed), rows=rows
         ),
     )

@@ -175,6 +175,15 @@ class TestCli:
         assert main(["validate", "tiny", "--no-speedup"]) == 0
         assert "TinyCNN" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rows", ["0", "-1"])
+    def test_validate_bad_rows_exits(self, capsys, rows):
+        with pytest.raises(SystemExit) as err:
+            main(["validate", "TinyCNN-8", "--rows", rows, "--no-speedup"])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert message.count("\n") == 1
+        assert "--rows must be >= 1" in message
+
     def test_validate_unknown_network_exits(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["validate", "nosuchnet"])

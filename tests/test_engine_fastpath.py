@@ -1,10 +1,10 @@
 """Fast-path equivalence: the pre-decoded engine vs the legacy interpreter.
 
-The fast path decodes each tile's program once into a flat op table and
-the batched path vectorises the decoded ops across a minibatch; both
+The fast path decodes each tile's program once into a flat op table; it
 must be observationally identical to the legacy per-round interpreter —
-same outputs (bit-for-bit in single-image mode), same RunReport, same
-fault behaviour.  These tests pin that contract per small zoo network.
+same outputs (bit for bit), same RunReport, same fault behaviour — and
+so must a persistent runner streaming several images.  These tests pin
+that contract per small zoo network.
 """
 
 import types
@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from repro.arch.presets import conv_chip
-from repro.compiler.codegen_dag import compile_dag_forward, run_dag_batch
+from repro.compiler.codegen_dag import compile_dag_forward
 from repro.dnn.zoo import lenet5, tiny_cnn, tiny_mlp
-from repro.errors import SimulationError
 from repro.functional.reference import ReferenceModel
 from repro.isa import assemble
 from repro.sim.engine import Engine
@@ -40,7 +39,7 @@ def _image(net, seed=0):
 
 @pytest.fixture(scope="module", params=sorted(NETS))
 def case(request):
-    """One compiled network with legacy, fast, fused and batched runs."""
+    """One compiled network with legacy, fast, fused and streamed runs."""
     net = NETS[request.param]()
     model = ReferenceModel(net, seed=0)
     compiled = compile_dag_forward(net, model, rows=2)
@@ -48,16 +47,16 @@ def case(request):
     slow_out, slow_report = compiled.run(image, fast=False)
     fast_out, fast_report = compiled.run(image, fast=True, fused=False)
     fused_out, fused_report = compiled.run(image, fast=True, fused=True)
-    images = np.stack([_image(net, seed=i) for i in range(BATCH)])
-    batch_out, batch_report = compiled.run_batch(images)
-    per_image = [compiled.run(img, fast=False)[0] for img in images]
+    images = [_image(net, seed=i) for i in range(BATCH)]
+    runner = compiled.runner()
+    streamed = [runner(img) for img in images]
+    per_image = [compiled.run(img, fast=False) for img in images]
     return types.SimpleNamespace(
         name=request.param, net=net, compiled=compiled,
         slow_out=slow_out, slow_report=slow_report,
         fast_out=fast_out, fast_report=fast_report,
         fused_out=fused_out, fused_report=fused_report,
-        images=images, batch_out=batch_out, batch_report=batch_report,
-        per_image=per_image,
+        streamed=streamed, per_image=per_image,
     )
 
 
@@ -103,20 +102,22 @@ class TestSuperopFusion:
     def test_programs_carry_superops(self, case):
         assert any(p.superops for p in case.compiled.programs), case.name
 
-    def test_fusion_flag_separates_cache_keys(self):
-        """fuse=True and fuse=False artifacts must not collide in the
-        compile cache: a collision would hand the fused plan to a
-        caller that asked for the plain fast path."""
+    def test_cached_codegen_is_fused(self):
+        """Fusion is unconditional at compile time: both cached codegen
+        entry points hand out programs carrying superop plans (the
+        engine's ``fused`` flag alone selects per-instruction runs)."""
         from repro.sweep.cache import (
-            CompileCache, cached_dag_forward_codegen,
+            CompileCache, cached_dag_forward_codegen, cached_forward_codegen,
         )
 
         net = NETS["TinyCNN-8"]()
         cache = CompileCache()
-        fused = cached_dag_forward_codegen(net, cache=cache, fuse=True)
-        plain = cached_dag_forward_codegen(net, cache=cache, fuse=False)
-        assert any(p.superops for p in fused.programs)
-        assert all(not p.superops for p in plain.programs)
+        for compiled in (
+            cached_dag_forward_codegen(net, cache=cache),
+            cached_forward_codegen(net, cache=cache),
+        ):
+            assert any(p.superops for p in compiled.programs)
+        assert len(cache) == 2
 
     def test_fallback_counters_name_opcode_and_reason(self):
         """Instructions the decoder refuses are counted per opcode with
@@ -147,40 +148,24 @@ class TestSuperopFusion:
             compiled.run(_image(net), fast=True, fused=False)
 
 
-class TestBatchedExecution:
-    def test_batch_report_matches_single_image(self, case):
-        """Cycle accounting models one image's program: the batched
-        report is identical to the single-image fast report."""
-        assert case.batch_report == case.fast_report, case.name
+class TestStreamedImages:
+    """A persistent fused runner streams several images through one
+    machine; each must come out exactly as a fresh legacy run."""
 
-    def test_batch_outputs_match_legacy_per_image(self, case):
-        """Batched outputs agree with running each image through the
-        legacy interpreter (within float32 BLAS reduction-order noise)."""
-        assert case.batch_out.shape[0] == BATCH
-        for i, expected in enumerate(case.per_image):
-            np.testing.assert_allclose(
-                case.batch_out[i], expected, rtol=0, atol=1e-5,
-                err_msg=f"{case.name} image {i}",
-            )
+    def test_stream_outputs_match_legacy_per_image(self, case):
+        for i, ((got, _), (want, _)) in enumerate(
+            zip(case.streamed, case.per_image)
+        ):
+            assert np.array_equal(got, want), f"{case.name} image {i}"
 
-    def test_batch_first_image_matches_fast(self, case):
-        np.testing.assert_allclose(
-            case.batch_out[0], case.fast_out, rtol=0, atol=1e-5
-        )
-
-    def test_run_dag_batch_entry_point(self):
-        net = tiny_mlp(num_classes=4, in_features=8, hidden=12)
-        model = ReferenceModel(net, seed=0)
-        images = np.stack([_image(net, seed=i) for i in range(2)])
-        out, report = run_dag_batch(net, model, images)
-        assert out.shape == (2, 4)
-        assert report.instructions > 0
-
-    def test_run_batch_rejects_single_image(self):
-        net = tiny_mlp(num_classes=4, in_features=8, hidden=12)
-        compiled = compile_dag_forward(net, ReferenceModel(net, seed=0))
-        with pytest.raises(SimulationError):
-            compiled.run_batch(_image(net).reshape(-1))
+    def test_stream_adds_one_image_of_work_per_call(self, case):
+        """Runner reports are cumulative over the persistent machine:
+        each image adds exactly one image's instructions and busy
+        cycles."""
+        single = case.per_image[0][1]
+        for i, (_, report) in enumerate(case.streamed, start=1):
+            assert report.instructions == i * single.instructions
+            assert report.busy_cycles == i * single.busy_cycles
 
 
 def _faults(rate=0.5, seed=7):
@@ -192,26 +177,10 @@ def _faults(rate=0.5, seed=7):
 def _run_with_faults(compiled, image, fast):
     """CompiledForward.run, but with a fault-injecting engine."""
     machine = compiled.build_machine()
-    for home in compiled.partition.blocks_of(compiled.network.input.name):
-        tile = machine.mem_tile(machine.mem_tile_id(0, home.row))
-        tile.write(
-            home.address,
-            image[
-                home.first_feature
-                : home.first_feature + home.feature_count
-            ],
-            accumulate=False,
-        )
+    compiled.load_image(machine, image)
     engine = Engine(machine, faults=_faults(), fast=fast)
     report = engine.run()
-    out_col = compiled.partition.column_of[compiled.network.output.name]
-    out = np.concatenate([
-        machine.mem_tile(machine.mem_tile_id(out_col, home.row))
-        .read(home.address, home.feature_count * home.feature_words)
-        .copy()
-        for home in compiled.output_blocks
-    ])
-    return out, report, engine.dma_flips
+    return compiled.read_output(machine), report, engine.dma_flips
 
 
 class TestFaultInteraction:
@@ -230,22 +199,6 @@ class TestFaultInteraction:
         assert slow_flips == fast_flips > 0
         assert fast_report == slow_report
         assert np.array_equal(fast_out, slow_out)
-
-    def test_make_batch_rejects_dma_faults(self):
-        machine = Machine(conv_chip(), 1, 1)
-        engine = Engine(machine, faults=_faults())
-        with pytest.raises(SimulationError):
-            engine.make_batch(2)
-
-    def test_make_batch_requires_fast(self):
-        engine = Engine(Machine(conv_chip(), 1, 1), fast=False)
-        with pytest.raises(SimulationError):
-            engine.make_batch(2)
-
-    def test_make_batch_rejects_empty(self):
-        engine = Engine(Machine(conv_chip(), 1, 1))
-        with pytest.raises(SimulationError):
-            engine.make_batch(0)
 
 
 INDIRECT_DMA = """
@@ -271,23 +224,16 @@ class TestRegisterIndirectFallback:
         Engine(m, fast=True).run()
         assert m.mem_tile(1).read(0, 2).tolist() == [7.0, 8.0]
 
-    def test_batch_mode_refuses_indirect_data_ops(self):
-        """A batched run cannot take the single-image fallback for data
-        instructions: it must refuse loudly, not corrupt the batch."""
-        m = self._machine()
-        engine = Engine(m, fast=True)
-        engine.make_batch(2)
-        with pytest.raises(SimulationError, match="single-image"):
-            engine.run()
-
 
 class TestSpeedup:
-    def test_batched_path_beats_legacy(self):
-        """The headline claim, smoke-tested conservatively: batched
-        execution amortises to well under the legacy per-image cost
-        (full measurement lives in `repro validate`)."""
+    def test_fused_path_beats_legacy(self):
+        """The headline claim, smoke-tested conservatively: the fused
+        fast path runs well under the legacy per-image cost (full
+        measurement lives in `repro validate`)."""
         from repro.sim.validation import measure_speedup
 
-        result = measure_speedup(lenet5(), batch=8, repeats=2)
-        assert result.batch_speedup > 2.0, result.describe()
+        result = measure_speedup(lenet5(), repeats=2)
+        assert result.legacy_seconds > 2.0 * result.fused_seconds, (
+            result.describe()
+        )
         assert result.describe().startswith("LeNet-5")

@@ -64,9 +64,15 @@ class TestPipeline:
             len(s) for p in compiled.programs for s in p.superops
         )
 
-    def test_fuse_flag_off_skips_the_pass(self):
+    def test_fusion_opt_out_skips_the_pass(self):
+        """A compiler whose programs fusion cannot model (the training
+        compiler) opts out with ``supports_fusion = False``."""
+
+        class UnfusedCompiler(ForwardCompiler):
+            supports_fusion = False
+
         net, model = _model_pair("TinyCNN")
-        compiled = ForwardCompiler(net, model, fuse=False).compile()
+        compiled = UnfusedCompiler(net, model).compile()
         assert [s.name for s in compiled.pass_stats] == PIPELINE_ORDER[:-1]
         assert all(not p.superops for p in compiled.programs)
 

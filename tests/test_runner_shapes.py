@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.compiler.codegen import compile_forward
+from repro.compiler.codegen_training import compile_training
 from repro.dnn import zoo
 from repro.dnn.layers import FeatureShape
+from repro.errors import ShapeError
 from repro.functional import ReferenceModel
 
 
@@ -70,6 +72,63 @@ class TestForwardRunner:
         for seed in range(200, 203):
             run(self._image(net, seed))
         assert snapshot() == before
+
+
+#: Images TinyCNN-8 (3x8x8 input) must refuse: too few or too many
+#: channels, a short row, and the right word count flattened.
+BAD_SHAPES = [(2, 8, 8), (5, 8, 8), (3, 8, 7), (192,)]
+
+
+class TestInputShape:
+    """Every engine entry point loads images through one checked helper,
+    so a wrong-shape image raises instead of leaving stale words."""
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return zoo.tiny_cnn(num_classes=4, in_size=8)
+
+    @pytest.fixture(scope="class")
+    def compiled(self, net):
+        return compile_forward(net, ReferenceModel(net, seed=0), rows=2)
+
+    @staticmethod
+    def _image(shape, seed=0):
+        return np.random.default_rng(seed).normal(0, 1, shape).astype(
+            np.float32
+        )
+
+    @pytest.mark.parametrize("shape", BAD_SHAPES, ids=str)
+    def test_run_rejects(self, compiled, shape):
+        with pytest.raises(ShapeError, match="network input 3x8x8"):
+            compiled.run(self._image(shape))
+
+    @pytest.mark.parametrize("shape", BAD_SHAPES, ids=str)
+    def test_runner_rejects_and_stays_usable(self, compiled, shape):
+        run = compiled.runner()
+        good = self._image((3, 8, 8))
+        want, _ = compiled.run(good)
+        with pytest.raises(ShapeError):
+            run(self._image(shape, seed=1))
+        got, _ = run(good)
+        assert np.array_equal(got, want)
+        assert run.images_run == 1
+
+    def test_runner_rejects_a_channel_prefix(self, compiled):
+        """The first two channels of the previous image used to return
+        that image's output bit for bit (channel 2 stayed stale)."""
+        run = compiled.runner()
+        image = self._image((3, 8, 8))
+        run(image)
+        with pytest.raises(ShapeError):
+            run(image[:2])
+
+    @pytest.mark.parametrize("shape", BAD_SHAPES, ids=str)
+    def test_train_step_rejects(self, net, shape):
+        training = compile_training(net, ReferenceModel(net, seed=0))
+        with pytest.raises(ShapeError):
+            training.train_step(self._image(shape), 1)
+        _, loss, _ = training.train_step(self._image((3, 8, 8)), 1)
+        assert np.isfinite(loss)
 
 
 #: Golden per-layer output shapes (the standard published dimensions).

@@ -6,6 +6,7 @@ reported cycles, and the disabled path leaves results bit-identical.
 """
 
 import json
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ import pytest
 from repro.bench import runner as bench_runner
 from repro.cli import main
 from repro.compiler.codegen import compile_forward
-from repro.dnn.zoo import tiny_cnn
+from repro.compiler.codegen_dag import compile_dag_forward
+from repro.dnn.zoo import lenet5, tiny_cnn
 from repro.errors import SimulationError
 from repro.functional import ReferenceModel
 from repro.isa import assemble
@@ -32,6 +34,7 @@ from repro.telemetry import (
     summarize,
     write_chrome_trace,
 )
+from tests.test_codegen_dag import mini_inception, mini_resnet
 from tests.test_machine_engine import machine as small_machine
 
 
@@ -132,15 +135,7 @@ class TestEngineCapture:
     def test_counters_reconcile_with_report(self):
         net, compiled = tiny_compiled()
         machine = compiled.build_machine()
-        in_node = net.input
-        image = tiny_image(net)
-        for home in compiled.partition.blocks_of(in_node.name):
-            machine.mem_tile(machine.mem_tile_id(0, home.row)).write(
-                home.address,
-                image[home.first_feature:
-                      home.first_feature + home.feature_count],
-                accumulate=False,
-            )
+        compiled.load_image(machine, tiny_image(net))
         with capture() as tel:
             report = Engine(machine).run()
 
@@ -193,6 +188,44 @@ class TestEngineCapture:
             out_traced, report_traced = compiled.run(image)
         assert np.array_equal(out_plain, out_traced)
         assert report_plain == report_traced
+
+
+#: Spans whose cycles the engine attributes to DMA (``dma_cycles``).
+DMA_SPANS = ("DMALOAD", "DMASTORE", "PREFETCH", "superop.load_run[")
+
+
+class TestSpanLedger:
+    """The engine's per-tile spans reconcile with its counters, for
+    single instructions and superops alike."""
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
+    @pytest.mark.parametrize(
+        "build", [lenet5, mini_inception, mini_resnet],
+        ids=["LeNet-5", "MiniInception", "MiniResNet"],
+    )
+    def test_spans_sum_to_tile_counters(self, build, fused):
+        net = build()
+        compiled = compile_dag_forward(net, ReferenceModel(net, seed=0))
+        with capture() as tel:
+            compiled.run(tiny_image(net), fused=fused)
+        busy = defaultdict(float)
+        instructions = defaultdict(int)
+        dma = defaultdict(float)
+        spans = tel.events_in("engine.instr")
+        for span in spans:
+            group = "tile/" + span.track[1].removeprefix("tile ")
+            busy[group] += span.dur
+            instructions[group] += span.args.get("instructions", 1)
+            if span.name.startswith(DMA_SPANS):
+                dma[group] += span.dur
+        assert any("instructions" in s.args for s in spans) == fused
+        groups = [g for g in tel.counters.groups() if g.startswith("tile/")]
+        assert groups and set(busy) == set(groups)
+        for group in groups:
+            counters = tel.counters.group(group)
+            assert busy[group] == counters["busy_cycles"], group
+            assert instructions[group] == counters["instructions"], group
+            assert dma[group] == counters.get("dma_cycles", 0.0), group
 
 
 class TestDeadlockDiagnostics:

@@ -8,7 +8,10 @@ from repro.bench.export import write_validation_json
 from repro.dnn.builder import NetworkBuilder
 from repro.dnn.layers import Activation, PoolMode
 from repro.dnn.zoo import tiny_cnn, tiny_mlp
-from repro.errors import ValidationError
+from repro.compiler.codegen import compile_forward
+from repro.compiler.codegen_dag import compile_dag_forward
+from repro.errors import ConfigError, MappingError, ValidationError
+from repro.functional import ReferenceModel
 from repro.sim.validation import (
     BANDS,
     DEFAULT_BAND,
@@ -250,6 +253,28 @@ class TestValidateZoo:
         """`vgg16` beside `VGG-D` is one network, hence one row."""
         report = validate_zoo(["vgg16", "VGG-D"], speedup=False)
         assert [r.network for r in report.rows] == ["VGG-D"]
+
+
+class TestRowsValidation:
+    """``rows`` below 1 is refused up front: 0 used to divide by zero in
+    the partitioner and -1 never returned."""
+
+    @pytest.mark.parametrize("rows", [0, -1])
+    @pytest.mark.parametrize(
+        "compile_fn", [compile_forward, compile_dag_forward],
+        ids=["sequential", "dag"],
+    )
+    def test_compilers_raise_mapping_error(self, compile_fn, rows):
+        net = tiny_cnn(num_classes=4, in_size=8)
+        with pytest.raises(MappingError, match="rows must be >= 1"):
+            compile_fn(net, ReferenceModel(net, seed=0), rows=rows)
+
+    @pytest.mark.parametrize("rows", [0, -1])
+    def test_validate_zoo_raises_config_error(self, rows):
+        """Raised before compiling, so the per-network ``except
+        ReproError`` cannot turn every row into a skip."""
+        with pytest.raises(ConfigError, match="rows must be >= 1"):
+            validate_zoo(["TinyCNN-8"], rows=rows, speedup=False)
 
 
 class TestSkipReason:
