@@ -1,20 +1,25 @@
-"""Self-contained HTML performance dashboard for ``repro stats``.
+"""Self-contained HTML dashboards for ``repro stats``, ``serve`` and
+``sweep``.
 
-:func:`write_stats_html` renders a :class:`~repro.bench.stats.StatsReport`
-as one HTML file with **no network access**: all CSS and the (small)
-tooltip script are inline, charts are inline SVG/HTML, and every chart
-has a table-view twin so no value is gated behind hover or color.
+Four pages share one grammar: :func:`_page` is the document shell,
+:func:`_kpis` builds every KPI row, :func:`_table` every table and
+:func:`_line_chart` every line chart, and :func:`write_html` writes any
+page.  A page is one HTML file with **no network access**: all CSS and
+the (small) tooltip script are inline, charts are inline SVG/HTML, and
+every chart has a table twin so no value is gated behind hover or
+color.
 
-Layout:
-
-* a KPI row (beat cycles, train/eval throughput, PE utilization),
-* a per-tile-group **utilization heatmap** for each simulator
-  (sequential blue ramp, light = idle, dark = busy),
-* the **roofline scatter** (operational intensity vs attainable
-  fraction, log-log, one series per chip, the chips' rooflines drawn),
-* **cycle-attribution stacked bars** per tile group (five stall
-  causes, categorical palette, per-row normalized),
-* **percentile tables** of every captured metric distribution.
+* :func:`stats_html` — a :class:`~repro.bench.stats.StatsReport`: KPI
+  row, per-tile-group utilization heatmaps for both simulators, the
+  roofline (log-log, one series per chip, chip ceilings drawn),
+  cycle-attribution stacked bars and percentile tables;
+* :func:`curve_html` — a serving latency-throughput curve: p50/p99
+  against offered load with the saturation knee ruled;
+* :func:`run_html` — one serving run: availability KPIs, the bucketed
+  p99 timeline with degraded intervals shaded, outcome, SLO and
+  fault/repair tables;
+* :func:`sweep_html` — the scale-out sweep: scaling curve against ideal
+  linear scaling, TCO KPIs.
 
 Palette and mark conventions follow the validated reference palette
 (categorical slots 1-5, sequential blue ramp, hairline grid, 2px
@@ -25,25 +30,14 @@ surface gaps between stacked segments, dark mode via
 from __future__ import annotations
 
 import html
-import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bench.stats import StatsReport
 from repro.telemetry.metrics import VOLATILE_GROUP_PREFIX
 from repro.telemetry.profile import StallCause, TileGroupProfile
-
-#: Categorical slots 1-5 (light, dark) — validated adjacent-pairs in
-#: both modes; the roofline scatter uses only the first two (all-pairs
-#: safe through three).
-SERIES = (
-    ("#2a78d6", "#3987e5"),
-    ("#eb6834", "#d95926"),
-    ("#1baf7a", "#199e70"),
-    ("#eda100", "#c98500"),
-    ("#e87ba4", "#d55181"),
-)
 
 #: Sequential blue ramp, light -> dark (steps 100..700) — utilization.
 SEQ_RAMP = (
@@ -195,7 +189,6 @@ _JS = """
 })();
 """
 
-
 def _esc(value) -> str:
     return html.escape(str(value), quote=True)
 
@@ -210,6 +203,11 @@ def _fmt(value: float, decimals: int = 0) -> str:
     return f"{value:,.0f}"
 
 
+def _color(index: int) -> str:
+    """Categorical slot ``index`` (cycling through the five)."""
+    return f"var(--s{index % 5 + 1})"
+
+
 def _util_color(utilization: float) -> Tuple[str, str]:
     """(fill, ink) for a utilization cell — sequential blue ramp, text
     color picked by the fill's depth so labels always clear contrast."""
@@ -220,16 +218,40 @@ def _util_color(utilization: float) -> Tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Sections
+# The shared grammar: page shell, card, KPI row, table, legend, line chart
 # ---------------------------------------------------------------------------
-def _kpi_row(report: StatsReport) -> str:
-    result = report.result
-    tiles = (
-        ("Pipeline beat", _fmt(result.bottleneck.cycles, 1), "cycles"),
-        ("Training", _fmt(result.training_images_per_s), "img/s"),
-        ("Evaluation", _fmt(result.evaluation_images_per_s), "img/s"),
-        ("PE utilization", f"{result.pe_utilization:.2f}", "of peak"),
+def _page(verb: str, what: str, name: str, sub: str, *sections: str) -> str:
+    """The document shell every dashboard shares.  ``sub`` is markup."""
+    return (
+        "<!DOCTYPE html>\n"
+        '<html lang="en"><head><meta charset="utf-8">\n'
+        f"<title>repro {verb} - {_esc(name)}</title>\n"
+        f"<style>{_CSS}</style></head>\n"
+        f"<body><h1>ScaleDeep {what} - {_esc(name)}</h1>"
+        f'<p class="sub">{sub}</p>{"".join(sections)}'
+        '<div id="tip" role="status"></div>\n'
+        f"<script>{_JS}</script></body></html>\n"
     )
+
+
+def write_html(page: str, path: Union[str, Path]) -> Path:
+    """Write a rendered page like every other export writer: parent
+    directories created, the resolved path returned."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(page, encoding="utf-8")
+    return path
+
+
+def _card(title: Optional[str], *parts: str) -> str:
+    """A card: an optional ``<h2>`` title (text), then ``parts``
+    (markup)."""
+    head = f"<h2>{html.escape(title, quote=False)}</h2>" if title else ""
+    return f'<div class="card">{head}{"".join(parts)}</div>'
+
+
+def _kpis(*tiles: Tuple[str, str, str]) -> str:
+    """One KPI row: a card per (label, value, unit)."""
     cards = "".join(
         f'<div class="card"><div class="kpi-label">{_esc(label)}</div>'
         f'<div class="kpi-value">{_esc(value)}</div>'
@@ -239,6 +261,173 @@ def _kpi_row(report: StatsReport) -> str:
     return f'<div class="kpis">{cards}</div>'
 
 
+def _table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """A table; every header and cell is escaped text."""
+    head = "".join(f"<th>{_esc(h)}</th>" for h in headers)
+    body = "".join(
+        "<tr>" + "".join(f"<td>{_esc(cell)}</td>" for cell in row) + "</tr>"
+        for row in rows
+    )
+    return (
+        f"<table><thead><tr>{head}</tr></thead>"
+        f"<tbody>{body}</tbody></table>"
+    )
+
+
+def _legend(keys: Sequence[Tuple[str, str]], note: str = "") -> str:
+    """Color keys as (label, key style), then an optional muted note."""
+    spans = "".join(
+        f'<span><span class="key" style="{style}"></span>'
+        f"{_esc(label)}</span>"
+        for label, style in keys
+    )
+    muted = f'<span class="muted">{note}</span>' if note else ""
+    return f'<div class="legend">{spans}{muted}</div>'
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One chart axis: title, range, the values that get a grid line
+    and a label, and a linear or log10 scale.  Values outside the range
+    clamp to its ends."""
+
+    title: str
+    lo: float
+    hi: float
+    ticks: Sequence[float] = ()
+    log: bool = False
+    label: Callable[[float], str] = "{:g}".format
+
+    def frac(self, value: float) -> float:
+        lo, hi = self.lo, self.hi
+        value = min(max(value, lo), hi)
+        if self.log:
+            lo, hi, value = math.log10(lo), math.log10(hi), math.log10(value)
+        return (value - lo) / (hi - lo) if hi > lo else 0.5
+
+
+@dataclass(frozen=True)
+class Series:
+    """One chart series, drawn as a line, as markers or as both.  Every
+    marker carries its point's tooltip, so ``tips`` (one per point) is
+    what turns the markers on."""
+
+    color: str
+    points: Sequence[Tuple[float, float]]
+    tips: Sequence[str] = ()
+    line: bool = True
+    dash: str = ""
+    opacity: float = 1.0
+    width: float = 2.0
+    radius: float = 5.0
+
+
+#: Chart frame: width and the plot margins around it.
+_WIDTH, _LEFT, _RIGHT, _TOP, _BOTTOM = 640, 70, 16, 14, 40
+
+
+def _line_chart(
+    x: Axis,
+    y: Axis,
+    series: Sequence[Series],
+    rules: Sequence[float] = (),
+    bands: Sequence[Tuple[float, float, str]] = (),
+    height: int = 330,
+) -> str:
+    """An SVG line chart: grid and tick labels on both axes, shaded
+    x-bands (``(start, end, tip)``, under everything), dashed vertical
+    rules, then every series' line and markers."""
+    plot_w = _WIDTH - _LEFT - _RIGHT
+    plot_h = height - _TOP - _BOTTOM
+    bottom, right = _TOP + plot_h, _LEFT + plot_w
+
+    def px(value: float) -> float:
+        return _LEFT + x.frac(value) * plot_w
+
+    def py(value: float) -> float:
+        return bottom - y.frac(value) * plot_h
+
+    parts: List[str] = []
+    for start, end, tip in bands:
+        x0, x1 = px(start), px(end)
+        parts.append(
+            f'<rect x="{x0:.1f}" y="{_TOP}" '
+            f'width="{max(x1 - x0, 1.0):.1f}" height="{plot_h}" '
+            f'fill="var(--s2)" opacity="0.18" tabindex="0" '
+            f'data-tip="{_esc(tip)}"/>'
+        )
+    for tick in x.ticks:
+        at = px(tick)
+        parts.append(
+            f'<line x1="{at:.1f}" y1="{_TOP}" x2="{at:.1f}" '
+            f'y2="{bottom}" stroke="var(--grid)"/>'
+            f'<text x="{at:.1f}" y="{height - 22}" '
+            f'text-anchor="middle">{_esc(x.label(tick))}</text>'
+        )
+    for tick in y.ticks:
+        at = py(tick)
+        parts.append(
+            f'<line x1="{_LEFT}" y1="{at:.1f}" x2="{right}" '
+            f'y2="{at:.1f}" stroke="var(--grid)"/>'
+            f'<text x="{_LEFT - 6}" y="{at + 3:.1f}" '
+            f'text-anchor="end">{_esc(y.label(tick))}</text>'
+        )
+    for rule in rules:
+        at = px(rule)
+        parts.append(
+            f'<line x1="{at:.1f}" y1="{_TOP}" x2="{at:.1f}" '
+            f'y2="{bottom}" stroke="var(--axis)" stroke-dasharray="4 3"/>'
+        )
+    for s in series:
+        if not (s.line and s.points):
+            continue
+        path = " ".join(
+            f'{"L" if i else "M"} {px(a):.1f} {py(b):.1f}'
+            for i, (a, b) in enumerate(s.points)
+        )
+        style = f' stroke-dasharray="{s.dash}"' if s.dash else ""
+        if s.opacity != 1.0:
+            style += f' opacity="{s.opacity:g}"'
+        parts.append(
+            f'<path d="{path}" fill="none" stroke="{s.color}" '
+            f'stroke-width="{s.width:g}" stroke-linejoin="round"{style}/>'
+        )
+    for s in series:
+        for (a, b), tip in zip(s.points, s.tips):
+            parts.append(
+                f'<circle cx="{px(a):.1f}" cy="{py(b):.1f}" '
+                f'r="{s.radius:g}" fill="{s.color}" '
+                f'stroke="var(--surface-1)" stroke-width="2" '
+                f'tabindex="0" data-tip="{_esc(tip)}"/>'
+            )
+    mid_y = _TOP + plot_h / 2
+    parts.append(
+        f'<text x="{_LEFT + plot_w / 2:.0f}" y="{height - 6}" '
+        f'text-anchor="middle">{_esc(x.title)}</text>'
+        f'<text x="12" y="{mid_y:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 12 {mid_y:.0f})">{_esc(y.title)}</text>'
+    )
+    return (
+        f'<svg viewBox="0 0 {_WIDTH} {height}" width="{_WIDTH}" '
+        f'height="{height}" role="img">{"".join(parts)}</svg>'
+    )
+
+
+def _decades(lo: float, hi: float) -> List[float]:
+    ticks = []
+    while lo <= hi * 1.0001:
+        ticks.append(lo)
+        lo *= 10
+    return ticks
+
+
+#: Quarter marks, for charts ticked at fractions of their range.
+_QUARTERS = (0.25, 0.5, 0.75, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Stats page
+# ---------------------------------------------------------------------------
 def _heatmap(rows: Sequence[TileGroupProfile], title: str) -> str:
     if not rows:
         return ""
@@ -261,39 +450,28 @@ def _heatmap(rows: Sequence[TileGroupProfile], title: str) -> str:
         f'<span class="step" style="background:{step}"></span>'
         for step in SEQ_RAMP[::3]
     )
-    table = _profile_table(rows)
-    return (
-        f'<div class="card"><h2>{_esc(title)}</h2>'
-        f'<div class="heatmap">{"".join(cells)}</div>'
+    table = _table(
+        ["tile group", "tiles", "busy", "blocked", "stalled", "util"],
+        [
+            [r.group, r.tiles, _fmt(r.busy_cycles, 1),
+             _fmt(r.blocked_cycles, 1), _fmt(r.stalled_cycles, 1),
+             f"{r.utilization:.2f}"]
+            for r in sorted(rows, key=lambda r: -r.busy_cycles)
+        ],
+    )
+    return _card(
+        title,
+        f'<div class="heatmap">{"".join(cells)}</div>',
         f'<div class="ramp-key"><span>idle 0.0</span>{ramp}'
-        f"<span>busy 1.0</span></div>"
-        f"<details><summary>Table view</summary>{table}</details></div>"
+        "<span>busy 1.0</span></div>",
+        f"<details><summary>Table view</summary>{table}</details>",
     )
 
 
-def _profile_table(rows: Sequence[TileGroupProfile]) -> str:
-    body = "".join(
-        f"<tr><td>{_esc(r.group)}</td><td>{r.tiles}</td>"
-        f"<td>{_fmt(r.busy_cycles, 1)}</td>"
-        f"<td>{_fmt(r.blocked_cycles, 1)}</td>"
-        f"<td>{_fmt(r.stalled_cycles, 1)}</td>"
-        f"<td>{r.utilization:.2f}</td></tr>"
-        for r in sorted(rows, key=lambda r: -r.busy_cycles)
-    )
-    return (
-        "<table><thead><tr><th>tile group</th><th>tiles</th><th>busy"
-        "</th><th>blocked</th><th>stalled</th><th>util</th></tr>"
-        f"</thead><tbody>{body}</tbody></table>"
-    )
-
-
-def _roofline_svg(report: StatsReport) -> str:
+def _roofline(report: StatsReport) -> str:
     points = report.roofline_points
     if not points:
         return ""
-    width, height = 640, 330
-    left, right, top, bottom = 52, 16, 14, 40
-    plot_w, plot_h = width - left - right, height - top - bottom
     xs = [p["bytes_per_flop"] for p in points if p["bytes_per_flop"] > 0]
     x_lo = 10 ** math.floor(math.log10(min(xs))) if xs else 1e-3
     x_hi = 10 ** math.ceil(math.log10(max(xs))) if xs else 10.0
@@ -303,105 +481,55 @@ def _roofline_svg(report: StatsReport) -> str:
     ]
     y_lo = 10 ** math.floor(math.log10(min(fractions + [1.0])))
     y_lo = max(min(y_lo, 0.1), 1e-4)
-
-    def x_of(value: float) -> float:
-        span = math.log10(x_hi) - math.log10(x_lo)
-        return left + (math.log10(value) - math.log10(x_lo)) / span * plot_w
-
-    def y_of(fraction: float) -> float:
-        span = -math.log10(y_lo)
-        clamped = max(fraction, y_lo)
-        return top + (-math.log10(clamped)) / span * plot_h
-
-    parts: List[str] = []
-    # Hairline grid + tick labels at decades.
-    decade = x_lo
-    while decade <= x_hi * 1.0001:
-        x = x_of(decade)
-        parts.append(
-            f'<line x1="{x:.1f}" y1="{top}" x2="{x:.1f}" '
-            f'y2="{top + plot_h}" stroke="var(--grid)"/>'
-            f'<text x="{x:.1f}" y="{height - 22}" '
-            f'text-anchor="middle">{decade:g}</text>'
-        )
-        decade *= 10
-    fraction = 1.0
-    while fraction >= y_lo * 0.999:
-        y = y_of(fraction)
-        parts.append(
-            f'<line x1="{left}" y1="{y:.1f}" x2="{left + plot_w}" '
-            f'y2="{y:.1f}" stroke="var(--grid)"/>'
-            f'<text x="{left - 6}" y="{y + 3:.1f}" '
-            f'text-anchor="end">{fraction:g}</text>'
-        )
-        fraction /= 10
-    # Each chip's roofline: flat at 1.0 until the knee, then 1/x decay.
-    for index, chip in enumerate(sorted(report.roofline_knees)):
+    chips = sorted(report.roofline_knees)
+    series: List[Series] = []
+    for index, chip in enumerate(chips):
+        # The chip's roofline: flat at 1.0 until the knee, then 1/x.
         knee = report.roofline_knees[chip]
-        color = f"var(--s{index % len(SERIES) + 1})"
-        if knee <= 0:
-            continue
-        knee_x = min(max(knee, x_lo), x_hi)
-        path = (
-            f"M {x_of(x_lo):.1f} {y_of(1.0):.1f} "
-            f"L {x_of(knee_x):.1f} {y_of(1.0):.1f} "
-            f"L {x_of(x_hi):.1f} {y_of(max(knee / x_hi, y_lo)):.1f}"
-        )
-        parts.append(
-            f'<path d="{path}" fill="none" stroke="{color}" '
-            'stroke-width="2" stroke-linejoin="round" opacity="0.55"/>'
-        )
-    # Layer dots: >=8px markers with a 2px surface ring.
-    for point in points:
-        chip_index = sorted(report.roofline_knees).index(point["chip"])
-        color = f"var(--s{chip_index % len(SERIES) + 1})"
-        x = x_of(max(point["bytes_per_flop"], x_lo))
-        y = y_of(point["attainable_fraction"])
-        tip = (
-            f'{point["layer"]} on {point["chip"]}: '
-            f'{point["bytes_per_flop"]:.3g} B/FLOP, attains '
-            f'{point["attainable_fraction"]:.2f} of peak '
-            f'({point["boundedness"]})'
-        )
-        parts.append(
-            f'<circle cx="{x:.1f}" cy="{y:.1f}" r="6" fill="{color}" '
-            f'stroke="var(--surface-1)" stroke-width="2" tabindex="0" '
-            f'data-tip="{_esc(tip)}"/>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.0f}" y="{height - 6}" '
-        'text-anchor="middle">operational intensity (bytes / FLOP)'
-        "</text>"
-        f'<text x="12" y="{top + plot_h / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 12 {top + plot_h / 2:.0f})">'
-        "attainable fraction of peak</text>"
+        if knee > 0:
+            series.append(Series(
+                _color(index),
+                [(x_lo, 1.0), (knee, 1.0), (x_hi, knee / x_hi)],
+                opacity=0.55,
+            ))
+        mine = [p for p in points if p["chip"] == chip]
+        series.append(Series(
+            _color(index),
+            [(p["bytes_per_flop"], p["attainable_fraction"]) for p in mine],
+            tips=[
+                f'{p["layer"]} on {p["chip"]}: '
+                f'{p["bytes_per_flop"]:.3g} B/FLOP, attains '
+                f'{p["attainable_fraction"]:.2f} of peak '
+                f'({p["boundedness"]})'
+                for p in mine
+            ],
+            line=False, radius=6,
+        ))
+    chart = _line_chart(
+        Axis("operational intensity (bytes / FLOP)", x_lo, x_hi,
+             _decades(x_lo, x_hi), log=True),
+        Axis("attainable fraction of peak", y_lo, 1.0,
+             _decades(y_lo, 1.0), log=True),
+        series,
     )
-    legend = "".join(
-        f'<span><span class="key" '
-        f'style="background:var(--s{i % len(SERIES) + 1})"></span>'
-        f"{_esc(chip)}</span>"
-        for i, chip in enumerate(sorted(report.roofline_knees))
+    table = _table(
+        ["layer", "chip", "B/FLOP", "attainable", "regime"],
+        [
+            [p["layer"], p["chip"], f'{p["bytes_per_flop"]:.4g}',
+             f'{p["attainable_fraction"]:.3f}', p["boundedness"]]
+            for p in points
+        ],
     )
-    table_rows = "".join(
-        f'<tr><td>{_esc(p["layer"])}</td><td>{_esc(p["chip"])}</td>'
-        f'<td>{p["bytes_per_flop"]:.4g}</td>'
-        f'<td>{p["attainable_fraction"]:.3f}</td>'
-        f'<td>{_esc(p["boundedness"])}</td></tr>'
-        for p in points
-    )
-    table = (
-        "<table><thead><tr><th>layer</th><th>chip</th><th>B/FLOP</th>"
-        "<th>attainable</th><th>regime</th></tr></thead>"
-        f"<tbody>{table_rows}</tbody></table>"
-    )
-    return (
-        '<div class="card"><h2>Roofline - layers vs chip ceilings</h2>'
-        f'<div class="legend">{legend}'
-        '<span class="muted">line = chip roofline; dots left of the '
-        "knee are compute-bound</span></div>"
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img">{"".join(parts)}</svg>'
-        f"<details><summary>Table view</summary>{table}</details></div>"
+    return _card(
+        "Roofline - layers vs chip ceilings",
+        _legend(
+            [(chip, f"background:{_color(i)}") for i, chip in
+             enumerate(chips)],
+            "line = chip roofline; dots left of the knee are "
+            "compute-bound",
+        ),
+        chart,
+        f"<details><summary>Table view</summary>{table}</details>",
     )
 
 
@@ -409,12 +537,6 @@ def _attribution_bars(report: StatsReport) -> str:
     rows = report.attributions()
     if not rows:
         return ""
-    legend = "".join(
-        f'<span><span class="key" '
-        f'style="background:var(--s{i + 1})"></span>'
-        f"{_esc(cause.value)}</span>"
-        for i, cause in enumerate(CAUSE_ORDER)
-    )
     bars = []
     for row in rows:
         total = row.total_cycles
@@ -433,7 +555,7 @@ def _attribution_bars(report: StatsReport) -> str:
             segments.append(
                 f'<div class="seg" tabindex="0" '
                 f'style="width:{share * 100:.2f}%;'
-                f'background:var(--s{index + 1})" '
+                f'background:{_color(index)}" '
                 f'data-tip="{_esc(tip)}"></div>'
             )
         label = f"{row.group} [{row.simulator[0]}]"
@@ -444,31 +566,27 @@ def _attribution_bars(report: StatsReport) -> str:
             f'{_esc(label)}</div>'
             f'<div class="track">{"".join(segments)}</div></div>'
         )
-    table_rows = "".join(
-        f"<tr><td>{_esc(r.group)}</td><td>{_esc(r.simulator)}</td>"
-        + "".join(
-            f"<td>{r.share(cause):.2f}</td>" for cause in CAUSE_ORDER
-        )
-        + f"<td>{_esc(r.boundedness or '-')}</td>"
-        f"<td>{_esc(r.dominant.value)}</td><td>{_esc(r.remedy)}</td>"
-        "</tr>"
-        for r in sorted(rows, key=lambda r: -r.total_cycles)
+    table = _table(
+        ["tile group", "sim", *(c.value for c in CAUSE_ORDER),
+         "roofline", "dominant", "what would fix it"],
+        [
+            [r.group, r.simulator,
+             *(f"{r.share(cause):.2f}" for cause in CAUSE_ORDER),
+             r.boundedness or "-", r.dominant.value, r.remedy]
+            for r in sorted(rows, key=lambda r: -r.total_cycles)
+        ],
     )
-    table = (
-        "<table><thead><tr><th>tile group</th><th>sim</th>"
-        + "".join(f"<th>{_esc(c.value)}</th>" for c in CAUSE_ORDER)
-        + "<th>roofline</th><th>dominant</th><th>what would fix it</th>"
-        f"</tr></thead><tbody>{table_rows}</tbody></table>"
-    )
-    return (
-        '<div class="card"><h2>Cycle attribution - where each tile '
-        "group's beat goes</h2>"
-        f'<div class="legend">{legend}</div>'
-        f'<div class="bars">{"".join(bars)}</div>'
+    return _card(
+        "Cycle attribution - where each tile group's beat goes",
+        _legend([
+            (cause.value, f"background:{_color(i)}")
+            for i, cause in enumerate(CAUSE_ORDER)
+        ]),
+        f'<div class="bars">{"".join(bars)}</div>',
         '<div class="muted">[a] analytical stage - [e] engine tile; '
-        "each bar normalized to its own beat</div>"
-        f"<details open><summary>Table view (with remedies)</summary>"
-        f"{table}</details></div>"
+        "each bar normalized to its own beat</div>",
+        "<details open><summary>Table view (with remedies)</summary>"
+        f"{table}</details>",
     )
 
 
@@ -480,36 +598,123 @@ def _percentile_tables(report: StatsReport) -> str:
         by_group.setdefault(group, []).append(
             (name, histogram.summary())
         )
-    sections = []
-    for group in sorted(by_group):
-        rows = []
-        for name, summary in by_group[group]:
-            rows.append(
-                f"<tr><td>{_esc(name)}</td>"
-                f'<td>{summary["count"]:,.0f}</td>'
-                f'<td>{_fmt(summary["mean"], 2)}</td>'
-                f'<td>{_fmt(summary["p50"], 2)}</td>'
-                f'<td>{_fmt(summary["p90"], 2)}</td>'
-                f'<td>{_fmt(summary["p95"], 2)}</td>'
-                f'<td>{_fmt(summary["p99"], 2)}</td>'
-                f'<td>{_fmt(summary["max"], 2)}</td></tr>'
-            )
-        sections.append(
-            f"<h2>{_esc(group)}</h2>"
-            "<table><thead><tr><th>metric</th><th>count</th><th>mean"
-            "</th><th>p50</th><th>p90</th><th>p95</th><th>p99</th>"
-            f"<th>max</th></tr></thead><tbody>{''.join(rows)}</tbody>"
-            "</table>"
-        )
-    if not sections:
+    if not by_group:
         return ""
-    return f'<div class="card">{"".join(sections)}</div>'
+    stats = ("mean", "p50", "p90", "p95", "p99", "max")
+    return _card(None, *(
+        f"<h2>{_esc(group)}</h2>" + _table(
+            ["metric", "count", *stats],
+            [
+                [name, f'{summary["count"]:,.0f}',
+                 *(_fmt(summary[s], 2) for s in stats)]
+                for name, summary in by_group[group]
+            ],
+        )
+        for group in sorted(by_group)
+    ))
+
+
+def stats_html(report: StatsReport) -> str:
+    """The ``repro stats`` page."""
+    result = report.result
+    engine_note = (
+        "functional engine + analytical model"
+        if report.engine_ran
+        else f"analytical model only ({_esc(report.engine_skipped)})"
+    )
+    return _page(
+        "stats", "performance", report.network,
+        f"{_esc(report.node)} - minibatch {report.minibatch} - "
+        f"{engine_note} - fingerprint "
+        f"<code>{_esc(report.fingerprint[:16])}</code>",
+        _kpis(
+            ("Pipeline beat", _fmt(result.bottleneck.cycles, 1), "cycles"),
+            ("Training", _fmt(result.training_images_per_s), "img/s"),
+            ("Evaluation", _fmt(result.evaluation_images_per_s), "img/s"),
+            ("PE utilization", f"{result.pe_utilization:.2f}", "of peak"),
+        ),
+        _heatmap(
+            report.analytical_profile,
+            "Utilization heatmap - analytical tile groups "
+            "(unit/step, one pipeline beat)",
+        ),
+        _heatmap(
+            report.engine_profile,
+            "Utilization heatmap - engine CompHeavy tiles",
+        ),
+        _roofline(report),
+        _attribution_bars(report),
+        _percentile_tables(report),
+    )
 
 
 # ---------------------------------------------------------------------------
-# Serving panel (latency-throughput curves)
+# Serving pages: the latency-throughput curve and one run
 # ---------------------------------------------------------------------------
-def _serve_kpis(curve) -> str:
+def _latency_chart(curve) -> str:
+    """Offered load (fraction of each tenant's saturation share)
+    against p50/p99 request latency on a log scale — one categorical
+    series per network, p99 solid, p50 faded."""
+    rows: Dict[str, List[Tuple[float, float, float, float]]] = {
+        name: [] for name in curve.networks
+    }
+    for point in curve.points:
+        for stats in point.report.tenants:
+            rows[stats.network].append((
+                point.fraction,
+                stats.latency_percentile_ms(50),
+                stats.latency_percentile_ms(99),
+                stats.offered_qps,
+            ))
+    values = [
+        v for points in rows.values() for (_, p50, p99, _) in points
+        for v in (p50, p99) if v > 0
+    ]
+    if not values:
+        return ""
+    x_hi = max(f for points in rows.values() for (f, *_) in points)
+    y_lo = 10 ** math.floor(math.log10(min(values)))
+    y_hi = 10 ** math.ceil(math.log10(max(values)))
+    if y_hi <= y_lo:
+        y_hi = y_lo * 10
+    series: List[Series] = []
+    for index, name in enumerate(curve.networks):
+        points = rows[name]
+        series.append(Series(
+            _color(index), [(f, p50) for f, p50, _, _ in points],
+            dash="5 4", opacity=0.45,
+        ))
+        series.append(Series(
+            _color(index), [(f, p99) for f, _, p99, _ in points],
+            tips=[
+                f"{name} at {f:g}x saturation ({qps:,.0f} QPS "
+                f"offered): p50 {p50:.3g}ms, p99 {p99:.3g}ms"
+                for f, p50, p99, qps in points
+            ],
+        ))
+    chart = _line_chart(
+        Axis("offered load (fraction of saturation)", 0.0, x_hi,
+             [t for t in _QUARTERS if t <= x_hi]),
+        Axis("request latency (ms)", y_lo, y_hi, _decades(y_lo, y_hi),
+             log=True),
+        series,
+        rules=[1.0] if x_hi >= 1.0 else [],
+    )
+    return _card(
+        "Latency vs offered load",
+        _legend(
+            [(name, f"background:{_color(i)}") for i, name in
+             enumerate(curve.networks)],
+            "solid = p99, dashed = p50; dotted rule = saturation",
+        ),
+        chart,
+    )
+
+
+def curve_html(curve) -> str:
+    """The page for a :class:`~repro.serve.curve.CurveReport`."""
+    config = curve.config
+    policy = config.policy
     worst_p99 = max(
         (
             stats.latency_percentile_ms(99)
@@ -520,230 +725,156 @@ def _serve_kpis(curve) -> str:
     )
     shed = sum(p.report.shed for p in curve.points)
     offered = sum(p.report.offered for p in curve.points)
-    tiles = (
-        ("Saturation", _fmt(curve.capacity_qps), "QPS (analytical)"),
-        ("Load points", _fmt(len(curve.points)),
-         f"x {len(curve.networks)} network(s)"),
-        ("Worst p99", _fmt(worst_p99, 2), "ms"),
-        ("Shed overall", f"{shed / offered:.1%}" if offered else "-",
-         f"{shed:,} of {offered:,} requests"),
+    return _page(
+        "serve", "serving", ", ".join(curve.networks),
+        f"{_esc(curve.node)} - {_esc(config.arrivals)} arrivals, seed "
+        f"{config.seed} - {_esc(policy.kind)} batching (max batch "
+        f"{policy.max_batch}, max wait {policy.max_wait_s * 1e3:g}ms, "
+        f"queue depth {policy.queue_depth}) - {config.duration_s:g}s "
+        "per point",
+        _kpis(
+            ("Saturation", _fmt(curve.capacity_qps), "QPS (analytical)"),
+            ("Load points", _fmt(len(curve.points)),
+             f"x {len(curve.networks)} network(s)"),
+            ("Worst p99", _fmt(worst_p99, 2), "ms"),
+            ("Shed overall", f"{shed / offered:.1%}" if offered else "-",
+             f"{shed:,} of {offered:,} requests"),
+        ),
+        _latency_chart(curve),
+        _card("Curve points", _table(
+            ["network", "load", "offered QPS", "sustained QPS", "p50 ms",
+             "p95 ms", "p99 ms", "shed", "batch"],
+            [
+                [row["network"], f'{row["fraction"]:g}',
+                 _fmt(row["offered_net_qps"]), _fmt(row["sustained_qps"]),
+                 _fmt(row["p50_ms"], 3), _fmt(row["p95_ms"], 3),
+                 _fmt(row["p99_ms"], 3), f'{row["shed_rate"]:.1%}',
+                 f'{row["mean_batch"]:.1f}']
+                for row in curve.rows()
+            ],
+        )),
+        _card("Placement", _table(
+            ["network", "clusters", "share", "pipeline depth",
+             "rate img/s", "saturation QPS"],
+            [
+                [t.network, t.clusters, f"{t.share:.1%}",
+                 t.pipeline_depth, _fmt(t.rate_qps),
+                 _fmt(t.saturation_qps(policy.max_batch))]
+                for t in curve.placement.tenants
+            ],
+        )),
     )
-    cards = "".join(
-        f'<div class="card"><div class="kpi-label">{_esc(label)}</div>'
-        f'<div class="kpi-value">{_esc(value)}</div>'
-        f'<div class="kpi-unit">{_esc(unit)}</div></div>'
-        for label, value, unit in tiles
-    )
-    return f'<div class="kpis">{cards}</div>'
 
 
-def _serve_curve_svg(curve) -> str:
-    """The latency-throughput chart: offered load (fraction of each
-    tenant's saturation share) against p50/p99 request latency on a log
-    scale — one categorical series per network, p99 solid, p50 faded."""
-    series: Dict[str, List[Tuple[float, float, float, float]]] = {
-        name: [] for name in curve.networks
-    }
-    for point in curve.points:
-        for stats in point.report.tenants:
-            series[stats.network].append((
-                point.fraction,
-                stats.latency_percentile_ms(50),
-                stats.latency_percentile_ms(99),
-                stats.offered_qps,
-            ))
-    values = [
-        v
-        for rows in series.values()
-        for (_, p50, p99, _) in rows
-        for v in (p50, p99)
-        if v > 0
-    ]
-    if not values:
+def _timeline_chart(report) -> str:
+    """Per-bucket p99 latency over the run, with every degraded
+    interval shaded — the healthy-vs-degraded latency contrast at a
+    glance."""
+    bins = [b for b in report.timeline if b["completed"] > 0]
+    if not bins:
         return ""
-    width, height = 640, 330
-    left, right, top, bottom = 58, 16, 14, 40
-    plot_w, plot_h = width - left - right, height - top - bottom
-    x_lo = 0.0
-    x_hi = max(f for rows in series.values() for (f, *_) in rows)
-    y_lo = 10 ** math.floor(math.log10(min(values)))
-    y_hi = 10 ** math.ceil(math.log10(max(values)))
-    if y_hi <= y_lo:
-        y_hi = y_lo * 10
-
-    def x_of(fraction: float) -> float:
-        return left + (fraction - x_lo) / (x_hi - x_lo) * plot_w
-
-    def y_of(latency: float) -> float:
-        span = math.log10(y_hi) - math.log10(y_lo)
-        clamped = min(max(latency, y_lo), y_hi)
-        return (
-            top + plot_h
-            - (math.log10(clamped) - math.log10(y_lo)) / span * plot_h
-        )
-
-    parts: List[str] = []
-    decade = y_lo
-    while decade <= y_hi * 1.0001:
-        y = y_of(decade)
-        parts.append(
-            f'<line x1="{left}" y1="{y:.1f}" x2="{left + plot_w}" '
-            f'y2="{y:.1f}" stroke="var(--grid)"/>'
-            f'<text x="{left - 6}" y="{y + 3:.1f}" '
-            f'text-anchor="end">{decade:g}</text>'
-        )
-        decade *= 10
-    for tick in (0.25, 0.5, 0.75, 1.0):
-        if tick > x_hi:
-            continue
-        x = x_of(tick)
-        parts.append(
-            f'<line x1="{x:.1f}" y1="{top}" x2="{x:.1f}" '
-            f'y2="{top + plot_h}" stroke="var(--grid)"/>'
-            f'<text x="{x:.1f}" y="{height - 22}" '
-            f'text-anchor="middle">{tick:g}</text>'
-        )
-    # The knee: offered load == analytical saturation.
-    if x_hi >= 1.0:
-        x = x_of(1.0)
-        parts.append(
-            f'<line x1="{x:.1f}" y1="{top}" x2="{x:.1f}" '
-            f'y2="{top + plot_h}" stroke="var(--axis)" '
-            'stroke-dasharray="4 3"/>'
-        )
-    for index, name in enumerate(curve.networks):
-        color = f"var(--s{index % len(SERIES) + 1})"
-        p50_path = " ".join(
-            f'{"M" if i == 0 else "L"} {x_of(f):.1f} {y_of(p50):.1f}'
-            for i, (f, p50, _, _) in enumerate(series[name])
-        )
-        p99_path = " ".join(
-            f'{"M" if i == 0 else "L"} {x_of(f):.1f} {y_of(p99):.1f}'
-            for i, (f, _, p99, _) in enumerate(series[name])
-        )
-        parts.append(
-            f'<path d="{p50_path}" fill="none" stroke="{color}" '
-            'stroke-width="2" stroke-dasharray="5 4" opacity="0.45"/>'
-            f'<path d="{p99_path}" fill="none" stroke="{color}" '
-            'stroke-width="2" stroke-linejoin="round"/>'
-        )
-        for fraction, p50, p99, offered_qps in series[name]:
-            tip = (
-                f"{name} at {fraction:g}x saturation "
-                f"({offered_qps:,.0f} QPS offered): "
-                f"p50 {p50:.3g}ms, p99 {p99:.3g}ms"
-            )
-            parts.append(
-                f'<circle cx="{x_of(fraction):.1f}" '
-                f'cy="{y_of(p99):.1f}" r="5" fill="{color}" '
-                f'stroke="var(--surface-1)" stroke-width="2" '
-                f'tabindex="0" data-tip="{_esc(tip)}"/>'
-            )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.0f}" y="{height - 6}" '
-        'text-anchor="middle">offered load (fraction of saturation)'
-        "</text>"
-        f'<text x="12" y="{top + plot_h / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 12 {top + plot_h / 2:.0f})">'
-        "request latency (ms)</text>"
+    x_hi = report.horizon_s or 1.0
+    y_hi = max(b["p99_ms"] for b in bins) * 1.15 or 1.0
+    chart = _line_chart(
+        Axis("run time (s)", 0.0, x_hi, [x_hi * f for f in _QUARTERS],
+             label="{:.3g}".format),
+        Axis("p99 latency (ms)", 0.0, y_hi,
+             [y_hi * f / 1.15 for f in _QUARTERS],
+             label="{:.3g}".format),
+        [Series(
+            "var(--s1)",
+            [((b["start_s"] + b["end_s"]) / 2, b["p99_ms"]) for b in bins],
+            tips=[
+                f"{b['start_s']:.4f}-{b['end_s']:.4f}s: "
+                f"p99 {b['p99_ms']:.4g}ms, {b['completed']:.0f} done, "
+                f"{b['degraded']:.0f} degraded, {b['failed']:.0f} failed"
+                for b in bins
+            ],
+            radius=4,
+        )],
+        bands=[
+            (i.start_s, i.end_s,
+             f"degraded {i.start_s:.4f}-{i.end_s:.4f}s: "
+             + ", ".join(i.sites))
+            for i in report.degraded_intervals
+        ],
+        height=280,
     )
-    legend = "".join(
-        f'<span><span class="key" '
-        f'style="background:var(--s{i % len(SERIES) + 1})"></span>'
-        f"{_esc(name)}</span>"
-        for i, name in enumerate(curve.networks)
-    )
-    return (
-        '<div class="card"><h2>Latency vs offered load</h2>'
-        f'<div class="legend">{legend}'
-        '<span class="muted">solid = p99, dashed = p50; dotted rule = '
-        "saturation</span></div>"
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img">{"".join(parts)}</svg></div>'
+    return _card(
+        "Latency timeline",
+        _legend([
+            ("bucket p99", "background:var(--s1)"),
+            ("degraded interval", "background:var(--s2);opacity:0.4"),
+        ]),
+        chart,
     )
 
 
-def _serve_table(curve) -> str:
-    body = "".join(
-        f'<tr><td>{_esc(row["network"])}</td>'
-        f'<td>{row["fraction"]:g}</td>'
-        f'<td>{_fmt(row["offered_net_qps"])}</td>'
-        f'<td>{_fmt(row["sustained_qps"])}</td>'
-        f'<td>{_fmt(row["p50_ms"], 3)}</td>'
-        f'<td>{_fmt(row["p95_ms"], 3)}</td>'
-        f'<td>{_fmt(row["p99_ms"], 3)}</td>'
-        f'<td>{row["shed_rate"]:.1%}</td>'
-        f'<td>{row["mean_batch"]:.1f}</td></tr>'
-        for row in curve.rows()
+def run_html(report) -> str:
+    """The page for one :class:`~repro.serve.report.ServeReport`; a run
+    without a fault lifecycle shows no faults and no bands."""
+    sub = (
+        f"{_esc(report.node)} - {_esc(report.arrivals)} arrivals, "
+        f"seed {report.seed} - {_esc(report.policy.kind)} batching - "
+        f"{report.offered_qps:,.0f} offered QPS over "
+        f"{report.duration_s:g}s"
     )
-    return (
-        '<div class="card"><h2>Curve points</h2>'
-        "<table><thead><tr><th>network</th><th>load</th>"
-        "<th>offered QPS</th><th>sustained QPS</th><th>p50 ms</th>"
-        "<th>p95 ms</th><th>p99 ms</th><th>shed</th><th>batch</th>"
-        f"</tr></thead><tbody>{body}</tbody></table></div>"
+    if report.failures is not None:
+        sub += f" - {_esc(report.failures.describe())}"
+    burn = report.error_budget_burn()
+    degraded_share = (
+        report.degraded_s / report.horizon_s if report.horizon_s else 0.0
     )
-
-
-def _serve_placement_table(curve) -> str:
-    body = "".join(
-        f"<tr><td>{_esc(t.network)}</td><td>{t.clusters}</td>"
-        f"<td>{t.share:.1%}</td><td>{t.pipeline_depth}</td>"
-        f"<td>{_fmt(t.rate_qps)}</td>"
-        f"<td>{_fmt(t.saturation_qps(curve.config.policy.max_batch))}"
-        "</td></tr>"
-        for t in curve.placement.tenants
+    findings = report.slo_findings()
+    return _page(
+        "serve", "serving run", ", ".join(t.network for t in report.tenants),
+        sub,
+        _kpis(
+            ("Availability", f"{report.availability:.2%}",
+             f"{report.completed:,} of {report.offered:,} offered"),
+            ("Error-budget burn", _fmt(burn, 2) if burn else "0",
+             "unavailability / budget"),
+            ("Faults", _fmt(len(report.fault_events) // 2),
+             f"{len(report.degraded_intervals)} degraded interval(s)"),
+            ("Degraded time", f"{degraded_share:.1%}",
+             f"{report.degraded_s:.4f}s of {report.horizon_s:.4f}s"),
+        ),
+        _timeline_chart(report),
+        _card("Request outcomes", _table(
+            ["network", "offered", "completed", "shed", "timed out",
+             "failed", "avail", "retries", "hedges", "healthy p99 ms",
+             "degraded p99 ms", "down s"],
+            [
+                [row["network"], row["offered"], row["completed"],
+                 row["shed"], row["timed_out"], row["failed"],
+                 f"{row['availability']:.2%}", row["retries"],
+                 row["hedges"], _fmt(row["healthy_p99_ms"], 6),
+                 _fmt(row["degraded_p99_ms"], 6), _fmt(row["down_s"], 4)]
+                for row in report.rows()
+            ],
+        )),
+        _card("SLO findings", _table(
+            ["scope", "objective", "target", "actual", "verdict"],
+            [
+                [f.scope, f.objective, f"{f.target:g}", f"{f.actual:g}",
+                 "ok" if f.ok else "VIOLATED"]
+                for f in findings
+            ],
+        )) if findings else "",
+        _card("Fault/repair log", _table(
+            ["time s", "action", "id", "kind", "site", "magnitude"],
+            [
+                [f"{e.time_s:.4f}", e.action, e.fault.fault_id,
+                 e.fault.kind.value, e.fault.site,
+                 f"{e.fault.magnitude:g}"]
+                for e in report.fault_events
+            ],
+        )) if report.fault_events else "",
     )
-    return (
-        '<div class="card"><h2>Placement</h2>'
-        "<table><thead><tr><th>network</th><th>clusters</th>"
-        "<th>share</th><th>pipeline depth</th><th>rate img/s</th>"
-        "<th>saturation QPS</th></tr></thead>"
-        f"<tbody>{body}</tbody></table></div>"
-    )
-
-
-def serve_html(curve) -> str:
-    """Render a :class:`~repro.serve.curve.CurveReport` as the serving
-    dashboard document (same palette/layout grammar as ``stats``)."""
-    config = curve.config
-    body = (
-        f"<h1>ScaleDeep serving - {_esc(', '.join(curve.networks))}"
-        "</h1>"
-        f'<p class="sub">{_esc(curve.node)} - {_esc(config.arrivals)} '
-        f"arrivals, seed {config.seed} - "
-        f"{_esc(config.policy.kind)} batching (max batch "
-        f"{config.policy.max_batch}, max wait "
-        f"{config.policy.max_wait_s * 1e3:g}ms, queue depth "
-        f"{config.policy.queue_depth}) - {config.duration_s:g}s per "
-        "point</p>"
-        + _serve_kpis(curve)
-        + _serve_curve_svg(curve)
-        + _serve_table(curve)
-        + _serve_placement_table(curve)
-    )
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">\n'
-        f"<title>repro serve - {_esc(', '.join(curve.networks))}"
-        "</title>\n"
-        f"<style>{_CSS}</style></head>\n"
-        f'<body>{body}<div id="tip" role="status"></div>\n'
-        f"<script>{_JS}</script></body></html>\n"
-    )
-
-
-def write_serve_html(curve, path: Union[str, Path]) -> Path:
-    """Write the serving dashboard (same contract as
-    :func:`write_stats_html`)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(serve_html(curve), encoding="utf-8")
-    return path
 
 
 # ---------------------------------------------------------------------------
-# Scale-out panel (sweep scaling curves + TCO KPIs)
+# Scale-out page (sweep scaling curves + TCO KPIs)
 # ---------------------------------------------------------------------------
 def _series_label(key: Tuple[str, str, str]) -> str:
     network, preset, strategy = key
@@ -757,7 +888,7 @@ def _scaling_kpis(series: Dict[tuple, List[dict]]) -> str:
     best = max(rows, key=lambda r: r["system_train_images_per_s"])
     cheapest_run = min(rows, key=lambda r: r["dollars_per_training_run"])
     cheapest_inf = min(rows, key=lambda r: r["dollars_per_1m_inferences"])
-    tiles = (
+    return _kpis(
         ("Best system throughput",
          _fmt(best["system_train_images_per_s"]),
          f"img/s ({best['network']} x{best['nodes']})"),
@@ -773,30 +904,22 @@ def _scaling_kpis(series: Dict[tuple, List[dict]]) -> str:
          _fmt(max(r["nodes"] for r in rows)),
          f"node(s), {len(series)} configuration(s)"),
     )
-    cards = "".join(
-        f'<div class="card"><div class="kpi-label">{_esc(label)}</div>'
-        f'<div class="kpi-value">{_esc(value)}</div>'
-        f'<div class="kpi-unit">{_esc(unit)}</div></div>'
-        for label, value, unit in tiles
-    )
-    return f'<div class="kpis">{cards}</div>'
 
 
-def _scaling_svg(series: Dict[tuple, List[dict]]) -> str:
+def _scaling_chart(series: Dict[tuple, List[dict]]) -> str:
     """System training throughput vs node count, one categorical series
     per (network, preset, strategy); each series' ideal linear scaling
     (its smallest-system rate extrapolated) drawn dashed."""
     keys = [k for k, points in series.items() if points]
     if not keys:
         return ""
-    x_hi = max(row["nodes"] for k in keys for row in series[k])
-    x_lo = min(row["nodes"] for k in keys for row in series[k])
-    ideal: Dict[tuple, float] = {}
-    for key in keys:
-        base = series[key][0]
-        ideal[key] = (
-            base["system_train_images_per_s"] / base["nodes"]
-        )
+    nodes = sorted({row["nodes"] for k in keys for row in series[k]})
+    x_lo, x_hi = nodes[0], nodes[-1]
+    ideal = {
+        key: series[key][0]["system_train_images_per_s"]
+        / series[key][0]["nodes"]
+        for key in keys
+    }
     y_hi = max(
         max(row["system_train_images_per_s"] for row in series[k])
         for k in keys
@@ -804,423 +927,70 @@ def _scaling_svg(series: Dict[tuple, List[dict]]) -> str:
     y_hi = max(y_hi, max(ideal[k] * x_hi for k in keys))
     if y_hi <= 0 or x_hi <= 0:
         return ""
-    width, height = 640, 330
-    left, right, top, bottom = 70, 16, 14, 40
-    plot_w, plot_h = width - left - right, height - top - bottom
-
-    def x_of(nodes: float) -> float:
-        if x_hi == x_lo:
-            return left + plot_w / 2
-        return left + (nodes - x_lo) / (x_hi - x_lo) * plot_w
-
-    def y_of(rate: float) -> float:
-        return top + plot_h - min(rate, y_hi) / y_hi * plot_h
-
-    parts: List[str] = []
-    for frac in (0.25, 0.5, 0.75, 1.0):
-        y = y_of(frac * y_hi)
-        parts.append(
-            f'<line x1="{left}" y1="{y:.1f}" x2="{left + plot_w}" '
-            f'y2="{y:.1f}" stroke="var(--grid)"/>'
-            f'<text x="{left - 6}" y="{y + 3:.1f}" '
-            f'text-anchor="end">{_fmt(frac * y_hi)}</text>'
-        )
-    ticks = sorted({row["nodes"] for k in keys for row in series[k]})
-    for tick in ticks:
-        x = x_of(tick)
-        parts.append(
-            f'<line x1="{x:.1f}" y1="{top}" x2="{x:.1f}" '
-            f'y2="{top + plot_h}" stroke="var(--grid)"/>'
-            f'<text x="{x:.1f}" y="{height - 22}" '
-            f'text-anchor="middle">{tick}</text>'
-        )
+    lines: List[Series] = []
     for index, key in enumerate(keys):
-        color = f"var(--s{index % len(SERIES) + 1})"
-        # Ideal linear scaling for this configuration, dashed.
-        ideal_path = (
-            f"M {x_of(x_lo):.1f} {y_of(ideal[key] * x_lo):.1f} "
-            f"L {x_of(x_hi):.1f} {y_of(ideal[key] * x_hi):.1f}"
-        )
-        parts.append(
-            f'<path d="{ideal_path}" fill="none" stroke="{color}" '
-            'stroke-width="1.5" stroke-dasharray="5 4" opacity="0.4"/>'
-        )
-        path = " ".join(
-            f'{"M" if i == 0 else "L"} {x_of(row["nodes"]):.1f} '
-            f'{y_of(row["system_train_images_per_s"]):.1f}'
-            for i, row in enumerate(series[key])
-        )
-        parts.append(
-            f'<path d="{path}" fill="none" stroke="{color}" '
-            'stroke-width="2" stroke-linejoin="round"/>'
-        )
-        for row in series[key]:
-            tip = (
-                f"{_series_label(key)} at {row['nodes']} node(s): "
-                f"{row['system_train_images_per_s']:,.0f} img/s "
-                f"({row['scaling_efficiency']:.0%} of linear), "
-                f"${row['dollars_per_training_run']:,.2f}/training run"
-            )
-            parts.append(
-                f'<circle cx="{x_of(row["nodes"]):.1f}" '
-                f'cy="{y_of(row["system_train_images_per_s"]):.1f}" '
-                f'r="5" fill="{color}" stroke="var(--surface-1)" '
-                f'stroke-width="2" tabindex="0" data-tip="{_esc(tip)}"/>'
-            )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.0f}" y="{height - 6}" '
-        'text-anchor="middle">nodes</text>'
-        f'<text x="12" y="{top + plot_h / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 12 {top + plot_h / 2:.0f})">'
-        "system training throughput (img/s)</text>"
+        lines.append(Series(
+            _color(index),
+            [(x_lo, ideal[key] * x_lo), (x_hi, ideal[key] * x_hi)],
+            dash="5 4", opacity=0.4, width=1.5,
+        ))
+        lines.append(Series(
+            _color(index),
+            [(r["nodes"], r["system_train_images_per_s"])
+             for r in series[key]],
+            tips=[
+                f"{_series_label(key)} at {r['nodes']} node(s): "
+                f"{r['system_train_images_per_s']:,.0f} img/s "
+                f"({r['scaling_efficiency']:.0%} of linear), "
+                f"${r['dollars_per_training_run']:,.2f}/training run"
+                for r in series[key]
+            ],
+        ))
+    chart = _line_chart(
+        Axis("nodes", x_lo, x_hi, nodes),
+        Axis("system training throughput (img/s)", 0.0, y_hi,
+             [y_hi * f for f in _QUARTERS], label=_fmt),
+        lines,
     )
-    legend = "".join(
-        f'<span><span class="key" '
-        f'style="background:var(--s{i % len(SERIES) + 1})"></span>'
-        f"{_esc(_series_label(key))}</span>"
-        for i, key in enumerate(keys)
-    )
-    return (
-        '<div class="card"><h2>Scaling curve</h2>'
-        f'<div class="legend">{legend}'
-        '<span class="muted">solid = simulated, dashed = ideal linear '
-        "scaling</span></div>"
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img">{"".join(parts)}</svg></div>'
-    )
-
-
-def _scaling_table(series: Dict[tuple, List[dict]]) -> str:
-    body = "".join(
-        f'<tr><td>{_esc(_series_label(key))}</td>'
-        f'<td>{row["nodes"]}</td>'
-        f'<td>{row["minibatch"]}</td>'
-        f'<td>{_fmt(row["system_train_images_per_s"])}</td>'
-        f'<td>{_fmt(row["system_eval_images_per_s"])}</td>'
-        f'<td>{row["scaling_efficiency"]:.1%}</td>'
-        f'<td>{_fmt(row["system_power_w"] / 1e3, 2)}</td>'
-        f'<td>{row["dollars_per_training_run"]:,.2f}</td>'
-        f'<td>{row["dollars_per_1m_inferences"]:,.2f}</td></tr>'
-        for key in series
-        for row in series[key]
-    )
-    return (
-        '<div class="card"><h2>Scaling points</h2>'
-        "<table><thead><tr><th>configuration</th><th>nodes</th>"
-        "<th>minibatch</th><th>train img/s</th><th>eval img/s</th>"
-        "<th>efficiency</th><th>power kW</th><th>$/training run</th>"
-        "<th>$/1M inferences</th></tr></thead>"
-        f"<tbody>{body}</tbody></table></div>"
+    return _card(
+        "Scaling curve",
+        _legend(
+            [(_series_label(key), f"background:{_color(i)}")
+             for i, key in enumerate(keys)],
+            "solid = simulated, dashed = ideal linear scaling",
+        ),
+        chart,
     )
 
 
 def sweep_html(results: Sequence) -> str:
-    """Render sweep results as the scale-out dashboard: a TCO KPI row,
-    the scaling-curve chart, and its table-view twin."""
+    """The scale-out page for sweep results: a TCO KPI row, the
+    scaling-curve chart, and its table twin."""
     from repro.bench.export import sweep_scaling_series
 
     series = sweep_scaling_series(results)
     networks = sorted({key[0] for key in series})
-    title = ", ".join(networks) if networks else "no results"
-    body = (
-        f"<h1>ScaleDeep scale-out - {_esc(title)}</h1>"
-        f'<p class="sub">{len(list(results))} sweep row(s), '
-        f"{len(series)} configuration(s)</p>"
-        + _scaling_kpis(series)
-        + _scaling_svg(series)
-        + _scaling_table(series)
+    return _page(
+        "sweep", "scale-out",
+        ", ".join(networks) if networks else "no results",
+        f"{len(list(results))} sweep row(s), "
+        f"{len(series)} configuration(s)",
+        _scaling_kpis(series),
+        _scaling_chart(series),
+        _card("Scaling points", _table(
+            ["configuration", "nodes", "minibatch", "train img/s",
+             "eval img/s", "efficiency", "power kW", "$/training run",
+             "$/1M inferences"],
+            [
+                [_series_label(key), row["nodes"], row["minibatch"],
+                 _fmt(row["system_train_images_per_s"]),
+                 _fmt(row["system_eval_images_per_s"]),
+                 f'{row["scaling_efficiency"]:.1%}',
+                 _fmt(row["system_power_w"] / 1e3, 2),
+                 f'{row["dollars_per_training_run"]:,.2f}',
+                 f'{row["dollars_per_1m_inferences"]:,.2f}']
+                for key in series
+                for row in series[key]
+            ],
+        )),
     )
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">\n'
-        f"<title>repro sweep - {_esc(title)}</title>\n"
-        f"<style>{_CSS}</style></head>\n"
-        f'<body>{body}<div id="tip" role="status"></div>\n'
-        f"<script>{_JS}</script></body></html>\n"
-    )
-
-
-def write_sweep_html(results: Sequence, path: Union[str, Path]) -> Path:
-    """Write the scale-out dashboard (same contract as
-    :func:`write_stats_html`)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(sweep_html(results), encoding="utf-8")
-    return path
-
-
-# ---------------------------------------------------------------------------
-# Chaos (failure-aware serving) dashboard
-
-
-def _chaos_kpis(report) -> str:
-    burn = report.error_budget_burn()
-    degraded_share = (
-        report.degraded_s / report.horizon_s if report.horizon_s else 0.0
-    )
-    tiles = (
-        ("Availability", f"{report.availability:.2%}",
-         f"{report.completed:,} of {report.offered:,} offered"),
-        ("Error-budget burn", _fmt(burn, 2) if burn else "0",
-         "unavailability / budget"),
-        ("Faults", _fmt(len(report.fault_events) // 2),
-         f"{len(report.degraded_intervals)} degraded interval(s)"),
-        ("Degraded time", f"{degraded_share:.1%}",
-         f"{report.degraded_s:.4f}s of {report.horizon_s:.4f}s"),
-    )
-    cards = "".join(
-        f'<div class="card"><div class="kpi-label">{_esc(label)}</div>'
-        f'<div class="kpi-value">{_esc(value)}</div>'
-        f'<div class="kpi-unit">{_esc(unit)}</div></div>'
-        for label, value, unit in tiles
-    )
-    return f'<div class="kpis">{cards}</div>'
-
-
-def _chaos_timeline_svg(report) -> str:
-    """Per-bucket p99 latency over the run, with every degraded
-    interval shaded — the healthy-vs-degraded latency contrast at a
-    glance."""
-    bins = [b for b in report.timeline if b["completed"] > 0]
-    if not bins:
-        return ""
-    width, height = 640, 280
-    left, right, top, bottom = 58, 16, 14, 40
-    plot_w, plot_h = width - left - right, height - top - bottom
-    x_hi = report.horizon_s or 1.0
-    y_hi = max(b["p99_ms"] for b in bins) * 1.15 or 1.0
-
-    def x_of(t: float) -> float:
-        return left + min(t / x_hi, 1.0) * plot_w
-
-    def y_of(ms: float) -> float:
-        return top + plot_h - min(ms / y_hi, 1.0) * plot_h
-
-    parts: List[str] = []
-    # Degraded bands first (under everything).
-    for interval in report.degraded_intervals:
-        x0, x1 = x_of(interval.start_s), x_of(interval.end_s)
-        tip = (
-            f"degraded {interval.start_s:.4f}-{interval.end_s:.4f}s: "
-            + ", ".join(interval.sites)
-        )
-        parts.append(
-            f'<rect x="{x0:.1f}" y="{top}" '
-            f'width="{max(x1 - x0, 1.0):.1f}" height="{plot_h}" '
-            f'fill="var(--s2)" opacity="0.18" tabindex="0" '
-            f'data-tip="{_esc(tip)}"/>'
-        )
-    for frac in (0.25, 0.5, 0.75, 1.0):
-        y = y_of(y_hi * frac / 1.15)
-        parts.append(
-            f'<line x1="{left}" y1="{y:.1f}" x2="{left + plot_w}" '
-            f'y2="{y:.1f}" stroke="var(--grid)"/>'
-            f'<text x="{left - 6}" y="{y + 3:.1f}" text-anchor="end">'
-            f"{y_hi * frac / 1.15:.3g}</text>"
-        )
-        x = x_of(x_hi * frac)
-        parts.append(
-            f'<line x1="{x:.1f}" y1="{top}" x2="{x:.1f}" '
-            f'y2="{top + plot_h}" stroke="var(--grid)"/>'
-            f'<text x="{x:.1f}" y="{height - 22}" '
-            f'text-anchor="middle">{x_hi * frac:.3g}</text>'
-        )
-    path = " ".join(
-        f'{"M" if i == 0 else "L"} '
-        f'{x_of((b["start_s"] + b["end_s"]) / 2):.1f} '
-        f'{y_of(b["p99_ms"]):.1f}'
-        for i, b in enumerate(bins)
-    )
-    parts.append(
-        f'<path d="{path}" fill="none" stroke="var(--s1)" '
-        'stroke-width="2" stroke-linejoin="round"/>'
-    )
-    for b in bins:
-        mid = (b["start_s"] + b["end_s"]) / 2
-        tip = (
-            f"{b['start_s']:.4f}-{b['end_s']:.4f}s: "
-            f"p99 {b['p99_ms']:.4g}ms, {b['completed']:.0f} done, "
-            f"{b['degraded']:.0f} degraded, {b['failed']:.0f} failed"
-        )
-        parts.append(
-            f'<circle cx="{x_of(mid):.1f}" cy="{y_of(b["p99_ms"]):.1f}" '
-            f'r="4" fill="var(--s1)" stroke="var(--surface-1)" '
-            f'stroke-width="2" tabindex="0" data-tip="{_esc(tip)}"/>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.0f}" y="{height - 6}" '
-        'text-anchor="middle">run time (s)</text>'
-        f'<text x="12" y="{top + plot_h / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 12 {top + plot_h / 2:.0f})">'
-        "p99 latency (ms)</text>"
-    )
-    return (
-        '<div class="card"><h2>Latency timeline</h2>'
-        '<div class="legend"><span><span class="key" '
-        'style="background:var(--s1)"></span>bucket p99</span>'
-        '<span><span class="key" style="background:var(--s2);'
-        'opacity:0.4"></span>degraded interval</span></div>'
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img">{"".join(parts)}</svg></div>'
-    )
-
-
-def _chaos_outcomes_table(report) -> str:
-    body = "".join(
-        f"<tr><td>{_esc(row['network'])}</td>"
-        f"<td>{row['offered']}</td><td>{row['completed']}</td>"
-        f"<td>{row['shed']}</td><td>{row['timed_out']}</td>"
-        f"<td>{row['failed']}</td>"
-        f"<td>{row['availability']:.2%}</td>"
-        f"<td>{row['retries']}</td><td>{row['hedges']}</td>"
-        f"<td>{_fmt(row['healthy_p99_ms'], 6)}</td>"
-        f"<td>{_fmt(row['degraded_p99_ms'], 6)}</td>"
-        f"<td>{_fmt(row['down_s'], 4)}</td></tr>"
-        for row in report.rows()
-    )
-    return (
-        '<div class="card"><h2>Request outcomes</h2>'
-        "<table><thead><tr><th>network</th><th>offered</th>"
-        "<th>completed</th><th>shed</th><th>timed out</th>"
-        "<th>failed</th><th>avail</th><th>retries</th><th>hedges</th>"
-        "<th>healthy p99 ms</th><th>degraded p99 ms</th>"
-        f"<th>down s</th></tr></thead><tbody>{body}</tbody></table>"
-        "</div>"
-    )
-
-
-def _chaos_slo_table(report) -> str:
-    findings = report.slo_findings()
-    if not findings:
-        return ""
-    body = "".join(
-        f"<tr><td>{_esc(f.scope)}</td><td>{_esc(f.objective)}</td>"
-        f"<td>{f.target:g}</td><td>{f.actual:g}</td>"
-        f"<td>{'ok' if f.ok else 'VIOLATED'}</td></tr>"
-        for f in findings
-    )
-    return (
-        '<div class="card"><h2>SLO findings</h2>'
-        "<table><thead><tr><th>scope</th><th>objective</th>"
-        "<th>target</th><th>actual</th><th>verdict</th></tr></thead>"
-        f"<tbody>{body}</tbody></table></div>"
-    )
-
-
-def _chaos_events_table(report) -> str:
-    if not report.fault_events:
-        return ""
-    body = "".join(
-        f"<tr><td>{e.time_s:.4f}</td><td>{_esc(e.action)}</td>"
-        f"<td>{e.fault.fault_id}</td><td>{_esc(e.fault.kind.value)}</td>"
-        f"<td>{_esc(e.fault.site)}</td>"
-        f"<td>{e.fault.magnitude:g}</td></tr>"
-        for e in report.fault_events
-    )
-    return (
-        '<div class="card"><h2>Fault/repair log</h2>'
-        "<table><thead><tr><th>time s</th><th>action</th><th>id</th>"
-        "<th>kind</th><th>site</th><th>magnitude</th></tr></thead>"
-        f"<tbody>{body}</tbody></table></div>"
-    )
-
-
-def chaos_html(report) -> str:
-    """Render a failure-aware :class:`~repro.serve.report.ServeReport`
-    as the chaos dashboard document."""
-    networks = ", ".join(t.network for t in report.tenants)
-    failures = report.failures
-    sub = (
-        f"{_esc(report.node)} - {_esc(report.arrivals)} arrivals, "
-        f"seed {report.seed} - {_esc(report.policy.kind)} batching - "
-        f"{report.offered_qps:,.0f} offered QPS over "
-        f"{report.duration_s:g}s"
-    )
-    if failures is not None:
-        sub += f" - {_esc(failures.describe())}"
-    body = (
-        f"<h1>ScaleDeep chaos serving - {_esc(networks)}</h1>"
-        f'<p class="sub">{sub}</p>'
-        + _chaos_kpis(report)
-        + _chaos_timeline_svg(report)
-        + _chaos_outcomes_table(report)
-        + _chaos_slo_table(report)
-        + _chaos_events_table(report)
-    )
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">\n'
-        f"<title>repro chaos - {_esc(networks)}</title>\n"
-        f"<style>{_CSS}</style></head>\n"
-        f'<body>{body}<div id="tip" role="status"></div>\n'
-        f"<script>{_JS}</script></body></html>\n"
-    )
-
-
-def write_chaos_html(report, path: Union[str, Path]) -> Path:
-    """Write the chaos dashboard (same contract as
-    :func:`write_stats_html`)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(chaos_html(report), encoding="utf-8")
-    return path
-
-
-def stats_html(report: StatsReport) -> str:
-    """Render the full dashboard document."""
-    engine_note = (
-        "functional engine + analytical model"
-        if report.engine_ran
-        else f"analytical model only ({_esc(report.engine_skipped)})"
-    )
-    body = (
-        f"<h1>ScaleDeep performance - {_esc(report.network)}</h1>"
-        f'<p class="sub">{_esc(report.node)} - minibatch '
-        f"{report.minibatch} - {engine_note} - fingerprint "
-        f"<code>{_esc(report.fingerprint[:16])}</code></p>"
-        + _kpi_row(report)
-        + _heatmap(
-            report.analytical_profile,
-            "Utilization heatmap - analytical tile groups "
-            "(unit/step, one pipeline beat)",
-        )
-        + _heatmap(
-            report.engine_profile,
-            "Utilization heatmap - engine CompHeavy tiles",
-        )
-        + _roofline_svg(report)
-        + _attribution_bars(report)
-        + _percentile_tables(report)
-    )
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">\n'
-        f"<title>repro stats - {_esc(report.network)}</title>\n"
-        f"<style>{_CSS}</style></head>\n"
-        f'<body>{body}<div id="tip" role="status"></div>\n'
-        f"<script>{_JS}</script></body></html>\n"
-    )
-
-
-def write_stats_html(
-    report: StatsReport, path: Union[str, Path]
-) -> Path:
-    """Write the dashboard beside the other export writers' contract:
-    parent directories created, the resolved path returned."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(stats_html(report), encoding="utf-8")
-    return path
-
-
-def write_stats_json(
-    report: StatsReport, path: Union[str, Path]
-) -> Path:
-    """The snapshot as deterministic JSON (sorted keys, trailing
-    newline) — the same payload ``--baseline`` persists."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(report.snapshot(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path

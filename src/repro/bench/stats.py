@@ -15,6 +15,10 @@ prints or persists:
   (:mod:`repro.bench.baselines`) and the input to the HTML dashboard
   (:mod:`repro.bench.dashboard`).
 
+The report keeps the capture itself (:attr:`StatsReport.telemetry`), so
+``repro stats --trace/--csv`` export the very events and counters the
+tables summarise.
+
 Everything here is deterministic: the capture contains no wall-clock
 observations (those live in ``wall.``-prefixed volatile groups, which
 :meth:`~repro.telemetry.metrics.MetricsRegistry.to_dict` excludes), so
@@ -35,6 +39,7 @@ from repro.sim.perf import DEFAULT_MINIBATCH, PerfResult, simulate
 from repro.sim.validation import ENGINE_WEIGHT_LIMIT
 from repro.telemetry import (
     StallAttribution,
+    Telemetry,
     TileGroupProfile,
     analytical_attribution,
     analytical_tile_profile,
@@ -55,7 +60,8 @@ class StatsReport:
     #: Digest of the full compile contract — the baseline snapshot key.
     fingerprint: str
     result: PerfResult
-    metrics: MetricsRegistry
+    #: The capture both simulators ran under (events, counters, metrics).
+    telemetry: Telemetry
     analytical_profile: List[TileGroupProfile] = field(default_factory=list)
     analytical_causes: List[StallAttribution] = field(default_factory=list)
     engine_profile: List[TileGroupProfile] = field(default_factory=list)
@@ -70,6 +76,10 @@ class StatsReport:
     #: the mapping's FC batch.
     roofline_knees: Dict[str, float] = field(default_factory=dict)
     roofline_points: List[Dict] = field(default_factory=list)
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        return self.telemetry.metrics
 
     @property
     def engine_ran(self) -> bool:
@@ -119,9 +129,8 @@ class StatsReport:
 
 
 def _engine_forward(net: Network):
-    """Compile and run one engine forward pass (mirrors the CLI helper:
-    cached DAG codegen, fixed input seed, telemetry to the active
-    handle)."""
+    """Compile and run one engine forward pass: cached DAG codegen,
+    fixed input seed, telemetry to the active handle."""
     import numpy as np
 
     from repro.sweep.cache import cached_dag_forward_codegen
@@ -166,7 +175,7 @@ def collect_stats(
             net, node, artifact="stats", minibatch=minibatch
         ),
         result=result,
-        metrics=tel.metrics,
+        telemetry=tel,
         analytical_profile=analytical_tile_profile(result),
         analytical_causes=analytical_attribution(result),
         engine_skipped=engine_skipped,

@@ -14,19 +14,24 @@ Subcommands:
 * ``stages NET`` — per-stage pipeline latencies and binding subsystem;
 * ``report NET`` — the full simulation report (mapping, throughput,
   pipeline, links, power, energy, gradient sync);
-* ``trace NET`` — record a telemetry capture and write a Chrome
-  trace-event JSON (open in Perfetto / ``chrome://tracing``);
-* ``profile NET`` — per-tile busy/stalled/blocked cycle accounting and
-  the counter registry;
+* ``stats NET`` — both simulators under one telemetry capture: metric
+  percentiles, per-tile busy/blocked/stalled cycles, bottleneck
+  attribution, baselines (``--baseline/--compare``), the HTML dashboard
+  (``--html``), and the capture itself as a Chrome trace-event JSON
+  (``--trace``, for Perfetto / ``chrome://tracing``) and counter CSV
+  (``--csv``);
 * ``sweep [NET...]`` — fan (network x preset x minibatch) jobs across
   worker processes with content-keyed compile caching; writes JSON
   (and optionally CSV) results;
+* ``validate [NET...]`` — the differential gate: functional engine vs
+  analytical model vs numpy reference;
 * ``faults NET`` — inject a deterministic fault mask and report
   baseline vs degraded throughput / energy after remapping;
 * ``serve NET[,NET...]`` — datacenter inference serving simulation:
   seeded open-loop arrivals drive dynamic batchers over a multi-tenant
   placement; reports p50/p95/p99 latency, sustained QPS and shed rate
   (``--curve`` sweeps offered load into the latency–throughput curve,
+  ``--mtbf/--mttr`` add a seeded fault/repair lifecycle,
   ``--json/--out/--csv/--html`` export it);
 * ``export DIR`` — write every figure's data series as CSV.
 
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from repro.arch import half_precision_node, single_precision_node
 from repro.baselines.gpu import GpuFramework, all_framework_rates
@@ -66,16 +71,24 @@ def _node(args: argparse.Namespace):
     return half_precision_node() if args.hp else single_precision_node()
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Usage errors exit 2 with a one-line message."""
+    print(f"repro: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _message(exc: Exception) -> str:
+    return exc.args[0] if exc.args else str(exc)
+
+
 def _load(name: str):
     try:
         return zoo.load(name)
     except KeyError:
-        choices = ", ".join(zoo.available())
-        print(
-            f"repro: unknown network {name!r} (choose from: {choices})",
-            file=sys.stderr,
+        _usage_error(
+            f"unknown network {name!r} "
+            f"(choose from: {', '.join(zoo.available())})"
         )
-        raise SystemExit(2)
 
 
 def cmd_list(args: argparse.Namespace) -> None:
@@ -237,114 +250,6 @@ def cmd_report(args: argparse.Namespace) -> None:
     print(full_report(net, _node(args)).render())
 
 
-def _engine_forward(net):
-    """Compile ``net``'s forward pass for the functional engine and run
-    one random image through it (telemetry flows to the active handle).
-
-    Compilation routes through the content-keyed compile cache, so a
-    second trace/profile of the same network skips codegen; ``run``
-    builds a fresh machine each time, so the artifact is reusable.
-    Uses the DAG scheduler — the path the validation harness vouches
-    for, which also covers connection-table networks (LeNet-5) that the
-    linear schedule cannot run."""
-    import numpy as np
-
-    from repro.sweep.cache import cached_dag_forward_codegen
-
-    compiled = cached_dag_forward_codegen(net, seed=0)
-    shape = net.input.output_shape
-    rng = np.random.default_rng(0)
-    image = rng.normal(
-        0, 1, (shape.count, shape.height, shape.width)
-    ).astype(np.float32)
-    return compiled.run(image)
-
-
-#: Above this weight count the functional engine runs a network's
-#: registered proxy (same topology, rescaled channels) instead of the
-#: full-size model.  Canonically defined beside the validation harness,
-#: which shares it.
-from repro.dnn.zoo.engine_proxies import engine_scale as _engine_scale
-from repro.sim.validation import ENGINE_WEIGHT_LIMIT as _ENGINE_WEIGHT_LIMIT
-
-
-def cmd_trace(args: argparse.Namespace) -> None:
-    from repro.errors import ReproError
-    from repro.telemetry import capture, summarize, write_chrome_trace
-
-    net = _load(args.network)
-    tel = None
-    run_net, proxy_note = _engine_scale(net, _ENGINE_WEIGHT_LIMIT)
-    if run_net is not None:
-        with capture() as attempt:
-            try:
-                _, report = _engine_forward(run_net)
-                source = f"functional engine: {report.describe()}"
-                if proxy_note:
-                    source += f" [{proxy_note}]"
-                tel = attempt
-            except ReproError:
-                pass  # engine scope excludes this network; fall back
-    if tel is None:
-        # Engine scope excludes this network: trace the analytical
-        # pipeline (stage spans + mapping decisions) instead.
-        with capture() as tel:
-            result = simulate(net, _node(args))
-        source = f"analytical model: {result.describe()}"
-    path = write_chrome_trace(tel, args.out)
-    print(f"traced {net.name} [{source}]")
-    print(f"{summarize(tel)}")
-    print(f"wrote Chrome trace to {path}")
-
-
-def cmd_profile(args: argparse.Namespace) -> None:
-    from repro.errors import ReproError
-    from repro.telemetry import (
-        analytical_tile_profile,
-        capture,
-        counter_table,
-        engine_tile_profile,
-        profile_table,
-        write_counters_csv,
-    )
-
-    net = _load(args.network)
-    run_net, proxy_note = _engine_scale(net, _ENGINE_WEIGHT_LIMIT)
-    with capture() as tel:
-        result = simulate(net, _node(args))
-        engine_report = None
-        if run_net is not None:
-            try:
-                _, engine_report = _engine_forward(run_net)
-            except ReproError:
-                pass  # engine scope excludes this network
-
-    beat = result.bottleneck.cycles
-    rows = analytical_tile_profile(result)
-    profile_table(
-        rows, f"Per-tile-group cycles of {net.name} (one pipeline beat)"
-    ).show()
-    busy_total = sum(r.busy_cycles for r in rows)
-    print(
-        f"\npipeline beat {beat:,.0f} cycles "
-        f"({len(rows)} tile groups, {busy_total:,.0f} busy cycles/beat); "
-        f"train {result.training_images_per_s:,.0f} img/s, "
-        f"eval {result.evaluation_images_per_s:,.0f} img/s"
-    )
-    if engine_report is not None:
-        print(f"\nfunctional engine: {engine_report.describe()}")
-        if proxy_note:
-            print(f"  ({proxy_note})")
-        profile_table(
-            engine_tile_profile(tel),
-            f"Engine per-tile cycles ({run_net.name}, one image)",
-        ).show()
-    if args.counters:
-        counter_table(tel, f"Telemetry counters for {net.name}").show()
-    if args.csv:
-        print(f"wrote counters to {write_counters_csv(tel, args.csv)}")
-
-
 def cmd_stats(args: argparse.Namespace) -> None:
     import json
 
@@ -352,9 +257,16 @@ def cmd_stats(args: argparse.Namespace) -> None:
         compare_to_baseline,
         write_baseline_file,
     )
-    from repro.bench.dashboard import write_stats_html
+    from repro.bench.dashboard import stats_html, write_html
     from repro.bench.stats import collect_stats
-    from repro.telemetry import attribution_table, percentile_table
+    from repro.telemetry import (
+        attribution_table,
+        percentile_table,
+        profile_table,
+        summarize,
+        write_chrome_trace,
+        write_counters_csv,
+    )
 
     net = _load(args.network)
     report = collect_stats(net, _node(args), args.minibatch)
@@ -369,6 +281,17 @@ def cmd_stats(args: argparse.Namespace) -> None:
             f"(cycles / bytes per observation)",
         ).show()
         print()
+        profile_table(
+            report.analytical_profile,
+            f"Per-tile-group cycles of {net.name} (one pipeline beat)",
+        ).show()
+        if report.engine_profile:
+            print()
+            profile_table(
+                report.engine_profile,
+                "Engine per-tile cycles (one image)",
+            ).show()
+        print()
         attribution_table(
             report.attributions(),
             f"Bottleneck attribution of {net.name} (both simulators)",
@@ -382,8 +305,15 @@ def cmd_stats(args: argparse.Namespace) -> None:
             print(f"functional engine: skipped ({report.engine_skipped})")
         print(f"fingerprint: {report.fingerprint}")
 
+    if args.trace:
+        path = write_chrome_trace(report.telemetry, args.trace)
+        print(f"wrote Chrome trace to {path}: {summarize(report.telemetry)}")
+    if args.csv:
+        path = write_counters_csv(report.telemetry, args.csv)
+        print(f"wrote counters to {path}")
     if args.html:
-        print(f"wrote dashboard to {write_stats_html(report, args.html)}")
+        path = write_html(stats_html(report), args.html)
+        print(f"wrote dashboard to {path}")
     if args.baseline:
         path = write_baseline_file(snapshot, args.baseline)
         print(
@@ -396,22 +326,26 @@ def cmd_stats(args: argparse.Namespace) -> None:
             raise SystemExit(2)
 
 
+def _fault_kinds(text: str):
+    """A comma-separated fault-kind list; ``all`` is every kind."""
+    from repro.faults import ALL_KINDS, parse_kinds
+
+    return ALL_KINDS if text.strip() == "all" else parse_kinds(text)
+
+
 def _fault_spec(args: argparse.Namespace):
     """Build a :class:`FaultSpec` from CLI flags; malformed specs are
     usage errors (exit 2)."""
     from repro.errors import ConfigError
-    from repro.faults import ALL_KINDS, FaultSpec, parse_kinds
+    from repro.faults import FaultSpec
 
     try:
-        kind = args.kind.strip()
-        kinds = ALL_KINDS if kind == "all" else parse_kinds(kind)
         return FaultSpec(
-            rate=args.rate, seed=args.seed, kinds=kinds,
+            rate=args.rate, seed=args.seed, kinds=_fault_kinds(args.kind),
             slow_factor=args.slow_factor,
         )
     except ConfigError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(_message(exc))
 
 
 def cmd_faults(args: argparse.Namespace) -> None:
@@ -477,10 +411,7 @@ def cmd_validate(args: argparse.Namespace) -> None:
     from repro.sim.validation import MIN_RANK_AGREEMENT, validate_zoo
 
     if args.rows < 1:
-        print(
-            f"repro: --rows must be >= 1, got {args.rows}", file=sys.stderr
-        )
-        raise SystemExit(2)
+        _usage_error(f"--rows must be >= 1, got {args.rows}")
     names = None
     if args.networks:
         from repro.sim.validation import VALIDATION_VARIANTS
@@ -496,12 +427,9 @@ def cmd_validate(args: argparse.Namespace) -> None:
                 choices = ", ".join(
                     list(zoo.available()) + sorted(VALIDATION_VARIANTS)
                 )
-                print(
-                    f"repro: unknown network {name!r} "
-                    f"(choose from: {choices})",
-                    file=sys.stderr,
+                _usage_error(
+                    f"unknown network {name!r} (choose from: {choices})"
                 )
-                raise SystemExit(2)
 
     report = validate_zoo(
         names=names,
@@ -576,6 +504,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         run_sweep,
         set_cache,
     )
+    from repro.sweep.runner import check_workers
 
     if args.cache_dir:
         set_cache(CompileCache(args.cache_dir))
@@ -586,6 +515,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
             return  # clear-only invocation: don't launch the full suite
 
     try:
+        check_workers(args.workers)
         faults = None
         if args.fault_rate is not None:
             faults = FaultSpec(
@@ -601,9 +531,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
             strategies=args.strategy.split(","),
         )
     except (KeyError, ValueError, ConfigError, SweepError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"repro: {message}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(_message(exc))
 
     report = run_sweep(
         jobs,
@@ -653,9 +581,9 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     if args.csv:
         print(f"wrote {write_sweep_csv(report.results, args.csv)}")
     if args.html:
-        from repro.bench.dashboard import write_sweep_html
+        from repro.bench.dashboard import sweep_html, write_html
 
-        print(f"wrote {write_sweep_html(report.results, args.html)}")
+        print(f"wrote {write_html(sweep_html(report.results), args.html)}")
     if report.failures:
         for r in report.failures:
             print(
@@ -675,11 +603,7 @@ def _serve_networks(args: argparse.Namespace):
         if part
     ]
     if not names:
-        print(
-            f"repro: {args.command} needs at least one network",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+        _usage_error(f"{args.command} needs at least one network")
     return [_load(name) for name in names]
 
 
@@ -695,9 +619,9 @@ def _slo_policy(args: argparse.Namespace):
     )
 
 
-def _serve_config(args: argparse.Namespace, failures=None):
-    """A :class:`ServeConfig` from the shared serve/chaos flags.
-    Raises :class:`ConfigError` on bad knobs (callers map to exit 2)."""
+def _serve_config(args: argparse.Namespace, failures):
+    """A :class:`ServeConfig` from the serve flags.  Raises
+    :class:`ConfigError` on bad knobs (callers map to exit 2)."""
     from repro.serve import BatchPolicy, ServeConfig
 
     policy = BatchPolicy(
@@ -742,9 +666,11 @@ def _enforce_slo(report) -> None:
 def cmd_serve(args: argparse.Namespace) -> None:
     import json as json_mod
 
+    from repro.bench.dashboard import curve_html, run_html, write_html
     from repro.bench.export import write_serve_csv, write_serve_json
     from repro.errors import ConfigError
     from repro.serve import (
+        FailureConfig,
         place_networks,
         run_curve,
         simulate_serving,
@@ -752,39 +678,40 @@ def cmd_serve(args: argparse.Namespace) -> None:
 
     networks = _serve_networks(args)
     node = _node(args)
-    if args.faults is not None and args.curve:
-        print(
-            "repro: serve --faults is a static degraded run; use "
-            "chaos --curve for load sweeps under a fault lifecycle",
-            file=sys.stderr,
+    lifecycle = args.mtbf is not None
+    if lifecycle != (args.mttr is not None):
+        _usage_error("serve --mtbf and --mttr go together: give both")
+    if args.faults is not None and (args.curve or lifecycle):
+        _usage_error(
+            "serve --faults is one static degraded run: it takes "
+            "neither --curve nor --mtbf/--mttr"
         )
-        raise SystemExit(2)
 
     try:
-        config = _serve_config(args)
+        kinds = _fault_kinds(args.fault_kind)
+        fault_seed = (
+            args.seed if args.fault_seed is None else args.fault_seed
+        )
+        failures = None
+        if lifecycle:
+            failures = FailureConfig(
+                mtbf_s=args.mtbf, mttr_s=args.mttr, kinds=kinds,
+                seed=fault_seed, slow_factor=args.slow_factor,
+            )
+        config = _serve_config(args, failures)
         placement = None
         if args.faults is not None:
             # Static degraded serving: sample one fault mask, compile
             # every tenant against it, and place on what survives.
-            from repro.faults import ALL_KINDS, FaultSpec, parse_kinds
+            from repro.faults import FaultSpec
             from repro.sweep.cache import cached_simulation
 
-            kind = args.fault_kind.strip()
             spec = FaultSpec(
-                rate=args.faults,
-                seed=(
-                    args.fault_seed if args.fault_seed is not None
-                    else args.seed
-                ),
-                kinds=(
-                    ALL_KINDS if kind == "all" else parse_kinds(kind)
-                ),
+                rate=args.faults, seed=fault_seed, kinds=kinds,
                 slow_factor=args.slow_factor,
             )
             results = [
-                cached_simulation(
-                    net, node, args.minibatch, faults=spec
-                )
+                cached_simulation(net, node, args.minibatch, faults=spec)
                 for net in networks
             ]
             placement = place_networks(
@@ -802,160 +729,55 @@ def cmd_serve(args: argparse.Namespace) -> None:
             )
     except ConfigError as exc:
         # Every knob here came off the command line: usage error.
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"repro: {message}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(_message(exc))
 
+    faults = f", {failures.describe()}" if failures else ""
     if args.json:
         print(
             json_mod.dumps(report.to_dict(), indent=2, sort_keys=True)
         )
     elif args.curve:
         table = Table(
-            f"Latency-throughput curve ({node.name})",
+            f"Latency-throughput curve ({node.name}{faults})",
             ["network", "load", "offered QPS", "sustained QPS",
-             "p50 ms", "p95 ms", "p99 ms", "shed", "batch"],
+             "p50 ms", "p95 ms", "p99 ms", "shed", "t/o", "fail",
+             "avail", "batch"],
         )
         for row in report.rows():
             table.add(
                 row["network"], f'{row["fraction"]:g}x',
                 f'{row["offered_net_qps"]:,.0f}',
                 f'{row["sustained_qps"]:,.0f}',
-                f'{row["p50_ms"]:.3f}', f'{row["p95_ms"]:.3f}',
-                f'{row["p99_ms"]:.3f}', f'{row["shed_rate"]:.1%}',
-                f'{row["mean_batch"]:.1f}',
+                *(f'{row[f"p{q}_ms"]:.4f}' for q in (50, 95, 99)),
+                row["shed"], row["timed_out"], row["failed"],
+                f'{row["availability"]:.1%}', f'{row["mean_batch"]:.1f}',
             )
         table.show()
         print(report.describe())
     else:
+        # Retries, hedges and the healthy/degraded split are columns
+        # only under a fault lifecycle.
         table = Table(
-            f"Serving report ({node.name})",
-            ["network", "share", "offered", "completed", "shed",
-             "t/o", "fail", "avail", "p50 ms", "p95 ms", "p99 ms",
-             "sustained QPS", "batch"],
+            f"Serving report ({node.name}{faults})",
+            ["network", "share", "offered", "completed", "shed", "t/o",
+             "fail", "avail", "p50 ms", "p95 ms", "p99 ms",
+             "sustained QPS", "batch"]
+            + (["retry", "hedge", "healthy p99", "degraded p99"]
+               if failures else []),
         )
         for row in report.rows():
-            table.add(
-                row["network"], f'{row["share"]:.1%}',
-                row["offered"], row["completed"], row["shed"],
-                row["timed_out"], row["failed"],
-                f'{row["availability"]:.1%}',
-                f'{row["p50_ms"]:.3f}', f'{row["p95_ms"]:.3f}',
-                f'{row["p99_ms"]:.3f}',
-                f'{row["sustained_qps"]:,.0f}',
-                f'{row["mean_batch"]:.1f}',
-            )
-        table.show()
-        print(report.describe())
-        for finding in report.slo_findings():
-            print(f"  slo {finding.describe()}")
-
-    if args.out:
-        path = write_serve_json(report, args.out)
-        if not args.json:
-            print(f"wrote {path}")
-    if args.csv:
-        path = write_serve_csv(report, args.csv)
-        if not args.json:
-            print(f"wrote {path}")
-    if args.html:
-        if not args.curve:
-            print(
-                "repro: --html renders the latency-throughput curve; "
-                "add --curve",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        from repro.bench.dashboard import write_serve_html
-
-        path = write_serve_html(report, args.html)
-        if not args.json:
-            print(f"wrote dashboard to {path}")
-    if not args.curve:
-        _enforce_slo(report)
-
-
-def cmd_chaos(args: argparse.Namespace) -> None:
-    """Failure-aware serving: a seeded MTBF/MTTR fault/repair lifecycle
-    over the serving loop, with deadlines/retries/hedging and SLO
-    error budgets."""
-    import json as json_mod
-
-    from repro.bench.export import write_serve_csv, write_serve_json
-    from repro.errors import ConfigError
-    from repro.serve import (
-        FailureConfig,
-        parse_chaos_kinds,
-        run_curve,
-        simulate_serving,
-    )
-
-    networks = _serve_networks(args)
-    node = _node(args)
-
-    try:
-        failures = FailureConfig(
-            mtbf_s=args.mtbf,
-            mttr_s=args.mttr,
-            kinds=parse_chaos_kinds(args.fault_kind),
-            seed=(
-                args.fault_seed if args.fault_seed is not None
-                else args.seed
-            ),
-            slow_factor=args.slow_factor,
-            max_faults=args.max_faults,
-        )
-        config = _serve_config(args, failures=failures)
-        if args.curve:
-            report = run_curve(
-                [net.name for net in networks], node, config,
-                workers=args.workers,
-            )
-        else:
-            report = simulate_serving(networks, node, config)
-    except ConfigError as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"repro: {message}", file=sys.stderr)
-        raise SystemExit(2)
-
-    if args.json:
-        print(
-            json_mod.dumps(report.to_dict(), indent=2, sort_keys=True)
-        )
-    elif args.curve:
-        table = Table(
-            f"Latency-throughput curve under faults ({node.name})",
-            ["network", "load", "offered QPS", "sustained QPS",
-             "p99 ms", "shed", "t/o", "fail", "avail"],
-        )
-        for row in report.rows():
-            table.add(
-                row["network"], f'{row["fraction"]:g}x',
-                f'{row["offered_net_qps"]:,.0f}',
-                f'{row["sustained_qps"]:,.0f}',
-                f'{row["p99_ms"]:.4f}',
-                row["shed"], row["timed_out"], row["failed"],
-                f'{row["availability"]:.1%}',
-            )
-        table.show()
-        print(report.describe())
-    else:
-        table = Table(
-            f"Chaos serving report ({node.name}, "
-            f"{failures.describe()})",
-            ["network", "offered", "done", "shed", "t/o", "fail",
-             "avail", "retry", "hedge", "p99 ms", "healthy p99",
-             "degraded p99"],
-        )
-        for row in report.rows():
-            table.add(
-                row["network"], row["offered"], row["completed"],
-                row["shed"], row["timed_out"], row["failed"],
-                f'{row["availability"]:.1%}',
+            lifecycle_cells = [
                 row["retries"], row["hedges"],
-                f'{row["p99_ms"]:.6f}',
                 f'{row["healthy_p99_ms"]:.6f}',
                 f'{row["degraded_p99_ms"]:.6f}',
+            ] if failures else []
+            table.add(
+                row["network"], f'{row["share"]:.1%}', row["offered"],
+                row["completed"], row["shed"], row["timed_out"],
+                row["failed"], f'{row["availability"]:.1%}',
+                *(f'{row[f"p{q}_ms"]:.6f}' for q in (50, 95, 99)),
+                f'{row["sustained_qps"]:,.0f}', f'{row["mean_batch"]:.1f}',
+                *lifecycle_cells,
             )
         table.show()
         print(report.describe())
@@ -973,15 +795,8 @@ def cmd_chaos(args: argparse.Namespace) -> None:
         if not args.json:
             print(f"wrote {path}")
     if args.html:
-        from repro.bench.dashboard import (
-            write_chaos_html,
-            write_serve_html,
-        )
-
-        if args.curve:
-            path = write_serve_html(report, args.html)
-        else:
-            path = write_chaos_html(report, args.html)
+        page = curve_html(report) if args.curve else run_html(report)
+        path = write_html(page, args.html)
         if not args.json:
             print(f"wrote dashboard to {path}")
     if not args.curve:
@@ -995,40 +810,6 @@ def cmd_export(args: argparse.Namespace) -> None:
     for path in paths:
         print(path)
     print(f"wrote {len(paths)} figure data files")
-
-
-def _robustness_flags(p: argparse.ArgumentParser) -> None:
-    """Request-robustness and SLO flags shared by serve and chaos."""
-    p.add_argument(
-        "--timeout", type=float, default=None, metavar="MS",
-        help="end-to-end request deadline in ms: requests past it "
-        "count as timed out (default: none)",
-    )
-    p.add_argument(
-        "--retries", type=int, default=0,
-        help="extra attempts after a shed/failed/expired copy "
-        "(default: 0)",
-    )
-    p.add_argument(
-        "--backoff", type=float, default=5.0, metavar="MS",
-        help="retry backoff base in ms; attempt n re-arrives after "
-        "backoff * 2^(n-1) (default: 5.0)",
-    )
-    p.add_argument(
-        "--hedge", type=float, default=None, metavar="MS",
-        help="spawn a duplicate request after this much queue wait; "
-        "first copy to finish wins (default: off)",
-    )
-    p.add_argument(
-        "--slo-p99", type=float, default=None, metavar="MS",
-        help="p99 latency objective per tenant and node; a violating "
-        "run exits 1 after writing artifacts",
-    )
-    p.add_argument(
-        "--slo-availability", type=float, default=None, metavar="FRAC",
-        help="minimum fraction of offered requests that must complete "
-        "(0, 1]; violations exit 1",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1095,31 +876,25 @@ def build_parser() -> argparse.ArgumentParser:
     with_net("report", "full simulation report").set_defaults(
         func=cmd_report
     )
-    p = with_net("trace", "write a Chrome trace-event JSON capture")
-    p.add_argument(
-        "--out", default="trace.json",
-        help="output path for the trace (default: trace.json)",
-    )
-    p.set_defaults(func=cmd_trace)
-    p = with_net("profile", "per-tile cycle counters and telemetry")
-    p.add_argument(
-        "--counters", action="store_true",
-        help="also print the full counter registry",
-    )
-    p.add_argument(
-        "--csv", metavar="PATH", default=None,
-        help="write the counter registry as CSV to PATH",
-    )
-    p.set_defaults(func=cmd_profile)
     p = with_net(
         "stats",
-        "metric distributions + bottleneck attribution for both "
-        "simulators, with baselines and an HTML dashboard",
+        "metric distributions, per-tile cycles and bottleneck "
+        "attribution for both simulators, with baselines, an HTML "
+        "dashboard and the raw capture",
     )
     p.add_argument("--minibatch", type=int, default=256)
     p.add_argument(
         "--json", action="store_true",
         help="print the deterministic metric snapshot as JSON",
+    )
+    p.add_argument(
+        "--trace", metavar="PATH", default=None,
+        help="write the capture as Chrome trace-event JSON to PATH "
+        "(open in Perfetto or chrome://tracing)",
+    )
+    p.add_argument(
+        "--csv", metavar="PATH", default=None,
+        help="write the capture's counters as CSV to PATH",
     )
     p.add_argument(
         "--html", metavar="PATH", default=None,
@@ -1276,8 +1051,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_faults)
     p = sub.add_parser(
         "serve",
-        help="datacenter inference serving simulation "
-        "(latency/QPS, --curve for the latency-throughput sweep)",
+        help="datacenter inference serving simulation (latency/QPS; "
+        "--curve for the latency-throughput sweep, --mtbf/--mttr for "
+        "a fault/repair lifecycle)",
     )
     p.add_argument(
         "networks", nargs="+",
@@ -1308,7 +1084,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--policy", choices=["wait", "greedy"], default="wait",
         help="batching policy: hold for max-batch/max-wait, or "
-        "dispatch whenever the server is idle (default: wait)",
+        "dispatch whenever the server is idle (default: wait; greedy "
+        "makes latency track a fault-degraded service rate)",
     )
     p.add_argument(
         "--max-batch", type=int, default=8,
@@ -1326,7 +1103,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-requests", type=int, default=200_000,
-        help="hard cap on generated requests per run (default: 200000)",
+        help="hard cap on generated requests per run; when it binds, "
+        "the run's window ends at the last arrival (default: 200000)",
     )
     p.add_argument("--minibatch", type=int, default=256)
     p.add_argument(
@@ -1353,121 +1131,70 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--html", metavar="PATH", default=None,
-        help="write the serving dashboard (requires --curve)",
+        help="write the dashboard: the latency-throughput curve with "
+        "--curve, else the run's outcomes and latency timeline",
     )
-    _robustness_flags(p)
+    p.add_argument(
+        "--timeout", type=float, default=None, metavar="MS",
+        help="end-to-end request deadline in ms: requests past it "
+        "count as timed out (default: none)",
+    )
+    p.add_argument(
+        "--retries", type=int, default=0,
+        help="extra attempts after a shed/failed/expired copy "
+        "(default: 0)",
+    )
+    p.add_argument(
+        "--backoff", type=float, default=5.0, metavar="MS",
+        help="retry backoff base in ms; attempt n re-arrives after "
+        "backoff * 2^(n-1) (default: 5.0)",
+    )
+    p.add_argument(
+        "--hedge", type=float, default=None, metavar="MS",
+        help="spawn a duplicate request after this much queue wait; "
+        "first copy to finish wins (default: off)",
+    )
+    p.add_argument(
+        "--slo-p99", type=float, default=None, metavar="MS",
+        help="p99 latency objective per tenant and node; a violating "
+        "run exits 1 after writing artifacts",
+    )
+    p.add_argument(
+        "--slo-availability", type=float, default=None, metavar="FRAC",
+        help="minimum fraction of offered requests that must complete "
+        "(0, 1]; violations exit 1",
+    )
+    p.add_argument(
+        "--mtbf", type=float, default=None, metavar="S",
+        help="fault lifecycle: mean time between fault arrivals in "
+        "seconds (with --mttr)",
+    )
+    p.add_argument(
+        "--mttr", type=float, default=None, metavar="S",
+        help="fault lifecycle: mean time to repair one fault in "
+        "seconds (with --mtbf)",
+    )
     p.add_argument(
         "--faults", type=float, default=None, metavar="RATE",
         help="serve on a statically degraded node: sample one fault "
         "mask at this per-site rate, compile every tenant against it "
-        "and place on what survives (not with --curve)",
+        "and place on what survives (not with --curve or --mtbf)",
     )
     p.add_argument(
         "--fault-seed", type=int, default=None,
-        help="fault-sampling seed (default: --seed)",
+        help="seed of --faults or the --mtbf lifecycle "
+        "(default: --seed)",
     )
     p.add_argument(
         "--fault-kind", default="tile-slow", metavar="KINDS",
-        help="comma-separated fault kinds for --faults, or 'all' "
-        "(default: tile-slow)",
+        help="comma-separated fault kinds, or 'all' (--mtbf draws "
+        "tile-slow, tile-dead, link-down; default: tile-slow)",
     )
     p.add_argument(
         "--slow-factor", type=float, default=0.5,
         help="throughput a tile-slow column retains (default: 0.5)",
     )
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "chaos",
-        help="failure-aware serving: seeded MTBF/MTTR fault/repair "
-        "lifecycle with retries, hedging and SLO error budgets",
-    )
-    p.add_argument(
-        "networks", nargs="+",
-        help="networks to co-serve under faults (comma- or "
-        "space-separated)",
-    )
-    p.add_argument(
-        "--hp", action="store_true",
-        help="use the half-precision node (Fig 17)",
-    )
-    p.add_argument(
-        "--mtbf", type=float, required=True, metavar="S",
-        help="mean time between fault arrivals in seconds",
-    )
-    p.add_argument(
-        "--mttr", type=float, required=True, metavar="S",
-        help="mean time to repair one fault in seconds",
-    )
-    p.add_argument(
-        "--fault-kind", default="tile-slow", metavar="KINDS",
-        help="comma-separated fault kinds to inject "
-        "(tile-slow, tile-dead, link-down; default: tile-slow)",
-    )
-    p.add_argument(
-        "--slow-factor", type=float, default=0.5,
-        help="throughput a tile-slow column retains (default: 0.5)",
-    )
-    p.add_argument(
-        "--fault-seed", type=int, default=None,
-        help="failure-process seed (default: --seed)",
-    )
-    p.add_argument(
-        "--max-faults", type=int, default=64,
-        help="cap on injected faults per run (default: 64)",
-    )
-    p.add_argument("--qps", type=float, default=2_000.0)
-    p.add_argument(
-        "--duration", type=float, default=0.25, metavar="S",
-        help="offered-arrival window in seconds (default: 0.25)",
-    )
-    p.add_argument(
-        "--arrivals", choices=["poisson", "uniform"], default="poisson",
-    )
-    p.add_argument(
-        "--seed", type=int, default=0,
-        help="arrival RNG seed (default: 0)",
-    )
-    p.add_argument(
-        "--policy", choices=["wait", "greedy"], default="greedy",
-        help="batching policy (default: greedy — latency tracks the "
-        "degraded service rate instead of the max-wait floor)",
-    )
-    p.add_argument("--max-batch", type=int, default=8)
-    p.add_argument(
-        "--max-wait", type=float, default=2.0, metavar="MS",
-        help="longest wait for batchmates under --policy wait, in ms",
-    )
-    p.add_argument("--queue-depth", type=int, default=64)
-    p.add_argument("--max-requests", type=int, default=200_000)
-    p.add_argument("--minibatch", type=int, default=256)
-    _robustness_flags(p)
-    p.add_argument(
-        "--curve", action="store_true",
-        help="sweep offered load under the fault lifecycle",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for --curve points (default: 1)",
-    )
-    p.add_argument(
-        "--json", action="store_true",
-        help="print the deterministic report as JSON",
-    )
-    p.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="also write the report as a JSON artifact "
-        "(e.g. BENCH_chaos.json)",
-    )
-    p.add_argument(
-        "--csv", metavar="PATH", default=None,
-        help="also write the per-row results as CSV",
-    )
-    p.add_argument(
-        "--html", metavar="PATH", default=None,
-        help="write the chaos dashboard",
-    )
-    p.set_defaults(func=cmd_chaos)
     p = sub.add_parser("export", help="write figure data as CSV")
     p.add_argument("directory", help="output directory")
     p.set_defaults(func=cmd_export)
@@ -1482,8 +1209,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Domain failures (unmappable networks, partitioned topologies,
         # simulation timeouts, fail-fast sweeps) exit 1 with a one-line
         # message — never a traceback.
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"repro: {message}", file=sys.stderr)
+        print(f"repro: {_message(exc)}", file=sys.stderr)
         return 1
     return 0
 

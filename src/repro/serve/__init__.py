@@ -13,9 +13,9 @@ QPS, batch-size distribution and shed rate per network
 offered load into the latency–throughput curve.  Failure-aware runs
 (:mod:`~repro.serve.failures`) add a seeded MTBF/MTTR fault/repair
 lifecycle, request deadlines/retries/hedging with a four-way outcome
-taxonomy, and SLO policies with error-budget burn — the ``chaos`` CLI
-verb.  Everything is seeded and float-deterministic: two runs at the
-same seed serialise byte-identically at any worker count.
+taxonomy, and SLO policies with error-budget burn — ``repro serve
+--mtbf/--mttr``.  Everything is seeded and float-deterministic: two
+runs at the same seed serialise byte-identically at any worker count.
 """
 
 from repro.serve.batcher import (
@@ -31,7 +31,6 @@ from repro.serve.failures import (
     FailureLifecycle,
     SiteFault,
     SLOPolicy,
-    parse_chaos_kinds,
     sample_failure_events,
 )
 from repro.serve.curve import (
@@ -88,7 +87,6 @@ __all__ = [
     "Tenant",
     "TenantServeStats",
     "generate_requests",
-    "parse_chaos_kinds",
     "place_networks",
     "run_curve",
     "sample_failure_events",

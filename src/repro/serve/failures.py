@@ -3,8 +3,8 @@
 ScaleDeep's scale argument cuts both ways: a 7,032-tile node built from
 thousands of chips sees faults as the steady state, so a serving
 simulation that assumes a permanently healthy node measures the wrong
-tail.  This module supplies the two pieces the chaos verb layers onto
-the serving loop:
+tail.  This module supplies the two pieces ``repro serve --mtbf/--mttr``
+layers onto the serving loop:
 
 * **fault lifecycle** — :class:`FailureConfig` describes seeded
   MTBF/MTTR processes; :func:`sample_failure_events` turns one into a
@@ -55,7 +55,6 @@ from repro.faults.model import (
     arc_site,
     conv_column_site,
     fc_column_site,
-    parse_kinds,
     ring_site,
 )
 from repro.serve.placement import NodePlacement, place_networks
@@ -80,22 +79,10 @@ DEFAULT_MAX_FAULTS = 64
 BURN_CAP = 1e9
 
 
-def parse_chaos_kinds(text: str) -> Tuple[FaultKind, ...]:
-    """Parse a comma-separated kind list, restricted to the kinds that
-    can actually degrade a serving run."""
-    kinds = parse_kinds(text)
-    bad = [k.value for k in kinds if k not in CHAOS_KINDS]
-    if bad:
-        raise ConfigError(
-            f"fault kind(s) {', '.join(bad)} cannot degrade the serving "
-            f"model (choose from: {', '.join(k.value for k in CHAOS_KINDS)})"
-        )
-    return kinds
-
-
 @dataclass(frozen=True)
 class FailureConfig:
-    """The seeded failure/repair process one chaos run draws from."""
+    """The seeded failure/repair process one chaos run draws from.
+    Kinds outside :data:`CHAOS_KINDS` are a :class:`ConfigError`."""
 
     mtbf_s: float  # mean time between fault arrivals (seconds)
     mttr_s: float  # mean time to repair one fault (seconds)

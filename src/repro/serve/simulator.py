@@ -9,10 +9,11 @@ batch, the batch occupies the server for the analytical batch latency
 (:func:`repro.sim.perf.evaluation_batch_latency_s` via the tenant's
 service model) and every member request completes when the batch does.
 
-Layered on top is the request-robustness machinery the chaos verb
-exercises.  Every generated request is a **root**; retries and hedged
-duplicates are *copies* that share the root's id and submit time.  A
-root resolves exactly once, into one of four outcomes:
+Layered on top is the request-robustness machinery that
+``repro serve --mtbf/--mttr`` exercises.  Every generated request is a
+**root**; retries and hedged duplicates are *copies* that share the
+root's id and submit time.  A root resolves exactly once, into one of
+four outcomes:
 
 * ``completed`` — a copy's batch departed before the root's deadline;
 * ``shed`` — the last live copy was refused admission (queue full);
@@ -222,17 +223,11 @@ def simulate_serving(
     serving a statically degraded one (``serve --faults``).
     ``lifecycle`` short-circuits rebuilding the fault lifecycle when
     ``config.failures`` is set and the caller already built one.
+
+    When ``config.max_requests`` cuts the arrivals short of
+    ``config.duration_s``, the run's window ends at the last arrival:
+    rates divide by it, and the fault lifecycle draws faults within it.
     """
-    if lifecycle is None and config.failures is not None:
-        lifecycle = FailureLifecycle(
-            config.failures, networks, node,
-            minibatch=config.minibatch, duration_s=config.duration_s,
-        )
-    if placement is None:
-        placement = (
-            lifecycle.placement if lifecycle is not None
-            else place_networks(networks, node, minibatch=config.minibatch)
-        )
     names = [net.name for net in networks]
     requests = generate_requests(
         names,
@@ -243,6 +238,20 @@ def simulate_serving(
         weights=config.weights,
         max_requests=config.max_requests,
     )
+    window_s = (
+        requests[-1].arrival_s if len(requests) >= config.max_requests
+        else config.duration_s
+    )
+    if lifecycle is None and config.failures is not None:
+        lifecycle = FailureLifecycle(
+            config.failures, networks, node,
+            minibatch=config.minibatch, duration_s=window_s,
+        )
+    if placement is None:
+        placement = (
+            lifecycle.placement if lifecycle is not None
+            else place_networks(networks, node, minibatch=config.minibatch)
+        )
 
     states: Dict[str, _TenantState] = {
         name: _TenantState(placement.tenant(name), config.policy)
@@ -520,15 +529,20 @@ def simulate_serving(
                     )
             apply_transition(now_s)
 
-    # The sustained rate divides by the full horizon: the offered
+    # The sustained rate divides by the full horizon: the arrival
     # window stretched to the last completion, so a backlogged run
-    # cannot report more than the node actually kept up with.
-    horizon_s = max(config.duration_s, last_completion_s, 1e-12)
+    # cannot report more than the node actually kept up with.  Degraded
+    # time past the horizon (a repair after the last completion) is
+    # outside the measured run.
+    horizon_s = max(window_s, last_completion_s, 1e-12)
     if active_faults:  # never repaired within the drained heap
         intervals.append(DegradedInterval(
             interval_start, horizon_s, interval_peak,
             tuple(interval_sites),
         ))
+    intervals = [
+        replace(i, end_s=min(i.end_s, horizon_s)) for i in intervals
+    ]
     for state in states.values():
         if state.down:  # close out open down-time at the horizon
             state.down_s += max(0.0, horizon_s - state.down_since)

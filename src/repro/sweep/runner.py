@@ -40,7 +40,7 @@ from typing import (
 from repro.arch.presets import load_preset
 from repro.arch.system import ParallelismStrategy, make_system
 from repro.dnn import zoo
-from repro.errors import ReproError, SweepError
+from repro.errors import ConfigError, ReproError, SweepError
 from repro.faults.model import FaultSpec, sample_faults
 from repro.sim.perf import (
     DEFAULT_MINIBATCH,
@@ -408,6 +408,12 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
+def check_workers(workers: int) -> None:
+    """Refuse a worker count below one."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+
+
 def fan_out(
     fn: Callable[[_T], _R],
     items: Sequence[_T],
@@ -421,8 +427,9 @@ def fan_out(
     start (sandboxed environments) falls back to serial with a warning
     rather than failing the run.  Results return in item order, so
     callers producing deterministic outputs stay deterministic at any
-    worker count.
+    worker count.  ``workers < 1`` is a :class:`ConfigError`.
     """
+    check_workers(workers)
     items = list(items)
     pool_size = min(workers, len(items)) if items else 1
     if pool_size > 1:

@@ -1,4 +1,4 @@
-"""Observability layer: counters, spans and trace/profile exporters.
+"""Observability layer: counters, spans, metrics and their exporters.
 
 Zero-overhead when disabled (the default): instrumented code guards on
 the null handle's ``enabled`` flag.  Typical use::
@@ -34,7 +34,6 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.export import (
     chrome_trace,
-    counter_table,
     counters_csv,
     summarize,
     write_chrome_trace,
@@ -77,7 +76,6 @@ __all__ = [
     "attribution_table",
     "capture",
     "chrome_trace",
-    "counter_table",
     "counters_csv",
     "engine_attribution",
     "engine_tile_profile",

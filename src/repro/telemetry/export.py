@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from repro.telemetry.core import (
@@ -112,9 +113,19 @@ def chrome_trace(telemetry: AnyTelemetry) -> dict:
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(telemetry: AnyTelemetry, path: str) -> str:
-    """Write the capture as Chrome trace JSON; returns ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
+def _writable(path: Union[str, Path]) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def write_chrome_trace(
+    telemetry: AnyTelemetry, path: Union[str, Path]
+) -> Path:
+    """Write the capture as Chrome trace JSON (parent directories
+    created); returns the path."""
+    path = _writable(path)
+    with path.open("w", encoding="utf-8") as fh:
         json.dump(chrome_trace(telemetry), fh)
     return path
 
@@ -129,21 +140,14 @@ def counters_csv(telemetry: AnyTelemetry) -> str:
     return out.getvalue()
 
 
-def write_counters_csv(telemetry: AnyTelemetry, path: str) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(counters_csv(telemetry))
+def write_counters_csv(
+    telemetry: AnyTelemetry, path: Union[str, Path]
+) -> Path:
+    """Write :func:`counters_csv` (parent directories created); returns
+    the path."""
+    path = _writable(path)
+    path.write_text(counters_csv(telemetry), encoding="utf-8")
     return path
-
-
-def counter_table(telemetry: AnyTelemetry, title: str = "Counters"):
-    """The counters as a human :class:`repro.bench.reporting.Table`."""
-    from repro.bench.reporting import Table
-
-    table = Table(title, ["group", "counter", "value"])
-    for group, name, value in telemetry.counters.rows():
-        text = f"{value:,.6g}" if value != int(value) else f"{int(value):,}"
-        table.add(group, name, text)
-    return table
 
 
 def summarize(telemetry: AnyTelemetry) -> str:

@@ -1,6 +1,6 @@
 """Tests for failure-aware serving: the seeded fault/repair lifecycle,
 request timeouts/retries/hedging, the four-way outcome taxonomy and its
-conservation invariant, SLO error budgets, and the ``chaos`` CLI verb.
+conservation invariant, SLO error budgets, and ``serve --mtbf/--mttr``.
 
 The acceptance config everywhere is the CI smoke's: lenet5 under
 ``mtbf 0.05s, mttr 0.02s, seed 7`` with greedy batching, where a
@@ -14,10 +14,10 @@ import pytest
 
 from repro import cli
 from repro.arch import single_precision_node
-from repro.bench.dashboard import chaos_html, write_chaos_html
+from repro.bench.dashboard import run_html, write_html
 from repro.dnn import zoo
 from repro.errors import ConfigError, SLOViolation
-from repro.faults import FaultKind
+from repro.faults import FaultKind, parse_kinds
 from repro.serve import (
     CHAOS_KINDS,
     BatchPolicy,
@@ -25,7 +25,6 @@ from repro.serve import (
     FailureLifecycle,
     ServeConfig,
     SLOPolicy,
-    parse_chaos_kinds,
     run_curve,
     sample_failure_events,
     simulate_serving,
@@ -68,13 +67,16 @@ class TestFailureConfig:
         with pytest.raises(ConfigError):
             FailureConfig(**kwargs)
 
-    def test_parse_chaos_kinds(self):
-        kinds = parse_chaos_kinds("tile-slow,link-down")
+    def test_parsed_kinds_outside_chaos_kinds_are_rejected(self):
+        kinds = parse_kinds("tile-slow,link-down")
         assert set(kinds) <= set(CHAOS_KINDS)
+        FailureConfig(mtbf_s=0.1, mttr_s=0.1, kinds=kinds)
+        with pytest.raises(ConfigError, match="cannot degrade"):
+            FailureConfig(
+                mtbf_s=0.1, mttr_s=0.1, kinds=parse_kinds("dma-bitflip")
+            )
         with pytest.raises(ConfigError):
-            parse_chaos_kinds("dma-bitflip")
-        with pytest.raises(ConfigError):
-            parse_chaos_kinds("bogus")
+            parse_kinds("bogus")
 
     def test_round_trips_through_to_dict(self):
         doc = CHAOS.to_dict()
@@ -362,19 +364,19 @@ class TestTelemetry:
 class TestChaosDashboard:
     def test_chaos_html_renders_bands_and_tables(self, tmp_path):
         report = simulate_serving(_nets("LeNet-5"), NODE, FAST)
-        html = chaos_html(report)
+        html = run_html(report)
         assert "Latency timeline" in html
         assert "Request outcomes" in html
         assert "Fault/repair log" in html
         assert html.count("<rect") == len(report.degraded_intervals)
-        path = write_chaos_html(report, tmp_path / "chaos.html")
+        path = write_html(html, tmp_path / "new" / "chaos.html")
         assert path.read_text() == html
 
 
 class TestChaosCli:
     ACCEPT = [
-        "chaos", "lenet5", "--mtbf", "0.05", "--mttr", "0.02",
-        "--seed", "7",
+        "serve", "lenet5", "--mtbf", "0.05", "--mttr", "0.02",
+        "--seed", "7", "--policy", "greedy",
     ]
 
     def test_chaos_verb_runs_and_reports(self, capsys):
@@ -382,6 +384,7 @@ class TestChaosCli:
         out = capsys.readouterr().out
         assert "LeNet-5" in out
         assert "degraded" in out
+        assert "healthy p99" in out and "hedge" in out
 
     def test_chaos_json_reruns_identically(self, capsys):
         argv = self.ACCEPT + ["--json"]
@@ -414,7 +417,7 @@ class TestChaosCli:
     def test_bad_fault_kind_exits_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main([
-                "chaos", "lenet5", "--mtbf", "0.05", "--mttr", "0.02",
+                "serve", "lenet5", "--mtbf", "0.05", "--mttr", "0.02",
                 "--fault-kind", "dma-bitflip",
             ])
         assert err.value.code == 2
@@ -422,9 +425,33 @@ class TestChaosCli:
     def test_bad_mtbf_exits_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main([
-                "chaos", "lenet5", "--mtbf", "-1", "--mttr", "0.02",
+                "serve", "lenet5", "--mtbf", "-1", "--mttr", "0.02",
             ])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--mtbf", "0.05"],
+        ["--mttr", "0.02"],
+    ])
+    def test_mtbf_and_mttr_go_together(self, flags, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["serve", "lenet5"] + flags)
+        assert err.value.code == 2
+        assert "--mtbf and --mttr" in capsys.readouterr().err
+
+    def test_serve_faults_with_mtbf_exits_2(self):
+        with pytest.raises(SystemExit) as err:
+            cli.main(self.ACCEPT + ["--faults", "0.05"])
+        assert err.value.code == 2
+
+    def test_plain_serve_has_no_lifecycle_columns(self, capsys):
+        code = cli.main([
+            "serve", "lenet5", "--duration", "0.02", "--seed", "7",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "p99 ms" in out and "sustained QPS" in out
+        assert "healthy p99" not in out and "degraded " not in out
 
     def test_serve_faults_with_curve_exits_2(self):
         with pytest.raises(SystemExit) as err:

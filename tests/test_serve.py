@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.arch import single_precision_node
-from repro.bench.dashboard import serve_html, write_serve_html
+from repro.bench.dashboard import curve_html, run_html, write_html
 from repro.bench.export import write_serve_csv, write_serve_json
 from repro.dnn import zoo
 from repro.errors import ConfigError
@@ -16,6 +16,7 @@ from repro.serve import (
     CURVE_FIELDS,
     BatchPolicy,
     DynamicBatcher,
+    FailureConfig,
     Request,
     ServeConfig,
     generate_requests,
@@ -315,11 +316,19 @@ class TestExports:
         curve = run_curve(
             ["alexnet", "zf"], NODE, config, fractions=(0.5, 1.0)
         )
-        html = serve_html(curve)
+        html = curve_html(curve)
         assert "AlexNet" in html and "ZF" in html
         assert "Latency vs offered load" in html
-        path = write_serve_html(curve, tmp_path / "serve.html")
+        path = write_html(html, tmp_path / "serve.html")
         assert path.read_text() == html
+
+    def test_run_page_without_faults(self):
+        report = simulate_serving(_nets("LeNet-5"), NODE, FAST)
+        html = run_html(report)
+        assert "Request outcomes" in html
+        assert "100.00%" in html  # availability KPI
+        assert "Fault/repair log" not in html
+        assert "<rect" not in html  # no degraded bands
 
 
 class TestCli:
@@ -357,10 +366,80 @@ class TestCli:
             cli.main(["serve", "alexnet", "--qps", "-1"])
         assert err.value.code == 2
 
-    def test_html_without_curve_exits_2(self, tmp_path):
+    def test_html_without_curve_writes_run_page(self, tmp_path, capsys):
+        out = tmp_path / "new" / "x.html"
+        code = cli.main([
+            "serve", "alexnet", "--duration", "0.02",
+            "--html", str(out),
+        ])
+        assert code == 0
+        assert "wrote dashboard" in capsys.readouterr().out
+        html = out.read_text()
+        assert "Request outcomes" in html
+        assert "Latency timeline" in html
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_curve_workers_below_one_exit_2(self, workers, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main([
-                "serve", "alexnet", "--duration", "0.02",
-                "--html", str(tmp_path / "x.html"),
+                "serve", "lenet5", "--curve", "--workers", workers,
             ])
         assert err.value.code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+
+class TestCappedWindow:
+    """When ``max_requests`` binds, arrivals stop before ``duration_s``:
+    rates divide by the window the arrivals covered, and a fault
+    lifecycle stays inside it."""
+
+    def test_capped_run_offers_the_requested_rate(self):
+        config = ServeConfig(
+            qps=1e6, duration_s=1.0, arrivals="uniform",
+            max_requests=2_000, seed=7,
+        )
+        report = simulate_serving(_nets("LeNet-5"), NODE, config)
+        assert report.offered == 2_000
+        assert report.horizon_s < 0.01
+        (stats,) = report.tenants
+        assert stats.offered_qps == pytest.approx(1e6, rel=0.01)
+        assert report.sustained_qps == pytest.approx(1e6, rel=0.01)
+
+    def test_uncapped_run_divides_by_duration(self):
+        report = simulate_serving(_nets("LeNet-5"), NODE, FAST)
+        assert report.offered < FAST.max_requests
+        assert report.horizon_s >= FAST.duration_s
+
+    def test_capped_curve_rises_to_capacity(self):
+        # Greedy: a wait batcher holds a trailing partial batch for
+        # max-wait (2 ms), which would dwarf a 5,000-request window.
+        config = ServeConfig(
+            seed=7, max_requests=5_000, policy=BatchPolicy(kind="greedy")
+        )
+        curve = run_curve(["lenet5"], NODE, config)
+        offered = [row["offered_net_qps"] for row in curve.rows()]
+        assert all(b > a for a, b in zip(offered, offered[1:]))
+        top = curve.rows()[-1]
+        assert top["fraction"] == 1.25
+        assert top["sustained_qps"] == pytest.approx(
+            curve.capacity_qps, rel=0.01
+        )
+
+    def test_capped_lifecycle_stays_within_the_horizon(self):
+        config = ServeConfig(
+            qps=5e7, duration_s=0.25, max_requests=20_000, seed=7,
+            policy=BatchPolicy(kind="greedy"),
+            failures=FailureConfig(mtbf_s=1e-4, mttr_s=2e-4, seed=7),
+        )
+        report = simulate_serving(_nets("LeNet-5"), NODE, config)
+        horizon = report.horizon_s
+        assert horizon < 0.001
+        assert report.degraded_intervals
+        for interval in report.degraded_intervals:
+            assert 0.0 <= interval.start_s <= interval.end_s <= horizon
+        assert report.degraded_s <= horizon
+        faults = [e for e in report.fault_events if e.action == "fault"]
+        assert faults and all(e.time_s < horizon for e in faults)
+        assert report.timeline
+        for bucket in report.timeline:
+            assert bucket["end_s"] <= horizon * (1 + 1e-12)

@@ -20,7 +20,7 @@ from repro.bench.baselines import (
     load_baseline_file,
     write_baseline_file,
 )
-from repro.bench.dashboard import stats_html, write_stats_html
+from repro.bench.dashboard import stats_html, write_html
 from repro.bench.stats import collect_stats
 from repro.cli import main
 from repro.dnn import zoo
@@ -291,7 +291,7 @@ class TestStatsCli:
 class TestDashboard:
     def test_html_is_self_contained(self, tmp_path, node):
         report = lenet_report(node)
-        path = write_stats_html(report, tmp_path / "dash.html")
+        path = write_html(stats_html(report), tmp_path / "dash.html")
         text = path.read_text()
         assert text.startswith("<!DOCTYPE html>")
         for external in ("http://", "https://", "src=", "href="):

@@ -20,6 +20,7 @@ from repro.sweep import (
     cached_mapping,
     cached_simulation,
     expand_jobs,
+    fan_out,
     get_cache,
     run_sweep,
     set_cache,
@@ -185,6 +186,15 @@ class TestRunSweep:
         assert all(r.train_images_per_s > 0 for r in report.results)
         assert report.cache_misses > 0 and report.cache_hits == 0
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_are_config_errors(self, workers):
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            fan_out(abs, [1, 2], workers=workers)
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            fan_out(abs, [], workers=workers)
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            run_sweep(expand_jobs(TINY), workers=workers)
+
     def test_parallel_bit_identical_to_serial(self):
         jobs = expand_jobs(TINY, presets=("sp", "hp"))
         serial = run_sweep(jobs, workers=1)
@@ -265,6 +275,19 @@ class TestSweepCli:
         rows = json.loads(out.read_text())
         assert rows and rows[0]["network"] == "TinyCNN"
         assert "cache:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_cli_workers_below_one_exit_2(self, workers, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "tinycnn", "--workers", workers,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"repro: workers must be >= 1, got {workers}"
+        assert not out.exists()  # refused before running
 
     def test_cli_unknown_network_exits_2(self, tmp_path):
         from repro.cli import main

@@ -536,7 +536,7 @@ class TestScalingDashboard:
         assert sweep_scaling_series(broken) == {}
 
     def test_html_renders_curve_and_tco(self, results, tmp_path):
-        from repro.bench.dashboard import sweep_html, write_sweep_html
+        from repro.bench.dashboard import sweep_html, write_html
 
         html = sweep_html(results)
         assert "Scaling curve" in html
@@ -544,7 +544,7 @@ class TestScalingDashboard:
         assert "$/training run" in html
         assert "Cheapest training run" in html
         assert html.startswith("<!DOCTYPE html>")
-        path = write_sweep_html(results, tmp_path / "scaling.html")
+        path = write_html(html, tmp_path / "scaling.html")
         assert path.read_text() == html
 
 

@@ -5,6 +5,7 @@ Chrome trace JSON, per-tile counters reconcile with the engine's
 reported cycles, and the disabled path leaves results bit-identical.
 """
 
+import argparse
 import json
 from collections import defaultdict
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.bench import runner as bench_runner
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.compiler.codegen import compile_forward
 from repro.compiler.codegen_dag import compile_dag_forward
 from repro.dnn.zoo import lenet5, tiny_cnn
@@ -358,18 +359,51 @@ class TestCli:
             main(["frobnicate"])
         assert excinfo.value.code == 2
 
-    def test_trace_cli_writes_valid_json(self, tmp_path, capsys):
-        out = tmp_path / "t.json"
-        assert main(["trace", "tiny", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert any(r["ph"] == "X" for r in doc["traceEvents"])
-        assert "functional engine" in capsys.readouterr().out
+    def test_verb_set_is_pinned(self):
+        """A new verb must replace an old one: this set changes only
+        together with the verb a new one supersedes."""
+        (verbs,) = [
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(verbs) == {
+            "list", "analyze", "map", "lower", "simulate", "energy",
+            "compare-gpu", "stages", "report", "stats", "sweep",
+            "validate", "faults", "serve", "export",
+        }
 
-    def test_profile_cli_prints_tile_counters(self, capsys):
-        assert main(["profile", "tiny", "--counters"]) == 0
-        out = capsys.readouterr().out
-        assert "busy" in out and "stalled" in out and "blocked" in out
-        assert "busy_cycles" in out  # counter registry rows
+    @pytest.mark.parametrize("verb", ["chaos", "profile", "trace"])
+    def test_folded_verbs_are_unknown(self, verb):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "lenet5"])
+        assert excinfo.value.code == 2
+
+    def test_trace_cli_writes_valid_json(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.json"
+        assert main(["stats", "tiny", "--trace", str(out)]) == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        assert any(
+            r["ph"] == "X" and r["cat"] == "engine.instr" for r in events
+        )
+        assert all(
+            isinstance(r["pid"], int) and isinstance(r["tid"], int)
+            for r in events
+        )
+        printed = capsys.readouterr().out
+        assert "functional engine" in printed
+        assert f"wrote Chrome trace to {out}" in printed
+
+    def test_profile_cli_prints_tile_counters(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "c.csv"
+        assert main(["stats", "tiny", "--csv", str(out)]) == 0
+        printed = capsys.readouterr().out
+        for column in ("busy", "blocked", "stalled", "util"):
+            assert column in printed
+        assert "Per-tile-group cycles of TinyCNN" in printed
+        assert "Engine per-tile cycles" in printed
+        rows = out.read_text().splitlines()
+        assert rows[0] == "group,counter,value"
+        assert any(row.split(",")[1] == "busy_cycles" for row in rows)
 
     def test_zoo_aliases(self):
         from repro.dnn import zoo
