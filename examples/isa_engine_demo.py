@@ -11,7 +11,7 @@ Run:  python examples/isa_engine_demo.py
 
 import numpy as np
 
-from repro.compiler.codegen import compile_forward
+from repro.compiler.codegen_dag import compile_dag_forward
 from repro.dnn.zoo import tiny_cnn
 from repro.functional import ReferenceModel
 
@@ -19,7 +19,7 @@ from repro.functional import ReferenceModel
 def main() -> None:
     net = tiny_cnn(num_classes=5, in_size=12)
     model = ReferenceModel(net, seed=3)
-    compiled = compile_forward(net, model, rows=2)
+    compiled = compile_dag_forward(net, model, rows=2)
 
     print(
         f"compiled {net.name}: {len(compiled.programs)} tile programs, "

@@ -20,22 +20,14 @@ from repro.compiler.partition import (
     StatePartition,
     TileAllocator,
     partition_graph,
-    partition_sequential,
 )
-from repro.compiler.codegen import (
-    CompiledForward,
-    ForwardCompiler,
-    compile_forward,
-)
+from repro.compiler.codegen import CompiledForward, ForwardCompiler
 from repro.compiler.codegen_training import (
     CompiledTraining,
     TrainingCompiler,
     compile_training,
 )
-from repro.compiler.codegen_dag import (
-    DagForwardCompiler,
-    compile_dag_forward,
-)
+from repro.compiler.codegen_dag import compile_dag_forward
 from repro.compiler.templates import (
     CONV_BATCH_FP,
     DMA_GATHER,
@@ -81,7 +73,6 @@ __all__ = [
     "CONV_BATCH_FP",
     "CompiledTraining",
     "DMA_GATHER",
-    "DagForwardCompiler",
     "MATMUL_BLOCKED_FP",
     "MachineShape",
     "RoutineTemplate",
@@ -105,12 +96,10 @@ __all__ = [
     "UnitAllocation",
     "UtilizationCascade",
     "WorkloadMapping",
-    "compile_forward",
     "default_group_key",
     "layer_stage_cycles",
     "map_network",
     "partition_graph",
-    "partition_sequential",
     "step_cost",
     "verify_programs",
 ]

@@ -1,24 +1,27 @@
 """Code generation: compile a network's forward pass to ISA programs.
 
 This is the engine-facing half of the compiler (the paper's phase B,
-Fig 13): given a sequential network and a parameterised reference model,
-it emits one ScaleDeep program per CompHeavy tile, arranges the memory
-image (home feature blocks, staged inputs, kernels, biases), and arms
-the MEMTRACK trackers that synchronise producers with consumers.
+Fig 13): given a network and a parameterised reference model,
+:class:`ForwardCompiler` emits one ScaleDeep program per CompHeavy
+tile, arranges the memory image (home feature blocks, staged inputs,
+kernels, biases), and arms the MEMTRACK trackers that synchronise
+producers with consumers.
 
-Since the IR refactor the emission itself lives in the pass pipeline
-(:mod:`repro.compiler.passes`): this module builds the tile-level IR
-for the partition, drives ``legalize -> place-check -> tracker-assign
--> schedule -> lower`` in the sequential exact-tracker dialect, and
-wraps the emitted programs in :class:`CompiledForward`.  The generated
-code follows the CONV-layer-FP recipe of Fig 9, every address resolved
-statically (the data flow of a DNN is known at compile time — the
-property the whole synchronization scheme rests on), so loops are
-unrolled.
+The emission itself lives in the pass pipeline
+(:mod:`repro.compiler.passes`): this module partitions the network over
+the engine machine, builds the tile-level IR, drives ``legalize ->
+place-check -> tracker-assign -> schedule -> lower -> fuse`` and wraps
+the emitted programs in :class:`CompiledForward`.  The lowering arms
+every tracker with placeholder counts and calibrates them from a static
+access analysis of the finished programs.  The generated code follows
+the CONV-layer-FP recipe of Fig 9, every address resolved statically
+(the data flow of a DNN is known at compile time — the property the
+whole synchronization scheme rests on), so loops are unrolled.
 
-Scope: forward propagation of sequential networks without grouped
-convolutions or pooling padding — enough to run the tiny zoo networks
-end-to-end and validate the engine against the numpy golden model.
+:func:`repro.compiler.codegen_dag.compile_dag_forward` is the forward
+entry point; the training compiler
+(:mod:`repro.compiler.codegen_training`) subclasses
+:class:`ForwardCompiler` with its own scope and IR phases.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ from repro.compiler.ir import MappingIR, Phase, build_tile_ir
 from repro.compiler.partition import (
     FeatureHome,
     StatePartition,
-    partition_sequential,
+    partition_graph,
 )
 from repro.compiler.passes.fuse import FusePass
-from repro.compiler.passes.legalize import LegalizePass
+from repro.compiler.passes.legalize import LegalizePass, check_scope
 from repro.compiler.passes.lower import LowerPass
 from repro.compiler.passes.manager import (
     PassContext,
@@ -47,17 +50,13 @@ from repro.compiler.passes.manager import (
 from repro.compiler.passes.place_check import PlaceCheckPass
 from repro.compiler.passes.schedule import SchedulePass
 from repro.compiler.passes.tracker_assign import TrackerAssignPass
-from repro.compiler.templates import Preload, align_prologues
+from repro.compiler.templates import Preload
 from repro.dnn.network import Network
 from repro.errors import MappingError, ShapeError
 from repro.functional.reference import ReferenceModel
 from repro.isa.program import Program
 from repro.sim.engine import Engine, RunReport
 from repro.sim.machine import Machine
-
-#: Historic name; the dataclass now lives with the shared emission
-#: helpers in :mod:`repro.compiler.templates`.
-_Preload = Preload
 
 
 @dataclass
@@ -69,7 +68,7 @@ class CompiledForward:
     rows: int
     partition: StatePartition
     programs: List[Program]
-    preloads: List[_Preload]
+    preloads: List[Preload]
     output_blocks: List[FeatureHome]
     #: The compiled tile-level IR and per-pass statistics (None/empty
     #: for hand-assembled program sets).
@@ -196,15 +195,13 @@ class ForwardRunner:
 class ForwardCompiler:
     """Compiles FP programs for one (network, model) pair.
 
-    Subclasses select the lowering *dialect* (``exact`` arms every
-    tracker with hand-derived counts; ``calibrated`` arms placeholders
-    and runs the static access analysis), the legalization *scope*, the
-    IR *phases*, and how the network is partitioned — everything else
-    is the shared pass pipeline.
+    The network may be any DAG in the ``dag`` legalization scope; it is
+    partitioned over the engine machine one layer per mem column.
+    Subclasses select the legalization *scope* and the IR *phases* —
+    everything else is the shared pass pipeline.
     """
 
-    dialect = "exact"
-    scope = "forward"
+    scope = "dag"
     phases: Tuple[Phase, ...] = (Phase.FP,)
     #: Whether this compiler's programs may carry superop fusion plans.
     #: The training compiler opts out: its programs re-run over shared
@@ -223,38 +220,35 @@ class ForwardCompiler:
             raise MappingError("model must be built from the same network")
         if rows < 1:
             raise MappingError(f"rows must be >= 1, got {rows}")
+        # Scope violations surface at construction (the pipeline's
+        # legalize pass re-checks).
+        check_scope(self.scope, net)
         self.net = net
         self.model = model
         self.chip = chip or conv_chip()
         self.rows = rows
-        self.partition = self._partition()
-        self.preloads: List[_Preload] = []
+        self.partition = partition_graph(
+            net, rows, self.chip.mem_tile.capacity_bytes // 4
+        )
+        self.preloads: List[Preload] = []
         self.ir: Optional[MappingIR] = None
         self.pass_stats: List[PassStats] = []
 
-    def _partition(self) -> StatePartition:
-        return partition_sequential(
-            self.net, self.rows, self.chip.mem_tile.capacity_bytes // 4
-        )
-
     # ------------------------------------------------------------------
-    def _pipeline(self, align: bool) -> PassManager:
+    def _pipeline(self) -> PassManager:
         passes = [
             LegalizePass(self.scope),
             PlaceCheckPass(),
             TrackerAssignPass(),
             SchedulePass(),
-            LowerPass(align=align),
+            LowerPass(),
         ]
-        # Fusion needs final pcs: with align=False the caller will
-        # prepend prologue pads later, which would shift every span.
-        if self.supports_fusion and align:
+        if self.supports_fusion:
             passes.append(FusePass())
         return PassManager(passes)
 
     def _run_pipeline(
         self,
-        align: bool,
         minibatch: int = 1,
         learning_rate: Tuple[int, int] = (1, 100),
     ) -> PassContext:
@@ -268,18 +262,16 @@ class ForwardCompiler:
             chip=self.chip,
             partition=self.partition,
             rows=self.rows,
-            dialect=self.dialect,
             minibatch=minibatch,
             learning_rate=learning_rate,
         )
-        self.ir, self.pass_stats = self._pipeline(align).run(ir, ctx)
+        self.ir, self.pass_stats = self._pipeline().run(ir, ctx)
         self.preloads = ctx.preloads
         return ctx
 
-    def compile(self, align: bool = True) -> CompiledForward:
-        """Compile the forward programs.  ``align=False`` defers prologue
-        alignment to a caller that will add more programs."""
-        ctx = self._run_pipeline(align)
+    def compile(self) -> CompiledForward:
+        """Compile and statically verify the forward programs."""
+        ctx = self._run_pipeline()
         compiled = CompiledForward(
             network=self.net,
             chip=self.chip,
@@ -291,23 +283,5 @@ class ForwardCompiler:
             ir=self.ir,
             pass_stats=self.pass_stats,
         )
-        if align:
-            # The training compiler verifies the combined set itself
-            # (its error-injection region is a host write).
-            compiled.verify()
+        compiled.verify()
         return compiled
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _align_prologues(programs: List[Program]) -> None:
-        align_prologues(programs)
-
-
-def compile_forward(
-    net: Network,
-    model: ReferenceModel,
-    chip: Optional[ChipConfig] = None,
-    rows: int = 2,
-) -> CompiledForward:
-    """Convenience wrapper: compile ``net``'s forward pass for the engine."""
-    return ForwardCompiler(net, model, chip, rows).compile()

@@ -1,10 +1,10 @@
-"""DAG-capable forward code generation: branches on the engine.
+"""The forward entry point: compile any network DAG for the engine.
 
-The sequential compiler (:mod:`repro.compiler.codegen`) covers chains;
-this one compiles arbitrary DAGs — inception-style branches joined by
+:func:`compile_dag_forward` runs the one forward compiler
+(:class:`~repro.compiler.codegen.ForwardCompiler`) over plain chains
+and arbitrary DAGs alike — inception-style branches joined by
 concatenation, residual element-wise adds, LSTM-style gates, slices —
-into per-tile ISA programs.  It leans on two pieces the sequential
-compiler predates:
+emitting per-tile ISA programs.  It leans on two pieces:
 
 * engine DMA between *any* two tiles (a producer many columns away is a
   multi-hop point-to-point transfer, charged per hop), and
@@ -12,12 +12,6 @@ compiler predates:
   MEMTRACK is emitted with placeholder counts and the static access
   analysis fills in the exact update/read numbers afterwards, so fan-out
   to multiple consumers never needs hand bookkeeping.
-
-Since the IR refactor this is a thin dialect of the shared pass
-pipeline: the same :class:`~repro.compiler.passes.lower.EngineEmitter`
-emits the general DAG forms (per-feature source lists for grouped and
-connection-table convolutions, block-searching pool reads) with
-``calibrated`` placeholder trackers, over a graph partition.
 
 Scope: forward propagation; padded pooling (planes are staged into
 zero-preloaded scratch with ``pad < window``; MAX additionally needs a
@@ -34,39 +28,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.arch.chip import ChipConfig
-from repro.compiler.codegen import (
-    CompiledForward,
-    ForwardCompiler,
-    _Preload,  # noqa: F401  (historic re-export)
-)
-from repro.compiler.partition import StatePartition, partition_graph
-from repro.compiler.passes.legalize import check_dag_scope
+from repro.compiler.codegen import CompiledForward, ForwardCompiler
 from repro.dnn.network import Network
 from repro.functional.reference import ReferenceModel
-
-
-class DagForwardCompiler(ForwardCompiler):
-    """Compiles the forward pass of an arbitrary network DAG."""
-
-    dialect = "calibrated"
-    scope = "dag"
-
-    def __init__(
-        self,
-        net: Network,
-        model: ReferenceModel,
-        chip: Optional[ChipConfig] = None,
-        rows: int = 2,
-    ) -> None:
-        super().__init__(net, model, chip, rows)
-        # Scope violations surface at construction, as they always have
-        # for the DAG compiler (the pipeline's legalize pass re-checks).
-        check_dag_scope(net)
-
-    def _partition(self) -> StatePartition:
-        return partition_graph(
-            self.net, self.rows, self.chip.mem_tile.capacity_bytes // 4
-        )
 
 
 def compile_dag_forward(
@@ -75,5 +39,5 @@ def compile_dag_forward(
     chip: Optional[ChipConfig] = None,
     rows: int = 2,
 ) -> CompiledForward:
-    """Compile the forward pass of an arbitrary network DAG."""
-    return DagForwardCompiler(net, model, chip, rows).compile()
+    """Compile the forward pass of any network DAG for the engine."""
+    return ForwardCompiler(net, model, chip, rows).compile()

@@ -18,23 +18,26 @@ the engine machine, synchronised purely through MEMTRACK trackers — a
 direct functional test of the Sec 3.2.4 scheme on a dataflow with both
 directions active.
 
-Since the IR refactor the BP/WG emission lives in the shared lowering
+The BP/WG emission lives in the shared lowering
 (:mod:`repro.compiler.passes.lower`): this compiler builds the
-tile-level IR with all three phases and drives the pipeline in the
-exact-tracker dialect; the lowering grows the FP tracker counts for the
-backward wave's readers, allocates the error regions, and emits the
-deferred weight-update programs in minibatch mode.
+tile-level IR with all three phases and drives the same pipeline as the
+forward compiler; the lowering allocates the error regions, emits the
+deferred weight-update programs in minibatch mode, and calibrates every
+tracker — FP, BP and WG alike — from a static access analysis of the
+finished programs, so the backward wave's extra readers of FP outputs
+are counted like any others.
 
 The loss gradient at the network output is computed by the host between
 the FP and BP phases (the paper computes it in the final FP tiles) and
 injected through a tracker-counted write, which is what un-blocks the
-whole backward wave.
+whole backward wave; calibration counts it as the one external update.
 
-Scope: sequential networks with ``groups=1`` convolutions (strided ones
-included — their BP and WG dilate the error by zero-insertion), max or
-average pooling with window == stride (max routing recomputes the
-argmax from the stored features), softmax+cross-entropy head, SGD with
-frozen biases (see DESIGN.md) — per image, or with gradient
+Scope: chains (every layer has at most one consumer) of ``groups=1``
+convolutions (strided ones included — their BP and WG dilate the error
+by zero-insertion), max or average pooling with window == stride, never
+right after another pooling layer (max routing recomputes the argmax
+from the stored features), FC layers and a softmax+cross-entropy head;
+SGD with frozen biases (see DESIGN.md) — per image, or with gradient
 accumulation over a minibatch.
 """
 
@@ -48,7 +51,6 @@ import numpy as np
 from repro.arch.chip import ChipConfig
 from repro.compiler.codegen import CompiledForward, ForwardCompiler
 from repro.compiler.ir import Phase
-from repro.compiler.passes.legalize import check_training_scope
 from repro.dnn.layers import ConvSpec
 from repro.dnn.network import Network
 from repro.errors import MappingError, SimulationError
@@ -122,7 +124,11 @@ class CompiledTraining:
         In minibatch mode this runs one *accumulation* pass (gradients
         add into the resident gradient regions; weights do not move) —
         call :meth:`apply_update` after a minibatch of steps, or use
-        :meth:`train_minibatch`."""
+        :meth:`train_minibatch`.
+
+        A label outside the output's classes raises
+        :class:`~repro.errors.ShapeError` before anything runs."""
+        ops.check_label(label, self.network.output.output_shape.elements)
         engine = self._ensure_machine()
         machine = engine.machine
         self.forward.load_image(machine, image)
@@ -177,6 +183,15 @@ class CompiledTraining:
                 f"compiled for minibatch {self.minibatch}, got "
                 f"{len(images)} images"
             )
+        if len(labels) != len(images):
+            raise SimulationError(
+                f"{len(images)} images but {len(labels)} labels"
+            )
+        # Check every label before the first image accumulates.
+        for label in labels:
+            ops.check_label(
+                int(label), self.network.output.output_shape.elements
+            )
         losses = []
         correct = 0
         for image, label in zip(images, labels):
@@ -190,7 +205,7 @@ class CompiledTraining:
 
 
 class TrainingCompiler(ForwardCompiler):
-    """Compiles FP + BP + WG + update programs for a sequential net.
+    """Compiles FP + BP + WG + update programs for a chain network.
 
     With ``minibatch > 1`` the WG programs *accumulate* gradients across
     images (the Sec 2.2 semantics: "their gradients are accumulated
@@ -214,19 +229,23 @@ class TrainingCompiler(ForwardCompiler):
         learning_rate: Tuple[int, int] = (1, 100),
         minibatch: int = 1,
     ) -> None:
-        super().__init__(net, model, chip, rows)
         if minibatch < 1:
             raise MappingError("minibatch must be >= 1")
-        self.lr_num, self.lr_denom = learning_rate
+        lr_num, lr_denom = learning_rate
+        # WUPDATE divides by its denominator, and a negative immediate
+        # would decode as a register operand.
+        if lr_num < 0 or lr_denom < 1:
+            raise MappingError(
+                f"learning rate {lr_num}/{lr_denom} needs a numerator "
+                ">= 0 and a denominator >= 1"
+            )
+        super().__init__(net, model, chip, rows)
+        self.lr_num, self.lr_denom = lr_num, lr_denom
         self.minibatch = minibatch
-        # Scope violations surface at construction, as they always have
-        # for the training compiler (legalize re-checks in the pipeline).
-        check_training_scope(net)
 
     # ------------------------------------------------------------------
     def compile_training(self) -> CompiledTraining:
         ctx = self._run_pipeline(
-            align=True,
             minibatch=self.minibatch,
             learning_rate=(self.lr_num, self.lr_denom),
         )

@@ -1,11 +1,12 @@
 """Network-state partitioning for the functional engine (STEP4).
 
 Assigns every layer's output features to home MemHeavy tiles of an
-engine machine: layer ``i`` of a sequential network occupies mem column
-``i + 1`` (column 0 holds the network input), and its features split
-into contiguous blocks over the column's rows — the even distribution
-the paper's STEP4 prescribes, with block (rather than round-robin)
-order so that flattening for FC layers is a per-row contiguous copy.
+engine machine: layer ``i`` of the network's topological order occupies
+mem column ``i`` (column 0 holds the network input), and its features
+split into contiguous blocks over the column's rows — the even
+distribution the paper's STEP4 prescribes, with block (rather than
+round-robin) order so that flattening for FC layers is a per-row
+contiguous copy.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.dnn.layers import LayerKind
 from repro.dnn.network import Network
 from repro.errors import MappingError
 
@@ -129,10 +129,6 @@ class StatePartition:
         return "\n".join(lines)
 
 
-def _is_sequential(net: Network) -> bool:
-    return all(len(node.input_names) <= 1 for node in net)
-
-
 def partition_graph(
     net: Network,
     rows: int,
@@ -189,22 +185,4 @@ def partition_graph(
         homes=homes,
         allocators=allocators,
         capacity_words=capacity_words,
-    )
-
-
-def partition_sequential(
-    net: Network,
-    rows: int,
-    capacity_words: int,
-    final_layer_single_row: bool = True,
-) -> StatePartition:
-    """Partition a *sequential* network (chain) — the stricter contract
-    the sequential code generator relies on."""
-    if not _is_sequential(net):
-        raise MappingError(
-            f"engine partitioning supports sequential networks; "
-            f"{net.name!r} has branches"
-        )
-    return partition_graph(
-        net, rows, capacity_words, final_layer_single_row
     )

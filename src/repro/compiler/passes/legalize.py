@@ -1,20 +1,19 @@
-"""Legalize: reject networks outside a lowering dialect's scope.
+"""Legalize: reject networks outside a compiler's scope.
 
-The scope rules formerly scattered across the three codegen backends
-(`_validate_scope` and per-layer raises) live here as one pass with
-three dialects:
+One pass with two scopes, one per engine compiler:
 
-* ``forward`` — the sequential exact-tracker lowering: chains of
-  ``groups=1`` convolutions, unpadded pooling, FC;
-* ``dag`` — the calibrated-tracker DAG lowering: adds concat, slice,
-  element-wise joins, grouped/table convolutions, and padded pooling
-  (zero-staged; MAX needs a provably non-negative input);
-* ``training`` — the forward scope plus BP/WG restrictions (softmax FC
-  head, stride/window divisibility, average global pooling).
+* ``dag`` — the forward compiler: any network DAG of convolutions
+  (grouped or with a connection table), pooling (padded pooling is
+  zero-staged, so MAX needs a provably non-negative input), FC, concat,
+  slice, element-wise joins and standalone activations;
+* ``training`` — the training compiler: chains of plain convolutions,
+  unpadded pooling and FC layers under a softmax FC head, with the
+  BP/WG restrictions (stride/window divisibility, average global
+  pooling, no pooling right after pooling).
 
-Violations raise :class:`~repro.errors.MappingError` — the same typed
-error the backends historically raised — so scope failures surface
-before any placement or emission work happens.
+Violations raise :class:`~repro.errors.MappingError`.  The compilers
+run the same checks at construction, so scope failures surface before
+any placement or emission work happens.
 """
 
 from __future__ import annotations
@@ -37,30 +36,6 @@ from repro.dnn.layers import (
 )
 from repro.dnn.network import Network
 from repro.errors import MappingError
-
-
-def check_forward_scope(net: Network) -> None:
-    """Sequential exact-tracker lowering scope."""
-    for node in net:
-        if node.kind is LayerKind.INPUT:
-            continue
-        spec = node.spec
-        if isinstance(spec, ConvSpec):
-            if spec.groups != 1:
-                raise MappingError(
-                    "engine code generation supports groups=1 convolutions"
-                )
-        elif isinstance(spec, PoolSpec):
-            if spec.pad:
-                raise MappingError(
-                    "engine code generation supports unpadded pooling"
-                )
-        elif isinstance(spec, (GlobalPoolSpec, FCSpec)):
-            pass
-        else:
-            raise MappingError(
-                f"cannot generate engine code for layer kind {node.kind}"
-            )
 
 
 #: Activations whose outputs are provably >= 0 everywhere.
@@ -107,7 +82,7 @@ def _nonneg_output(net: Network, name: str, depth: int = 0) -> bool:
 
 
 def check_dag_scope(net: Network) -> None:
-    """DAG calibrated-tracker lowering scope."""
+    """Forward (DAG) lowering scope."""
     for node in net:
         spec = node.spec
         if isinstance(spec, PoolSpec) and spec.pad:
@@ -152,6 +127,31 @@ def check_training_scope(net: Network) -> None:
         )
     for node in nodes:
         spec = node.spec
+        consumers = net.consumers(node.name)
+        if len(consumers) > 1:
+            # BP follows one successor per layer; a second consumer's
+            # error would be silently dropped.
+            raise MappingError(
+                f"{node.name}: training compilation supports chains; "
+                f"{len(consumers)} layers consume it "
+                f"({', '.join(consumers)})"
+            )
+        if node.kind is LayerKind.INPUT:
+            continue
+        if not isinstance(spec, (ConvSpec, PoolSpec, GlobalPoolSpec, FCSpec)):
+            raise MappingError(
+                f"cannot generate engine training code for layer kind "
+                f"{node.kind}"
+            )
+        if isinstance(spec, (PoolSpec, GlobalPoolSpec)):
+            pred = net[node.input_names[0]]
+            if pred.kind not in (
+                LayerKind.INPUT, LayerKind.CONV, LayerKind.FC
+            ):
+                raise MappingError(
+                    f"{node.name}: pooling BP needs a convolution or FC "
+                    f"layer before it, not {pred.name} ({pred.kind})"
+                )
         if isinstance(spec, ConvSpec):
             if spec.groups != 1 or spec.connection_table is not None:
                 raise MappingError(
@@ -189,10 +189,15 @@ def check_training_scope(net: Network) -> None:
 
 
 _CHECKS = {
-    "forward": (check_forward_scope,),
-    "dag": (check_dag_scope,),
-    "training": (check_forward_scope, check_training_scope),
+    "dag": check_dag_scope,
+    "training": check_training_scope,
 }
+
+
+def check_scope(scope: str, net: Network) -> None:
+    """Raise :class:`~repro.errors.MappingError` unless ``net`` is in
+    ``scope`` (``dag`` or ``training``)."""
+    _CHECKS[scope](net)
 
 
 class LegalizePass(Pass):
@@ -210,7 +215,6 @@ class LegalizePass(Pass):
 
     def run(self, ir: MappingIR, ctx: PassContext,
             stats: PassStats) -> MappingIR:
-        for check in _CHECKS[self.scope]:
-            check(ctx.net)
+        check_scope(self.scope, ctx.net)
         stats.notes["scope"] = self.scope
         return ir

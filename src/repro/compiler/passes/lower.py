@@ -1,28 +1,27 @@
 """Lower: turn scheduled IR ops into per-tile ISA programs.
 
-This is the one emission module behind all three historical code
-generators.  Every op in ``ir.schedule`` lowers to one program through
-:class:`EngineEmitter`, which unifies what used to be three copies of
-the template/emission logic:
+This is the one emission module behind the forward and the training
+compiler.  Every op in ``ir.schedule`` lowers to one program through
+:class:`EngineEmitter`:
 
-* **dialect** — ``exact`` arms every MEMTRACK with hand-derived
-  update/read counts inline (the sequential and training compilers'
-  scheme); ``calibrated`` arms placeholder trackers and runs the static
-  access analysis (:mod:`repro.compiler.trackers`) over the finished
-  programs to fill the counts (the DAG compiler's scheme, which makes
-  fan-out bookkeeping automatic);
-* **training** — when the IR carries BP/WG ops, the FP tracker counts
-  grow to cover the backward wave's extra readers, error regions are
+* **trackers** — every MEMTRACK is armed with placeholder counts, and
+  :class:`LowerPass` runs the static access analysis
+  (:func:`~repro.compiler.trackers.calibrate_trackers`) over the
+  finished programs to fill in the exact update/read numbers — the
+  paper's premise that each location's access sequence "can be
+  ascertained at compile time" (Sec 3.2.4), made a program.  Fan-out
+  to several consumers, the backward wave's extra readers of FP
+  outputs, and the host-injected loss gradient (passed in as an
+  external update) need no hand bookkeeping;
+* **training** — when the IR carries BP/WG ops, error regions are
   allocated before any FP emission (allocation order determines
   addresses), and each WG op also emits its deferred weight-update
   program in minibatch mode.
 
-The FP bodies use the general DAG forms (per-feature source lists for
-grouped/table convolutions, block-searching pool reads); for plain
-sequential networks these emit byte-identical programs to the historic
-special cases.  Comments are part of the disassembly, so the exact
-dialect keeps its annotated instructions and the calibrated dialect its
-bare ones — pinned by the golden byte-identity tests.
+The FP bodies use the general DAG forms: per-feature source lists for
+grouped/table convolutions and block-searching pool reads.  Comments
+are part of the disassembly, so the golden byte-identity tests pin
+them too.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ class EngineEmitter:
         self.model = ctx.model
         self.partition = ctx.partition
         self.rows = ctx.rows
-        self.exact = ctx.dialect == "exact"
         self.minibatch = ctx.minibatch
         self.lr_num, self.lr_denom = ctx.learning_rate
         self.training = any(op.phase is not Phase.FP for op in ir.ops)
@@ -90,10 +88,6 @@ class EngineEmitter:
     # ------------------------------------------------------------------
     def _port(self, col: int, row: int) -> int:
         return port_of(self.rows, col, row)
-
-    def _note(self, text: str) -> str:
-        """Instruction comment in the exact dialect; bare otherwise."""
-        return text if self.exact else ""
 
     def _home(self, layer: str, row: int) -> FeatureHome:
         for block in self.partition.blocks_of(layer):
@@ -139,125 +133,16 @@ class EngineEmitter:
         return self._emit_eltwise(node, home)
 
     # ------------------------------------------------------------------
-    # Tracker-count hooks (exact dialect).  The calibrated dialect arms
-    # placeholders instead and never consults these.
-    # ------------------------------------------------------------------
-    def _consumer_reads(self, node: LayerNode) -> int:
-        """How many reads each of ``node``'s home blocks receives."""
-        consumers = self.net.consumers(node.name)
-        if not consumers:
-            return 0
-        consumer = self.net[consumers[0]]
-        if consumer.kind in (LayerKind.CONV, LayerKind.FC):
-            return len(self.partition.blocks_of(consumer.name))
-        # SAMP: one NDSUBSAMP read per feature in the block — counted
-        # per-block below (varies), handled by the caller.
-        return -1
-
-    def _extra_out_reads(self, node: LayerNode) -> int:
-        """Additional readers of a home output block beyond the forward
-        consumers: the BP mask's activation copy, and a MAX-pool
-        successor's argmax recomputation."""
-        if not self.training:
-            return 0
-        reads = 0
-        succ = self._succ(node)
-        if self._is_weighted(node) and succ is not None:
-            reads += 1
-        if succ is not None and isinstance(succ.spec, PoolSpec):
-            if succ.spec.mode is PoolMode.MAX and self._bp_exists(succ):
-                reads += 1
-        return reads
-
-    def _conv_staging_reads(
-        self, node: LayerNode, block_features: int
-    ) -> int:
-        """Reads each staged input feature receives from a CONV layer's
-        compute (one NDCONV per output feature; training adds WG's
-        correlation pass)."""
-        if self.training:
-            return 2 * block_features
-        return block_features
-
-    def _fc_staging_reads(self, node: LayerNode, block_features: int) -> int:
-        """Reads of the staged FC input vector (one FP MATMUL; training
-        adds one WG outer-product MATMUL per output feature)."""
-        if self.training:
-            return 1 + block_features
-        return 1
-
-    # ------------------------------------------------------------------
     # Shared tracker/staging emission
     # ------------------------------------------------------------------
     def _out_tracker(
-        self, prog: Program, node: LayerNode, home: FeatureHome, col: int,
-        num_updates: int = 1,
+        self, prog: Program, node: LayerNode, home: FeatureHome, col: int
     ) -> None:
         """Arm the tracker guarding a home output block."""
-        size = home.feature_count * home.feature_words
-        if not self.exact:
-            arm_placeholder_tracker(
-                prog, self._port(col, home.row), home.address, size,
-                f"{node.name} outputs",
-            )
-            return
-        reads = self._consumer_reads(node)
-        if reads < 0:  # SAMP consumer reads each feature once
-            reads = home.feature_count
-        reads += self._extra_out_reads(node)
-        prog.append(make(
-            Opcode.DMA_MEMTRACK,
-            addr=home.address,
-            port=self._port(col, home.row),
-            size=size,
-            num_updates=num_updates,
-            num_reads=reads,
-            target=self._port(col, home.row),
-            comment=f"track {node.name} outputs @r{home.row}",
-        ))
-
-    def _stage_inputs(
-        self,
-        prog: Program,
-        body: List[Instruction],
-        src: LayerNode,
-        col: int,
-        row: int,
-        reads_per_feature: int,
-        tag: str,
-    ) -> Tuple[int, int]:
-        """Arm + emit DMAs staging all of ``src``'s features into tile
-        (col-1, row), exact-dialect counts.  Returns (staging base
-        address, feature words)."""
-        src_blocks = self.partition.blocks_of(src.name)
-        fwords = src.output_shape.feature_size
-        total_words = src.output_shape.count * fwords
-        alloc = self.partition.allocator(col - 1, row)
-        base = alloc.alloc(f"{tag}/stage@r{row}", total_words)
-        port = self._port(col - 1, row)
-        prog.append(make(
-            Opcode.MEMTRACK,
-            addr=base,
-            port=port,
-            size=total_words,
-            num_updates=len(src_blocks),
-            num_reads=reads_per_feature * src.output_shape.count,
-            comment=f"track staged {src.name} inputs",
-        ))
-        src_col = self.partition.column_of[src.name]
-        for block in src_blocks:
-            body.append(make(
-                Opcode.DMALOAD,
-                src_addr=block.address,
-                src_port=self._port(src_col, block.row),
-                dst_addr=base + block.first_feature * fwords,
-                dst_port=port,
-                size=block.feature_count * fwords,
-                is_accum=0,
-                comment=f"stage {src.name}[{block.first_feature}:"
-                        f"{block.first_feature + block.feature_count}]",
-            ))
-        return base, fwords
+        arm_placeholder_tracker(
+            prog, self._port(col, home.row), home.address,
+            home.feature_count * home.feature_words, f"{node.name} outputs",
+        )
 
     def _copy_features(
         self,
@@ -304,8 +189,8 @@ class EngineEmitter:
         row: int,
         tag: str,
     ) -> int:
-        """Stage every feature of ``src`` into tile (col-1, row),
-        calibrated-dialect placeholder tracker."""
+        """Stage every feature of ``src`` into tile (col-1, row) under
+        one tracker; returns the staging base address."""
         total = src.output_shape.elements
         base = self.partition.allocator(col - 1, row).alloc(
             f"{tag}/stage@r{row}", total
@@ -316,24 +201,6 @@ class EngineEmitter:
         )
         self._copy_features(body, src, 0, src.output_shape.count, port, base)
         return base
-
-    def _stage_fp_inputs(
-        self,
-        prog: Program,
-        body: List[Instruction],
-        src: LayerNode,
-        col: int,
-        row: int,
-        reads_per_feature: int,
-        tag: str,
-    ) -> int:
-        """Stage ``src`` for an FP body, dialect-appropriate tracker."""
-        if self.exact:
-            base, _ = self._stage_inputs(
-                prog, body, src, col, row, reads_per_feature, tag
-            )
-            return base
-        return self._stage_all(prog, body, src, col, row, tag)
 
     # ------------------------------------------------------------------
     # FP bodies
@@ -357,13 +224,7 @@ class EngineEmitter:
 
         # Trackers (prologue).
         self._out_tracker(prog, node, home, col)
-        stage_base = self._stage_fp_inputs(
-            prog, body, src, col, row,
-            reads_per_feature=self._conv_staging_reads(
-                node, home.feature_count
-            ),
-            tag=node.name,
-        )
+        stage_base = self._stage_all(prog, body, src, col, row, node.name)
 
         # Pre-activation region plus a preserved bias-broadcast
         # region: the first NDCONV per output overwrites stale data,
@@ -383,21 +244,10 @@ class EngineEmitter:
                 out_size,
             ),
         ))
-        if self.exact:
-            prog.append(make(
-                Opcode.MEMTRACK,
-                addr=pre_base,
-                port=right,
-                size=home.feature_count * out_size,
-                num_updates=home.feature_count * (in_shape.count + 1),
-                num_reads=1,
-                comment=f"track {node.name} partial sums",
-            ))
-        else:
-            arm_placeholder_tracker(
-                prog, right, pre_base, home.feature_count * out_size,
-                f"{node.name} partial sums",
-            )
+        arm_placeholder_tracker(
+            prog, right, pre_base, home.feature_count * out_size,
+            f"{node.name} partial sums",
+        )
 
         # Each output feature's input sources as (global input index,
         # kernel plane index): tables store kernels densely at the
@@ -456,7 +306,6 @@ class EngineEmitter:
                     out_addr=pre_base + f_local * out_size,
                     out_port=right,
                     is_accum=int(i > 0),
-                    comment=self._note(f"conv out={feature} in={g}"),
                 ))
                 slot += 1
             body.append(make(
@@ -465,7 +314,6 @@ class EngineEmitter:
                 port=right,
                 size=out_size,
                 dst_addr=pre_base + f_local * out_size,
-                comment=self._note(f"bias out={feature}"),
             ))
         # Step 4: activation into the home block.
         body.append(make(
@@ -476,7 +324,6 @@ class EngineEmitter:
             size=home.feature_count * out_size,
             out_addr=home.address,
             out_port=right,
-            comment=self._note(f"{spec.activation.value} -> home block"),
         ))
         prog.extend(body)
         prog.append(make(Opcode.HALT))
@@ -497,24 +344,7 @@ class EngineEmitter:
         prog = Program(tile=f"{node.name}@c{col}r{row}")
         body: List[Instruction] = []
         self._out_tracker(prog, node, home, col)
-        stage_base = self._stage_fp_inputs(
-            prog, body, src, col, row, reads_per_feature=0, tag=node.name
-        )
-        if self.exact:
-            # The staged vector is read as a whole (not per feature):
-            # replace the tracker emitted by _stage_inputs with the FC
-            # read count.
-            tracked = prog.instructions[-1]
-            assert tracked.opcode is Opcode.MEMTRACK
-            prog.instructions[-1] = make(
-                Opcode.MEMTRACK,
-                addr=tracked.operand("addr"),
-                port=tracked.operand("port"),
-                size=tracked.operand("size"),
-                num_updates=tracked.operand("num_updates"),
-                num_reads=self._fc_staging_reads(node, home.feature_count),
-                comment="track staged FC input vector",
-            )
+        stage_base = self._stage_all(prog, body, src, col, row, node.name)
 
         alloc = self.partition.allocator(col, row)
         pre_base = alloc.alloc(
@@ -528,21 +358,10 @@ class EngineEmitter:
             bias[home.first_feature:
                  home.first_feature + home.feature_count].copy(),
         ))
-        if self.exact:
-            prog.append(make(
-                Opcode.MEMTRACK,
-                addr=pre_base,
-                port=right,
-                size=home.feature_count,
-                num_updates=2,
-                num_reads=1,
-                comment=f"track {node.name} pre-activation",
-            ))
-        else:
-            arm_placeholder_tracker(
-                prog, right, pre_base, home.feature_count,
-                f"{node.name} pre-activation",
-            )
+        arm_placeholder_tracker(
+            prog, right, pre_base, home.feature_count,
+            f"{node.name} pre-activation",
+        )
 
         w_base = self.partition.allocator(col - 1, row).alloc(
             f"{node.name}/weights@r{row}",
@@ -565,10 +384,6 @@ class EngineEmitter:
             out_addr=pre_base,
             out_port=right,
             is_accum=0,
-            comment=self._note(
-                f"matmul rows [{home.first_feature}, "
-                f"{home.first_feature + home.feature_count})"
-            ),
         ))
         body.append(make(
             Opcode.NDACCUM,
@@ -576,7 +391,6 @@ class EngineEmitter:
             port=right,
             size=home.feature_count,
             dst_addr=pre_base,
-            comment=self._note("bias add"),
         ))
         body.append(make(
             Opcode.NDACTFN,
@@ -586,7 +400,6 @@ class EngineEmitter:
             size=home.feature_count,
             out_addr=home.address,
             out_port=right,
-            comment=self._note(f"{spec.activation.value} -> home block"),
         ))
         prog.extend(body)
         prog.append(make(Opcode.HALT))
@@ -621,14 +434,11 @@ class EngineEmitter:
         row = home.row
         right = self._port(col, row)
         prog = Program(tile=f"{node.name}@c{col}r{row}")
-        # Pooling writes its home block one feature at a time.
-        self._out_tracker(
-            prog, node, home, col, num_updates=home.feature_count
-        )
+        self._out_tracker(prog, node, home, col)
         pad = spec.pad if isinstance(spec, PoolSpec) else 0
         if pad:
-            # Padded pooling (DAG dialect only — legalize enforces
-            # pad < window, and MAX additionally a non-negative input):
+            # Padded pooling (forward only — legalize enforces pad <
+            # window, and MAX additionally a non-negative input):
             # stage each source plane into the interior of a padded
             # (ph, pw) scratch plane on the left-neighbour tile, then
             # pool the staged planes unpadded.  The scratch block is
@@ -655,8 +465,9 @@ class EngineEmitter:
             )
             body: List[Instruction] = []
             for f_local in range(home.feature_count):
-                feature = home.first_feature + f_local
-                src_port, src_addr = src_location(feature)
+                src_port, src_addr = src_location(
+                    home.first_feature + f_local
+                )
                 plane = base + f_local * ph * pw
                 for y in range(h):
                     body.append(make(
@@ -667,12 +478,8 @@ class EngineEmitter:
                         dst_port=left,
                         size=w,
                         is_accum=0,
-                        comment=self._note(
-                            f"stage padded row {y} of feature {feature}"
-                        ),
                     ))
             for f_local in range(home.feature_count):
-                feature = home.first_feature + f_local
                 body.append(make(
                     Opcode.NDSUBSAMP,
                     samp_type=SAMP_CODES[mode],
@@ -683,14 +490,12 @@ class EngineEmitter:
                     stride=stride,
                     out_addr=home.address + f_local * home.feature_words,
                     out_port=right,
-                    comment=self._note(f"pool padded feature {feature}"),
                 ))
             prog.extend(body)
             prog.append(make(Opcode.HALT))
             return prog
         for f_local in range(home.feature_count):
-            feature = home.first_feature + f_local
-            src_port, src_addr = src_location(feature)
+            src_port, src_addr = src_location(home.first_feature + f_local)
             prog.append(make(
                 Opcode.NDSUBSAMP,
                 samp_type=SAMP_CODES[mode],
@@ -701,7 +506,6 @@ class EngineEmitter:
                 stride=stride,
                 out_addr=home.address + f_local * home.feature_words,
                 out_port=right,
-                comment=self._note(f"pool feature {feature}"),
             ))
         prog.append(make(Opcode.HALT))
         return prog
@@ -718,11 +522,7 @@ class EngineEmitter:
         right = self._port(col, row)
         prog = Program(tile=f"{node.name}@c{col}r{row}")
         body: List[Instruction] = []
-        arm_placeholder_tracker(
-            prog, right, home.address,
-            home.feature_count * home.feature_words,
-            f"{node.name} outputs",
-        )
+        self._out_tracker(prog, node, home, col)
         lo, hi = home.first_feature, (
             home.first_feature + home.feature_count
         )
@@ -752,11 +552,7 @@ class EngineEmitter:
         right = self._port(col, row)
         prog = Program(tile=f"{node.name}@c{col}r{row}")
         body: List[Instruction] = []
-        arm_placeholder_tracker(
-            prog, right, home.address,
-            home.feature_count * home.feature_words,
-            f"{node.name} outputs",
-        )
+        self._out_tracker(prog, node, home, col)
         self._copy_features(
             body, src,
             feature_lo=home.first_feature,
@@ -778,9 +574,7 @@ class EngineEmitter:
         words = home.feature_count * home.feature_words
         prog = Program(tile=f"{node.name}@c{col}r{row}")
         body: List[Instruction] = []
-        arm_placeholder_tracker(
-            prog, right, home.address, words, f"{node.name} outputs"
-        )
+        self._out_tracker(prog, node, home, col)
         alloc = self.partition.allocator(col, row)
         lo = home.first_feature
         hi = home.first_feature + home.feature_count
@@ -826,47 +620,8 @@ class EngineEmitter:
     def _pred(self, node: LayerNode) -> LayerNode:
         return self.net[node.input_names[0]]
 
-    def _succ(self, node: LayerNode) -> Optional[LayerNode]:
-        consumers = self.net.consumers(node.name)
-        return self.net[consumers[0]] if consumers else None
-
     def _is_weighted(self, node: LayerNode) -> bool:
         return node.kind in (LayerKind.CONV, LayerKind.FC)
-
-    def _bp_exists(self, node: LayerNode) -> bool:
-        """BP program of ``node`` exists iff its predecessor needs an
-        error (i.e. is not the network input)."""
-        return self._pred(node).kind is not LayerKind.INPUT
-
-    def _err_reads(self, node: LayerNode, block: FeatureHome) -> int:
-        """Readers of err[node]'s home block ``block``."""
-        reads = 0
-        if self._bp_exists(node):
-            if self._is_weighted(node):
-                # BP staging: one DMA per predecessor block row.
-                reads += len(self.partition.blocks_of(self._pred(node).name))
-            else:
-                # Pool BP: one NDUPSAMP read per feature.
-                reads += block.feature_count
-        if self._is_weighted(node):
-            reads += 1  # WG's err-copy DMA
-        return reads
-
-    def _err_updates(self, node: LayerNode, block: FeatureHome) -> int:
-        """Writers of err[node]'s home block."""
-        succ = self._succ(node)
-        if succ is None:
-            return 1  # host injection at the network output
-        if self._is_weighted(node):
-            return 1  # NDACTBP write by the successor's BP program
-        # Pool: the successor's BP partials land here unmasked.
-        if succ.kind is LayerKind.CONV:
-            return block.feature_count * succ.output_shape.count
-        if succ.kind is LayerKind.FC:
-            return 1  # one MATMUL write per block
-        raise MappingError(
-            f"unsupported SAMP successor {succ.name} ({succ.kind})"
-        )
 
     def _alloc_err_blocks(self) -> None:
         """Allocate err[L] regions mirroring each layer's home blocks."""
@@ -899,15 +654,9 @@ class EngineEmitter:
         )
         size = fin_home.feature_count * fin_home.feature_words
         prog = Program(tile="err-injection-tracker")
-        prog.append(make(
-            Opcode.MEMTRACK,
-            addr=fin_addr,
-            port=port,
-            size=size,
-            num_updates=1,
-            num_reads=self._err_reads(final, fin_home),
-            comment="loss gradient injection point",
-        ))
+        arm_placeholder_tracker(
+            prog, port, fin_addr, size, "loss gradient injection point"
+        )
         prog.append(make(Opcode.HALT))
         self.err_injection = (port, fin_addr, size)
         return prog
@@ -917,7 +666,7 @@ class EngineEmitter:
     # ------------------------------------------------------------------
     def _stage_err(
         self, prog: Program, body: List[Instruction], node: LayerNode,
-        col: int, row: int, reads: int, tag: str,
+        col: int, row: int, tag: str,
     ) -> int:
         """Stage all of err[node] into tile (col, row); returns base."""
         blocks = self._err_blocks[node.name]
@@ -927,11 +676,9 @@ class EngineEmitter:
             f"{tag}/errstage@r{row}", total
         )
         port = self._port(col, row)
-        prog.append(make(
-            Opcode.MEMTRACK, addr=base, port=port, size=total,
-            num_updates=len(blocks), num_reads=reads,
-            comment=f"track staged err[{node.name}]",
-        ))
+        arm_placeholder_tracker(
+            prog, port, base, total, f"staged err[{node.name}]"
+        )
         for home, addr in blocks:
             body.append(make(
                 Opcode.DMALOAD,
@@ -977,28 +724,22 @@ class EngineEmitter:
 
     def _arm_raw_and_err(
         self, prog: Program, pred: LayerNode, raw_base: int,
-        pred_home: FeatureHome, pred_col: int, raw_updates: int,
+        pred_home: FeatureHome, pred_col: int,
     ) -> None:
         """Trackers for the raw region (+act copy) and the masked err."""
         words = pred_home.feature_count * pred_home.feature_words
         port = self._port(pred_col, pred_home.row)
-        prog.append(make(
-            Opcode.MEMTRACK, addr=raw_base, port=port, size=words,
-            num_updates=raw_updates, num_reads=1,
-            comment=f"track raw err[{pred.name}]",
-        ))
-        prog.append(make(
-            Opcode.MEMTRACK, addr=raw_base + words, port=port, size=words,
-            num_updates=1, num_reads=1,
-            comment=f"track {pred.name} activation copy",
-        ))
+        arm_placeholder_tracker(
+            prog, port, raw_base, words, f"raw err[{pred.name}]"
+        )
+        arm_placeholder_tracker(
+            prog, port, raw_base + words, words,
+            f"{pred.name} activation copy",
+        )
         _, err_addr = self._err_block(pred.name, pred_home.row)
-        prog.append(make(
-            Opcode.MEMTRACK, addr=err_addr, port=port, size=words,
-            num_updates=self._err_updates(pred, pred_home),
-            num_reads=self._err_reads(pred, pred_home),
-            comment=f"track err[{pred.name}]",
-        ))
+        arm_placeholder_tracker(
+            prog, port, err_addr, words, f"err[{pred.name}]"
+        )
 
     def _emit_bp(self, node: LayerNode, row: int) -> Program:
         """BP of a weighted layer: produce err for its predecessor."""
@@ -1017,25 +758,15 @@ class EngineEmitter:
             raw_base = self.partition.allocator(pred_col, row).alloc(
                 f"{node.name}/raw@r{row}", 2 * words
             )
-            raw_updates = (
-                pred_home.feature_count * node.output_shape.count
-                if node.kind is LayerKind.CONV
-                else 1
-            )
-            self._arm_raw_and_err(
-                prog, pred, raw_base, pred_home, pred_col, raw_updates
-            )
+            self._arm_raw_and_err(prog, pred, raw_base, pred_home, pred_col)
             target_addr = raw_base
         else:
             # Predecessor is a pool: write into err[pred] directly.
             _, target_addr = self._err_block(pred.name, row)
-            prog.append(make(
-                Opcode.MEMTRACK,
-                addr=target_addr, port=pred_port, size=words,
-                num_updates=self._err_updates(pred, pred_home),
-                num_reads=self._err_reads(pred, pred_home),
-                comment=f"track err[{pred.name}] (unmasked)",
-            ))
+            arm_placeholder_tracker(
+                prog, pred_port, target_addr, words,
+                f"err[{pred.name}] (unmasked)",
+            )
 
         if node.kind is LayerKind.CONV:
             self._emit_conv_bp(
@@ -1055,8 +786,7 @@ class EngineEmitter:
 
     def _dilate_errors(
         self, prog: Program, body: List[Instruction], node: LayerNode,
-        col: int, row: int, stage_base: int, reads_per_feature: int,
-        tag: str,
+        col: int, row: int, stage_base: int, tag: str,
     ) -> Tuple[int, int, int]:
         """Zero-insert every staged error feature of a strided layer.
 
@@ -1076,13 +806,10 @@ class EngineEmitter:
         dil_base = self.partition.allocator(col, row).alloc(
             f"{tag}/dilated@r{row}", out_shape.count * dil_words
         )
-        prog.append(make(
-            Opcode.MEMTRACK, addr=dil_base, port=port,
-            size=out_shape.count * dil_words,
-            num_updates=out_shape.count,
-            num_reads=reads_per_feature * out_shape.count,
-            comment=f"track dilated err[{node.name}]",
-        ))
+        arm_placeholder_tracker(
+            prog, port, dil_base, out_shape.count * dil_words,
+            f"dilated err[{node.name}]",
+        )
         for f in range(out_shape.count):
             body.append(make(
                 Opcode.NDUPSAMP,
@@ -1108,20 +835,13 @@ class EngineEmitter:
         out_shape = node.output_shape
         k = spec.kernel
         pad_bp = k - 1 - spec.pad
-        # For stride 1 every NDCONV reads its error feature directly; a
-        # strided layer reads the dilated copies instead (one read per
-        # target feature each).
-        if spec.stride == 1:
-            err_reads = pred_home.feature_count * out_shape.count
-        else:
-            err_reads = 1  # each staged feature is read once, to dilate
+        # A strided layer's NDCONVs read zero-inserted copies of the
+        # staged error features rather than the features themselves.
         stage_base = self._stage_err(
-            prog, body, node, col, row, err_reads, f"bp:{node.name}"
+            prog, body, node, col, row, f"bp:{node.name}"
         )
         stage_base, eff_h, eff_w = self._dilate_errors(
-            prog, body, node, col, row, stage_base,
-            reads_per_feature=pred_home.feature_count,
-            tag=f"bp:{node.name}",
+            prog, body, node, col, row, stage_base, f"bp:{node.name}"
         )
         # Rotated kernels for the targets this row computes.
         weights = self.model.state[node.name].weights
@@ -1163,7 +883,7 @@ class EngineEmitter:
     ) -> None:
         out_count = node.output_shape.count
         stage_base = self._stage_err(
-            prog, body, node, col, row, reads=1, tag=f"bp:{node.name}"
+            prog, body, node, col, row, f"bp:{node.name}"
         )
         # W^T rows for the flattened range this predecessor block spans.
         weights = self.model.state[node.name].weights  # (out, in)
@@ -1213,10 +933,7 @@ class EngineEmitter:
         raw_base = self.partition.allocator(pred_col, row).alloc(
             f"{node.name}/raw@r{row}", 2 * words
         )
-        self._arm_raw_and_err(
-            prog, pred, raw_base, pred_home, pred_col,
-            raw_updates=pred_home.feature_count,
-        )
+        self._arm_raw_and_err(prog, pred, raw_base, pred_home, pred_col)
         err_words = err_home.feature_words
         orig_words = pred_home.feature_words
         if mode is PoolMode.MAX:
@@ -1228,14 +945,11 @@ class EngineEmitter:
                 f"{node.name}/maxwork@r{row}",
                 err_home.feature_count * slot,
             )
-            prog.append(make(
-                Opcode.MEMTRACK, addr=work_base,
-                port=self._port(col, row),
-                size=err_home.feature_count * slot,
-                num_updates=2 * err_home.feature_count,
-                num_reads=2 * err_home.feature_count,
-                comment=f"track {node.name} max-routing slots",
-            ))
+            arm_placeholder_tracker(
+                prog, self._port(col, row), work_base,
+                err_home.feature_count * slot,
+                f"{node.name} max-routing slots",
+            )
             # All slot fills first, then all routings: the block's
             # tracker must see every update before its first read
             # (the reads sit later in this same program).
@@ -1306,7 +1020,6 @@ class EngineEmitter:
     # ------------------------------------------------------------------
     def _emit_wg(self, node: LayerNode, home: FeatureHome) -> Program:
         col = self.partition.column_of[node.name]
-        in_shape = node.input_shapes[0]
         row = home.row
         left = self._port(col - 1, row)
         prog = Program(tile=f"wg:{node.name}@r{row}")
@@ -1314,25 +1027,14 @@ class EngineEmitter:
 
         # Copy this row's error block beside the weights so NDCONV /
         # MATMUL can read it from the same port as its other operand.
-        err_home, err_addr = self._err_block(node.name, row)
+        _, err_addr = self._err_block(node.name, row)
         err_words = home.feature_count * node.output_shape.feature_size
         werr_base = self.partition.allocator(col - 1, row).alloc(
             f"wg:{node.name}/err@r{row}", err_words
         )
-        strided = (
-            node.kind is LayerKind.CONV and node.spec.stride > 1
+        arm_placeholder_tracker(
+            prog, left, werr_base, err_words, f"wg err copy [{node.name}]"
         )
-        if node.kind is not LayerKind.CONV:
-            kernel_reads = home.feature_count
-        elif strided:
-            kernel_reads = home.feature_count  # one dilation each
-        else:
-            kernel_reads = home.feature_count * in_shape.count
-        prog.append(make(
-            Opcode.MEMTRACK, addr=werr_base, port=left, size=err_words,
-            num_updates=1, num_reads=kernel_reads,
-            comment=f"track wg err copy [{node.name}]",
-        ))
         body.append(make(
             Opcode.DMALOAD,
             src_addr=err_addr,
@@ -1409,13 +1111,10 @@ class EngineEmitter:
                 f"wg:{node.name}/dilated@r{row}",
                 home.feature_count * dil_words,
             )
-            prog.append(make(
-                Opcode.MEMTRACK, addr=dil_base, port=left,
-                size=home.feature_count * dil_words,
-                num_updates=home.feature_count,
-                num_reads=home.feature_count * in_shape.count,
-                comment=f"track wg dilated err [{node.name}]",
-            ))
+            arm_placeholder_tracker(
+                prog, left, dil_base, home.feature_count * dil_words,
+                f"wg dilated err [{node.name}]",
+            )
             for f_local in range(home.feature_count):
                 body.append(make(
                     Opcode.NDUPSAMP,
@@ -1436,12 +1135,9 @@ class EngineEmitter:
         grad_base = self.partition.allocator(col - 1, row).alloc(
             f"wg:{node.name}/grads@r{row}", grad_words
         )
-        prog.append(make(
-            Opcode.MEMTRACK, addr=grad_base, port=left, size=grad_words,
-            num_updates=home.feature_count * in_shape.count,
-            num_reads=1 if self.minibatch == 1 else 0,
-            comment=f"track {node.name} weight gradients",
-        ))
+        arm_placeholder_tracker(
+            prog, left, grad_base, grad_words, f"{node.name} weight gradients"
+        )
         accumulate = int(self.minibatch > 1)
         for f_local in range(home.feature_count):
             for g in range(in_shape.count):
@@ -1475,12 +1171,9 @@ class EngineEmitter:
         grad_base = self.partition.allocator(col - 1, row).alloc(
             f"wg:{node.name}/grads@r{row}", grad_words
         )
-        prog.append(make(
-            Opcode.MEMTRACK, addr=grad_base, port=left, size=grad_words,
-            num_updates=home.feature_count,
-            num_reads=1 if self.minibatch == 1 else 0,
-            comment=f"track {node.name} weight gradients",
-        ))
+        arm_placeholder_tracker(
+            prog, left, grad_base, grad_words, f"{node.name} weight gradients"
+        )
         # Outer product, one output row at a time: grads[f, :] =
         # err[f] * input — realised as MATMUL(input-as-matrix, err[f]).
         accumulate = int(self.minibatch > 1)
@@ -1506,9 +1199,6 @@ class LowerPass(Pass):
 
     name = "lower"
 
-    def __init__(self, align: bool = True) -> None:
-        self.align = align
-
     def run(self, ir: MappingIR, ctx: PassContext,
             stats: PassStats) -> MappingIR:
         emitter = EngineEmitter(ir, ctx)
@@ -1516,20 +1206,25 @@ class LowerPass(Pass):
         for name in ir.schedule:
             emitter.emit(by_name[name])
         programs = emitter.programs
-        if not emitter.exact:
-            calibrate_trackers(programs)
+        # The host's loss-gradient write is the one update no program
+        # makes.  The minibatch update programs run once per minibatch,
+        # outside the per-image tracker epochs, so they stay out of the
+        # count.
+        injected = {}
+        if emitter.err_injection is not None:
+            port, addr, _ = emitter.err_injection
+            injected[(port, addr)] = 1
+            ctx.extra["err_injection"] = emitter.err_injection
+            ctx.host_writes = [emitter.err_injection]
+        calibrate_trackers(programs, external_updates=injected)
         all_programs = programs + emitter.update_programs
-        if self.align and all_programs:
+        if all_programs:
             align_prologues(all_programs)
         for program in all_programs:
             program.validate()
         ctx.programs = programs
         ctx.update_programs = emitter.update_programs
         ctx.preloads = emitter.preloads
-        if emitter.err_injection is not None:
-            ctx.extra["err_injection"] = emitter.err_injection
-            ctx.host_writes = [emitter.err_injection]
         stats.notes["programs"] = len(all_programs)
         stats.notes["instructions"] = sum(len(p) for p in all_programs)
-        stats.notes["dialect"] = ctx.dialect
         return ir

@@ -35,7 +35,6 @@ class PassContext:
     chip: Any = None  # ChipConfig (engine path)
     partition: Any = None  # StatePartition (engine path)
     rows: int = 2
-    dialect: str = "exact"  # "exact" | "calibrated" tracker counts
     minibatch: int = 1
     learning_rate: Tuple[int, int] = (1, 100)
     faults: Any = None  # FaultMask (analytical path)

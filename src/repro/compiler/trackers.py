@@ -128,8 +128,8 @@ def audit_trackers(
 ) -> Dict[str, int]:
     """Count declared vs statically-observed accesses without rewriting.
 
-    Returns a summary; used in tests to cross-check hand-emitted
-    tracker counts against the static analysis.
+    Returns a summary; used in tests to check that compiled tracker
+    counts are a fixed point of the static analysis.
     """
     import copy
 

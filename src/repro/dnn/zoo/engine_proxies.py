@@ -31,10 +31,10 @@ from repro.dnn.network import Network
 from repro.errors import MappingError
 
 #: Per-benchmark (channel divisor, input edge) — tuned so every proxy
-#: compiles under the DAG dialect and engine-executes in well under a
-#: second.  Input edges respect each family's stride/pool chain (e.g.
-#: AlexNet's 11x11/4 stem followed by three 3x3/2 pools needs >= 75 px
-#: to keep every pool window inside its input).
+#: compiles and engine-executes in well under a second.  Input edges
+#: respect each family's stride/pool chain (e.g. AlexNet's 11x11/4 stem
+#: followed by three 3x3/2 pools needs >= 75 px to keep every pool
+#: window inside its input).
 PROXY_PARAMS: Dict[str, Tuple[int, int]] = {
     "AlexNet": (16, 79),
     "ZF": (16, 80),

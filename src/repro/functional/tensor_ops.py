@@ -496,12 +496,22 @@ def activate_backward(
     raise ShapeError(f"unsupported activation {fn}")
 
 
+def check_label(target: int, classes: int) -> None:
+    """Raise :class:`~repro.errors.ShapeError` unless ``target`` is a
+    class index in ``[0, classes)``."""
+    if not 0 <= target < classes:
+        raise ShapeError(
+            f"label {target} outside the {classes} classes [0, {classes})"
+        )
+
+
 def softmax_cross_entropy(
     logits_softmaxed: np.ndarray, target: int
 ) -> Tuple[float, np.ndarray]:
     """Loss and gradient w.r.t. the pre-softmax logits, given softmax
     outputs and a golden class index."""
     p = logits_softmaxed.reshape(-1)
+    check_label(target, p.size)
     loss = -float(np.log(max(p[target], 1e-12)))
     grad = p.copy()
     grad[target] -= 1.0

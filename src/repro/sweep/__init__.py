@@ -9,7 +9,6 @@ runs skip STEP1-6 entirely.
 from repro.sweep.cache import (
     CACHE_DIR_ENV,
     CompileCache,
-    cached_forward_codegen,
     cached_mapping,
     cached_simulation,
     clear_cache,
@@ -32,7 +31,6 @@ __all__ = [
     "SweepJob",
     "SweepReport",
     "SweepResult",
-    "cached_forward_codegen",
     "cached_mapping",
     "cached_simulation",
     "clear_cache",

@@ -291,51 +291,20 @@ def cached_simulation(
     )
 
 
-def cached_forward_codegen(
-    net: Network,
-    seed: int = 0,
-    chip=None,
-    rows: int = 2,
-    cache: Optional[CompileCache] = None,
-):
-    """Engine codegen (compiled forward pass), content-cached.
-
-    The reference model's weights are a pure function of the topology
-    and ``seed``, so the digest — (topology, chip, rows, seed, compiler
-    version) — covers everything the generated programs, fusion plans
-    and preloads depend on.
-    """
-    from repro.arch.presets import conv_chip
-    from repro.compiler.codegen import compile_forward
-    from repro.functional.reference import ReferenceModel
-
-    cache = cache if cache is not None else get_cache()
-    chip = chip if chip is not None else conv_chip()
-    digest = compile_digest(
-        net, None, artifact="codegen", seed=seed, chip=chip, rows=rows,
-    )
-    return cache.get(
-        "codegen",
-        digest,
-        lambda: compile_forward(
-            net, ReferenceModel(net, seed=seed), chip, rows
-        ),
-    )
-
-
 def cached_dag_forward_codegen(
     net: Network,
     seed: int = 0,
     rows: int = 2,
     cache: Optional[CompileCache] = None,
 ):
-    """DAG-scheduled engine codegen, content-cached.
+    """Engine codegen (compiled forward pass), content-cached.
 
-    Same contract as :func:`cached_forward_codegen` but through the
-    DAG scheduler (:func:`repro.compiler.codegen_dag.compile_dag_forward`)
-    — the path the validation harness runs, which also covers networks
-    the linear schedule deadlocks on (e.g. LeNet-5's connection-table
-    conv).
+    Compiles through :func:`repro.compiler.codegen_dag.compile_dag_forward`,
+    the one forward compiler and the path the validation harness runs.
+    The reference model's weights are a pure function of the topology
+    and ``seed``, so the digest — (topology, rows, seed, compiler
+    version) — covers everything the generated programs, fusion plans
+    and preloads depend on.
     """
     from repro.compiler.codegen_dag import compile_dag_forward
     from repro.functional.reference import ReferenceModel

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.compiler.codegen import compile_forward
-from repro.compiler.partition import partition_sequential
+from repro.compiler.codegen_dag import compile_dag_forward
+from repro.compiler.partition import partition_graph
 from repro.dnn.builder import NetworkBuilder
 from repro.dnn.zoo import tiny_cnn, tiny_mlp
 from repro.errors import MappingError
@@ -35,7 +35,7 @@ class TestEngineMatchesGoldenModel:
     def test_tiny_cnn(self, rows):
         net = tiny_cnn(num_classes=5, in_size=12)
         model = model_with_biases(net)
-        compiled = compile_forward(net, model, rows=rows)
+        compiled = compile_dag_forward(net, model, rows=rows)
         img = random_image(net)
         want = model.forward(img)
         got, report = compiled.run(img)
@@ -45,7 +45,7 @@ class TestEngineMatchesGoldenModel:
     def test_tiny_mlp(self):
         net = tiny_mlp(num_classes=4, in_features=6, hidden=9)
         model = model_with_biases(net)
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
         img = random_image(net, seed=5)
         want = model.forward(img)
         got, _ = compiled.run(img)
@@ -54,7 +54,7 @@ class TestEngineMatchesGoldenModel:
     def test_multiple_images_reuse_compiled_programs(self):
         net = tiny_cnn(num_classes=3, in_size=8)
         model = model_with_biases(net)
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
         for seed in range(3):
             img = random_image(net, seed=seed)
             got, _ = compiled.run(img)
@@ -70,7 +70,7 @@ class TestEngineMatchesGoldenModel:
         b.fc(3, activation=Activation.SOFTMAX)
         net = b.build()
         model = model_with_biases(net)
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
         img = random_image(net)
         got, _ = compiled.run(img)
         np.testing.assert_allclose(got, model.forward(img), atol=1e-5)
@@ -84,7 +84,7 @@ class TestEngineMatchesGoldenModel:
         b.fc(3, activation=Activation.SOFTMAX)
         net = b.build()
         model = model_with_biases(net)
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
         img = random_image(net)
         got, _ = compiled.run(img)
         np.testing.assert_allclose(got, model.forward(img), atol=1e-5)
@@ -96,7 +96,7 @@ class TestSynchronizationUnderScheduling:
         consumers to wait on producers (Sec 3.2.4 in action)."""
         net = tiny_cnn(num_classes=4, in_size=12)
         model = model_with_biases(net)
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
         _, report = compiled.run(random_image(net))
         assert report.blocked_reads > 0
         assert report.cycles > 0
@@ -106,7 +106,7 @@ class TestProgramStructure:
     def test_one_program_per_computing_tile(self):
         net = tiny_cnn(num_classes=5, in_size=12)
         model = model_with_biases(net)
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
         # Every non-input layer block gets a program.
         expected = sum(
             len(compiled.partition.blocks_of(n.name))
@@ -118,7 +118,7 @@ class TestProgramStructure:
     def test_programs_validate_and_use_all_groups(self):
         net = tiny_cnn(num_classes=5, in_size=12)
         model = model_with_biases(net)
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
         groups = set()
         for prog in compiled.programs:
             prog.validate()
@@ -131,7 +131,7 @@ class TestProgramStructure:
     def test_prologues_aligned(self):
         net = tiny_cnn(num_classes=5, in_size=12)
         model = model_with_biases(net)
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
 
         def data_start(prog):
             for pc, instr in enumerate(prog):
@@ -155,55 +155,23 @@ class TestProgramStructure:
     def test_disassembly_readable(self):
         net = tiny_mlp()
         model = model_with_biases(net)
-        compiled = compile_forward(net, model, rows=1)
+        compiled = compile_dag_forward(net, model, rows=1)
         listing = compiled.programs[0].disassemble()
         assert "MATMUL" in listing or "MEMTRACK" in listing
 
 
 class TestUnsupportedShapes:
-    def test_grouped_conv_rejected(self):
-        b = NetworkBuilder("grouped")
-        b.input(4, 8)
-        b.conv(4, kernel=3, pad=1, groups=2)
-        b.fc(2)
-        net = b.build()
-        model = ReferenceModel(net)
-        with pytest.raises(MappingError):
-            compile_forward(net, model)
-
-    def test_padded_pool_rejected(self):
-        b = NetworkBuilder("padpool")
-        b.input(2, 8)
-        b.conv(2, kernel=3, pad=1)
-        b.pool(3, stride=2, pad=1)
-        b.fc(2)
-        net = b.build()
-        model = ReferenceModel(net)
-        with pytest.raises(MappingError):
-            compile_forward(net, model)
-
-    def test_branching_network_rejected(self):
-        b = NetworkBuilder("dag")
-        b.input(2, 8)
-        trunk = b.conv(2, kernel=3, pad=1)
-        left = b.conv(2, kernel=1, inputs=[trunk])
-        b.concat([left, trunk])
-        net = b.build()
-        model = ReferenceModel(net)
-        with pytest.raises(MappingError):
-            compile_forward(net, model)
-
     def test_foreign_model_rejected(self):
         net = tiny_mlp()
         other = ReferenceModel(tiny_mlp())
         with pytest.raises(MappingError):
-            compile_forward(net, other)
+            compile_dag_forward(net, other)
 
 
 class TestPartition:
     def test_blocks_cover_features(self):
         net = tiny_cnn(num_classes=5, in_size=12)
-        part = partition_sequential(net, rows=3, capacity_words=1 << 17)
+        part = partition_graph(net, rows=3, capacity_words=1 << 17)
         for node in net:
             blocks = part.blocks_of(node.name)
             covered = sorted(
@@ -217,12 +185,12 @@ class TestPartition:
 
     def test_final_layer_single_row(self):
         net = tiny_cnn(num_classes=5, in_size=12)
-        part = partition_sequential(net, rows=3, capacity_words=1 << 17)
+        part = partition_graph(net, rows=3, capacity_words=1 << 17)
         assert len(part.blocks_of(net.output.name)) == 1
 
     def test_feature_address_bounds(self):
         net = tiny_mlp()
-        part = partition_sequential(net, rows=2, capacity_words=1 << 16)
+        part = partition_graph(net, rows=2, capacity_words=1 << 16)
         block = part.blocks_of("fc1")[0]
         with pytest.raises(MappingError):
             block.feature_address(10_000)
@@ -230,14 +198,14 @@ class TestPartition:
     def test_capacity_overflow_detected(self):
         net = tiny_cnn(num_classes=5, in_size=12)
         with pytest.raises(MappingError):
-            partition_sequential(net, rows=1, capacity_words=16)
+            partition_graph(net, rows=1, capacity_words=16)
 
 
 class TestMemoryMap:
     def test_memory_map_lists_every_tile_and_block(self):
         net = tiny_cnn(num_classes=4, in_size=8)
         model = model_with_biases(net)
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
         text = compiled.partition.memory_map()
         assert "input/out" in text
         assert "conv1/kernels" in text
@@ -249,7 +217,7 @@ class TestMemoryMap:
     def test_tile_occupancy_bounded_and_consistent(self):
         net = tiny_cnn(num_classes=4, in_size=8)
         model = model_with_biases(net)
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
         occupancy = compiled.partition.tile_occupancy()
         assert occupancy
         for value in occupancy.values():

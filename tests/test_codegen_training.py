@@ -16,7 +16,7 @@ from repro.compiler.codegen_training import (
 from repro.dnn.builder import NetworkBuilder
 from repro.dnn.layers import Activation, PoolMode
 from repro.dnn.zoo import tiny_mlp
-from repro.errors import MappingError
+from repro.errors import MappingError, ShapeError, SimulationError
 from repro.functional import ReferenceModel
 from repro.isa.instructions import Opcode
 
@@ -151,7 +151,7 @@ class TestProgramStructure:
         }
         for op in (Opcode.NDACTBP, Opcode.NDUPSAMP, Opcode.WUPDATE,
                    Opcode.NDACCUM, Opcode.NDCONV, Opcode.MATMUL,
-                   Opcode.MEMTRACK, Opcode.DMA_MEMTRACK):
+                   Opcode.MEMTRACK):
             assert op in used, op
 
     def test_bp_and_wg_programs_emitted(self):
@@ -206,6 +206,106 @@ class TestScopeValidation:
         net = b.build()
         with pytest.raises(MappingError):
             compile_training(net, ReferenceModel(net))
+
+    def test_standalone_activation_rejected(self):
+        b = NetworkBuilder("act")
+        b.input(2, 8)
+        b.conv(4, kernel=3, pad=1)
+        b.activation(Activation.TANH)
+        b.fc(3, activation=Activation.SOFTMAX)
+        net = b.build()
+        with pytest.raises(MappingError, match="layer kind"):
+            compile_training(net, ReferenceModel(net))
+
+    def test_layer_with_two_consumers_rejected(self):
+        """BP follows one successor per layer: a second consumer (here
+        a dead-end conv) would silently drop its share of the error."""
+        b = NetworkBuilder("fanout")
+        b.input(2, 8)
+        c1 = b.conv(4, kernel=3, pad=1, name="c1")
+        b.conv(4, kernel=3, pad=1, name="c2", inputs=[c1])
+        b.fc(3, activation=Activation.SOFTMAX, name="fc", inputs=[c1])
+        net = b.build()
+        with pytest.raises(MappingError, match="c1: .*2 layers"):
+            compile_training(net, ReferenceModel(net))
+
+    @pytest.mark.parametrize("second", ["pool", "global_pool"])
+    def test_pool_after_pool_rejected(self, second):
+        b = NetworkBuilder("poolpool")
+        b.input(2, 8)
+        b.conv(4, kernel=3, pad=1)
+        b.pool(2, mode=PoolMode.AVG, name="pool1")
+        if second == "pool":
+            b.pool(2, mode=PoolMode.AVG, name="pool2")
+        else:
+            b.global_pool(name="pool2")
+        b.fc(3, activation=Activation.SOFTMAX)
+        net = b.build()
+        with pytest.raises(MappingError, match="pool2: pooling BP"):
+            compile_training(net, ReferenceModel(net))
+
+    @pytest.mark.parametrize("learning_rate", [(1, 0), (-1, 100), (1, -100)])
+    def test_bad_learning_rate_rejected(self, learning_rate):
+        """A zero denominator used to divide by zero inside WUPDATE on
+        the first step; a negative immediate decoded as a register
+        operand."""
+        net = tiny_avg_cnn()
+        with pytest.raises(MappingError, match="learning rate"):
+            compile_training(
+                net, ReferenceModel(net), learning_rate=learning_rate
+            )
+
+
+class TestRunTimeErrors:
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_out_of_range_label_rejected_before_running(self, label):
+        """The step is refused before the engine runs, so the compiled
+        training stays usable and matches a fresh one afterwards."""
+        net = tiny_avg_cnn(classes=3)
+        image = random_image(net, 0)
+        compiled = compile_training(net, ReferenceModel(net, seed=3))
+        with pytest.raises(ShapeError, match="label"):
+            compiled.train_step(image, label)
+        fresh = compile_training(net, ReferenceModel(net, seed=3))
+        out, loss, report = compiled.train_step(image, 1)
+        want_out, want_loss, want_report = fresh.train_step(image, 1)
+        np.testing.assert_array_equal(out, want_out)
+        assert (loss, report) == (want_loss, want_report)
+        np.testing.assert_array_equal(
+            compiled.read_weights("conv1"), fresh.read_weights("conv1")
+        )
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_reference_rejects_out_of_range_label(self, label):
+        net = tiny_avg_cnn(classes=3)
+        model = ReferenceModel(net, seed=3)
+        model.forward(random_image(net, 0))
+        with pytest.raises(ShapeError, match="label"):
+            model.backward(label)
+
+    @pytest.mark.parametrize("labels", [[1], [0, 1, 2], [1, 5]])
+    def test_minibatch_labels_checked_before_accumulating(self, labels):
+        net = tiny_avg_cnn(classes=3)
+        compiled = compile_training(
+            net, ReferenceModel(net, seed=3), minibatch=2
+        )
+        images = np.stack([random_image(net, 0), random_image(net, 1)])
+        before = compiled.read_weights("conv1").copy()
+        error = ShapeError if len(labels) == 2 else SimulationError
+        with pytest.raises(error):
+            compiled.train_minibatch(images, labels)
+        np.testing.assert_array_equal(
+            compiled.read_weights("conv1"), before
+        )
+        fresh = compile_training(
+            net, ReferenceModel(net, seed=3), minibatch=2
+        )
+        assert compiled.train_minibatch(images, [1, 2]) == (
+            fresh.train_minibatch(images, [1, 2])
+        )
+        np.testing.assert_array_equal(
+            compiled.read_weights("conv1"), fresh.read_weights("conv1")
+        )
 
 
 class TestMinibatchAccumulation:

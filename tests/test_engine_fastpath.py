@@ -103,21 +103,17 @@ class TestSuperopFusion:
         assert any(p.superops for p in case.compiled.programs), case.name
 
     def test_cached_codegen_is_fused(self):
-        """Fusion is unconditional at compile time: both cached codegen
-        entry points hand out programs carrying superop plans (the
+        """Fusion is unconditional at compile time: the cached codegen
+        entry point hands out programs carrying superop plans (the
         engine's ``fused`` flag alone selects per-instruction runs)."""
-        from repro.sweep.cache import (
-            CompileCache, cached_dag_forward_codegen, cached_forward_codegen,
-        )
+        from repro.sweep.cache import CompileCache, cached_dag_forward_codegen
 
         net = NETS["TinyCNN-8"]()
         cache = CompileCache()
-        for compiled in (
-            cached_dag_forward_codegen(net, cache=cache),
-            cached_forward_codegen(net, cache=cache),
-        ):
-            assert any(p.superops for p in compiled.programs)
-        assert len(cache) == 2
+        compiled = cached_dag_forward_codegen(net, cache=cache)
+        assert any(p.superops for p in compiled.programs)
+        assert cached_dag_forward_codegen(net, cache=cache) is compiled
+        assert len(cache) == 1
 
     def test_fallback_counters_name_opcode_and_reason(self):
         """Instructions the decoder refuses are counted per opcode with

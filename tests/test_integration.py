@@ -10,7 +10,7 @@ from repro import (
     single_precision_node,
     zoo,
 )
-from repro.compiler.codegen import compile_forward
+from repro.compiler.codegen_dag import compile_dag_forward
 from repro.dnn.analysis import training_flops
 from repro.functional import ReferenceModel, SGDTrainer, make_synthetic_dataset
 
@@ -68,7 +68,7 @@ class TestTrainThenRunOnEngine:
         for epoch in range(3):
             trainer.train_epoch(x, y, epoch)
 
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
         agree = 0
         for img in x[:6]:
             want = model.forward(img.astype(np.float32))

@@ -11,7 +11,7 @@ from repro.compiler.ir import (
     Phase,
     build_tile_ir,
 )
-from repro.compiler.partition import partition_sequential
+from repro.compiler.partition import partition_graph
 from repro.compiler.pipeline import compile_network
 from repro.compiler.verifier import MachineShape, assert_ir_verified, verify_ir
 from repro.dnn import zoo
@@ -109,7 +109,7 @@ class TestSerialisation:
 
     def test_tile_level_round_trip(self):
         net = zoo.load("TinyCNN")
-        part = partition_sequential(net, 2, 1 << 20)
+        part = partition_graph(net, 2, 1 << 20)
         ir = build_tile_ir(net, part, 2, phases=(Phase.FP,))
         again = MappingIR.from_json(ir.to_json())
         assert again.to_json() == ir.to_json()

@@ -7,7 +7,8 @@ import pytest
 
 from repro.arch import single_precision_node
 from repro.compiler import fingerprint
-from repro.compiler.codegen import ForwardCompiler, compile_forward
+from repro.compiler.codegen import ForwardCompiler
+from repro.compiler.codegen_dag import compile_dag_forward
 from repro.compiler.codegen_training import compile_training
 from repro.compiler.fingerprint import compile_digest
 from repro.compiler.ir import Phase
@@ -15,7 +16,6 @@ from repro.compiler.passes.legalize import LegalizePass
 from repro.compiler.passes.manager import Pass, PassContext, PassManager
 from repro.compiler.pipeline import compile_network
 from repro.dnn import zoo
-from repro.dnn.builder import NetworkBuilder
 from repro.errors import IRVerificationError, MappingError
 from repro.faults.model import FaultSpec, sample_faults
 from repro.functional.reference import ReferenceModel
@@ -44,18 +44,20 @@ def _armed_tracker_ports(programs):
 
 class TestPipeline:
     def test_pass_order_is_recorded(self):
-        compiled = compile_forward(*_model_pair("TinyCNN"))
+        compiled = compile_dag_forward(*_model_pair("TinyCNN"))
         assert [s.name for s in compiled.pass_stats] == PIPELINE_ORDER
 
-    def test_lower_notes_programs_and_dialect(self):
-        compiled = compile_forward(*_model_pair("TinyCNN"))
+    def test_lower_notes_programs(self):
+        compiled = compile_dag_forward(*_model_pair("TinyCNN"))
         lower = compiled.pass_stats[-2]
         assert lower.name == "lower"
-        assert lower.notes["programs"] == len(compiled.programs)
-        assert lower.notes["dialect"] == "exact"
+        assert lower.notes == {
+            "programs": len(compiled.programs),
+            "instructions": compiled.instruction_count,
+        }
 
     def test_fuse_notes_coverage(self):
-        compiled = compile_forward(*_model_pair("TinyCNN"))
+        compiled = compile_dag_forward(*_model_pair("TinyCNN"))
         fuse = compiled.pass_stats[-1]
         assert fuse.name == "fuse"
         assert fuse.notes["superops"] > 0
@@ -77,7 +79,7 @@ class TestPipeline:
         assert all(not p.superops for p in compiled.programs)
 
     def test_compiled_ir_travels_with_the_programs(self):
-        compiled = compile_forward(*_model_pair("TinyMLP"))
+        compiled = compile_dag_forward(*_model_pair("TinyMLP"))
         assert compiled.ir is not None
         assert compiled.ir.level == "tile"
         assert {op.phase for op in compiled.ir.ops} == {Phase.FP}
@@ -86,20 +88,10 @@ class TestPipeline:
         with pytest.raises(MappingError, match="unknown legalization"):
             LegalizePass("sideways")
 
-    def test_forward_scope_rejects_grouped_conv(self):
-        b = NetworkBuilder("grouped")
-        b.input(4, 8)
-        b.conv(8, kernel=3, pad=1, groups=2)
-        b.global_pool()
-        b.fc(4)
-        net = b.build()
-        with pytest.raises(MappingError, match="groups=1"):
-            compile_forward(net, ReferenceModel(net, seed=0))
-
 
 class TestSchedule:
     def test_fp_schedule_follows_network_order(self):
-        compiled = compile_forward(*_model_pair("TinyCNN"))
+        compiled = compile_dag_forward(*_model_pair("TinyCNN"))
         layers = [
             name.split(":")[1].split("@")[0]
             for name in compiled.ir.schedule
@@ -127,7 +119,7 @@ class TestTrackerPlan:
     def test_forward_plan_matches_armed_trackers(self, name):
         """The IR-level tracker plan is exactly what the lowering arms —
         the plan cannot drift from the emission."""
-        compiled = compile_forward(*_model_pair(name))
+        compiled = compile_dag_forward(*_model_pair(name))
         plan = {
             k: int(v)
             for k, v in compiled.ir.meta["tracker_plan"].items()

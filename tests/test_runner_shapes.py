@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compiler.codegen import compile_forward
+from repro.compiler.codegen_dag import compile_dag_forward
 from repro.compiler.codegen_training import compile_training
 from repro.dnn import zoo
 from repro.dnn.layers import FeatureShape
@@ -16,7 +16,7 @@ class TestForwardRunner:
     def setup(self):
         net = zoo.tiny_cnn(num_classes=4, in_size=8)
         model = ReferenceModel(net, seed=0)
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
         return net, model, compiled.runner()
 
     def _image(self, net, seed):
@@ -89,7 +89,7 @@ class TestInputShape:
 
     @pytest.fixture(scope="class")
     def compiled(self, net):
-        return compile_forward(net, ReferenceModel(net, seed=0), rows=2)
+        return compile_dag_forward(net, ReferenceModel(net, seed=0), rows=2)
 
     @staticmethod
     def _image(shape, seed=0):

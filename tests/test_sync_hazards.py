@@ -11,7 +11,7 @@ interpreter confirms the engine's control-flow semantics.
 import numpy as np
 import pytest
 
-from repro.compiler.codegen import compile_forward
+from repro.compiler.codegen_dag import compile_dag_forward
 from repro.dnn.zoo import tiny_cnn
 from repro.functional import ReferenceModel
 from repro.isa.instructions import Instruction, Opcode, make
@@ -44,11 +44,11 @@ class TestTrackerHazard:
         ).astype(np.float32)
         want = model.forward(image)
 
-        good = compile_forward(net, model, rows=2)
+        good = compile_dag_forward(net, model, rows=2)
         synced, _ = good.run(image)
         np.testing.assert_allclose(synced, want, atol=1e-4)
 
-        bad = compile_forward(net, model, rows=2)
+        bad = compile_dag_forward(net, model, rows=2)
         for program in bad.programs:
             _strip_trackers(program)
         raced, _ = bad.run(image)
@@ -59,7 +59,7 @@ class TestTrackerHazard:
         consumers really did arrive early and were held back."""
         net = tiny_cnn(num_classes=4, in_size=8)
         model = ReferenceModel(net, seed=0)
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
         image = np.random.default_rng(2).normal(
             0, 1, (3, 8, 8)
         ).astype(np.float32)

@@ -14,7 +14,6 @@ import pytest
 
 from repro.bench import runner as bench_runner
 from repro.cli import build_parser, main
-from repro.compiler.codegen import compile_forward
 from repro.compiler.codegen_dag import compile_dag_forward
 from repro.dnn.zoo import lenet5, tiny_cnn
 from repro.errors import SimulationError
@@ -42,7 +41,7 @@ from tests.test_machine_engine import machine as small_machine
 def tiny_compiled(seed=0):
     net = tiny_cnn(num_classes=5, in_size=12)
     model = ReferenceModel(net, seed=seed)
-    return net, compile_forward(net, model, rows=2)
+    return net, compile_dag_forward(net, model, rows=2)
 
 
 def tiny_image(net, seed=0):

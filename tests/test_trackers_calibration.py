@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compiler.codegen import compile_forward
+from repro.compiler.codegen_dag import compile_dag_forward
 from repro.compiler.codegen_training import compile_training
 from repro.compiler.trackers import (
     audit_trackers,
@@ -135,15 +135,16 @@ class TestCalibration:
 
 
 class TestCompilerAudits:
-    """The hand-emitted tracker counts of both compilers match the
-    static analysis exactly — the strongest internal consistency check
-    the synchronization scheme admits."""
+    """Both compilers' tracker counts are a fixed point of the static
+    analysis: re-counting the compiled programs' accesses changes no
+    tracker — the strongest internal consistency check the
+    synchronization scheme admits."""
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_forward_compiler_counts_exact(self, rows):
         net = tiny_cnn(num_classes=5, in_size=12)
         model = ReferenceModel(net, seed=3)
-        compiled = compile_forward(net, model, rows=rows)
+        compiled = compile_dag_forward(net, model, rows=rows)
         audit = audit_trackers(compiled.programs)
         assert audit["mismatches"] == 0
         assert audit["trackers"] > 10
@@ -151,24 +152,70 @@ class TestCompilerAudits:
     def test_mlp_forward_counts_exact(self):
         net = tiny_mlp(num_classes=4, in_features=6, hidden=9)
         model = ReferenceModel(net, seed=1)
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
         assert audit_trackers(compiled.programs)["mismatches"] == 0
 
     def test_training_compiler_counts_exact(self):
+        """Calibration is a fixed point on training programs, AVG and
+        MAX pooling alike.  The MAX-pool routing re-reads every conv
+        output feature for its argmax, so the conv output trackers
+        before a MAX pool count those reads too.  The minibatch update
+        programs stay out of the set, as the lowering leaves them out."""
         b = NetworkBuilder("TinyAvgCNN")
         b.input(2, 8)
         b.conv(4, kernel=3, pad=1, name="conv1")
         b.pool(2, mode=PoolMode.AVG, name="pool1")
         b.conv(6, kernel=3, pad=1, name="conv2")
         b.fc(3, activation=Activation.SOFTMAX, name="fc")
-        net = b.build()
-        model = ReferenceModel(net, seed=3)
-        compiled = compile_training(net, model, rows=2)
-        audit = audit_trackers(
-            compiled.forward.programs,
-            external_updates={
-                (compiled.err_port, compiled.err_addr): 1
-            },
+        cases = [(b.build(), 1), (tiny_cnn(), 1), (tiny_cnn(), 2)]
+        for net, minibatch in cases:
+            model = ReferenceModel(net, seed=3)
+            compiled = compile_training(
+                net, model, rows=2, minibatch=minibatch
+            )
+            programs = [
+                p for p in compiled.forward.programs
+                if p.tile not in compiled.update_tiles
+            ]
+            audit = audit_trackers(
+                programs,
+                external_updates={
+                    (compiled.err_port, compiled.err_addr): 1
+                },
+            )
+            case = f"{net.name} minibatch {minibatch}"
+            assert audit["mismatches"] == 0, (case, audit)
+            assert audit["trackers"] > 20, case
+
+    @pytest.mark.parametrize("minibatch", [1, 2])
+    def test_conv_outputs_before_max_pool_count_argmax_reads(
+        self, minibatch
+    ):
+        """Hand-counted oracle: a conv output block feeding a MAX pool
+        is read once per feature by the pool, once by the BP mask's
+        activation copy, and once per feature again by the max-routing
+        DMAs that restage the originals for the argmax."""
+        net = tiny_cnn()
+        compiled = compile_training(
+            net, ReferenceModel(net, seed=0), rows=2, minibatch=minibatch
         )
-        assert audit["mismatches"] == 0
-        assert audit["trackers"] > 20
+        checked = 0
+        for program in compiled.forward.programs:
+            layer = program.tile.split("@")[0]
+            if layer not in ("conv1", "conv2"):
+                continue
+            home = next(
+                h for h in compiled.forward.partition.blocks_of(layer)
+                if program.tile.endswith(f"r{h.row}")
+            )
+            tracker = next(
+                i for i in program
+                if i.opcode in (Opcode.MEMTRACK, Opcode.DMA_MEMTRACK)
+                and i.operand("addr") == home.address
+            )
+            assert tracker.operand("num_updates") == 1
+            assert tracker.operand("num_reads") == (
+                2 * home.feature_count + 1
+            ), program.tile
+            checked += 1
+        assert checked == 4

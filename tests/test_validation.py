@@ -8,8 +8,8 @@ from repro.bench.export import write_validation_json
 from repro.dnn.builder import NetworkBuilder
 from repro.dnn.layers import Activation, PoolMode
 from repro.dnn.zoo import tiny_cnn, tiny_mlp
-from repro.compiler.codegen import compile_forward
 from repro.compiler.codegen_dag import compile_dag_forward
+from repro.compiler.codegen_training import compile_training
 from repro.errors import ConfigError, MappingError, ValidationError
 from repro.functional import ReferenceModel
 from repro.sim.validation import (
@@ -261,8 +261,8 @@ class TestRowsValidation:
 
     @pytest.mark.parametrize("rows", [0, -1])
     @pytest.mark.parametrize(
-        "compile_fn", [compile_forward, compile_dag_forward],
-        ids=["sequential", "dag"],
+        "compile_fn", [compile_dag_forward, compile_training],
+        ids=["dag", "training"],
     )
     def test_compilers_raise_mapping_error(self, compile_fn, rows):
         net = tiny_cnn(num_classes=4, in_size=8)

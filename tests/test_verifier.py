@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.compiler.codegen import compile_forward
 from repro.compiler.codegen_dag import compile_dag_forward
 from repro.compiler.codegen_training import compile_training
 from repro.compiler.verifier import (
@@ -50,7 +49,7 @@ class TestCompiledSetsVerify:
     def test_forward_compiler_output_verifies(self):
         net = tiny_cnn(num_classes=4, in_size=8)
         model = ReferenceModel(net, seed=0)
-        compiled = compile_forward(net, model, rows=2)
+        compiled = compile_dag_forward(net, model, rows=2)
         issues = verify_programs(
             compiled.programs, shape_for(compiled),
             preloaded=preloads_and_input(compiled),
