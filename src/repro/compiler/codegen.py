@@ -157,14 +157,17 @@ class CompiledForward:
             ))
         return regions
 
-    def verify(self, host_writes=()):
+    def verify(self, host_writes=(), table=None):
         """Run the static verifier over this compiled set (raises on
-        any finding)."""
+        any finding).  ``table`` is the compile's
+        :class:`~repro.compiler.trackers.AccessTable` of
+        :attr:`programs`, if it has one."""
         from repro.compiler.verifier import assert_verified
 
         assert_verified(
             self.programs, self.machine_shape(),
             preloaded=self.preloaded_regions(), host_writes=host_writes,
+            table=table,
         )
 
     def runner(self) -> "ForwardRunner":
@@ -283,5 +286,5 @@ class ForwardCompiler:
             ir=self.ir,
             pass_stats=self.pass_stats,
         )
-        compiled.verify()
+        compiled.verify(table=ctx.accesses)
         return compiled

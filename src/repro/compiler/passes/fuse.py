@@ -26,7 +26,11 @@ force-expires it when the superop completes (the exact per-instruction
 end state).  Every other access stays an **external** quad, peeked and
 consumed one at a time so shared-tracker handshakes between tiles are
 bit-identical to per-instruction execution.  Accesses to ranges no
-tracker ever arms are dropped from the gate entirely.
+tracker ever arms are dropped from the gate entirely.  The analysis
+reads the accesses and arms from the lowering's
+:class:`~repro.compiler.trackers.AccessTable`; a set with any
+register-indirect operand is not fused at all, so the matchers see
+immediates only.
 
 The pass rewrites no instructions: with fusion off (or an engine that
 ignores superops) the same programs execute unchanged.
@@ -38,13 +42,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.passes.manager import Pass, PassContext, PassStats
 from repro.compiler.ir import MappingIR
-from repro.isa.instructions import Instruction, InstrGroup, Opcode
-from repro.isa.program import Program, SuperOp
-from repro.sim.machine import (
-    instruction_accesses,
-    is_reg_operand,
-    unpack_shape,
-)
+from repro.compiler.trackers import AccessTable
+from repro.isa.instructions import Instruction, Opcode
+from repro.isa.program import SuperOp
+from repro.sim.machine import unpack_shape
 
 #: Opcodes a superop may cover.  Everything else — scalar/control,
 #: tracker arms, VECMUL and the other low-count ops — stays on the
@@ -56,15 +57,6 @@ _FUSABLE = frozenset((
 
 #: Minimum instructions for a run-style superop to be worth the gate.
 _MIN_RUN = 2
-
-#: The instruction groups that touch scratchpad data.
-_DATA_GROUPS = frozenset((
-    InstrGroup.COARSE, InstrGroup.OFFLOAD, InstrGroup.TRANSFER,
-))
-
-
-def _has_reg(instr: Instruction) -> bool:
-    return any(is_reg_operand(v) for v in instr.operands)
 
 
 class _Span:
@@ -79,23 +71,6 @@ class _Span:
         self.params = params
 
 
-class _Arm:
-    """One armed tracker range and what the analysis learned about it."""
-
-    __slots__ = ("port", "addr", "size", "prog", "internal", "last_span")
-
-    def __init__(self, port: int, addr: int, size: int, prog: int):
-        self.port = port
-        self.addr = addr
-        self.size = size
-        self.prog = prog
-        self.internal = True  # until a non-fused accessor shows up
-        self.last_span: Optional[Tuple[int, int]] = None  # (prog, span_idx)
-
-    def overlaps(self, addr: int, count: int) -> bool:
-        return addr < self.addr + self.size and self.addr < addr + count
-
-
 # ---------------------------------------------------------------------------
 # Pattern matching
 # ---------------------------------------------------------------------------
@@ -103,7 +78,7 @@ def _parse_load_run(instrs: Sequence[Instruction], start: int) -> Optional[_Span
     n = len(instrs)
     j = start
     dmas: List[Tuple[int, int, int, int, int, int]] = []
-    while j < n and instrs[j].opcode is Opcode.DMALOAD and not _has_reg(instrs[j]):
+    while j < n and instrs[j].opcode is Opcode.DMALOAD:
         o = instrs[j].named_operands()
         dmas.append((
             o["src_port"], o["src_addr"], o["dst_port"], o["dst_addr"],
@@ -138,8 +113,6 @@ def _parse_conv_block(
     bias_addrs: List[int] = []
     i = start
     while i < n and instrs[i].opcode is Opcode.NDCONV:
-        if _has_reg(instrs[i]):
-            return None
         o = instrs[i].named_operands()
         expected_out = pre_base + len(features) * out_size
         if (
@@ -153,8 +126,6 @@ def _parse_conv_block(
         sources = [(o["in_addr"], o["kernel_addr"])]
         i += 1
         while i < n and instrs[i].opcode is Opcode.NDCONV:
-            if _has_reg(instrs[i]):
-                return None
             o = instrs[i].named_operands()
             if not o["is_accum"]:
                 break  # next feature's first source
@@ -169,8 +140,6 @@ def _parse_conv_block(
             i += 1
         if i >= n or instrs[i].opcode is not Opcode.NDACCUM:
             return None
-        if _has_reg(instrs[i]):
-            return None
         o = instrs[i].named_operands()
         if (
             o["port"] != out_port or o["dst_addr"] != expected_out
@@ -183,8 +152,6 @@ def _parse_conv_block(
         if i < n and instrs[i].opcode is Opcode.NDACTFN:
             break
     if not features or i >= n or instrs[i].opcode is not Opcode.NDACTFN:
-        return None
-    if _has_reg(instrs[i]):
         return None
     o = instrs[i].named_operands()
     n_features = len(features)
@@ -233,8 +200,6 @@ def _parse_fc_block(
     mm, acc, act = instrs[start], instrs[start + 1], instrs[start + 2]
     if acc.opcode is not Opcode.NDACCUM or act.opcode is not Opcode.NDACTFN:
         return None
-    if _has_reg(mm) or _has_reg(acc) or _has_reg(act):
-        return None
     om = mm.named_operands()
     rows, cols = unpack_shape(om["in2_size"])
     _, n = unpack_shape(om["in1_size"])
@@ -266,9 +231,7 @@ def _parse_pool_run(
     n = len(instrs)
     j = start
     planes = []
-    while j < n and instrs[j].opcode is Opcode.NDSUBSAMP and not _has_reg(
-        instrs[j]
-    ):
+    while j < n and instrs[j].opcode is Opcode.NDSUBSAMP:
         o = instrs[j].named_operands()
         h, w = unpack_shape(o["in_size"])
         planes.append((
@@ -317,7 +280,7 @@ def _match_spans(instrs: Sequence[Instruction]) -> List[_Span]:
         instr = instrs[i]
         op = instr.opcode
         span: Optional[_Span] = None
-        if op in _FUSABLE and not _has_reg(instr):
+        if op in _FUSABLE:
             if op is Opcode.DMALOAD:
                 span = _parse_load_run(instrs, i)
             elif op is Opcode.NDCONV:
@@ -337,35 +300,18 @@ def _match_spans(instrs: Sequence[Instruction]) -> List[_Span]:
 # ---------------------------------------------------------------------------
 # Externality analysis
 # ---------------------------------------------------------------------------
-def _collect_arms(programs: Sequence[Program]) -> Optional[Dict[int, List[_Arm]]]:
-    """All armed tracker ranges per port; None if any is unanalyzable."""
-    arms: Dict[int, List[_Arm]] = {}
-    for pi, prog in enumerate(programs):
-        for instr in prog.instructions:
-            if instr.group is not InstrGroup.TRACK:
-                continue
-            if _has_reg(instr):
-                return None  # register-indirect arm: cannot analyze
-            o = instr.named_operands()
-            port = (
-                o["target"] if instr.opcode is Opcode.DMA_MEMTRACK
-                else o["port"]
-            )
-            arms.setdefault(port, []).append(
-                _Arm(port, o["addr"], o["size"], pi)
-            )
-    return arms
-
-
-def _annotate_superops(programs: Sequence[Program]) -> int:
-    """Match spans, classify tracker ranges, attach superops.
+def _annotate_superops(table: AccessTable) -> int:
+    """Match spans, classify tracker ranges, attach superops to the
+    programs of ``table`` (whose arms calibration has accepted).
 
     Returns the number of instructions covered by superops (0 when the
     program set is unanalyzable and fusion is skipped entirely).
     """
-    arms = _collect_arms(programs)
-    if arms is None:
-        return 0
+    if table.indirect:
+        return 0  # register-indirect operands: cannot analyze
+    programs = table.programs
+    arms = table.arms
+    covering = table.covering
     spans_by_prog = [_match_spans(prog.instructions) for prog in programs]
     covered_by_prog = []
     for spans in spans_by_prog:
@@ -376,30 +322,28 @@ def _annotate_superops(programs: Sequence[Program]) -> int:
         covered_by_prog.append(covered)
 
     # Pass 1: every data access marks each armed range it overlaps as
-    # internal (same program, inside a span) or external.
-    quads_cache: List[List[Tuple[int, list, list]]] = []
-    for pi, prog in enumerate(programs):
+    # internal (same program, inside a span) or external.  An arm's
+    # last span is the latest (program, span) that touches it.
+    internal = [True] * len(arms)
+    last_span: List[Optional[Tuple[int, int]]] = [None] * len(arms)
+    for pi, rows in enumerate(table.accesses):
         covered = covered_by_prog[pi]
-        prog_quads: List[Tuple[int, list, list]] = []
-        for pc, instr in enumerate(prog.instructions):
-            if instr.group not in _DATA_GROUPS:
-                continue
-            if _has_reg(instr):
-                return 0  # register-indirect data op: cannot analyze
-            reads, writes = instruction_accesses(instr)
-            prog_quads.append((pc, reads, writes))
+        for pc, reads, writes in rows:
             span_idx = covered.get(pc)
             for port, addr, count in reads + writes:
-                for arm in arms.get(port, ()):
-                    if not arm.overlaps(addr, count):
-                        continue
-                    if span_idx is None or arm.prog != pi:
-                        arm.internal = False
-                    elif arm.last_span is None or arm.last_span < (
+                for a in covering(port, addr, count):
+                    if span_idx is None or arms[a].prog != pi:
+                        internal[a] = False
+                    elif last_span[a] is None or last_span[a] < (
                         pi, span_idx
                     ):
-                        arm.last_span = (pi, span_idx)
-        quads_cache.append(prog_quads)
+                        last_span[a] = (pi, span_idx)
+    expires: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+    for arm, inside, last in zip(arms, internal, last_span):
+        if inside and last is not None:
+            expires.setdefault(last, []).append(
+                (arm.port, arm.addr, arm.size)
+            )
 
     # Pass 2: build the external quad lists and expire sets per span.
     fused_instrs = 0
@@ -411,31 +355,18 @@ def _annotate_superops(programs: Sequence[Program]) -> int:
         ext_reads: List[List[Tuple[int, int, int]]] = [[] for _ in spans]
         ext_writes: List[List[Tuple[int, int, int]]] = [[] for _ in spans]
         covered = covered_by_prog[pi]
-        for pc, reads, writes in quads_cache[pi]:
+        for pc, reads, writes in table.accesses[pi]:
             si = covered.get(pc)
             if si is None:
                 continue
             for quads, out in ((reads, ext_reads), (writes, ext_writes)):
                 for port, addr, count in quads:
-                    hit = [
-                        arm for arm in arms.get(port, ())
-                        if arm.overlaps(addr, count)
-                    ]
-                    if hit and all(a.internal for a in hit):
+                    hit = covering(port, addr, count)
+                    if hit and all(internal[a] for a in hit):
                         continue  # internal: expired at span end
                     if hit:
                         out[si].append((port, addr, count))
                     # no tracker ever arms this range: drop the quad
-        expires: List[List[Tuple[int, int, int]]] = [[] for _ in spans]
-        for port_arms in arms.values():
-            for arm in port_arms:
-                if (
-                    arm.internal and arm.last_span is not None
-                    and arm.last_span[0] == pi
-                ):
-                    expires[arm.last_span[1]].append(
-                        (arm.port, arm.addr, arm.size)
-                    )
         superops = []
         for si, span in enumerate(spans):
             superops.append(SuperOp(
@@ -444,7 +375,7 @@ def _annotate_superops(programs: Sequence[Program]) -> int:
                 end=span.end,
                 external_reads=tuple(ext_reads[si]),
                 external_writes=tuple(ext_writes[si]),
-                expire=tuple(sorted(expires[si])),
+                expire=tuple(sorted(expires.get((pi, si), ()))),
                 params=tuple(sorted(span.params.items())),
             ))
             fused_instrs += span.end - span.start
@@ -463,7 +394,7 @@ class FusePass(Pass):
         programs = list(ctx.programs)
         if not programs:
             return ir
-        fused = _annotate_superops(programs)
+        fused = _annotate_superops(ctx.accesses)
         total = sum(len(p.instructions) for p in programs)
         stats.notes["fused_instructions"] = fused
         stats.notes["superops"] = sum(len(p.superops) for p in programs)

@@ -5,14 +5,15 @@ compiler.  Every op in ``ir.schedule`` lowers to one program through
 :class:`EngineEmitter`:
 
 * **trackers** — every MEMTRACK is armed with placeholder counts, and
-  :class:`LowerPass` runs the static access analysis
-  (:func:`~repro.compiler.trackers.calibrate_trackers`) over the
-  finished programs to fill in the exact update/read numbers — the
-  paper's premise that each location's access sequence "can be
-  ascertained at compile time" (Sec 3.2.4), made a program.  Fan-out
-  to several consumers, the backward wave's extra readers of FP
-  outputs, and the host-injected loss gradient (passed in as an
-  external update) need no hand bookkeeping;
+  :class:`LowerPass` builds the finished programs' access table
+  (:class:`~repro.compiler.trackers.AccessTable`, left on the context
+  for fusion and the verifier) and calibrates through it
+  (:func:`~repro.compiler.trackers.calibrate_trackers`) to fill in the
+  exact update/read numbers — the paper's premise that each location's
+  access sequence "can be ascertained at compile time" (Sec 3.2.4),
+  made a program.  Fan-out to several consumers, the backward wave's
+  extra readers of FP outputs, and the host-injected loss gradient
+  (passed in as an external update) need no hand bookkeeping;
 * **training** — when the IR carries BP/WG ops, error regions are
   allocated before any FP emission (allocation order determines
   addresses), and each WG op also emits its deferred weight-update
@@ -39,7 +40,7 @@ from repro.compiler.templates import (
     arm_placeholder_tracker,
     port_of,
 )
-from repro.compiler.trackers import calibrate_trackers
+from repro.compiler.trackers import AccessTable, calibrate_trackers
 from repro.dnn.layers import (
     ConcatSpec,
     ConvSpec,
@@ -1195,7 +1196,7 @@ class EngineEmitter:
 
 
 class LowerPass(Pass):
-    """Emit one program per scheduled op; calibrate, align, validate."""
+    """Emit one program per scheduled op; align, calibrate, validate."""
 
     name = "lower"
 
@@ -1216,13 +1217,17 @@ class LowerPass(Pass):
             injected[(port, addr)] = 1
             ctx.extra["err_injection"] = emitter.err_injection
             ctx.host_writes = [emitter.err_injection]
-        calibrate_trackers(programs, external_updates=injected)
         all_programs = programs + emitter.update_programs
         if all_programs:
             align_prologues(all_programs)
+        # Alignment only pads ahead of the prologues and reads no
+        # counts, so the table is built once every pc is final.
+        table = AccessTable(programs)
+        calibrate_trackers(programs, external_updates=injected, table=table)
         for program in all_programs:
             program.validate()
         ctx.programs = programs
+        ctx.accesses = table
         ctx.update_programs = emitter.update_programs
         ctx.preloads = emitter.preloads
         stats.notes["programs"] = len(all_programs)

@@ -44,6 +44,9 @@ class PassContext:
     update_programs: List[Any] = field(default_factory=list)
     preloads: List[Any] = field(default_factory=list)
     host_writes: List[Tuple[int, int, int]] = field(default_factory=list)
+    #: The AccessTable of ``programs``, built by the lowering for the
+    #: passes and the verifier after it; it lives only for one compile.
+    accesses: Any = None
     extra: Dict[str, Any] = field(default_factory=dict)
 
     def machine_shape(self) -> Optional[MachineShape]:

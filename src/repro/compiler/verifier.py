@@ -11,7 +11,13 @@ this verifier checks whole compiled *sets* against a machine shape, and
 * every read of a scratchpad range is preceded — somewhere in the set —
   by a write or a machine-build preload covering it (no reads of
   never-written memory);
+* every tracker arms a range inside an existing tile's scratchpad
+  (never external memory);
 * armed trackers fit the MemHeavy tracker-file capacity per tile.
+
+Program-set checks read the compile's
+:class:`~repro.compiler.trackers.AccessTable`, and record written
+memory as merged intervals per tile, so a read costs one bisect.
 
 The code generators run it as a back-end gate: a program set that
 passes cannot fault the engine on addressing, and cannot silently read
@@ -20,14 +26,18 @@ uninitialised scratchpad.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
+from repro.compiler.trackers import AccessTable
 from repro.errors import IRVerificationError, ProgramError
-from repro.isa.instructions import Opcode
 from repro.isa.program import Program
 from repro.sim.engine import EXTERNAL_PORT
-from repro.sim.machine import is_reg_operand, instruction_accesses
+from repro.sim.machine import is_reg_operand
 
 
 @dataclass(frozen=True)
@@ -54,22 +64,59 @@ class MachineShape:
         return port == EXTERNAL_PORT or 0 <= port < self.mem_tiles
 
 
-def _ranges(
-    programs: Sequence[Program],
-) -> Tuple[List[Tuple[str, int, int, int, int]],
-           List[Tuple[str, int, int, int, int]]]:
-    """All (program, pc, port, addr, words) reads and writes."""
-    reads, writes = [], []
-    for program in programs:
-        for pc, instr in enumerate(program):
-            if any(is_reg_operand(v) for v in instr.operands):
-                continue  # register-indirect: checked at execution
-            r, w = instruction_accesses(instr)
-            for port, addr, count in r:
-                reads.append((program.tile, pc, port, addr, count))
-            for port, addr, count in w:
-                writes.append((program.tile, pc, port, addr, count))
-    return reads, writes
+def _located(table: AccessTable, reads: bool) -> Iterator[
+    Tuple[str, int, int, int, int]
+]:
+    """Every (program, pc, port, addr, words) read, or every write."""
+    which = 1 if reads else 2
+    for program, rows in zip(table.programs, table.accesses):
+        for row in rows:
+            for port, addr, count in row[which]:
+                yield program.tile, row[0], port, addr, count
+
+
+def _merged(
+    regions: Iterable[Tuple[int, int, int]],
+) -> Dict[int, Tuple[List[int], List[int]]]:
+    """Per port, the written words as sorted, disjoint, non-adjacent
+    intervals: their starts and their ends."""
+    spans: Dict[int, List[Tuple[int, int]]] = {}
+    for port, addr, count in regions:
+        if count > 0:
+            spans.setdefault(port, []).append((addr, addr + count))
+    merged: Dict[int, Tuple[List[int], List[int]]] = {}
+    for port, intervals in spans.items():
+        intervals.sort()
+        starts, ends = [intervals[0][0]], [intervals[0][1]]
+        for start, end in intervals[1:]:
+            if start <= ends[-1]:
+                ends[-1] = max(ends[-1], end)
+            else:
+                starts.append(start)
+                ends.append(end)
+        merged[port] = (starts, ends)
+    return merged
+
+
+def _unwritten(
+    starts: List[int], ends: List[int], addr: int, count: int
+) -> Tuple[int, int]:
+    """(how many words of ``[addr, addr + count)`` no interval covers,
+    the first of them)."""
+    end = addr + count
+    i = bisect_right(ends, addr)
+    missing, first, pos = 0, addr, addr
+    while pos < end:
+        if i < len(starts) and starts[i] <= pos:
+            pos = ends[i]
+            i += 1
+            continue
+        gap_end = min(end, starts[i]) if i < len(starts) else end
+        if not missing:
+            first = pos
+        missing += gap_end - pos
+        pos = gap_end
+    return missing, first
 
 
 def verify_programs(
@@ -77,18 +124,25 @@ def verify_programs(
     shape: MachineShape,
     preloaded: Sequence[Tuple[int, int, int]] = (),
     host_writes: Sequence[Tuple[int, int, int]] = (),
+    table: Optional[AccessTable] = None,
 ) -> List[Issue]:
     """Check a program set; returns the list of findings (empty = ok).
 
     ``preloaded`` lists (port, addr, words) regions written at machine
     build (weights, biases, the input image's home blocks);
     ``host_writes`` lists regions the host injects between phases.
+    ``table`` is the :class:`AccessTable` of ``programs`` when the
+    caller already built one; otherwise one is built here.
     """
+    if table is None:
+        table = AccessTable(programs)
     issues: List[Issue] = []
-    reads, writes = _ranges(programs)
 
-    # 1. Addressing envelope.
-    for tile, pc, port, addr, count in reads + writes:
+    # 1. Addressing envelope.  Register-indirect instructions are not in
+    # the table: they are checked at execution.
+    for tile, pc, port, addr, count in chain(
+        _located(table, reads=True), _located(table, reads=False)
+    ):
         if not shape.valid_port(port):
             issues.append(Issue(tile, pc, f"port {port} does not exist"))
             continue
@@ -101,40 +155,52 @@ def verify_programs(
                 f"{shape.words_per_tile}-word scratchpad of tile {port}",
             ))
 
-    # 2. No reads of never-written scratchpad.  Coverage is tracked at
-    # word granularity per tile (these programs are small).
-    written: Dict[int, Set[int]] = {}
-    for port, addr, count in list(preloaded) + list(host_writes):
-        written.setdefault(port, set()).update(range(addr, addr + count))
-    for _, _, port, addr, count in writes:
-        if port != EXTERNAL_PORT:
-            written.setdefault(port, set()).update(
-                range(addr, addr + count)
-            )
-    for tile, pc, port, addr, count in reads:
+    # 2. No reads of never-written scratchpad.
+    written = _merged(chain(
+        preloaded, host_writes,
+        (
+            (port, addr, count)
+            for _, _, port, addr, count in _located(table, reads=False)
+            if port != EXTERNAL_PORT
+        ),
+    ))
+    for tile, pc, port, addr, count in _located(table, reads=True):
         if port == EXTERNAL_PORT:
             continue
-        covered = written.get(port, set())
-        missing = [w for w in range(addr, addr + count) if w not in covered]
+        missing, first = _unwritten(*written.get(port, ([], [])),
+                                    addr, count)
         if missing:
             issues.append(Issue(
                 tile, pc,
-                f"reads {len(missing)} never-written word(s) of tile "
-                f"{port} starting at {missing[0]}",
+                f"reads {missing} never-written word(s) of tile "
+                f"{port} starting at {first}",
             ))
 
-    # 3. Tracker-file capacity per tile.
+    # 3. Every arm names a scratchpad range the engine can track.  A
+    # negative immediate carries the register flag but is no register.
+    for prog, pc, port, addr, size in table.arms:
+        if any(v >= 0 and is_reg_operand(v) for v in (port, addr, size)):
+            continue  # register-indirect: checked at execution
+        tile = table.programs[prog].tile
+        if port == EXTERNAL_PORT:
+            issues.append(Issue(
+                tile, pc, "arms a tracker on external memory"
+            ))
+        elif not shape.valid_port(port):
+            issues.append(Issue(
+                tile, pc, f"tracker port {port} does not exist"
+            ))
+        elif addr < 0 or addr + size > shape.words_per_tile:
+            issues.append(Issue(
+                tile, pc,
+                f"tracked range [{addr}, {addr + size}) exceeds the "
+                f"{shape.words_per_tile}-word scratchpad of tile {port}",
+            ))
+
+    # 4. Tracker-file capacity per tile.
     armed: Dict[int, int] = {}
-    for program in programs:
-        for pc, instr in enumerate(program):
-            if instr.opcode in (Opcode.MEMTRACK, Opcode.DMA_MEMTRACK):
-                o = instr.named_operands()
-                port = (
-                    o["target"]
-                    if instr.opcode is Opcode.DMA_MEMTRACK
-                    else o["port"]
-                )
-                armed[port] = armed.get(port, 0) + 1
+    for arm in table.arms:
+        armed[arm.port] = armed.get(arm.port, 0) + 1
     for port, count in armed.items():
         if count > shape.trackers_per_tile:
             issues.append(Issue(
@@ -257,9 +323,10 @@ def assert_verified(
     shape: MachineShape,
     preloaded: Sequence[Tuple[int, int, int]] = (),
     host_writes: Sequence[Tuple[int, int, int]] = (),
+    table: Optional[AccessTable] = None,
 ) -> None:
     """Raise :class:`ProgramError` listing every finding, if any."""
-    issues = verify_programs(programs, shape, preloaded, host_writes)
+    issues = verify_programs(programs, shape, preloaded, host_writes, table)
     if issues:
         summary = "; ".join(str(i) for i in issues[:5])
         more = f" (+{len(issues) - 5} more)" if len(issues) > 5 else ""

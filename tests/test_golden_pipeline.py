@@ -31,6 +31,7 @@ from repro.compiler.ir import MappingIR
 from repro.compiler.passes.lower import LowerPass
 from repro.compiler.passes.manager import PassContext, PassManager
 from repro.dnn import zoo
+from repro.dnn.zoo.engine_proxies import engine_proxy
 from repro.functional.reference import ReferenceModel
 from repro.sim import simulate
 
@@ -56,6 +57,25 @@ SEQUENTIAL_LISTING = {
         "9f2316ea9020ee0680034db8f9f5832eeaeb542d3af3cab6d936f4fd264069ab",
     ("TinyMLP", 2):
         "2973e3aafa2c42b292e52674738f4885a8c100ae65b2822642d8d9bb7c011448",
+}
+
+#: Engine proxy -> sha256 of its listing and of the ``repr`` of its
+#: programs' superops: the programs and fusion plans the engine-stream
+#: benchmark compiles, recorded before calibration, fusion and the
+#: verifier shared one access table.
+ENGINE_PROXIES = {
+    "AlexNet": (
+        "fe2238a52f83aad7ef38f9505f94a47829ed0a8b223da58b28d40ea2c83ec53b",
+        "0158757f3736b094582ad9a1f872ca374a0fbba0412428b44d657b5eea8dac11",
+    ),
+    "GoogLeNet": (
+        "cd633c0f12cf8a46185a6cf8e778877ec61bf0ae59017c174bbd6a164392af32",
+        "fad4b63b791c6d3520a429630119c2b1a7e5bc4c99453ccda22a8c83375c1507",
+    ),
+    "ResNet18": (
+        "147c541e21ef009672f0b15dca8a042f4d4c499cd037e2d889a3e4c4f3f8b229",
+        "605a81ca2803c71a26bd74a8842e9c4b05991780fe82656329571a4a80e8d6a4",
+    ),
 }
 
 _SELF_TARGETED = re.compile(
@@ -152,6 +172,20 @@ class TestEngineForwardGolden:
         fused_out, fused_report = compiled.run(image_for(net))
         assert np.array_equal(fused_out, out)
         assert fused_report.instructions == pin["instructions"]
+
+
+class TestEngineProxyGolden:
+    @pytest.mark.parametrize("name", sorted(ENGINE_PROXIES))
+    def test_proxy_programs_and_superops_are_pinned(self, name):
+        net = engine_proxy(name)
+        programs = compile_dag_forward(
+            net, ReferenceModel(net, seed=0)
+        ).programs
+        superops = repr([p.superops for p in programs])
+        assert (
+            digest(programs),
+            hashlib.sha256(superops.encode()).hexdigest(),
+        ) == ENGINE_PROXIES[name]
 
 
 class TestEngineTrainingGolden:

@@ -107,6 +107,26 @@ class TestCalibration:
         with pytest.raises(ProgramError, match="dead tracker"):
             calibrate_trackers([prog])
 
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_empty_tracker_rejected(self, size):
+        """The engine refuses to arm an empty range; calibration refuses
+        it first, where any write strictly containing its address would
+        otherwise count as an update."""
+        prog = Program(tile="empty")
+        prog.append(make(
+            Opcode.MEMTRACK, addr=2, port=0, size=size,
+            num_updates=0, num_reads=0,
+        ))
+        prog.append(make(
+            Opcode.DMALOAD, src_addr=0, src_port=1, dst_addr=0,
+            dst_port=0, size=4, is_accum=0,
+        ))
+        prog.append(make(Opcode.HALT))
+        with pytest.raises(ProgramError, match=(
+            rf"empty tracker range \(size {size}\): empty@0 port 0 addr 2"
+        )):
+            calibrate_trackers([prog])
+
     def test_overlapping_trackers_rejected(self):
         prog = Program(tile="overlap")
         for addr in (0, 2):

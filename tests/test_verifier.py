@@ -17,6 +17,8 @@ from repro.dnn.zoo import tiny_cnn
 from repro.errors import ProgramError
 from repro.functional import ReferenceModel
 from repro.isa import Opcode, Program, make
+from repro.sim.engine import EXTERNAL_PORT
+from repro.sim.machine import reg_operand
 
 
 def shape_for(compiled):
@@ -160,3 +162,44 @@ class TestFindings:
     def test_issue_str(self):
         issue = Issue("tile", 3, "boom")
         assert str(issue) == "tile@3: boom"
+
+
+class TestTrackerArms:
+    """Arms the engine cannot honour: it raises when it executes the arm
+    (external memory, a missing tile, a negative address read as a
+    register operand) or guards words past the end of the
+    scratchpad."""
+
+    SHAPE = MachineShape(mem_tiles=2, words_per_tile=64)
+
+    def _findings(self, **arm):
+        prog = Program(tile="t")
+        prog.append(make(Opcode.DMA_MEMTRACK, port=0, num_updates=1,
+                         num_reads=0, **arm))
+        prog.append(make(Opcode.HALT))
+        return [str(i) for i in verify_programs([prog], self.SHAPE)]
+
+    def test_arm_on_external_memory(self):
+        assert self._findings(addr=0, size=4, target=EXTERNAL_PORT) == [
+            "t@0: arms a tracker on external memory"
+        ]
+
+    def test_arm_on_missing_tile(self):
+        assert self._findings(addr=0, size=4, target=99) == [
+            "t@0: tracker port 99 does not exist"
+        ]
+
+    def test_arm_at_negative_address(self):
+        assert self._findings(addr=-4, size=4, target=1) == [
+            "t@0: tracked range [-4, 0) exceeds the 64-word scratchpad "
+            "of tile 1"
+        ]
+
+    def test_arm_past_scratchpad(self):
+        assert self._findings(addr=60, size=8, target=1) == [
+            "t@0: tracked range [60, 68) exceeds the 64-word scratchpad "
+            "of tile 1"
+        ]
+
+    def test_register_indirect_arm_is_checked_at_execution(self):
+        assert self._findings(addr=reg_operand(3), size=4, target=1) == []
