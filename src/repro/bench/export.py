@@ -150,9 +150,9 @@ def write_validation_json(report, path: Union[str, Path]) -> Path:
     """Write a :class:`~repro.sim.validation.ValidationReport` as the
     ``BENCH_validate.json`` artifact: the full differential table
     (per-network cycles, ratios, tolerance bands, output errors), the
-    rank-agreement score, the gate verdict, and the fast-path speedup
-    measurement.  Sorted keys; only the timing fields vary across
-    reruns."""
+    rank-agreement score, the gate verdict, and the speedup of the
+    fused run over the per-instruction run.  Sorted keys; only the
+    timing fields vary across reruns."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as handle:

@@ -113,19 +113,18 @@ class CompiledForward:
         ])
 
     def run(
-        self, image: np.ndarray, fast: bool = True, fused: bool = True
+        self, image: np.ndarray, fused: bool = True
     ) -> Tuple[np.ndarray, RunReport]:
         """Execute the forward pass on one image; returns (output vector,
-        run statistics).  ``fast=False`` selects the legacy interpreter
-        (identical reports and outputs; kept for the equivalence tests).
-        ``fused=False`` disables superop execution on the fast path —
-        outputs, instruction counts and busy cycles stay bit-identical
-        to fused runs, but superops compress stall rounds, so makespan
+        run statistics).  ``fused=False`` runs one op-table entry per
+        instruction instead of the superops — outputs, instruction
+        counts and busy cycles stay bit-identical to fused runs, but
+        superops compress stall rounds, so makespan
         ``cycles``/``rounds``/blocked counts may differ (see
         :class:`~repro.sim.engine.RunReport`)."""
         machine = self.build_machine()
         self.load_image(machine, image)
-        report = Engine(machine, fast=fast, fused=fused).run()
+        report = Engine(machine, fused=fused).run()
         return self.read_output(machine), report
 
     @property

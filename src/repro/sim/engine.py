@@ -9,9 +9,16 @@ against the numpy golden model.
 
 Engine conventions (the compiler's code generator follows these):
 
-* Data-instruction operands are immediates — the data flow of a DNN is
-  static, so the generator resolves every address at compile time (the
-  scalar/branch instructions still execute for handwritten programs).
+* Each tile's program is decoded once into a flat op table of closures;
+  :meth:`Engine._decode_data` is the one definition of what a data
+  instruction reads, writes, computes and costs.  The generator
+  resolves every address at compile time — the data flow of a DNN is
+  static — so every compiled data instruction decodes up front.
+  :meth:`Engine._execute` runs scalar control and decodes the other
+  entries the table leaves undecoded when they issue: handwritten
+  programs' register-indirect operands (Fig 13-style R-args), with the
+  registers' values substituted, and malformed instructions, which
+  raise :class:`SimulationError` there.
 * ``port`` operands carry flattened MemHeavy tile ids
   (:meth:`Machine.mem_tile_id`); port ``EXTERNAL_PORT`` addresses the
   node's external memory.
@@ -36,7 +43,13 @@ import numpy as np
 from repro.dnn.layers import Activation, PoolMode
 from repro.errors import ShapeError, SimulationError, SimulationTimeout
 from repro.functional import tensor_ops as ops
-from repro.isa.instructions import Instruction, InstrGroup, Opcode
+from repro.isa.instructions import (
+    Instruction,
+    InstrGroup,
+    NUM_REGISTERS,
+    OPERAND_NAMES,
+    Opcode,
+)
 from repro.isa.program import Program
 from repro.sim.machine import (
     CompTile,
@@ -45,7 +58,6 @@ from repro.sim.machine import (
     REG_OPERAND_MASK,
     instruction_accesses,
     is_reg_operand,
-    operand_accesses,
     unpack_shape,
 )
 from repro.sim.tracker import AccessVerdict, TrackerPhase
@@ -82,6 +94,37 @@ _CODE_TO_SAMP = {v: k for k, v in SAMP_CODES.items()}
 #: Extra NDUPSAMP mode: zero-insertion dilation (the error expansion
 #: that turns a strided convolution's BP into a stride-1 full conv).
 UPSAMP_ZERO_INSERT = 2
+
+#: NDUPSAMP's samp_type codes: the pooling mode whose backward pass
+#: spreads the error, or None for zero insertion.
+_UPSAMP_MODES = {**_CODE_TO_SAMP, UPSAMP_ZERO_INSERT: None}
+
+
+def _code(op: Opcode, o: Dict[str, int], name: str, codes: dict, what: str):
+    """The meaning of code operand ``name``; a code outside ``codes``
+    raises :class:`SimulationError` naming the opcode and operand."""
+    value = o[name]
+    if value not in codes:
+        raise SimulationError(
+            f"{op.value} {name}={value}: not {what} code {sorted(codes)}"
+        )
+    return codes[value]
+
+
+def _upsampled(o: Dict[str, int]) -> Tuple[int, int]:
+    """The (height, width) an NDUPSAMP writes."""
+    h, w = unpack_shape(o["in_size"])
+    stride = o["stride"]
+    if o["samp_type"] == UPSAMP_ZERO_INSERT:
+        return (h - 1) * stride + 1, (w - 1) * stride + 1
+    return h * stride, w * stride
+
+
+def _arm_port(instr: Instruction) -> int:
+    """The mem tile a MEMTRACK or DMA_MEMTRACK arms its tracker on."""
+    return instr.operand(
+        "target" if instr.opcode is Opcode.DMA_MEMTRACK else "port"
+    )
 
 
 @dataclass
@@ -126,15 +169,13 @@ _OPCODE_TAGS = {
 class _Decoded:
     """One entry of a tile's flat op table, covering pcs ``[pc, pc + count)``.
 
-    A plain entry is one pre-decoded instruction: the fast path resolves
-    everything static once per program — the gated address quads (with
-    the MemTile objects already bound), the cycle cost, and a closure
-    ``fn`` executing the exact numpy calls of the legacy interpreter.
-    Instructions the decoder cannot resolve statically — scalar/control,
-    register-indirect operands, or anything whose decode raises — get no
-    closure (``fn is None``) and run through :meth:`Engine._execute` so
-    error timing and semantics are unchanged; the legacy interpreter is
-    a table of such fallback entries only.
+    A plain entry is one decoded instruction: everything static is
+    resolved once per program — the gated address quads (with the
+    MemTile objects already bound), the cycle cost, and a closure ``fn``
+    performing the instruction.  Entries the decoder leaves undecoded
+    (``fn is None``) — scalar control, register-indirect operands, an
+    instruction whose decode raises, a superop member — run through
+    :meth:`Engine._execute` when they issue.
 
     A superop entry (``sup`` given) is a fused run of ``count``
     instructions placed at the run's first pc.  Its quads are the
@@ -194,24 +235,19 @@ class Engine:
         telemetry: "Telemetry | NullTelemetry | None" = None,
         wall_clock_limit: Optional[float] = None,
         faults=None,
-        fast: bool = True,
         fused: bool = False,
     ) -> None:
         self.machine = machine
         self.external = np.zeros(external_words, dtype=np.float32)
         self.max_rounds = max_rounds
-        #: Pre-decoded fast path: decode each tile's program once into a
-        #: flat op table instead of re-parsing instruction dicts every
-        #: round.  ``fast=False`` keeps the legacy interpreter — reports
-        #: and outputs are identical either way (pinned by tests).
-        self.fast = fast
         #: Superop execution: honour the compiler's fusion plans
         #: (``Program.superops``) by executing whole fused runs per
-        #: dispatch.  Needs the fast path; silently ignored under
-        #: dma-bitflip faults (per-transfer semantics).  Outputs,
-        #: ``instructions`` and ``busy_cycles`` stay bit-identical to
-        #: per-instruction execution.
-        self.fused = fused and fast
+        #: dispatch; otherwise the op table holds one entry per
+        #: instruction.  Silently ignored under dma-bitflip faults
+        #: (per-transfer semantics).  Outputs, ``instructions`` and
+        #: ``busy_cycles`` stay bit-identical to per-instruction
+        #: execution.
+        self.fused = fused
         self._decoded: Dict[str, List[_Decoded]] = {}
         #: Watchdog: seconds of host wall-clock a run() may take before
         #: it is killed with a :class:`SimulationTimeout` (None = no
@@ -285,67 +321,41 @@ class Engine:
             return None
         return self.machine.mem_tile(port)
 
-    def _read_words(self, port: int, addr: int, count: int) -> np.ndarray:
-        tile = self._tile(port)
-        if tile is None:
-            return self.external[addr : addr + count]
-        return tile.read(addr, count)
+    def _quads(self, accesses) -> tuple:
+        """``(port, addr, count)`` accesses as gate quads, each with its
+        MemTile bound (None for external memory)."""
+        return tuple(
+            (self._tile(port), port, addr, count)
+            for port, addr, count in accesses
+        )
 
-    def _write_words(
-        self, port: int, addr: int, data: np.ndarray, accumulate: bool
-    ) -> None:
-        tile = self._tile(port)
-        if tile is None:
-            flat = data.reshape(-1).astype(np.float32)
-            if accumulate:
-                self.external[addr : addr + flat.size] += flat
-            else:
-                self.external[addr : addr + flat.size] = flat
-            return
-        tile.write(addr, data, accumulate)
-
-    def _gate(
-        self,
-        comp: CompTile,
-        reads: List[Tuple[int, int, int]],
-        writes: List[Tuple[int, int, int]],
-    ) -> bool:
-        """Check every (port, addr, count) access; consume tracker counts
-        only if ALL are allowed.  Returns True when the instruction may
-        proceed.  A refusal records *why* ``comp`` is blocked (the
-        obstructing port, address range and tracker phase) for the
+    def _gate(self, comp: CompTile, reads, writes) -> bool:
+        """Check every ``(mem_tile, port, addr, count)`` quad; consume
+        tracker counts only if ALL are allowed.  Returns True when the
+        entry may proceed.  A refusal records *why* ``comp`` is blocked
+        (the obstructing port, address range and tracker phase) for the
         deadlock diagnostic and, when enabled, telemetry."""
         # Peek first: a blocked companion access must not consume counts.
-        for port, addr, count in reads:
-            tile = self._tile(port)
-            if tile and tile.trackers.phase_of(addr, count) is (
-                TrackerPhase.UPDATING
-            ):
-                tile.trackers.blocked_reads += 1
+        for mem, port, addr, count in reads:
+            if mem is not None and mem.trackers.read_blocked(addr, count):
                 self._note_block(
                     comp, "read", port, addr, count, TrackerPhase.UPDATING
                 )
                 return False
-        for port, addr, count in writes:
-            tile = self._tile(port)
-            if tile and tile.trackers.phase_of(addr, count) is (
-                TrackerPhase.READABLE
-            ):
-                tile.trackers.blocked_writes += 1
+        for mem, port, addr, count in writes:
+            if mem is not None and mem.trackers.write_blocked(addr, count):
                 self._note_block(
                     comp, "write", port, addr, count, TrackerPhase.READABLE
                 )
                 return False
         # All clear: consume.
-        for port, addr, count in reads:
-            tile = self._tile(port)
-            if tile:
-                verdict = tile.trackers.check_read(addr, count)
+        for mem, _port, addr, count in reads:
+            if mem is not None:
+                verdict = mem.trackers.check_read(addr, count)
                 assert verdict is AccessVerdict.ALLOW
-        for port, addr, count in writes:
-            tile = self._tile(port)
-            if tile:
-                verdict = tile.trackers.check_write(addr, count)
+        for mem, _port, addr, count in writes:
+            if mem is not None:
+                verdict = mem.trackers.check_write(addr, count)
                 assert verdict is AccessVerdict.ALLOW
         return True
 
@@ -415,46 +425,74 @@ class Engine:
             hops = max(1, self.machine.hops(src_port, dst_port))
         return _SETUP_DMA + math.ceil(4 * words / bpc) * hops
 
+    def _cost(self, op: Opcode, o: Dict[str, int]) -> int:
+        """The cycle cost of one data instruction, from its opcode and
+        immediate operands: decoded entries carry it, and superops
+        pre-sum it over their members, so fused and per-instruction
+        reports reconcile exactly."""
+        if op is Opcode.NDCONV:
+            h, w = unpack_shape(o["in_size"])
+            k, _ = unpack_shape(o["kernel_size"])
+            stride, pad = o["stride"], o["pad"]
+            out_h = (h + 2 * pad - k) // stride + 1
+            out_w = (w + 2 * pad - k) // stride + 1
+            return self._conv_cycles(out_h * out_w, k)
+        if op is Opcode.MATMUL:
+            rows, cols = unpack_shape(o["in2_size"])
+            return self._matmul_cycles(rows * cols)
+        if op is Opcode.NDSUBSAMP:
+            h, w = unpack_shape(o["in_size"])
+            return self._offload_cycles(h * w)
+        if op is Opcode.NDUPSAMP:
+            out_h, out_w = _upsampled(o)
+            return self._offload_cycles(out_h * out_w)
+        if op in (
+            Opcode.NDACTFN, Opcode.NDACTBP, Opcode.NDACCUM, Opcode.VECMUL,
+            Opcode.WUPDATE,
+        ):
+            return self._offload_cycles(o["size"])
+        if op in (Opcode.DMALOAD, Opcode.DMASTORE):
+            return self._dma_cycles(o["size"], o["src_port"], o["dst_port"])
+        if op is Opcode.PREFETCH:
+            return self._dma_cycles(o["size"], EXTERNAL_PORT, o["dst_port"])
+        if op in (Opcode.PASSBUFF_RD, Opcode.PASSBUFF_WR):
+            # Streaming FIFO setup: data moves with the consuming compute
+            # instruction; only the handshake costs cycles here.
+            return 2
+        raise SimulationError(f"{op.value} is not a data instruction")
+
     # ------------------------------------------------------------------
-    # Instruction execution: returns cycle cost, or None when blocked
+    # Issue of undecoded entries: returns cycle cost, or None when blocked
     # ------------------------------------------------------------------
     def _execute(self, tile: CompTile, instr: Instruction) -> Optional[int]:
+        """Run an entry the op table left undecoded.  Scalar control
+        executes here.  Anything else is decoded now, with register
+        operands replaced by the registers' values, by the code that
+        builds the op table; then it is gated and run like any decoded
+        entry.  A malformed instruction raises from that decode."""
         op = instr.opcode
-        o = instr.named_operands()
         if instr.group is not InstrGroup.SCALAR:
-            # Resolve register-indirect operands (Fig 13-style R-args).
-            o = {
-                name: (
-                    tile.reg(value & REG_OPERAND_MASK)
-                    if is_reg_operand(value)
-                    else value
-                )
-                for name, value in o.items()
-            }
-
-        # --- scalar control -------------------------------------------
+            entry = self._decode(self._resolve(tile, instr), tile.tile_id)
+            if not self._gate(tile, entry.reads, entry.writes):
+                return None
+            entry.fn()
+            return entry.cost
+        o = instr.named_operands()
         if op is Opcode.LDRI:
             tile.set_reg(o["rd"], o["value"])
-            return 1
-        if op is Opcode.MOVR:
+        elif op is Opcode.MOVR:
             tile.set_reg(o["rd"], tile.reg(o["rs"]))
-            return 1
-        if op is Opcode.ADDR:
+        elif op is Opcode.ADDR:
             tile.set_reg(o["rd"], tile.reg(o["rs1"]) + tile.reg(o["rs2"]))
-            return 1
-        if op is Opcode.ADDRI:
+        elif op is Opcode.ADDRI:
             tile.set_reg(o["rd"], tile.reg(o["rs"]) + o["value"])
-            return 1
-        if op is Opcode.SUBR:
+        elif op is Opcode.SUBR:
             tile.set_reg(o["rd"], tile.reg(o["rs1"]) - tile.reg(o["rs2"]))
-            return 1
-        if op is Opcode.SUBRI:
+        elif op is Opcode.SUBRI:
             tile.set_reg(o["rd"], tile.reg(o["rs"]) - o["value"])
-            return 1
-        if op is Opcode.MULR:
+        elif op is Opcode.MULR:
             tile.set_reg(o["rd"], tile.reg(o["rs1"]) * tile.reg(o["rs2"]))
-            return 1
-        if op in (Opcode.BEQZ, Opcode.BNEZ, Opcode.BGTZ):
+        elif op in (Opcode.BEQZ, Opcode.BNEZ, Opcode.BGTZ):
             value = tile.reg(o["rs"])
             taken = (
                 value == 0 if op is Opcode.BEQZ
@@ -463,204 +501,31 @@ class Engine:
             )
             if taken:
                 tile.pc += o["offset"]
-            return 1
-        if op is Opcode.BRANCH:
+        elif op is Opcode.BRANCH:
             tile.pc += o["offset"]
-            return 1
-        if op is Opcode.HALT:
+        elif op is Opcode.HALT:
             tile.halted = True
-            return 1
+        return 1
 
-        # --- data-flow trackers ----------------------------------------
-        if op in (Opcode.MEMTRACK, Opcode.DMA_MEMTRACK):
-            port = o["target"] if op is Opcode.DMA_MEMTRACK else o["port"]
-            target = self._tile(port)
-            if target is None:
-                raise SimulationError("cannot arm a tracker on external memory")
-            target.trackers.arm(
-                o["addr"], o["size"], o["num_updates"], o["num_reads"]
-            )
-            return 1
-
-        # --- data instructions: gate via the shared access analysis
-        # (the same facts the tracker calibrator counts), evaluated on
-        # the resolved operands ------------------------------------------
-        reads, writes = operand_accesses(op, o)
-        if (reads or writes) and not self._gate(tile, reads, writes):
-            return None
-
-        # --- coarse-grained data ----------------------------------------
-        if op is Opcode.NDCONV:
-            h, w = unpack_shape(o["in_size"])
-            k, _ = unpack_shape(o["kernel_size"])
-            stride, pad = o["stride"], o["pad"]
-            out_h = (h + 2 * pad - k) // stride + 1
-            out_w = (w + 2 * pad - k) // stride + 1
-            x = self._read_words(o["in_port"], o["in_addr"], h * w)
-            kern = self._read_words(o["in_port"], o["kernel_addr"], k * k)
-            out = ops.conv2d_forward(
-                x.reshape(1, h, w),
-                kern.reshape(1, 1, k, k),
-                np.zeros(1, dtype=np.float32),
-                stride,
-                pad,
-            )
-            self._write_words(
-                o["out_port"], o["out_addr"], out, bool(o["is_accum"])
-            )
-            return self._conv_cycles(out_h * out_w, k)
-
-        if op is Opcode.MATMUL:
-            rows, cols = unpack_shape(o["in2_size"])
-            _, n = unpack_shape(o["in1_size"])
-            if n != cols:
-                raise SimulationError(
-                    f"MATMUL shape mismatch: vector {n} vs matrix "
-                    f"{rows}x{cols}"
-                )
-            vec = self._read_words(o["in1_port"], o["in1_addr"], n)
-            mat = self._read_words(
-                o["in2_port"], o["in2_addr"], rows * cols
-            ).reshape(rows, cols)
-            self._write_words(
-                o["out_port"], o["out_addr"], mat @ vec, bool(o["is_accum"])
-            )
-            return self._matmul_cycles(rows * cols)
-
-        # --- MemHeavy offload -------------------------------------------
-        if op is Opcode.NDACTFN:
-            size = o["size"]
-            data = self._read_words(o["port"], o["in_addr"], size)
-            fn = _CODE_TO_ACT[o["fn_type"]]
-            self._write_words(
-                o["out_port"], o["out_addr"], ops.activate(data.copy(), fn),
-                False,
-            )
-            return self._offload_cycles(size)
-
-        if op is Opcode.NDACTBP:
-            # Mask a back-propagated error with the activation derivative:
-            # reads the raw error at err_addr and the *activated outputs*
-            # at act_addr (packed into the high bits of fn_type's
-            # companion operand would not fit Fig 8, so the convention is
-            # act values live at err_addr + size), writing the masked
-            # error to out_addr.
-            size = o["size"]
-            act_addr = o["err_addr"] + size
-            err = self._read_words(o["port"], o["err_addr"], size)
-            act = self._read_words(o["port"], act_addr, size)
-            fn = _CODE_TO_ACT[o["fn_type"]]
-            masked = ops.activate_backward(err.copy(), act, fn)
-            self._write_words(o["out_port"], o["out_addr"], masked, False)
-            return self._offload_cycles(size)
-
-        if op is Opcode.NDSUBSAMP:
-            h, w = unpack_shape(o["in_size"])
-            window, stride = o["window"], o["stride"]
-            out_h = (h - window) // stride + 1
-            out_w = (w - window) // stride + 1
-            x = self._read_words(o["port"], o["in_addr"], h * w)
-            mode = _CODE_TO_SAMP[o["samp_type"]]
-            out, _ = ops.pool_forward(
-                x.reshape(1, h, w), window, stride, 0, mode
-            )
-            self._write_words(o["out_port"], o["out_addr"], out, False)
-            return self._offload_cycles(h * w)
-
-        if op is Opcode.NDUPSAMP:
-            h, w = unpack_shape(o["in_size"])  # error extent (small side)
-            window, stride = o["window"], o["stride"]
-            mode = o["samp_type"]
-            err = self._read_words(
-                o["port"], o["in_addr"], h * w
-            ).reshape(1, h, w)
-            if mode == UPSAMP_ZERO_INSERT:
-                out_h = (h - 1) * stride + 1
-                out_w = (w - 1) * stride + 1
-                up = np.zeros((1, out_h, out_w), dtype=np.float32)
-                up[0, ::stride, ::stride] = err[0]
-            elif mode == SAMP_CODES[PoolMode.MAX]:
-                # The original pooled feature sits next to the error
-                # (NDACTBP-style adjacency): recompute the argmax and
-                # route each error to its window's maximum.
-                out_h, out_w = h * stride, w * stride
-                original = self._read_words(
-                    o["port"], o["in_addr"] + h * w, out_h * out_w
-                ).reshape(1, out_h, out_w)
-                _, argmax = ops.pool_forward(
-                    original, window, stride, 0, PoolMode.MAX
-                )
-                up = ops.pool_backward(
-                    err.copy(), (1, out_h, out_w), window, stride, 0,
-                    PoolMode.MAX, argmax,
-                )
-            else:  # AVG spread
-                out_h, out_w = h * stride, w * stride
-                up = ops.pool_backward(
-                    err.copy(), (1, out_h, out_w), window, stride, 0,
-                    PoolMode.AVG, np.empty(0),
-                )
-            self._write_words(o["out_port"], o["out_addr"], up, False)
-            return self._offload_cycles(out_h * out_w)
-
-        if op is Opcode.NDACCUM:
-            size = o["size"]
-            src = self._read_words(o["port"], o["src_addr"], size)
-            self._write_words(o["port"], o["dst_addr"], src, True)
-            return self._offload_cycles(size)
-
-        if op is Opcode.VECMUL:
-            size = o["size"]
-            a = self._read_words(o["port"], o["in1_addr"], size)
-            b = self._read_words(o["port"], o["in2_addr"], size)
-            self._write_words(o["port"], o["out_addr"], a * b, False)
-            return self._offload_cycles(size)
-
-        if op is Opcode.WUPDATE:
-            # Apply-and-consume: the gradient region is cleared after the
-            # update so the next iteration's WG accumulation starts fresh.
-            size = o["size"]
-            grad = self._read_words(o["port"], o["grad_addr"], size).copy()
-            lr = o["lr_num"] / o["lr_denom"]
-            self._write_words(o["port"], o["weight_addr"], -lr * grad, True)
-            self._write_words(
-                o["port"], o["grad_addr"], np.zeros(size, np.float32), False
-            )
-            return self._offload_cycles(size)
-
-        # --- data transfer ----------------------------------------------
-        if op in (Opcode.DMALOAD, Opcode.DMASTORE):
-            size = o["size"]
-            data = self._read_words(o["src_port"], o["src_addr"], size)
-            self._write_words(
-                o["dst_port"], o["dst_addr"],
-                self._dma_payload(data, tile.tile_id),
-                bool(o["is_accum"]),
-            )
-            if self._tel_on:
-                self._observe_dma(tile.tile_id, size)
-            return self._dma_cycles(size, o["src_port"], o["dst_port"])
-
-        if op in (Opcode.PASSBUFF_RD, Opcode.PASSBUFF_WR):
-            # Streaming FIFO setup: data moves with the consuming compute
-            # instruction; only the handshake costs cycles here.
-            return 2
-
-        if op is Opcode.PREFETCH:
-            size = o["size"]
-            data = self.external[o["src_addr"] : o["src_addr"] + size]
-            self._write_words(
-                o["dst_port"], o["dst_addr"],
-                self._dma_payload(data, tile.tile_id), False,
-            )
-            if self._tel_on:
-                self._observe_dma(tile.tile_id, size)
-            return self._dma_cycles(size, EXTERNAL_PORT, o["dst_port"])
-
-        raise SimulationError(f"engine cannot execute {op.value}")
+    @staticmethod
+    def _resolve(tile: CompTile, instr: Instruction) -> Instruction:
+        """``instr`` with each register operand (Fig 13-style R-arg)
+        replaced by the value its register holds now."""
+        operands = []
+        for name, value in zip(OPERAND_NAMES[instr.opcode], instr.operands):
+            if is_reg_operand(value):
+                index = value & REG_OPERAND_MASK
+                if index >= NUM_REGISTERS:
+                    raise SimulationError(
+                        f"{instr.opcode.value} {name}={value}: register "
+                        f"r{index} out of range (r0-r{NUM_REGISTERS - 1})"
+                    )
+                value = tile.reg(index)
+            operands.append(value)
+        return Instruction(instr.opcode, tuple(operands), instr.comment)
 
     # ------------------------------------------------------------------
-    # Pre-decoded fast path
+    # Decode: one op table per tile
     # ------------------------------------------------------------------
     def _reader(self, port: int):
         """A bound ``(addr, count) -> words`` reader for ``port``."""
@@ -692,13 +557,8 @@ class Engine:
         cached = self._decoded.get(tile.tile_id)
         if cached is not None and len(cached) == len(tile.program):
             return cached
-        instrs = tile.program.instructions
         entries = None
-        if not self.fast:
-            # The legacy interpreter re-parses every instruction per
-            # dispatch: a table of fallback entries only.
-            entries = [_Decoded(instr) for instr in instrs]
-        elif (
+        if (
             self.fused
             and not self._dma_flip_rate
             and getattr(tile.program, "superops", ())
@@ -706,19 +566,21 @@ class Engine:
             entries = self._decode_fused(tile)
         if entries is None:
             entries = [
-                self._decode_instr(instr, tile.tile_id) for instr in instrs
+                self._decode_instr(instr, tile.tile_id)
+                for instr in tile.program.instructions
             ]
         self._decoded[tile.tile_id] = entries
         return entries
 
     def _decode_fused(self, tile: CompTile) -> Optional[List[_Decoded]]:
         """Build the fused op table: one superop entry per superop at
-        its first pc, per-instruction fallback sentinels at the member
-        pcs it jumps over (never dispatched; correct if ever reached),
-        and the normal full decode everywhere else.  Returns None when a
-        superop doesn't validate against this program — the caller falls
-        back to the per-instruction table, and the refusal is counted
-        in ``engine.fallback`` as ``superop.<kind>:<error type>``."""
+        its first pc, undecoded sentinels at the member pcs it jumps
+        over (never dispatched; :meth:`_execute` decodes one if a jump
+        ever reaches it), and the normal full decode everywhere else.
+        Returns None when a superop doesn't validate against this
+        program — the caller falls back to the per-instruction table,
+        and the refusal is counted in ``engine.fallback`` as
+        ``superop.<kind>:<error type>``."""
         instrs = tile.program.instructions
         n = len(instrs)
         entries: List[Optional[_Decoded]] = [None] * n
@@ -742,47 +604,13 @@ class Engine:
                 entries[pc] = self._decode_instr(instrs[pc], tile.tile_id)
         return entries
 
-    def _instr_cost(self, instr: Instruction) -> int:
-        """The decoded cycle cost of one fusable data instruction,
-        computed from operands alone (no closure build) — superop costs
-        are pre-summed from these so fused and per-instruction reports
-        reconcile exactly."""
-        op = instr.opcode
-        o = instr.named_operands()
-        if op in (Opcode.DMALOAD, Opcode.DMASTORE):
-            return self._dma_cycles(o["size"], o["src_port"], o["dst_port"])
-        if op is Opcode.NDCONV:
-            h, w = unpack_shape(o["in_size"])
-            k, _ = unpack_shape(o["kernel_size"])
-            stride, pad = o["stride"], o["pad"]
-            out_h = (h + 2 * pad - k) // stride + 1
-            out_w = (w + 2 * pad - k) // stride + 1
-            return self._conv_cycles(out_h * out_w, k)
-        if op is Opcode.MATMUL:
-            rows, cols = unpack_shape(o["in2_size"])
-            return self._matmul_cycles(rows * cols)
-        if op in (Opcode.NDACCUM, Opcode.NDACTFN):
-            return self._offload_cycles(o["size"])
-        if op is Opcode.NDSUBSAMP:
-            h, w = unpack_shape(o["in_size"])
-            return self._offload_cycles(h * w)
-        raise SimulationError(
-            f"superop member {op.value} has no fused cost"
-        )
-
     def _build_super(self, sup, instrs, tile: CompTile) -> _Decoded:
         cost = sum(
-            self._instr_cost(instrs[pc])
-            for pc in range(sup.start, sup.end)
+            self._cost(instr.opcode, instr.named_operands())
+            for instr in instrs[sup.start:sup.end]
         )
-        reads = tuple(
-            (self._tile(port), port, addr, count)
-            for port, addr, count in sup.external_reads
-        )
-        writes = tuple(
-            (self._tile(port), port, addr, count)
-            for port, addr, count in sup.external_writes
-        )
+        reads = self._quads(sup.external_reads)
+        writes = self._quads(sup.external_writes)
         expire = tuple(
             (self.machine.mem_tile(port).trackers, addr, size)
             for port, addr, size in sup.expire
@@ -905,90 +733,87 @@ class Engine:
         return pool_run
 
     def _note_fallback(self, what: str, reason: str) -> None:
-        """Count one decode→interpreter fallback, keyed by what was
+        """Count one entry the decoder refused, keyed by what was
         refused (an opcode or ``superop.<kind>``) and why."""
         if self._tel_on:
             self.telemetry.count("engine.fallback", f"{what}:{reason}")
 
     def _decode_instr(self, instr: Instruction, tile_id: str) -> _Decoded:
-        group = instr.group
-        if group is InstrGroup.SCALAR:
-            # Register/branch/halt: cheap already, and inherently
-            # dynamic — always interpreted.
-            self._note_fallback(instr.opcode.value, "scalar-control")
-            return _Decoded(instr)
-        if any(is_reg_operand(v) for v in instr.operands):
-            # Fig 13-style R-operands resolve at issue time only.
-            self._note_fallback(instr.opcode.value, "register-indirect")
-            return _Decoded(instr)
-        if group is InstrGroup.TRACK:
-            o = instr.named_operands()
-            port = (
-                o["target"] if instr.opcode is Opcode.DMA_MEMTRACK
-                else o["port"]
-            )
-            if port == EXTERNAL_PORT:
-                # Arming external memory raises at execution time.
-                self._note_fallback(instr.opcode.value, "external-port")
-                return _Decoded(instr)
+        """The op-table entry of one instruction.
+
+        Scalar control, register-indirect operands (Fig 13-style
+        R-operands resolve at issue) and instructions whose decode
+        raises :class:`SimulationError` stay undecoded: each refusal is
+        counted per opcode and reason, and :meth:`_execute` handles the
+        entry when it issues — so a malformed instruction raises then.
+        Any other exception is an engine bug and surfaces here."""
+        if instr.group is InstrGroup.SCALAR:
+            reason = "scalar-control"
+        elif any(is_reg_operand(v) for v in instr.operands):
+            reason = "register-indirect"
+        else:
             try:
-                trackers = self.machine.mem_tile(port).trackers
-            except SimulationError:
-                # Out-of-mesh port: raise at execution, like _execute.
-                self._note_fallback(instr.opcode.value, "out-of-mesh-port")
-                return _Decoded(instr)
-            addr, size = o["addr"], o["size"]
-            num_updates, num_reads = o["num_updates"], o["num_reads"]
+                return self._decode(instr, tile_id)
+            except SimulationError as exc:
+                # A tracker decode fails only on its port.
+                if instr.group is not InstrGroup.TRACK:
+                    reason = f"decode-error:{type(exc).__name__}"
+                elif _arm_port(instr) == EXTERNAL_PORT:
+                    reason = "external-port"
+                else:
+                    reason = "out-of-mesh-port"
+        self._note_fallback(instr.opcode.value, reason)
+        return _Decoded(instr)
 
-            def arm() -> None:
-                trackers.arm(addr, size, num_updates, num_reads)
-
-            return _Decoded(instr, fn=arm, cost=1)
-        try:
+    def _decode(self, instr: Instruction, tile_id: str) -> _Decoded:
+        """Decode one non-scalar instruction with immediate operands;
+        raises :class:`SimulationError` when it cannot execute."""
+        if instr.group is not InstrGroup.TRACK:
             return self._decode_data(instr, tile_id)
-        except (SimulationError, KeyError, ZeroDivisionError) as exc:
-            # The decode failures the legacy interpreter would raise at
-            # *execution* time — shape mismatches and out-of-mesh ports
-            # (SimulationError), bad activation/sampling codes
-            # (KeyError), a zero WUPDATE lr denominator — fall back so
-            # error timing and semantics are unchanged.  Anything else
-            # is a genuine engine bug and surfaces here, at decode.
-            self._note_fallback(
-                instr.opcode.value, f"decode-error:{type(exc).__name__}"
-            )
-            return _Decoded(instr)
+        port = _arm_port(instr)
+        if port == EXTERNAL_PORT:
+            raise SimulationError("cannot arm a tracker on external memory")
+        trackers = self.machine.mem_tile(port).trackers
+        o = instr.named_operands()
+        addr, size = o["addr"], o["size"]
+        num_updates, num_reads = o["num_updates"], o["num_reads"]
+
+        def arm() -> None:
+            trackers.arm(addr, size, num_updates, num_reads)
+
+        return _Decoded(instr, fn=arm, cost=1)
 
     def _decode_data(self, instr: Instruction, tile_id: str) -> _Decoded:
         """Decode one data instruction into a :class:`_Decoded` entry.
 
-        The closures replicate the legacy :meth:`_execute` numpy calls
-        verbatim — regression tests pin bit-identical outputs — with all
-        operand parsing, access analysis and cost arithmetic hoisted to
-        decode time.
+        The engine's one definition of what a data instruction reads and
+        writes (:func:`instruction_accesses`, gated), computes (the
+        closure built here, with all operand parsing hoisted out of it)
+        and costs (:meth:`_cost`).  Operands it cannot execute raise
+        :class:`SimulationError` naming the opcode and operand.
         """
         op = instr.opcode
         o = instr.named_operands()
-        raw_reads, raw_writes = instruction_accesses(instr)
-        reads = tuple(
-            (self._tile(port), port, addr, count)
-            for port, addr, count in raw_reads
-        )
-        writes = tuple(
-            (self._tile(port), port, addr, count)
-            for port, addr, count in raw_writes
-        )
+        if o.get("stride", 1) < 1:  # NDCONV, NDSUBSAMP, NDUPSAMP
+            raise SimulationError(
+                f"{op.value} stride={o['stride']}: must be >= 1"
+            )
+        reads, writes = instruction_accesses(instr)
+
+        def entry(fn) -> _Decoded:
+            return _Decoded(
+                instr, fn=fn, reads=self._quads(reads),
+                writes=self._quads(writes), cost=self._cost(op, o),
+            )
 
         if op is Opcode.NDCONV:
             h, w = unpack_shape(o["in_size"])
             k, _ = unpack_shape(o["kernel_size"])
             stride, pad = o["stride"], o["pad"]
-            out_h = (h + 2 * pad - k) // stride + 1
-            out_w = (w + 2 * pad - k) // stride + 1
             in_addr, kernel_addr = o["in_addr"], o["kernel_addr"]
-            in_port, out_port = o["in_port"], o["out_port"]
             out_addr, accum = o["out_addr"], bool(o["is_accum"])
-            rd = self._reader(in_port)
-            wr = self._writer(out_port)
+            rd = self._reader(o["in_port"])
+            wr = self._writer(o["out_port"])
             zero_bias = np.zeros(1, dtype=np.float32)
 
             def conv() -> None:
@@ -1000,61 +825,53 @@ class Engine:
                 )
                 wr(out_addr, out, accum)
 
-            return _Decoded(
-                instr, fn=conv, reads=reads, writes=writes,
-                cost=self._conv_cycles(out_h * out_w, k),
-            )
+            return entry(conv)
 
         if op is Opcode.MATMUL:
             rows, cols = unpack_shape(o["in2_size"])
             _, n = unpack_shape(o["in1_size"])
             if n != cols:
-                # Raise at execution time via the fallback path, after
-                # gating — identical to the legacy interpreter.
-                raise SimulationError("MATMUL shape mismatch")
-            in1_port, in2_port = o["in1_port"], o["in2_port"]
+                raise SimulationError(
+                    f"MATMUL shape mismatch: vector {n} vs matrix "
+                    f"{rows}x{cols}"
+                )
             in1_addr, in2_addr = o["in1_addr"], o["in2_addr"]
-            out_port, out_addr = o["out_port"], o["out_addr"]
-            accum = bool(o["is_accum"])
-            rd_vec = self._reader(in1_port)
-            rd_mat = self._reader(in2_port)
-            wr = self._writer(out_port)
+            out_addr, accum = o["out_addr"], bool(o["is_accum"])
+            rd_vec = self._reader(o["in1_port"])
+            rd_mat = self._reader(o["in2_port"])
+            wr = self._writer(o["out_port"])
 
             def matmul() -> None:
                 vec = rd_vec(in1_addr, n)
                 mat = rd_mat(in2_addr, rows * cols).reshape(rows, cols)
                 wr(out_addr, mat @ vec, accum)
 
-            return _Decoded(
-                instr, fn=matmul, reads=reads, writes=writes,
-                cost=self._matmul_cycles(rows * cols),
-            )
+            return entry(matmul)
 
         if op is Opcode.NDACTFN:
-            size = o["size"]
-            port, in_addr = o["port"], o["in_addr"]
-            out_port, out_addr = o["out_port"], o["out_addr"]
-            fn_act = _CODE_TO_ACT[o["fn_type"]]
-            rd = self._reader(port)
-            wr = self._writer(out_port)
+            fn_act = _code(op, o, "fn_type", _CODE_TO_ACT, "an activation")
+            size, in_addr, out_addr = o["size"], o["in_addr"], o["out_addr"]
+            rd = self._reader(o["port"])
+            wr = self._writer(o["out_port"])
 
             def actfn() -> None:
                 data = rd(in_addr, size)
                 wr(out_addr, ops.activate(data.copy(), fn_act), False)
 
-            return _Decoded(
-                instr, fn=actfn, reads=reads, writes=writes,
-                cost=self._offload_cycles(size),
-            )
+            return entry(actfn)
 
         if op is Opcode.NDACTBP:
-            size = o["size"]
-            port, err_addr = o["port"], o["err_addr"]
+            # Mask a back-propagated error with the activation derivative:
+            # reads the raw error at err_addr and the *activated outputs*
+            # at act_addr (packed into the high bits of fn_type's
+            # companion operand would not fit Fig 8, so the convention is
+            # act values live at err_addr + size), writing the masked
+            # error to out_addr.
+            fn_act = _code(op, o, "fn_type", _CODE_TO_ACT, "an activation")
+            size, err_addr, out_addr = o["size"], o["err_addr"], o["out_addr"]
             act_addr = err_addr + size
-            out_port, out_addr = o["out_port"], o["out_addr"]
-            fn_act = _CODE_TO_ACT[o["fn_type"]]
-            rd = self._reader(port)
-            wr = self._writer(out_port)
+            rd = self._reader(o["port"])
+            wr = self._writer(o["out_port"])
 
             def actbp() -> None:
                 err = rd(err_addr, size)
@@ -1064,19 +881,15 @@ class Engine:
                     ops.activate_backward(err.copy(), act, fn_act), False,
                 )
 
-            return _Decoded(
-                instr, fn=actbp, reads=reads, writes=writes,
-                cost=self._offload_cycles(size),
-            )
+            return entry(actbp)
 
         if op is Opcode.NDSUBSAMP:
+            mode = _code(op, o, "samp_type", _CODE_TO_SAMP, "a sampling")
             h, w = unpack_shape(o["in_size"])
             window, stride = o["window"], o["stride"]
-            port, in_addr = o["port"], o["in_addr"]
-            out_port, out_addr = o["out_port"], o["out_addr"]
-            mode = _CODE_TO_SAMP[o["samp_type"]]
-            rd = self._reader(port)
-            wr = self._writer(out_port)
+            in_addr, out_addr = o["in_addr"], o["out_addr"]
+            rd = self._reader(o["port"])
+            wr = self._writer(o["out_port"])
 
             def subsamp() -> None:
                 x = rd(in_addr, h * w)
@@ -1085,22 +898,17 @@ class Engine:
                 )
                 wr(out_addr, out, False)
 
-            return _Decoded(
-                instr, fn=subsamp, reads=reads, writes=writes,
-                cost=self._offload_cycles(h * w),
-            )
+            return entry(subsamp)
 
         if op is Opcode.NDUPSAMP:
-            h, w = unpack_shape(o["in_size"])
+            mode = _code(op, o, "samp_type", _UPSAMP_MODES, "an up-sampling")
+            h, w = unpack_shape(o["in_size"])  # error extent (small side)
+            out_h, out_w = _upsampled(o)
             window, stride = o["window"], o["stride"]
-            mode = o["samp_type"]
-            port, in_addr = o["port"], o["in_addr"]
-            out_port, out_addr = o["out_port"], o["out_addr"]
-            rd = self._reader(port)
-            wr = self._writer(out_port)
-            if mode == UPSAMP_ZERO_INSERT:
-                out_h = (h - 1) * stride + 1
-                out_w = (w - 1) * stride + 1
+            in_addr, out_addr = o["in_addr"], o["out_addr"]
+            rd = self._reader(o["port"])
+            wr = self._writer(o["out_port"])
+            if mode is None:
 
                 def upsamp() -> None:
                     err = rd(in_addr, h * w).reshape(1, h, w)
@@ -1108,8 +916,10 @@ class Engine:
                     up[0, ::stride, ::stride] = err[0]
                     wr(out_addr, up, False)
 
-            elif mode == SAMP_CODES[PoolMode.MAX]:
-                out_h, out_w = h * stride, w * stride
+            elif mode is PoolMode.MAX:
+                # The original pooled feature sits next to the error
+                # (NDACTBP-style adjacency): recompute the argmax and
+                # route each error to its window's maximum.
                 orig_addr = in_addr + h * w
 
                 def upsamp() -> None:
@@ -1126,8 +936,7 @@ class Engine:
                     )
                     wr(out_addr, up, False)
 
-            elif mode == SAMP_CODES[PoolMode.AVG]:
-                out_h, out_w = h * stride, w * stride
+            else:  # AVG spread
 
                 def upsamp() -> None:
                     err = rd(in_addr, h * w).reshape(1, h, w)
@@ -1137,52 +946,41 @@ class Engine:
                     )
                     wr(out_addr, up, False)
 
-            else:
-                raise SimulationError(f"unknown NDUPSAMP mode {mode}")
-
-            return _Decoded(
-                instr, fn=upsamp, reads=reads, writes=writes,
-                cost=self._offload_cycles(out_h * out_w),
-            )
+            return entry(upsamp)
 
         if op is Opcode.NDACCUM:
-            size = o["size"]
-            port = o["port"]
-            src_addr, dst_addr = o["src_addr"], o["dst_addr"]
-            rd = self._reader(port)
-            wr = self._writer(port)
+            size, src_addr, dst_addr = o["size"], o["src_addr"], o["dst_addr"]
+            rd = self._reader(o["port"])
+            wr = self._writer(o["port"])
 
             def accum() -> None:
                 wr(dst_addr, rd(src_addr, size), True)
 
-            return _Decoded(
-                instr, fn=accum, reads=reads, writes=writes,
-                cost=self._offload_cycles(size),
-            )
+            return entry(accum)
 
         if op is Opcode.VECMUL:
-            size = o["size"]
-            port = o["port"]
+            size, out_addr = o["size"], o["out_addr"]
             in1_addr, in2_addr = o["in1_addr"], o["in2_addr"]
-            out_addr = o["out_addr"]
-            rd = self._reader(port)
-            wr = self._writer(port)
+            rd = self._reader(o["port"])
+            wr = self._writer(o["port"])
 
             def vecmul() -> None:
                 wr(out_addr, rd(in1_addr, size) * rd(in2_addr, size), False)
 
-            return _Decoded(
-                instr, fn=vecmul, reads=reads, writes=writes,
-                cost=self._offload_cycles(size),
-            )
+            return entry(vecmul)
 
         if op is Opcode.WUPDATE:
+            # Apply-and-consume: the gradient region is cleared after the
+            # update so the next iteration's WG accumulation starts fresh.
+            if o["lr_denom"] == 0:
+                raise SimulationError(
+                    "WUPDATE lr_denom=0: the learning rate divides by it"
+                )
             size = o["size"]
-            port = o["port"]
             grad_addr, weight_addr = o["grad_addr"], o["weight_addr"]
             lr = o["lr_num"] / o["lr_denom"]
-            rd = self._reader(port)
-            wr = self._writer(port)
+            rd = self._reader(o["port"])
+            wr = self._writer(o["port"])
             zeros = np.zeros(size, dtype=np.float32)
 
             def wupdate() -> None:
@@ -1190,18 +988,13 @@ class Engine:
                 wr(weight_addr, -lr * grad, True)
                 wr(grad_addr, zeros, False)
 
-            return _Decoded(
-                instr, fn=wupdate, reads=reads, writes=writes,
-                cost=self._offload_cycles(size),
-            )
+            return entry(wupdate)
 
         if op in (Opcode.DMALOAD, Opcode.DMASTORE):
-            size = o["size"]
-            src_port, dst_port = o["src_port"], o["dst_port"]
-            src_addr, dst_addr = o["src_addr"], o["dst_addr"]
+            size, src_addr, dst_addr = o["size"], o["src_addr"], o["dst_addr"]
             accum = bool(o["is_accum"])
-            rd = self._reader(src_port)
-            wr = self._writer(dst_port)
+            rd = self._reader(o["src_port"])
+            wr = self._writer(o["dst_port"])
 
             def dma() -> None:
                 data = rd(src_addr, size)
@@ -1209,22 +1002,14 @@ class Engine:
                 if self._tel_on:
                     self._observe_dma(tile_id, size)
 
-            return _Decoded(
-                instr, fn=dma, reads=reads, writes=writes,
-                cost=self._dma_cycles(size, src_port, dst_port),
-            )
+            return entry(dma)
 
         if op in (Opcode.PASSBUFF_RD, Opcode.PASSBUFF_WR):
-            noop = lambda: None  # noqa: E731 — handshake only
-            return _Decoded(
-                instr, fn=noop, reads=reads, writes=writes, cost=2
-            )
+            return entry(lambda: None)  # handshake only
 
         if op is Opcode.PREFETCH:
-            size = o["size"]
-            src_addr = o["src_addr"]
-            dst_port, dst_addr = o["dst_port"], o["dst_addr"]
-            wr = self._writer(dst_port)
+            size, src_addr, dst_addr = o["size"], o["src_addr"], o["dst_addr"]
+            wr = self._writer(o["dst_port"])
 
             def prefetch() -> None:
                 data = self.external[src_addr : src_addr + size]
@@ -1232,39 +1017,9 @@ class Engine:
                 if self._tel_on:
                     self._observe_dma(tile_id, size)
 
-            return _Decoded(
-                instr, fn=prefetch, reads=reads, writes=writes,
-                cost=self._dma_cycles(size, EXTERNAL_PORT, dst_port),
-            )
+            return entry(prefetch)
 
-        raise SimulationError(f"engine cannot decode {op.value}")
-
-    def _gate_quads(self, comp: CompTile, reads, writes) -> bool:
-        """The fast-path twin of :meth:`_gate`, over pre-bound
-        ``(mem_tile, port, addr, count)`` quads.  Identical tracker
-        accounting: peek every access first (a blocked companion must
-        not consume counts), then consume."""
-        for mem, port, addr, count in reads:
-            if mem is not None and mem.trackers.read_blocked(addr, count):
-                self._note_block(
-                    comp, "read", port, addr, count, TrackerPhase.UPDATING
-                )
-                return False
-        for mem, port, addr, count in writes:
-            if mem is not None and mem.trackers.write_blocked(addr, count):
-                self._note_block(
-                    comp, "write", port, addr, count, TrackerPhase.READABLE
-                )
-                return False
-        for mem, _port, addr, count in reads:
-            if mem is not None:
-                verdict = mem.trackers.check_read(addr, count)
-                assert verdict is AccessVerdict.ALLOW
-        for mem, _port, addr, count in writes:
-            if mem is not None:
-                verdict = mem.trackers.check_write(addr, count)
-                assert verdict is AccessVerdict.ALLOW
-        return True
+        raise SimulationError(f"{op.value} is not a data instruction")
 
     # ------------------------------------------------------------------
     def run(
@@ -1330,7 +1085,7 @@ class Engine:
                 start_cycle = tile.cycles
                 if entry.fn is None:
                     cost = self._execute(tile, entry.instr)
-                elif self._gate_quads(tile, entry.reads, entry.writes):
+                elif self._gate(tile, entry.reads, entry.writes):
                     # A superop's external quads gate atomically; on
                     # completion its internal tracker handshakes are
                     # force-expired to their per-instruction end state.

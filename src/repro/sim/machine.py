@@ -228,31 +228,18 @@ def _conv_out_extent_words(extent: int, kernel: int, stride: int, pad: int) -> i
     return (extent + 2 * pad - kernel) // stride + 1
 
 
-def operand_accesses(op, o):
-    """Accesses from an already-resolved operand mapping (the engine
-    path for register-indirect instructions)."""
-    from repro.isa.instructions import Instruction as _I
-
-    fake = _I(op, tuple(o[name] for name in _operand_names(op)))
-    return instruction_accesses(fake)
-
-
-def _operand_names(op):
-    from repro.isa.instructions import OPERAND_NAMES
-
-    return OPERAND_NAMES[op]
-
-
 def instruction_accesses(
     instr: Instruction,
 ) -> Tuple[List[Access], List[Access]]:
     """The (reads, writes) a data instruction performs, as the engine
     gates them.  Scalar/control/track instructions access nothing.
 
-    Register-indirect operands cannot be resolved statically: programs
-    using them (hand-written looped templates) bypass the calibration
-    pass, which is why the production code generator unrolls loops —
-    the static analysis then sees every address.
+    Register-indirect operands cannot be resolved statically: the
+    engine asks again with the registers' values substituted when such
+    an instruction issues, and programs using them (hand-written looped
+    templates) bypass the calibration pass, which is why the production
+    code generator unrolls loops — the static analysis then sees every
+    address.
     """
     op = instr.opcode
     o = instr.named_operands()

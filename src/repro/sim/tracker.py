@@ -232,7 +232,3 @@ class TrackerFile:
                 tracker.updates_seen = tracker.num_updates
                 tracker.reads_seen = tracker.num_reads
         self._reap()
-
-    def phase_of(self, start: int, size: int) -> Optional[TrackerPhase]:
-        tracker = self._matching(start, size)
-        return tracker.phase if tracker else None

@@ -118,10 +118,10 @@ def band_for(network: str, analytical_cycles: float) -> ToleranceBand:
 class ValidationRow:
     """One network's engine-measured vs analytically-predicted cycles.
 
-    ``engine_cycles`` is the *unfused* fast-path makespan — the number
-    the analytical pipeline model predicts (superop fusion compresses
-    stall rounds, so the fused makespan is an execution-mode artifact,
-    not a hardware estimate).  The fused path runs too: its outputs
+    ``engine_cycles`` is the *unfused* (per-instruction) makespan — the
+    number the analytical pipeline model predicts (superop fusion
+    compresses stall rounds, so the fused makespan is an execution-mode
+    artifact, not a hardware estimate).  The fused path runs too: its outputs
     must be bit-identical (``fused_identical``) and its makespan is
     recorded as ``fused_cycles``."""
 
@@ -275,38 +275,27 @@ def _sign(delta: float) -> int:
 
 @dataclass(frozen=True)
 class SpeedupResult:
-    """Wall-clock comparison of the engine's execution paths on one
-    network (per-image seconds; ``fused_seconds`` is the fast path with
-    superop fusion engaged)."""
+    """Wall-clock comparison of the engine's two run modes on one
+    network: per-image seconds with one op-table entry per instruction
+    (``unfused_seconds``) and with superop fusion (``fused_seconds``)."""
 
     network: str
-    legacy_seconds: float
-    fast_seconds: float
+    unfused_seconds: float
     fused_seconds: float
 
     @property
-    def fast_speedup(self) -> float:
-        return (
-            self.legacy_seconds / self.fast_seconds
-            if self.fast_seconds > 0 else float("inf")
-        )
-
-    @property
     def fused_speedup(self) -> float:
-        """Fused fast path over the unfused fast path (the superop
-        win on top of pre-decoding)."""
+        """The superop win over per-instruction dispatch."""
         return (
-            self.fast_seconds / self.fused_seconds
+            self.unfused_seconds / self.fused_seconds
             if self.fused_seconds > 0 else float("inf")
         )
 
     def describe(self) -> str:
         return (
-            f"{self.network}: legacy {self.legacy_seconds * 1e3:.1f} "
-            f"ms/image, fast {self.fast_seconds * 1e3:.1f} ms "
-            f"({self.fast_speedup:.1f}x), fused "
-            f"{self.fused_seconds * 1e3:.1f} ms "
-            f"({self.fused_speedup:.1f}x over fast)"
+            f"{self.network}: unfused {self.unfused_seconds * 1e3:.1f} "
+            f"ms/image, fused {self.fused_seconds * 1e3:.1f} ms "
+            f"({self.fused_speedup:.1f}x)"
         )
 
 
@@ -316,9 +305,8 @@ def measure_speedup(
     seed: int = 0,
     repeats: int = 2,
 ) -> SpeedupResult:
-    """Time the legacy interpreter against the pre-decoded fast path
-    and the superop-fused fast path on ``net`` (best of ``repeats`` for
-    each path, to damp scheduler noise)."""
+    """Time the per-instruction run against the superop-fused run on
+    ``net`` (best of ``repeats`` for each, to damp scheduler noise)."""
     model = ReferenceModel(net, seed=seed)
     compiled = compile_dag_forward(net, model, rows=rows)
     image = _random_image(net, seed)
@@ -326,12 +314,10 @@ def measure_speedup(
     def best(fn) -> float:
         return min(_timed(fn) for _ in range(max(1, repeats)))
 
-    legacy = best(lambda: compiled.run(image, fast=False))
-    fast = best(lambda: compiled.run(image, fast=True, fused=False))
-    fused = best(lambda: compiled.run(image, fast=True, fused=True))
+    unfused = best(lambda: compiled.run(image, fused=False))
+    fused = best(lambda: compiled.run(image, fused=True))
     return SpeedupResult(
-        network=net.name, legacy_seconds=legacy, fast_seconds=fast,
-        fused_seconds=fused,
+        network=net.name, unfused_seconds=unfused, fused_seconds=fused,
     )
 
 
@@ -385,7 +371,7 @@ class ValidationReport:
             if not row.fused_identical:
                 found.append(
                     f"{row.network}: superop-fused outputs are not "
-                    "bit-identical to the unfused fast path"
+                    "bit-identical to the per-instruction run"
                 )
         if self.rank < self.min_rank_agreement:
             found.append(
@@ -444,10 +430,8 @@ class ValidationReport:
             "speedup": (
                 None if self.speedup is None else {
                     "network": self.speedup.network,
-                    "legacy_seconds": self.speedup.legacy_seconds,
-                    "fast_seconds": self.speedup.fast_seconds,
+                    "unfused_seconds": self.speedup.unfused_seconds,
                     "fused_seconds": self.speedup.fused_seconds,
-                    "fast_speedup": self.speedup.fast_speedup,
                     "fused_speedup": self.speedup.fused_speedup,
                 }
             ),

@@ -1,12 +1,17 @@
-"""Fast-path equivalence: the pre-decoded engine vs the legacy interpreter.
+"""Engine run modes against the deleted legacy interpreter's results.
 
-The fast path decodes each tile's program once into a flat op table; it
-must be observationally identical to the legacy per-round interpreter —
-same outputs (bit for bit), same RunReport, same fault behaviour — and
-so must a persistent runner streaming several images.  These tests pin
-that contract per small zoo network.
+The engine decodes each tile's program once into a flat op table and
+runs it one entry per instruction (``fused=False``) or with the
+compiler's superops.  Before the legacy interpreter — which re-parsed
+every instruction per dispatch — was deleted, it was the reference both
+modes were compared against.  Its reports and output digests for small
+zoo networks are kept below as constants, so the contract outlives it:
+the per-instruction path matches them exactly (outputs bit for bit, the
+whole RunReport, DMA fault flips), and a persistent fused runner
+streaming several images produces the same outputs and per-image work.
 """
 
+import hashlib
 import types
 
 import numpy as np
@@ -17,7 +22,7 @@ from repro.compiler.codegen_dag import compile_dag_forward
 from repro.dnn.zoo import lenet5, tiny_cnn, tiny_mlp
 from repro.functional.reference import ReferenceModel
 from repro.isa import assemble
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, RunReport
 from repro.sim.machine import Machine
 
 NETS = {
@@ -29,6 +34,66 @@ NETS = {
 
 BATCH = 3
 
+#: Recorded from the legacy interpreter (``Engine(fast=False)``) at the
+#: commit before its deletion: each net's RunReport — the same for every
+#: image, since no program branches on data — and the sha256 of its
+#: output for the images seeded 0 to ``BATCH - 1`` (seed 0 is the
+#: fixture image).
+LEGACY = {
+    "TinyMLP": (
+        RunReport(
+            cycles=45, instructions=27, rounds=14, blocked_reads=4,
+            blocked_writes=0, busy_cycles=123,
+        ),
+        (
+            "091050c0f61f4b61241394c729a8cdd06ad793e6eeef7e57ad31c630c26268f5",
+            "c5a62c485acc35c728ea83350c735ce6e2e3eda22092a7039f2512b1def760cd",
+            "30699d0c5a946c6c95e96e4ee142b63ef03f803b025525adc6da6f078bae41d2",
+        ),
+    ),
+    "TinyCNN-8": (
+        RunReport(
+            cycles=739, instructions=271, rounds=116, blocked_reads=578,
+            blocked_writes=0, busy_cycles=2210,
+        ),
+        (
+            "21d1d6b571c3083ea2d6b409705c5bd5a2b38fbd5a3382e7731e75f67c603bb1",
+            "014b5e9eaf75e10fff945621ef2a1d88ef77e6d941fb00bd54142e5f2928d0e4",
+            "f40e9dd5b78763d4f19bbd3905f0fe9ad5d36666df0abe6311c981c0ef178e72",
+        ),
+    ),
+    "TinyCNN-16": (
+        RunReport(
+            cycles=1041, instructions=271, rounds=116, blocked_reads=578,
+            blocked_writes=0, busy_cycles=3572,
+        ),
+        (
+            "a8cfd9c61c695dfdcb690898f19eb8d10cdc1ccee2577903e8770fb98530df65",
+            "a54354742a3f2a2a34c78b59843eb861a941c470916c6be85148d82db5f906b6",
+            "c88ed16310c17afb8576618212ed6b02bf3302cb8f50179828d7f306a568a501",
+        ),
+    ),
+    "LeNet-5": (
+        RunReport(
+            cycles=9053, instructions=2233, rounds=1095, blocked_reads=3495,
+            blocked_writes=0, busy_cycles=22817,
+        ),
+        (
+            "8ccca9ba657a2d5b8dff6c072762254ea425274a618ad395c3b7f60dad1cec06",
+            "825814f0a92b20f9d241af1d82ad5fde1ac678301e9771acd096d7fe6f03da78",
+            "56cf8477db5805e8c3be817269854267fa1ed8bccb76ec906c39e3a2b9c12d4b",
+        ),
+    ),
+}
+
+#: TestFaultInteraction's TinyCNN-8 run with DMA bit flips (rate 0.5,
+#: seed 7) under the legacy interpreter: report, flips, output sha256.
+LEGACY_DMA_FLIP = (
+    LEGACY["TinyCNN-8"][0],
+    11,
+    "11fe1f501ef594a554f64ecf192afc12a65c2663804a2728e5ad804b78a50702",
+)
+
 
 def _image(net, seed=0):
     s = net.input.output_shape
@@ -37,46 +102,55 @@ def _image(net, seed=0):
     ).astype(np.float32)
 
 
+def _sha256(out: np.ndarray) -> str:
+    return hashlib.sha256(out.tobytes()).hexdigest()
+
+
 @pytest.fixture(scope="module", params=sorted(NETS))
 def case(request):
-    """One compiled network with legacy, fast, fused and streamed runs."""
+    """One compiled network with per-instruction runs of each image, a
+    fused run of the fixture image and a fused stream of every image."""
     net = NETS[request.param]()
     model = ReferenceModel(net, seed=0)
     compiled = compile_dag_forward(net, model, rows=2)
-    image = _image(net)
-    slow_out, slow_report = compiled.run(image, fast=False)
-    fast_out, fast_report = compiled.run(image, fast=True, fused=False)
-    fused_out, fused_report = compiled.run(image, fast=True, fused=True)
     images = [_image(net, seed=i) for i in range(BATCH)]
+    per_image = [compiled.run(img, fused=False) for img in images]
+    unfused_out, unfused_report = per_image[0]
+    fused_out, fused_report = compiled.run(images[0], fused=True)
     runner = compiled.runner()
     streamed = [runner(img) for img in images]
-    per_image = [compiled.run(img, fast=False) for img in images]
+    report, digests = LEGACY[request.param]
     return types.SimpleNamespace(
         name=request.param, net=net, compiled=compiled,
-        slow_out=slow_out, slow_report=slow_report,
-        fast_out=fast_out, fast_report=fast_report,
+        unfused_out=unfused_out, unfused_report=unfused_report,
         fused_out=fused_out, fused_report=fused_report,
         streamed=streamed, per_image=per_image,
+        legacy_report=report, legacy_digests=digests,
     )
 
 
 class TestFastPathEquivalence:
+    """The per-instruction path against the legacy interpreter's
+    recorded results."""
+
     def test_outputs_bit_identical(self, case):
-        """The fast closures replay the legacy numpy calls exactly, so
-        single-image outputs match bit for bit — not just approximately."""
-        assert np.array_equal(case.fast_out, case.slow_out), case.name
+        """The decoded closures make the legacy numpy calls, so outputs
+        match the recorded digests bit for bit, for every image."""
+        got = [_sha256(out) for out, _ in case.per_image]
+        assert got == list(case.legacy_digests), case.name
 
     def test_reports_identical(self, case):
-        assert case.fast_report == case.slow_report, case.name
+        for i, (_, report) in enumerate(case.per_image):
+            assert report == case.legacy_report, f"{case.name} image {i}"
 
     def test_report_is_nontrivial(self, case):
-        assert case.fast_report.instructions > 0
-        assert case.fast_report.cycles > 0
-        assert case.fast_report.rounds > 0
+        assert case.unfused_report.instructions > 0
+        assert case.unfused_report.cycles > 0
+        assert case.unfused_report.rounds > 0
 
 
 class TestSuperopFusion:
-    """Fused (superop) execution vs the per-instruction fast path.
+    """Fused (superop) execution vs the per-instruction path.
 
     The contract: outputs, instruction counts and busy cycles (the sum
     of decoded per-instruction costs) are bit-identical; only the
@@ -85,19 +159,19 @@ class TestSuperopFusion:
     """
 
     def test_fused_outputs_bit_identical(self, case):
-        assert np.array_equal(case.fused_out, case.fast_out), case.name
+        assert np.array_equal(case.fused_out, case.unfused_out), case.name
 
     def test_fused_report_reconciles(self, case):
         assert case.fused_report.instructions == (
-            case.fast_report.instructions
+            case.unfused_report.instructions
         ), case.name
         assert case.fused_report.busy_cycles == (
-            case.fast_report.busy_cycles
+            case.unfused_report.busy_cycles
         ), case.name
 
     def test_fused_makespan_no_worse(self, case):
-        assert case.fused_report.cycles <= case.fast_report.cycles
-        assert case.fused_report.rounds <= case.fast_report.rounds
+        assert case.fused_report.cycles <= case.unfused_report.cycles
+        assert case.fused_report.rounds <= case.unfused_report.rounds
 
     def test_programs_carry_superops(self, case):
         assert any(p.superops for p in case.compiled.programs), case.name
@@ -123,14 +197,14 @@ class TestSuperopFusion:
         net = NETS["TinyCNN-8"]()
         compiled = compile_dag_forward(net, ReferenceModel(net, seed=0))
         with capture() as tel:
-            compiled.run(_image(net), fast=True, fused=False)
+            compiled.run(_image(net), fused=False)
         fallbacks = tel.counters.group("engine.fallback")
         assert fallbacks, "expected at least the HALT scalar fallbacks"
         assert all(":" in key for key in fallbacks)
         assert any(key.endswith(":scalar-control") for key in fallbacks)
 
     def test_unexpected_decode_error_surfaces(self, monkeypatch):
-        """Only the legacy interpreter's own error types may fall back;
+        """Only a SimulationError leaves an entry for decode at issue;
         an unexpected exception is an engine bug and must propagate
         (the old bare ``except Exception`` swallowed it)."""
         net = NETS["TinyCNN-8"]()
@@ -141,60 +215,46 @@ class TestSuperopFusion:
 
         monkeypatch.setattr(Engine, "_decode_data", boom)
         with pytest.raises(RuntimeError, match="engine bug"):
-            compiled.run(_image(net), fast=True, fused=False)
+            compiled.run(_image(net), fused=False)
 
 
 class TestStreamedImages:
     """A persistent fused runner streams several images through one
-    machine; each must come out exactly as a fresh legacy run."""
+    machine; each must come out exactly as a fresh legacy run did."""
 
     def test_stream_outputs_match_legacy_per_image(self, case):
-        for i, ((got, _), (want, _)) in enumerate(
-            zip(case.streamed, case.per_image)
-        ):
-            assert np.array_equal(got, want), f"{case.name} image {i}"
+        got = [_sha256(out) for out, _ in case.streamed]
+        assert got == list(case.legacy_digests), case.name
 
     def test_stream_adds_one_image_of_work_per_call(self, case):
         """Runner reports are cumulative over the persistent machine:
-        each image adds exactly one image's instructions and busy
-        cycles."""
-        single = case.per_image[0][1]
+        each image adds exactly one legacy image's instructions and
+        busy cycles."""
+        single = case.legacy_report
         for i, (_, report) in enumerate(case.streamed, start=1):
             assert report.instructions == i * single.instructions
             assert report.busy_cycles == i * single.busy_cycles
 
 
-def _faults(rate=0.5, seed=7):
-    return types.SimpleNamespace(
-        dma_flip_rate=rate, spec=types.SimpleNamespace(seed=seed)
-    )
-
-
-def _run_with_faults(compiled, image, fast):
-    """CompiledForward.run, but with a fault-injecting engine."""
-    machine = compiled.build_machine()
-    compiled.load_image(machine, image)
-    engine = Engine(machine, faults=_faults(), fast=fast)
-    report = engine.run()
-    return compiled.read_output(machine), report, engine.dma_flips
-
-
 class TestFaultInteraction:
     def test_dma_flip_stream_identical_fast_vs_legacy(self):
-        """The fast path draws DMA fault flips from the same RNG stream
-        in the same order, so a faulty run is bit-identical either way."""
+        """The per-instruction path draws DMA fault flips from the same
+        RNG stream in the same order as the legacy interpreter did, so
+        a faulty run reproduces its recorded report, flips and output."""
         net = tiny_cnn(num_classes=4, in_size=8)
         compiled = compile_dag_forward(net, ReferenceModel(net, seed=0))
-        image = _image(net)
-        slow_out, slow_report, slow_flips = _run_with_faults(
-            compiled, image, fast=False
+        machine = compiled.build_machine()
+        compiled.load_image(machine, _image(net))
+        faults = types.SimpleNamespace(
+            dma_flip_rate=0.5, spec=types.SimpleNamespace(seed=7)
         )
-        fast_out, fast_report, fast_flips = _run_with_faults(
-            compiled, image, fast=True
+        engine = Engine(machine, faults=faults)
+        report = engine.run()
+        got = (
+            report, engine.dma_flips,
+            _sha256(compiled.read_output(machine)),
         )
-        assert slow_flips == fast_flips > 0
-        assert fast_report == slow_report
-        assert np.array_equal(fast_out, slow_out)
+        assert got == LEGACY_DMA_FLIP
 
 
 INDIRECT_DMA = """
@@ -205,31 +265,48 @@ HALT
 
 
 class TestRegisterIndirectFallback:
-    def _machine(self):
-        m = Machine(conv_chip(), 3, 1)
-        m.mem_tile(0).write(
-            10, np.array([7.0, 8.0], np.float32), False
-        )
-        m.load_program(assemble(INDIRECT_DMA, tile="t"))
-        return m
+    def test_decodes_at_issue(self, monkeypatch):
+        """A register-indirect data op stays out of the op table; when
+        it issues, its registers' values are substituted and the result
+        runs through the same decode as an immediate instruction."""
+        from repro.telemetry import capture
 
-    def test_fast_mode_falls_back(self):
-        """Register-indirect data ops run through the legacy interpreter
-        inside a fast-mode run and still produce the right answer."""
-        m = self._machine()
-        Engine(m, fast=True).run()
+        m = Machine(conv_chip(), 3, 1)
+        m.mem_tile(0).write(10, np.array([7.0, 8.0], np.float32), False)
+        m.load_program(assemble(INDIRECT_DMA, tile="t"))
+        decoded = []
+        decode_data = Engine._decode_data
+
+        def spy(self, instr, tile_id):
+            decoded.append(str(instr))
+            return decode_data(self, instr, tile_id)
+
+        monkeypatch.setattr(Engine, "_decode_data", spy)
+        with capture() as tel:
+            engine = Engine(m)
+            report = engine.run()
         assert m.mem_tile(1).read(0, 2).tolist() == [7.0, 8.0]
+        assert decoded == [
+            "DMALOAD src_addr=10, src_port=0, dst_addr=0, dst_port=1, "
+            "size=2, is_accum=0"
+        ]
+        fallbacks = tel.counters.group("engine.fallback")
+        assert fallbacks.get("DMALOAD:register-indirect") == 1
+        # LDRI and HALT cost one cycle each; the DMA its decoded cost.
+        assert report.instructions == 3
+        assert report.busy_cycles == 2 + engine._dma_cycles(2, 0, 1)
 
 
 class TestSpeedup:
-    def test_fused_path_beats_legacy(self):
-        """The headline claim, smoke-tested conservatively: the fused
-        fast path runs well under the legacy per-image cost (full
-        measurement lives in `repro validate`)."""
+    def test_fused_path_beats_unfused(self):
+        """The superop claim, smoke-tested conservatively: the fused
+        run beats the per-instruction run per image (full measurement
+        lives in `repro validate`).  No margin: the ratio swings widely
+        on a loaded host."""
         from repro.sim.validation import measure_speedup
 
-        result = measure_speedup(lenet5(), repeats=2)
-        assert result.legacy_seconds > 2.0 * result.fused_seconds, (
+        result = measure_speedup(lenet5(), repeats=3)
+        assert result.unfused_seconds > result.fused_seconds, (
             result.describe()
         )
         assert result.describe().startswith("LeNet-5")

@@ -148,7 +148,10 @@ class TestEngineGuards:
             is_accum=0,
         ))
         m.load_program(prog)
-        with pytest.raises(SimulationError):
+        with pytest.raises(
+            SimulationError,
+            match="MATMUL shape mismatch: vector 5 vs matrix 3x4",
+        ):
             Engine(m).run()
 
     def test_inject_requires_armed_range_not_readable(self):
@@ -165,3 +168,72 @@ class TestEngineGuards:
         # A second injection hits the now-READABLE range and is refused.
         with pytest.raises(SimulationError):
             engine.inject(0, 0, np.array([3.0, 4.0], np.float32))
+
+
+#: Malformed data instructions and the operand each error must name.
+MALFORMED = {
+    "NDUPSAMP samp_type=7": make(
+        Opcode.NDUPSAMP, samp_type=7, in_addr=0, port=0,
+        in_size=pack_shape(2, 2), window=2, stride=2, out_addr=0,
+        out_port=1,
+    ),
+    "NDACTFN fn_type=9": make(
+        Opcode.NDACTFN, fn_type=9, in_addr=0, port=0, size=4, out_addr=0,
+        out_port=1,
+    ),
+    "NDACTBP fn_type=9": make(
+        Opcode.NDACTBP, fn_type=9, err_addr=0, port=0, size=4,
+        out_addr=0, out_port=1,
+    ),
+    "NDSUBSAMP samp_type=5": make(
+        Opcode.NDSUBSAMP, samp_type=5, in_addr=0, port=0,
+        in_size=pack_shape(4, 4), window=2, stride=2, out_addr=0,
+        out_port=1,
+    ),
+    "WUPDATE lr_denom=0": make(
+        Opcode.WUPDATE, weight_addr=0, grad_addr=8, port=0, size=4,
+        lr_num=1, lr_denom=0,
+    ),
+    "NDCONV stride=0": make(
+        Opcode.NDCONV, in_addr=0, in_port=0, in_size=pack_shape(4, 4),
+        kernel_addr=100, kernel_size=pack_shape(3, 3), stride=0, pad=0,
+        out_addr=0, out_port=1, is_accum=0,
+    ),
+}
+
+
+class TestMalformedInstructions:
+    """Operands the engine cannot execute raise a SimulationError naming
+    the opcode and operand when the instruction issues — never a bare
+    KeyError or ZeroDivisionError, and never a silent fallback."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_raises_naming_the_operand(self, name):
+        from repro.telemetry import capture
+
+        m = machine()
+        m.load_program(one_instr(MALFORMED[name]))
+        with capture() as tel:
+            with pytest.raises(SimulationError, match=name):
+                Engine(m).run()
+        opcode = name.split()[0]
+        assert tel.counters.group("engine.fallback") == {
+            f"{opcode}:decode-error:SimulationError": 1,
+            "HALT:scalar-control": 1,
+        }
+
+    def test_error_beats_a_blocking_tracker(self):
+        """The decode error raises before the gate: a malformed
+        instruction whose read would block reports its error instead of
+        waiting for the tracker."""
+        m = machine()
+        prog = Program(tile="t0")
+        prog.append(make(
+            Opcode.MEMTRACK, addr=0, port=0, size=4, num_updates=1,
+            num_reads=1,
+        ))
+        prog.append(MALFORMED["NDACTFN fn_type=9"])
+        prog.append(make(Opcode.HALT))
+        m.load_program(prog)
+        with pytest.raises(SimulationError, match="NDACTFN fn_type=9"):
+            Engine(m).run()

@@ -17,6 +17,7 @@ from repro.functional import tensor_ops as ops
 from repro.isa import Opcode, assemble
 from repro.sim.engine import Engine
 from repro.sim.machine import (
+    REG_OPERAND_FLAG,
     Machine,
     instruction_accesses,
     is_reg_operand,
@@ -60,6 +61,24 @@ class TestRegisterIndirection:
         m.load_program(prog)
         Engine(m).run()
         assert m.mem_tile(1).read(0, 2).tolist() == [7.0, 8.0]
+
+    @pytest.mark.parametrize(
+        "operand", [-4, REG_OPERAND_FLAG | 100], ids=["negative", "r100"]
+    )
+    def test_out_of_range_register_operand(self, operand):
+        """A register-flagged operand naming no register (every negative
+        immediate is one) raises a SimulationError naming the opcode,
+        the operand and its raw value when it issues."""
+        m = machine()
+        m.load_program(assemble(
+            f"DMALOAD src_addr={operand}, src_port=0, dst_addr=0, "
+            "dst_port=1, size=2, is_accum=0\nHALT",
+            tile="t",
+        ))
+        with pytest.raises(
+            SimulationError, match=f"DMALOAD src_addr={operand}: register"
+        ):
+            Engine(m).run()
 
     def test_static_analysis_rejects_indirect(self):
         """Register-indirect addresses are invisible to the calibrator —

@@ -89,12 +89,6 @@ class TestTrackerFile:
         with pytest.raises(SynchronizationError):
             TrackerFile(capacity=0)
 
-    def test_phase_of(self):
-        f = TrackerFile()
-        f.arm(0, 8, 1, 1)
-        assert f.phase_of(0, 8) is TrackerPhase.UPDATING
-        assert f.phase_of(50, 4) is None
-
 
 class TestTrackerProperties:
     @settings(max_examples=200, deadline=None)
