@@ -10,9 +10,6 @@ the performance/power Pareto frontier.
 
 from __future__ import annotations
 
-import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -23,6 +20,7 @@ from repro.arch.presets import single_precision_node
 from repro.dnn.network import Network
 from repro.errors import ConfigError
 from repro.sweep.cache import cached_simulation
+from repro.sweep.runner import fan_out
 
 
 @dataclass(frozen=True)
@@ -117,25 +115,13 @@ def sweep(
 ) -> List[DseResult]:
     """Evaluate a set of design points (the Sec 3.2.5 tuning study).
 
-    ``workers > 1`` fans the points across worker processes (results
-    keep grid order and are bit-identical to a serial run); a pool that
-    cannot start falls back to serial with a warning."""
+    The points fan out through :func:`~repro.sweep.runner.fan_out`:
+    ``workers > 1`` spreads them across worker processes (results keep
+    grid order and are bit-identical to a serial run), and ``workers <
+    1`` is a :class:`ConfigError`."""
     base = base or single_precision_node()
-    points = list(points)
-    if workers > 1 and len(points) > 1:
-        run = partial(evaluate_point, workloads=workloads, base=base)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(points))
-            ) as pool:
-                return list(pool.map(run, points))
-        except (OSError, BrokenProcessPool) as exc:
-            print(
-                f"repro: DSE worker pool unavailable ({exc}); "
-                "falling back to serial execution",
-                file=sys.stderr,
-            )
-    return [evaluate_point(p, workloads, base) for p in points]
+    run = partial(evaluate_point, workloads=workloads, base=base)
+    return fan_out(run, list(points), workers)
 
 
 def default_grid(

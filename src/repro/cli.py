@@ -5,8 +5,8 @@ Subcommands:
 * ``list`` — the benchmark zoo with Fig 15 statistics;
 * ``analyze NET`` — workload analysis (Fig 4/5 style);
 * ``map NET`` — the compiler's column allocation (Fig 13 / STEP1-6);
-* ``lower NET`` — compile to the unified IR through the verified pass
-  pipeline and dump it (``--json`` for the full serialised form,
+* ``lower NET`` — map the network once, build its unit-level IR,
+  verify it and dump it (``--json`` for the full serialised form,
   ``--phase fp|bp|wg`` to restrict to one phase);
 * ``simulate NET`` — throughput / utilization / power (Figs 16/20/21);
 * ``energy NET`` — per-image energy and ImageNet-epoch cost;
@@ -160,9 +160,6 @@ def cmd_lower(args: argparse.Namespace) -> None:
     for metric, value in ir.stats().items():
         table.add(metric, f"{value:,}")
     table.show()
-    print("passes:")
-    for stats in compiled.pass_stats:
-        print(f"  {stats.describe()}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> None:

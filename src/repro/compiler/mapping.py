@@ -14,6 +14,11 @@ The mapper assigns every layer of a DNN to chip columns:
 * STEP3a computes the minimum columns each unit needs purely from
   memory capacity: the MemHeavy tiles must cumulatively hold two copies
   of the unit's features and errors plus two partial output batches.
+  It then packs network copies over the surviving ConvLayer columns
+  and bounds the FcLayer side by the worst hub's surviving columns.  A
+  healthy node is the zero-fault case, where every column survives;
+  under a fault mask each unit is also given concrete healthy column
+  ids, a home column and a tile-slow derate.
 * STEP3b load-balances the remaining columns: repeatedly grant one
   column to the unit with the highest stage latency, as long as the
   grant actually shortens it.
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.arch.chip import ChipConfig, ChipKind
 from repro.arch.node import NodeConfig
@@ -88,8 +93,8 @@ class UnitAllocation:
     attached: Tuple[str, ...] = ()
     training_flops: int = 0
     state_bytes: int = 0
-    #: Fault-aware placement: the concrete healthy global column ids
-    #: assigned to this unit (empty on a fault-free mapping), the
+    #: Placement under a fault mask: the concrete healthy global column
+    #: ids assigned to this unit (empty on a healthy node), the
     #: re-elected home column (first healthy assigned column), and the
     #: throughput derate from tile-slow faults on the assignment.
     assigned_columns: Tuple[int, ...] = ()
@@ -185,7 +190,6 @@ class WorkloadMapping:
 # ---------------------------------------------------------------------------
 def _split_layers(
     net: Network,
-    group_key: Callable[[str], str],
 ) -> Tuple[List[MappingUnit], List[MappingUnit]]:
     """Group layers into mapping units for the conv and FC chip sides.
 
@@ -197,7 +201,7 @@ def _split_layers(
     """
     # Which prefixes denote branch modules (contain a concat)?
     merged_prefixes = {
-        group_key(n.name)
+        default_group_key(n.name)
         for n in net
         if n.kind is LayerKind.CONCAT
     }
@@ -210,7 +214,7 @@ def _split_layers(
 
     for node in net:
         if node.kind in (LayerKind.CONV, LayerKind.FC):
-            key = group_key(node.name)
+            key = default_group_key(node.name)
             if key in merged_prefixes and key in by_key:
                 by_key[key].members.append(node)
                 last_unit = by_key[key]
@@ -232,7 +236,7 @@ def _split_layers(
                 leading.append(node)
             else:
                 # Joins stay with their module even if interleaved.
-                key = group_key(node.name)
+                key = default_group_key(node.name)
                 target = by_key.get(key, last_unit)
                 target.attached.append(node)
                 last_unit = target
@@ -290,35 +294,31 @@ def _unit_stage_cycles(
     )
 
 
+def _min_columns(unit: MappingUnit, dtype: int, chip: ChipConfig) -> int:
+    """STEP3a: the fewest columns whose MemHeavy tiles hold the unit's
+    state."""
+    state = _unit_state_bytes(unit, dtype, chip.comp_tile.lanes)
+    return max(1, math.ceil(state / chip.mem_capacity_per_column))
+
+
 def map_network(
     net: Network,
     node: NodeConfig,
-    min_column_gain: float = MIN_COLUMN_GAIN,
-    group_key: Callable[[str], str] = default_group_key,
     faults: Optional[FaultMask] = None,
 ) -> WorkloadMapping:
     """Map ``net`` onto ``node`` following the paper's STEP1-6.
 
-    With a ``faults`` mask the mapper remaps around dead columns:
-    copies are placed greedily over spans of surviving columns, each
-    unit is assigned concrete healthy column ids (re-electing its home
-    column past any dead ones), and :class:`UnmappableError` is raised
-    only when the surviving capacity genuinely cannot host the network.
-    Without a mask the result is bit-identical to the historical path.
+    A healthy node is the zero-fault case of one placement: network
+    copies are packed over the surviving ConvLayer columns and the
+    FcLayer budget is the worst hub's surviving columns.  Under a
+    ``faults`` mask every unit is also given concrete healthy column
+    ids (re-electing its home column past dead ones) and a tile-slow
+    derate.  :class:`UnmappableError` is raised when the surviving
+    capacity cannot host the network.
     """
     conv_chip = node.cluster.conv_chip
     fc_chip = node.cluster.fc_chip
-    conv_units, fc_units = _split_layers(net, group_key)
-
-    if faults is not None:
-        # The fault-placement primitives live with the pass pipeline
-        # (FaultRemapPass shares them); imported lazily because the
-        # passes package pulls in the lowering's simulator imports.
-        from repro.compiler.passes.faults import (
-            assign_columns,
-            conv_fault_footprint,
-            fc_fault_budget,
-        )
+    conv_units, fc_units = _split_layers(net)
 
     tel = get_telemetry()
     if tel.enabled:
@@ -329,71 +329,35 @@ def map_network(
             fc_units=[u.name for u in fc_units],
         )
 
-    fc_budget: Optional[int] = None
-    fc_assign_ids: List[int] = []
-    if faults is not None and fc_units:
-        fc_budget, fc_assign_ids = fc_fault_budget(
-            net, node, fc_chip, fc_units, faults
-        )
-        fc_remapped = len(faults.dead_fc_columns)
-    else:
-        fc_remapped = 0
-    fc_allocs = _allocate_side(
-        net, node, fc_chip, fc_units, min_column_gain,
-        column_budget=fc_budget,
-    )
+    dtype = node.dtype_bytes
+    dead_fc = faults.dead_fc_columns if faults is not None else frozenset()
+    fc_budget, fc_assign_ids = _fc_budget(net, node, fc_units, dead_fc)
+    fc_allocs = _allocate_side(node, fc_chip, fc_units, fc_budget)
 
     # Minimum chips one copy needs from STEP3a's memory constraint.
-    dtype = node.dtype_bytes
-    min_cols = sum(
-        max(1, math.ceil(
-            _unit_state_bytes(u, dtype, conv_chip.comp_tile.lanes)
-            / conv_chip.mem_capacity_per_column
-        ))
-        for u in conv_units
-    )
-    wheel = node.cluster.conv_chip_count
+    min_cols = sum(_min_columns(u, dtype, conv_chip) for u in conv_units)
     min_chips = max(1, math.ceil(min_cols / conv_chip.cols))
-    if min_chips > wheel * node.cluster_count:
+    if min_chips > node.cluster.conv_chip_count * node.cluster_count:
         raise MappingError(
             f"{net.name} needs {min_chips} ConvLayer chips but the node "
             f"only has {node.conv_chip_count}"
         )
-
-    conv_assign_ids: List[int] = []
-    remapped = 0
-    if faults is None or not conv_units:
-        # STEP3a fixes the footprint: the minimum chips that satisfy the
-        # memory constraint ("Based on the minimum column constraint we
-        # determine the number of chips/chip clusters required to
-        # spatially map the DNN").  Copies spanning more than one wheel
-        # own whole clusters and use all their ConvLayer chips.
-        chips_per_copy = min_chips
-        if chips_per_copy <= wheel:
-            clusters_per_copy = 1
-            copies = node.cluster_count * (wheel // chips_per_copy)
-        else:
-            clusters_per_copy = math.ceil(chips_per_copy / wheel)
-            copies = node.cluster_count // clusters_per_copy
-            chips_per_copy = clusters_per_copy * wheel
-        conv_budget = chips_per_copy * conv_chip.cols
-    else:
-        # Fault-aware STEP3a: place copies over spans of *surviving*
-        # columns instead of assuming every chip contributes all of
-        # its columns.
-        (chips_per_copy, clusters_per_copy, copies,
-         conv_budget, conv_assign_ids, remapped) = conv_fault_footprint(
-            net, node, min_cols, faults
-        )
-    conv_allocs = _allocate_side(
-        net, node, conv_chip, conv_units, min_column_gain,
-        column_budget=conv_budget,
+    # A network without conv units occupies no ConvLayer columns, so
+    # dead ones displace nothing.
+    dead_conv = (
+        faults.dead_conv_columns
+        if faults is not None and conv_units else frozenset()
     )
+    (chips_per_copy, clusters_per_copy, copies,
+     conv_budget, conv_assign_ids, remapped) = _conv_footprint(
+        net, node, min_cols, dead_conv
+    )
+    conv_allocs = _allocate_side(node, conv_chip, conv_units, conv_budget)
     if faults is not None:
-        assign_columns(
+        _assign_columns(
             conv_allocs, conv_assign_ids, faults.conv_speed, net.name
         )
-        assign_columns(
+        _assign_columns(
             fc_allocs, fc_assign_ids, faults.fc_speed, net.name
         )
 
@@ -406,7 +370,7 @@ def map_network(
         clusters_per_copy=clusters_per_copy,
         copies=copies,
         faults=faults,
-        remapped_columns=remapped + fc_remapped,
+        remapped_columns=remapped + (len(dead_fc) if fc_units else 0),
     )
     _place_weights(mapping)
     if tel.enabled:
@@ -426,13 +390,175 @@ def map_network(
     return mapping
 
 
-def _allocate_side(
+# ---------------------------------------------------------------------------
+# STEP3a: the footprint over the surviving columns
+# ---------------------------------------------------------------------------
+def _greedy_spans(
+    capacities: Sequence[int], group: int, need: int
+) -> List[Tuple[List[int], int]]:
+    """Greedily pack contiguous spans with capacity >= ``need``.
+
+    Spans never cross a ``group`` boundary (a copy cannot straddle two
+    wheels, or two non-adjacent cluster groups).  Returns
+    ``(member indices, capacity)`` per span.  With every column alive
+    this is the uniform ``group // ceil(need / cap)`` layout.
+    """
+    spans: List[Tuple[List[int], int]] = []
+    for start in range(0, len(capacities), group):
+        members: List[int] = []
+        cap = 0
+        for i in range(start, min(start + group, len(capacities))):
+            members.append(i)
+            cap += capacities[i]
+            if cap >= need:
+                spans.append((members, cap))
+                members, cap = [], 0
+    return spans
+
+
+def _conv_footprint(
     net: Network,
+    node: NodeConfig,
+    min_cols: int,
+    dead: FrozenSet[int],
+) -> Tuple[int, int, int, int, List[int], int]:
+    """Place network copies over the ConvLayer columns not in ``dead``.
+
+    STEP3a fixes the footprint from the minimum column constraint
+    ("Based on the minimum column constraint we determine the number of
+    chips/chip clusters required to spatially map the DNN"): copies
+    fill spans of chips inside one wheel, or spans of whole clusters
+    when one wheel cannot hold a copy.  Returns ``(chips_per_copy,
+    clusters_per_copy, copies, column_budget, assign_ids, remapped)``
+    where ``assign_ids`` are the surviving global column ids of the
+    first placement (the copy every unit's concrete assignment is
+    expressed in) and ``remapped`` counts the dead columns routed
+    around inside the chips the placements actually use.
+    """
+    wheel = node.cluster.conv_chip_count
+    cols = node.cluster.conv_chip.cols
+    healthy = [
+        [c for c in range(chip * cols, (chip + 1) * cols) if c not in dead]
+        for chip in range(node.conv_chip_count)
+    ]
+    caps = [len(h) for h in healthy]
+
+    spans = _greedy_spans(caps, wheel, min_cols)
+    if spans:
+        clusters_per_copy = 1
+        copies = len(spans)
+        chips_per_copy = max(len(chips) for chips, _ in spans)
+        budget = min(cap for _, cap in spans)
+        used_chips = [i for chips, _ in spans for i in chips]
+        first_chips = spans[0][0]
+    else:
+        cluster_caps = [
+            sum(caps[c * wheel:(c + 1) * wheel])
+            for c in range(node.cluster_count)
+        ]
+        cspans = _greedy_spans(cluster_caps, node.cluster_count, min_cols)
+        if not cspans:
+            raise UnmappableError(
+                f"{net.name} needs {min_cols} ConvLayer columns in one "
+                f"copy but only {sum(caps)} of {node.total_conv_columns} "
+                f"columns survive {len(dead)} tile-dead fault(s): "
+                f"capacity exhausted"
+            )
+        clusters_per_copy = max(len(cl) for cl, _ in cspans)
+        chips_per_copy = clusters_per_copy * wheel
+        copies = len(cspans)
+        budget = min(cap for _, cap in cspans)
+        used_chips = [
+            chip
+            for clusters, _ in cspans
+            for cl in clusters
+            for chip in range(cl * wheel, (cl + 1) * wheel)
+        ]
+        first_chips = [
+            chip
+            for cl in cspans[0][0]
+            for chip in range(cl * wheel, (cl + 1) * wheel)
+        ]
+
+    remapped = sum(cols - caps[chip] for chip in used_chips)
+    assign_ids = [c for chip in first_chips for c in healthy[chip]]
+    tel = get_telemetry()
+    if tel.enabled and remapped:
+        tel.instant(
+            "fault.remap", "faults", ("faults", "remap"), 0,
+            network=net.name, dead_columns=remapped,
+            copies=copies, chips_per_copy=chips_per_copy,
+            column_budget=budget,
+        )
+        tel.count("faults", "remapped_columns", remapped)
+    return (chips_per_copy, clusters_per_copy, copies, budget,
+            assign_ids, remapped)
+
+
+def _fc_budget(
+    net: Network,
+    node: NodeConfig,
+    units: List[MappingUnit],
+    dead: FrozenSet[int],
+) -> Tuple[int, List[int]]:
+    """The FcLayer column budget: the surviving columns of the worst hub
+    (model parallelism shards the same allocation across every hub).
+    Returns the budget and the worst hub's surviving global column ids.
+    """
+    chip = node.cluster.fc_chip
+    cols = chip.cols
+    hubs = [
+        [c for c in range(hub * cols, (hub + 1) * cols) if c not in dead]
+        for hub in range(node.cluster_count)
+    ]
+    worst = min(hubs, key=len)
+    need = sum(_min_columns(u, node.dtype_bytes, chip) for u in units)
+    if need > len(worst):
+        raise UnmappableError(
+            f"{net.name} needs {need} FcLayer columns per hub but only "
+            f"{len(worst)} of {cols} survive on the worst hub after "
+            f"{len(dead)} tile-dead fault(s): capacity exhausted"
+        )
+    return len(worst), worst
+
+
+def _assign_columns(
+    allocs: Dict[str, UnitAllocation],
+    healthy_ids: Sequence[int],
+    speed_of: Callable[[int], float],
+    network: str,
+) -> None:
+    """Give every unit its concrete healthy columns, re-elect its home
+    column, and fold tile-slow faults into a per-unit derate."""
+    if not allocs or not healthy_ids:
+        return
+    tel = get_telemetry()
+    pos = 0
+    for index, alloc in enumerate(allocs.values()):
+        span = tuple(healthy_ids[pos:pos + alloc.columns])
+        pos += alloc.columns
+        alloc.assigned_columns = span
+        if not span:
+            continue
+        alloc.home_column = span[0]
+        alloc.derate = min(speed_of(c) for c in span)
+        if tel.enabled:
+            tel.instant(
+                "fault.assign", "faults", ("faults", "assign"), index,
+                network=network, unit=alloc.unit,
+                home_column=alloc.home_column,
+                columns=len(span), derate=alloc.derate,
+            )
+
+
+# ---------------------------------------------------------------------------
+# STEP2 + STEP3b: per-unit columns within the side's budget
+# ---------------------------------------------------------------------------
+def _allocate_side(
     node: NodeConfig,
     chip: ChipConfig,
     units: List[MappingUnit],
-    min_column_gain: float,
-    column_budget: Optional[int] = None,
+    column_budget: int,
 ) -> Dict[str, UnitAllocation]:
     """STEP2 + STEP3 for one chip side."""
     if not units:
@@ -472,11 +598,7 @@ def _allocate_side(
 
     # STEP3b: distribute the remaining columns, granting each to the
     # unit with the highest stage latency while the grant still helps.
-    total = sum(a.columns for a in allocs.values())
-    if column_budget is None:
-        chips_needed = max(1, math.ceil(total / chip.cols))
-        column_budget = chips_needed * chip.cols
-    budget = column_budget - total
+    budget = column_budget - sum(a.columns for a in allocs.values())
     units_by_name = {u.name: u for u in units}
 
     def stage_cycles(unit_name: str, columns: int) -> float:
@@ -498,7 +620,7 @@ def _allocate_side(
             base_cols = allocs[name].columns
             for extra in range(1, budget + 1):
                 trial = stage_cycles(name, base_cols + extra)
-                if trial < current[name] * (1 - min_column_gain):
+                if trial < current[name] * (1 - MIN_COLUMN_GAIN):
                     allocs[name].columns = base_cols + extra
                     if tel.enabled:
                         tel.instant(

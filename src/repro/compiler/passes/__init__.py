@@ -1,53 +1,42 @@
-"""The compiler pass pipeline over the unified IR.
+"""The engine compiler's pass pipeline over the unified IR.
 
 Ordered, individually-testable passes transform a
 :class:`~repro.compiler.ir.MappingIR`:
 
 ``legalize`` -> ``place-check`` -> ``tracker-assign`` -> ``schedule``
--> ``lower``
+-> ``lower`` -> ``fuse``
 
 The :class:`~repro.compiler.passes.manager.PassManager` threads a
 shared :class:`~repro.compiler.passes.manager.PassContext` through the
 pipeline, records per-pass statistics, and runs the IR verifier between
 every pair of passes, rejecting malformed placements with typed errors
-before they can reach emission.  Fault-mask remapping is the
-:class:`~repro.compiler.passes.faults.FaultRemapPass` IR rewrite.
-
-Re-exports are lazy (PEP 562): :mod:`~repro.compiler.passes.lower`
-imports the functional simulator, and eagerly importing it here would
-cycle through ``repro.sim``'s package init when the analytical path
-(mapping, perf) touches the fault or manager modules.
+before they can reach emission.  The analytical compile
+(:func:`~repro.compiler.pipeline.compile_network`) runs no passes: it
+maps once and verifies the unit IR it builds.
 """
 
-from typing import List
+from repro.compiler.passes.manager import (
+    Pass,
+    PassContext,
+    PassManager,
+    PassStats,
+)
+from repro.compiler.passes.legalize import LegalizePass
+from repro.compiler.passes.place_check import PlaceCheckPass
+from repro.compiler.passes.tracker_assign import TrackerAssignPass
+from repro.compiler.passes.schedule import SchedulePass
+from repro.compiler.passes.lower import LowerPass
+from repro.compiler.passes.fuse import FusePass
 
-_EXPORTS = {
-    "Pass": "repro.compiler.passes.manager",
-    "PassContext": "repro.compiler.passes.manager",
-    "PassManager": "repro.compiler.passes.manager",
-    "PassStats": "repro.compiler.passes.manager",
-    "LegalizePass": "repro.compiler.passes.legalize",
-    "PlaceCheckPass": "repro.compiler.passes.place_check",
-    "TrackerAssignPass": "repro.compiler.passes.tracker_assign",
-    "SchedulePass": "repro.compiler.passes.schedule",
-    "LowerPass": "repro.compiler.passes.lower",
-    "FusePass": "repro.compiler.passes.fuse",
-    "FaultRemapPass": "repro.compiler.passes.faults",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module), name)
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(__all__))
+__all__ = [
+    "FusePass",
+    "LegalizePass",
+    "LowerPass",
+    "Pass",
+    "PassContext",
+    "PassManager",
+    "PassStats",
+    "PlaceCheckPass",
+    "SchedulePass",
+    "TrackerAssignPass",
+]

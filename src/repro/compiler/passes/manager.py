@@ -1,6 +1,7 @@
 """The pass manager: ordered IR transforms with verification between.
 
-Each pass receives the IR and a shared :class:`PassContext` (the
+The engine compilers (forward and training) run their passes through
+it.  Each pass receives the IR and a shared :class:`PassContext` (the
 compile inputs plus accumulating outputs such as emitted programs and
 preloads), returns the — possibly rewritten — IR, and gets a
 :class:`PassStats` row recording what it did.  After every pass the
@@ -23,23 +24,20 @@ from repro.telemetry.core import get_telemetry
 class PassContext:
     """Everything the passes share for one compilation.
 
-    Inputs are set by the pipeline entry point; passes accumulate their
-    outputs here (``programs``, ``preloads``, ``mapping`` and free-form
-    ``extra`` entries) so downstream passes and the caller can read
-    them.
+    Inputs are set by the compiler driving the passes; passes
+    accumulate their outputs here (``programs``, ``preloads`` and
+    free-form ``extra`` entries) so downstream passes and the caller
+    can read them.
     """
 
     net: Any = None
-    node: Any = None  # NodeConfig (analytical) — None on the engine path
-    model: Any = None  # ReferenceModel (engine path)
-    chip: Any = None  # ChipConfig (engine path)
-    partition: Any = None  # StatePartition (engine path)
+    model: Any = None  # ReferenceModel
+    chip: Any = None  # ChipConfig
+    partition: Any = None  # StatePartition
     rows: int = 2
     minibatch: int = 1
     learning_rate: Tuple[int, int] = (1, 100)
-    faults: Any = None  # FaultMask (analytical path)
     # Outputs
-    mapping: Any = None  # WorkloadMapping
     programs: List[Any] = field(default_factory=list)
     update_programs: List[Any] = field(default_factory=list)
     preloads: List[Any] = field(default_factory=list)
@@ -51,7 +49,7 @@ class PassContext:
 
     def machine_shape(self) -> Optional[MachineShape]:
         """Addressing envelope of the engine machine (None when the
-        compilation has no engine chip, e.g. the analytical path)."""
+        context has no engine chip or partition)."""
         if self.chip is None or self.partition is None:
             return None
         return MachineShape(
@@ -71,22 +69,6 @@ class PassStats:
     edges_before: int
     edges_after: int
     notes: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def changed(self) -> bool:
-        return (
-            self.ops_before != self.ops_after
-            or self.edges_before != self.edges_after
-            or bool(self.notes)
-        )
-
-    def describe(self) -> str:
-        delta = (
-            f"ops {self.ops_before}->{self.ops_after}, "
-            f"edges {self.edges_before}->{self.edges_after}"
-        )
-        notes = ", ".join(f"{k}={v}" for k, v in sorted(self.notes.items()))
-        return f"{self.name}: {delta}" + (f" ({notes})" if notes else "")
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -112,9 +94,8 @@ class Pass:
 class PassManager:
     """Runs an ordered pass list with inter-pass IR verification."""
 
-    def __init__(self, passes: List[Pass], verify: bool = True) -> None:
+    def __init__(self, passes: List[Pass]) -> None:
         self.passes = list(passes)
-        self.verify = verify
 
     def run(
         self, ir: MappingIR, ctx: PassContext
@@ -142,6 +123,5 @@ class PassManager:
                         if k != "name"
                     },
                 )
-            if self.verify:
-                assert_ir_verified(ir, ctx.machine_shape())
+            assert_ir_verified(ir, ctx.machine_shape())
         return ir, all_stats

@@ -1,85 +1,50 @@
 """The compile pipeline entry point: network -> mapping -> unit IR.
 
 :func:`compile_network` is the one front door to the analytical
-compiler: it runs STEP1-6 (:func:`~repro.compiler.mapping.map_network`)
-for the healthy machine, builds the unit-level
-:class:`~repro.compiler.ir.MappingIR`, and runs the pass pipeline over
-it — today a single :class:`~repro.compiler.passes.faults.FaultRemapPass`
-that rewrites the placement over surviving columns when a fault mask is
-given — verifying the IR between passes.  The CLI, bench, sweep, DSE
-and fault tooling all consume mappings through this function, so every
-placement the repo reports has passed IR verification.
+compiler: it runs STEP1-6 once
+(:func:`~repro.compiler.mapping.map_network`, over the surviving
+columns when a fault mask is given), builds the unit-level
+:class:`~repro.compiler.ir.MappingIR` and verifies it.  The CLI,
+bench, sweep, DSE and fault tooling all consume mappings through this
+function, so every placement the repo reports has passed IR
+verification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.arch.node import NodeConfig
 from repro.compiler.ir import MappingIR, build_mapping_ir
-from repro.compiler.mapping import (
-    MIN_COLUMN_GAIN,
-    WorkloadMapping,
-    default_group_key,
-    map_network,
-)
-from repro.compiler.passes.faults import FaultRemapPass
-from repro.compiler.passes.manager import (
-    PassContext,
-    PassManager,
-    PassStats,
-)
+from repro.compiler.mapping import WorkloadMapping, map_network
+from repro.compiler.verifier import assert_ir_verified
 from repro.dnn.network import Network
 from repro.faults.model import FaultMask
 
 
 @dataclass
 class CompiledNetwork:
-    """A compiled placement: the mapping, its IR, and what passes did."""
+    """A compiled placement: the mapping and its verified IR."""
 
     network: Network
     node: NodeConfig
     mapping: WorkloadMapping
     ir: MappingIR
-    pass_stats: List[PassStats] = field(default_factory=list)
-
-    def describe(self) -> str:
-        lines = [self.mapping.describe()]
-        for stats in self.pass_stats:
-            lines.append("  " + stats.describe())
-        return "\n".join(lines)
 
 
 def compile_network(
     net: Network,
     node: NodeConfig,
-    min_column_gain: float = MIN_COLUMN_GAIN,
-    group_key: Callable[[str], str] = default_group_key,
     faults: Optional[FaultMask] = None,
-    verify: bool = True,
 ) -> CompiledNetwork:
-    """Compile ``net`` for ``node``: mapping, unit-level IR, passes.
+    """Compile ``net`` for ``node``: mapping, then the verified unit IR.
 
-    The mapping starts from the healthy machine; a ``faults`` mask is
-    applied by the fault-remap pass, which rewrites the IR (and the
-    returned mapping) onto the surviving columns — raising
-    :class:`~repro.errors.UnmappableError` when they cannot host the
-    network.  ``verify=False`` skips inter-pass IR verification.
+    With a ``faults`` mask the mapping is placed over the surviving
+    columns, raising :class:`~repro.errors.UnmappableError` when they
+    cannot host the network.
     """
-    mapping = map_network(
-        net, node, min_column_gain=min_column_gain, group_key=group_key
-    )
+    mapping = map_network(net, node, faults)
     ir = build_mapping_ir(net, node.name, mapping)
-    ctx = PassContext(net=net, node=node, faults=faults, mapping=mapping)
-    manager = PassManager(
-        [FaultRemapPass(min_column_gain, group_key)], verify=verify
-    )
-    ir, stats = manager.run(ir, ctx)
-    return CompiledNetwork(
-        network=net,
-        node=node,
-        mapping=ctx.mapping,
-        ir=ir,
-        pass_stats=stats,
-    )
+    assert_ir_verified(ir, None)
+    return CompiledNetwork(network=net, node=node, mapping=mapping, ir=ir)

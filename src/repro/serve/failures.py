@@ -271,7 +271,7 @@ def _observable_slow_columns(
     ``slow_factor`` would lower some tenant's evaluation rate.
 
     Column spans are assigned sequentially per allocation (the same
-    layout the fault-remap pass realises), and a derated stage only
+    layout the mapper assigns under a fault mask), and a derated stage only
     paces the pipeline when its FP cost stretched by ``1/slow_factor``
     exceeds the healthy evaluation bottleneck."""
     from repro.dnn.analysis import Step

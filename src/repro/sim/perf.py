@@ -536,14 +536,15 @@ def simulate(
     Returns throughput, utilization, link utilization and power — the
     quantities behind Figs 16/17 (throughput + utilization), Fig 20
     (power/efficiency) and Fig 21 (bandwidth utilization).  With a
-    ``faults`` mask (or a fault-remapped ``mapping``) the pipeline runs
+    ``faults`` mask (or a ``mapping`` made under one) the pipeline runs
     on the degraded machine: derated stages, rerouted arc/ring traffic.
     """
     if minibatch < 1:
         raise SimulationError(f"minibatch must be >= 1, got {minibatch}")
     if mapping is None:
         # Through the unified pipeline: the placement that arrives here
-        # has passed IR verification (and fault remapping, when masked).
+        # has passed IR verification (and was placed over the surviving
+        # columns, when masked).
         from repro.compiler.pipeline import compile_network
 
         mapping = compile_network(net, node, faults=faults).mapping

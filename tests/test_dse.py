@@ -99,6 +99,17 @@ class TestSweep:
                 r.geomean_throughput / r.estimated_power_w
             )
 
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            sweep({"AlexNet": zoo.load("AlexNet")}, default_grid(), workers=0)
+
+    def test_worker_pool_matches_serial(self):
+        workloads = {"AlexNet": zoo.load("AlexNet")}
+        points = default_grid(rows=(4, 6), cols=(12,), lanes=(4,))
+        assert sweep(workloads, points, workers=2) == sweep(
+            workloads, points
+        )
+
 
 class TestEngineTrace:
     def test_trace_records_execution_order(self):

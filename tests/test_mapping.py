@@ -3,14 +3,17 @@
 import pytest
 
 from repro.arch import single_precision_node
+from repro.arch.dse import default_grid
+from repro.arch.presets import half_precision_node
 from repro.compiler.mapping import (
     WorkloadMapping,
     default_group_key,
     map_network,
 )
 from repro.dnn import zoo
+from repro.dnn.builder import NetworkBuilder
 from repro.dnn.layers import LayerKind
-from repro.errors import MappingError
+from repro.errors import MappingError, UnmappableError
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +94,38 @@ class TestStep3Columns:
 
     def test_fc_columns_fit_chip(self, alexnet_map, node):
         assert alexnet_map.fc_columns <= node.cluster.fc_chip.cols
+
+
+class TestFitsTheMachine:
+    def test_fc_overflowing_a_hub_is_unmappable(self, node):
+        """Model parallelism shards one FC allocation across every hub,
+        so FC units needing more columns than a hub has cannot map."""
+        b = NetworkBuilder("BigFC")
+        b.input(3, 32)
+        b.conv(8, kernel=3, pad=1)
+        b.fc(4_000_000)
+        b.fc(10)
+        with pytest.raises(
+            UnmappableError, match="needs 12 FcLayer columns per hub "
+            "but only 8 of 8",
+        ):
+            map_network(b.build(), node)
+
+    @pytest.mark.parametrize(
+        "base", [single_precision_node(), half_precision_node()],
+        ids=lambda n: n.name,
+    )
+    def test_every_zoo_mapping_fits(self, base):
+        """Every zoo net on the preset and on each DSE grid point: the
+        FC units fit one hub and a copy fits its ConvLayer chips."""
+        nodes = [base] + [point.apply(base) for point in default_grid()]
+        for node in nodes:
+            for name in zoo.available():
+                m = map_network(zoo.load(name), node)
+                assert m.fc_columns <= node.cluster.fc_chip.cols
+                assert m.conv_columns_per_copy <= (
+                    m.conv_chips_per_copy * node.cluster.conv_chip.cols
+                ), (name, node.name)
 
 
 class TestStep6Weights:
