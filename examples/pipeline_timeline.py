@@ -10,7 +10,7 @@ Run:  python examples/pipeline_timeline.py [network] [images]
 
 import sys
 
-from repro import map_network, single_precision_node, zoo
+from repro import simulate, single_precision_node, zoo
 from repro.sim.timeline import nested_pipeline
 
 
@@ -18,16 +18,16 @@ def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "AlexNet"
     images = int(sys.argv[2]) if len(sys.argv) > 2 else 6
 
-    mapping = map_network(zoo.load(name), single_precision_node())
-    timeline = nested_pipeline(mapping, images=images, training=True)
+    result = simulate(zoo.load(name), single_precision_node())
+    timeline = nested_pipeline(result.training_pipeline, images=images)
 
     print(timeline.render(width=72))
     print()
-    bottleneck = timeline.bottleneck
+    bottleneck = result.bottleneck
     print(f"fill latency:        {timeline.fill_latency:,.0f} cycles")
     print(
         f"initiation interval: {timeline.initiation_interval:,.0f} cycles "
-        f"(bottleneck stage {bottleneck.name})"
+        f"(bottleneck stage {bottleneck.unit}/{bottleneck.step.value})"
     )
     print(f"pipeline speedup:    {timeline.speedup_vs_serial():.1f}x "
           f"over serial execution")

@@ -628,7 +628,8 @@ def stats_html(report: StatsReport) -> str:
         f"{engine_note} - fingerprint "
         f"<code>{_esc(report.fingerprint[:16])}</code>",
         _kpis(
-            ("Pipeline beat", _fmt(result.bottleneck.cycles, 1), "cycles"),
+            ("Pipeline beat", _fmt(result.training_pipeline.beat, 1),
+             "cycles"),
             ("Training", _fmt(result.training_images_per_s), "img/s"),
             ("Evaluation", _fmt(result.evaluation_images_per_s), "img/s"),
             ("PE utilization", f"{result.pe_utilization:.2f}", "of peak"),
@@ -754,11 +755,12 @@ def curve_html(curve) -> str:
             ],
         )),
         _card("Placement", _table(
-            ["network", "clusters", "share", "pipeline depth",
+            ["network", "clusters", "share", "fill us", "beat us",
              "rate img/s", "saturation QPS"],
             [
                 [t.network, t.clusters, f"{t.share:.1%}",
-                 t.pipeline_depth, _fmt(t.rate_qps),
+                 _fmt(t.fill_s * 1e6), _fmt(t.beat_s * 1e6),
+                 _fmt(t.rate_qps),
                  _fmt(t.saturation_qps(policy.max_batch))]
                 for t in curve.placement.tenants
             ],

@@ -120,7 +120,7 @@ class StatsReport:
             "metrics": self.metrics.to_dict(),
             "attribution": causes,
             "headline": {
-                "bottleneck_cycles": self.result.bottleneck.cycles,
+                "bottleneck_cycles": self.result.training_pipeline.beat,
                 "train_images_per_s": self.result.training_images_per_s,
                 "eval_images_per_s": self.result.evaluation_images_per_s,
                 "pe_utilization": self.result.pe_utilization,

@@ -220,23 +220,24 @@ def cmd_compare_gpu(args: argparse.Namespace) -> None:
 def cmd_stages(args: argparse.Namespace) -> None:
     net = _load(args.network)
     result = simulate(net, _node(args))
+    pipeline = result.training_pipeline
     table = Table(
         f"Pipeline stages of {net.name} (training)",
-        ["unit", "step", "chip", "cols", "cycles", "bound by",
-         "achieved util"],
+        ["unit", "step", "chip", "cols", "cycles", "per copy",
+         "bound by", "achieved util"],
     )
-    for stage in sorted(result.stages, key=lambda s: -s.cycles):
+    for stage in sorted(result.stages, key=lambda s: -pipeline.time(s)):
         table.add(
             stage.unit, stage.step.value, stage.chip,
             stage.cost.columns, f"{stage.cycles:,.0f}",
-            stage.cost.bound_by,
+            f"{pipeline.time(stage):,.0f}", stage.cost.bound_by,
             f"{stage.cost.utilization.achieved:.2f}",
         )
     table.show()
     b = result.bottleneck
     print(
         f"\nbottleneck: {b.unit}/{b.step.value} "
-        f"({b.cost.bound_by}, {b.cycles:,.0f} cycles)"
+        f"({b.cost.bound_by}, beat {pipeline.beat:,.0f} cycles)"
     )
 
 

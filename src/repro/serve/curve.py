@@ -111,10 +111,7 @@ class CurveReport:
                     if self.config.failures is not None else None
                 ),
             },
-            "placement": {
-                t.network: {"clusters": t.clusters, "share": t.share}
-                for t in self.placement.tenants
-            },
+            "placement": self.placement.to_dict(),
             "points": [
                 {
                     "fraction": p.fraction,

@@ -58,7 +58,7 @@ from repro.faults.model import (
     ring_site,
 )
 from repro.serve.placement import NodePlacement, place_networks
-from repro.sim.perf import DEFAULT_MINIBATCH, PerfResult
+from repro.sim.perf import DEFAULT_MINIBATCH, PerfResult, evaluation_pipeline
 
 #: Fault kinds the serving lifecycle can draw.  ``dma-bitflip`` is
 #: excluded: it perturbs functional-engine data, which the analytical
@@ -225,8 +225,8 @@ class _Footprint:
     copies occupy plus the node's wheel/ring links.
 
     ``slow_conv``/``slow_fc`` are the *observable* columns for
-    tile-slow draws: the columns of pipeline stages whose derated rate
-    would actually fall below the healthy bottleneck.  A slow column
+    tile-slow draws: the columns of evaluation stages whose derated time
+    would actually exceed the healthy beat.  A slow column
     under a stage with more than ``1/slow_factor`` slack changes
     nothing the analytical service model can see (like a fault on an
     idle spare), so sampling there would be chaos in name only.
@@ -272,20 +272,16 @@ def _observable_slow_columns(
 
     Column spans are assigned sequentially per allocation (the same
     layout the mapper assigns under a fault mask), and a derated stage only
-    paces the pipeline when its FP cost stretched by ``1/slow_factor``
-    exceeds the healthy evaluation bottleneck."""
-    from repro.dnn.analysis import Step
-
+    paces the pipeline when its evaluation stage time stretched by
+    ``1/slow_factor`` exceeds the healthy evaluation beat."""
     conv: set = set()
     fc: set = set()
     for result in results:
-        fp = {
-            s.unit: s.cycles for s in result.stages
-            if s.step is Step.FP
+        pipeline = evaluation_pipeline(result.mapping)
+        paces = {
+            stage.unit for stage, time in zip(pipeline.stages, pipeline.times)
+            if time / slow_factor > pipeline.beat
         }
-        if not fp:
-            continue
-        bottleneck = max(fp.values())
         for table, out in (
             (result.mapping.conv_allocations, conv),
             (result.mapping.fc_allocations, fc),
@@ -294,7 +290,7 @@ def _observable_slow_columns(
             for name, alloc in table.items():
                 span = range(position, position + alloc.columns)
                 position += alloc.columns
-                if fp.get(name, 0.0) > slow_factor * bottleneck:
+                if name in paces:
                     out.update(span)
     return tuple(sorted(conv)), tuple(sorted(fc))
 

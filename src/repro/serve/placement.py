@@ -13,28 +13,26 @@ and the placer partitions the node's clusters among the tenants:
   its FLOPs-proportional ideal share (deterministic largest-remainder,
   ties to the earlier tenant in the request order).
 
-A tenant's service model is the analytical evaluation pipeline scaled
-to its cluster share: sustained rate ``share * eval_rate`` and batch
-latency ``(depth + b - 1) / rate`` (see
-:func:`repro.sim.perf.evaluation_batch_latency_s`) — linear scaling in
-clusters, the same data-parallel-copies assumption STEP3a makes.
+A tenant's service model is the analytical evaluation pipeline
+(:func:`repro.sim.perf.evaluation_pipeline`) on its cluster share.  Its
+sustained rate scales linearly in clusters, the same
+data-parallel-copies assumption STEP3a makes.  A batch spreads over the
+share's pipeline copies and each image traverses one copy, so a batch
+of ``b`` takes one copy's fill plus ``ceil(b / copies) - 1`` beats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.node import NodeConfig
 from repro.arch.system import SystemConfig
 from repro.dnn.analysis import evaluation_flops
 from repro.dnn.network import Network
 from repro.errors import ConfigError
-from repro.sim.perf import (
-    DEFAULT_MINIBATCH,
-    PerfResult,
-    evaluation_pipeline_depth,
-)
+from repro.sim.perf import DEFAULT_MINIBATCH, PerfResult
 
 
 @dataclass(frozen=True)
@@ -45,24 +43,28 @@ class Tenant:
     clusters: int
     share: float  # fraction of the node's clusters
     rate_qps: float  # sustained evaluation images/s on this share
-    pipeline_depth: int
+    #: Pipeline copies on this share; fractional when one copy spans
+    #: several clusters.
+    copies: float
+    fill_s: float  # one image through one empty copy
+    beat_s: float  # steady-state interval between one copy's images
     weight: float  # demand weight used by the placer (eval GFLOPs)
 
     def batch_latency_s(self, batch: int) -> float:
-        """End-to-end latency of one batch on this tenant's slice:
-        pipeline fill plus one beat per further image."""
+        """End-to-end latency of one batch on this tenant's slice.  The
+        batch spreads over the copies and each image traverses one, so
+        the busiest copy takes its fill plus a beat per further image
+        (the closed form of the pipeline recurrence)."""
         if batch < 1:
             raise ConfigError(f"batch must be >= 1, got {batch}")
-        return (self.pipeline_depth + batch - 1) / self.rate_qps
+        per_copy = math.ceil(batch / self.copies)
+        return self.fill_s + (per_copy - 1) * self.beat_s
 
     def saturation_qps(self, max_batch: int) -> float:
         """The highest request rate this tenant sustains when batches
-        always fill to ``max_batch`` (fill amortised across the
-        batch)."""
-        return (
-            self.rate_qps * max_batch
-            / (self.pipeline_depth + max_batch - 1)
-        )
+        always fill to ``max_batch``: one batch holds the slice until
+        it departs."""
+        return max_batch / self.batch_latency_s(max_batch)
 
 
 @dataclass(frozen=True)
@@ -84,11 +86,21 @@ class NodePlacement:
         """Aggregate saturation rate across every tenant."""
         return sum(t.saturation_qps(max_batch) for t in self.tenants)
 
+    def to_dict(self) -> Dict[str, Dict[str, float]]:
+        """The JSON ``placement`` block of a serving report."""
+        return {
+            t.network: {
+                "clusters": t.clusters, "share": t.share,
+                "fill_ms": t.fill_s * 1e3, "beat_ms": t.beat_s * 1e3,
+            }
+            for t in self.tenants
+        }
+
     def describe(self) -> str:
         parts = [
             f"{t.network}: {t.clusters} cluster(s) "
             f"({t.share:.0%}, {t.rate_qps:,.0f} img/s, "
-            f"depth {t.pipeline_depth})"
+            f"fill {t.fill_s * 1e6:,.1f} us, beat {t.beat_s * 1e6:,.1f} us)"
             for t in self.tenants
         ]
         scope = (
@@ -186,19 +198,19 @@ def place_networks(
     for net, result, clusters, weight in zip(
         networks, results, assigned, weights
     ):
-        # The linear-in-clusters service model: `results` rates are per
-        # full node, so scale by clusters over *one node's* clusters
-        # (reduces to the plain share at node_count == 1).
+        # The linear-in-clusters service model: `results` rates and
+        # copies are per full node, so scale by clusters over *one
+        # node's* clusters (reduces to the plain share at node_count 1).
+        scale = clusters / node.cluster_count
         tenants.append(
             Tenant(
                 network=net.name,
                 clusters=clusters,
                 share=clusters / total_clusters,
-                rate_qps=(
-                    result.evaluation_images_per_s
-                    * (clusters / node.cluster_count)
-                ),
-                pipeline_depth=evaluation_pipeline_depth(result.mapping),
+                rate_qps=result.evaluation_images_per_s * scale,
+                copies=result.mapping.copies * scale,
+                fill_s=result.evaluation_fill / node.frequency_hz,
+                beat_s=result.evaluation_beat / node.frequency_hz,
                 weight=weight,
             )
         )

@@ -299,10 +299,7 @@ class ServeReport:
                     if self.hedge_s is not None else None
                 ),
             },
-            "placement": {
-                t.network: {"clusters": t.clusters, "share": t.share}
-                for t in self.placement.tenants
-            },
+            "placement": self.placement.to_dict(),
             "tenants": {t.network: t.to_row() for t in self.tenants},
             "totals": {
                 "offered": self.offered,

@@ -6,8 +6,9 @@ One run: a seeded open-loop request stream
 (:mod:`repro.serve.placement`).  Each tenant's slice of the node acts
 as a single batch server: when it is idle and its batcher releases a
 batch, the batch occupies the server for the analytical batch latency
-(:func:`repro.sim.perf.evaluation_batch_latency_s` via the tenant's
-service model) and every member request completes when the batch does.
+(:meth:`repro.serve.placement.Tenant.batch_latency_s`: one copy's
+evaluation pipeline fill plus a beat per further image on each copy)
+and every member request completes when the batch does.
 
 Layered on top is the request-robustness machinery that
 ``repro serve --mtbf/--mttr`` exercises.  Every generated request is a

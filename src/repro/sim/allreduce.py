@@ -273,12 +273,9 @@ def minibatch_sync(
         )
 
     # Compute time for the minibatch, from the pipeline bottleneck.
-    from repro.sim.perf import _conv_stage_reports, _fc_stage_reports
+    from repro.sim.perf import _stage_reports
 
-    stages = (
-        _conv_stage_reports(mapping, training=True, tile_multiplier=1)
-        + _fc_stage_reports(mapping, training=True, tile_multiplier=1)
-    )
+    stages = _stage_reports(mapping, training=True, tile_multiplier=1)
     bottleneck = max(s.cycles for s in stages) if stages else 0.0
     compute = bottleneck * minibatch / max(1, mapping.copies)
 

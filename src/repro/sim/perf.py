@@ -4,7 +4,10 @@ Given a workload mapping, this model computes the steady-state throughput
 of the two-level nested pipeline: every mapping unit contributes three
 concurrent stages (FP, BP, WG on their dedicated CompHeavy tiles), the
 FcLayer hubs contribute the batched FC stages, and the pipeline runs at
-the pace of its slowest stage.  From the same per-stage cost model it
+the pace of its slowest stage.  :class:`Pipeline` turns the stages into
+one copy's pipeline — stage times, beat, bottleneck and fill — which
+the Fig 10 schedule, the tile profiles, serving latency and the fault
+sampler all read.  From the same per-stage cost model it
 derives 2D-PE utilization (Fig 16/19), link utilization for every level
 of the grid-wheel-ring hierarchy (Fig 21), and average power /
 processing efficiency (Fig 20).
@@ -16,6 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.arch.chip import ChipKind
 from repro.arch.node import NodeConfig
 from repro.arch.power import PowerDraw, node_power_model
 from repro.arch.system import Parallelism, SystemConfig
@@ -49,6 +53,71 @@ class StageReport:
     @property
     def cycles(self) -> float:
         return self.cost.cycles
+
+
+class Pipeline:
+    """One copy's nested pipeline (Fig 10, Sec 3.2.3), built from a
+    mapping's stage reports.
+
+    ``stages`` come in report order (unit by unit, FP/BP/WG).  The
+    pipeline's :attr:`stages` run in traversal order: every unit's FP
+    stage in dataflow order, then (training) one stage per unit in
+    reverse order, held by the slower of its BP and WG (they run
+    concurrently on their own tiles).  :attr:`times` are the cycles each
+    stage spends per image of one copy; an FcLayer hub serving
+    ``hub_load`` copies holds each copy's image ``hub_load`` times its
+    cycles.  The slowest stage is the :attr:`bottleneck` and sets the
+    :attr:`beat` (on a tie, the first in report order, as the rate's
+    ``min`` in :func:`_throughput` takes it); the first image through an
+    empty pipeline takes the :attr:`fill`; ``n`` images take
+    ``fill + (n - 1) * beat``, the closed form of the
+    :func:`repro.sim.timeline.schedule` recurrence.
+    """
+
+    def __init__(
+        self, stages: Sequence[StageReport], hub_load: float = 1.0
+    ) -> None:
+        if not stages:
+            raise SimulationError("no pipeline stages to simulate")
+        self.hub_load = hub_load
+        forward = [s for s in stages if s.step is Step.FP]
+        backward: Dict[str, StageReport] = {}
+        for stage in stages:
+            held = backward.get(stage.unit)
+            if stage.step is not Step.FP and (
+                held is None or stage.cycles > held.cycles
+            ):
+                backward[stage.unit] = stage
+        self.stages = tuple(forward + list(reversed(backward.values())))
+        self.times = tuple(map(self.time, self.stages))
+        self.bottleneck = max(stages, key=self.time)
+        self.beat = self.time(self.bottleneck)
+        self.fill = 0.0
+        for t in self.times:  # left to right: sum() compensates on 3.12
+            self.fill += t
+
+    def load(self, stage: StageReport) -> float:
+        """Copies the tiles of ``stage`` serve: a ConvLayer stage belongs
+        to one copy, an FcLayer hub serves :attr:`hub_load`."""
+        return self.hub_load if stage.chip == ChipKind.FC.value else 1.0
+
+    def time(self, stage: StageReport) -> float:
+        """Cycles ``stage`` spends per image of one copy."""
+        return stage.cycles * self.load(stage)
+
+
+def _hub_load(mapping: WorkloadMapping) -> float:
+    """Copies one FcLayer hub serves."""
+    return mapping.copies / mapping.node.cluster_count
+
+
+def evaluation_pipeline(mapping: WorkloadMapping) -> Pipeline:
+    """One copy's evaluation pipeline: the FP stages alone, at the
+    evaluation tile multiplier."""
+    return Pipeline(
+        _stage_reports(mapping, training=False, tile_multiplier=3),
+        _hub_load(mapping),
+    )
 
 
 @dataclass(frozen=True)
@@ -91,10 +160,19 @@ class PerfResult:
     gflops_per_watt: float
     achieved_tflops: float
     minibatch: int
+    #: Cycles of one copy's evaluation pipeline (see
+    #: :func:`evaluation_pipeline`): an image's fill and the beat.
+    evaluation_fill: float
+    evaluation_beat: float
+
+    @property
+    def training_pipeline(self) -> Pipeline:
+        """One copy's training pipeline over :attr:`stages`."""
+        return Pipeline(self.stages, _hub_load(self.mapping))
 
     @property
     def bottleneck(self) -> StageReport:
-        return max(self.stages, key=lambda s: s.cycles)
+        return self.training_pipeline.bottleneck
 
     def describe(self) -> str:
         b = self.bottleneck
@@ -130,36 +208,6 @@ def _derate_cost(cost: StepCost, derate: float) -> StepCost:
     )
 
 
-def _conv_stage_reports(
-    mapping: WorkloadMapping,
-    training: bool,
-    tile_multiplier: int,
-) -> List[StageReport]:
-    """Per-(unit, step) costs on the ConvLayer chips."""
-    node = mapping.node
-    chip = node.cluster.conv_chip
-    steps = tuple(Step) if training else (Step.FP,)
-    reports: List[StageReport] = []
-    for alloc in mapping.conv_allocations.values():
-        for step in steps:
-            costs = [
-                step_cost(
-                    node.frequency_hz, chip, mapping.network[member], step,
-                    alloc.columns, node.dtype_bytes, alloc.weights_on_chip,
-                    store_features_offchip=training,
-                    step_tile_multiplier=tile_multiplier,
-                    winograd=node.use_winograd,
-                )
-                for member in alloc.members
-            ]
-            # Members of a unit share their columns, so their latencies
-            # add; attribute the merged cost to the slowest member's
-            # breakdown with summed cycle terms.
-            merged = _derate_cost(_merge_costs(costs, alloc), alloc.derate)
-            reports.append(StageReport(alloc.unit, step, chip.kind.value, merged))
-    return reports
-
-
 def _merge_costs(costs: List[StepCost], alloc: UnitAllocation) -> StepCost:
     """Sum the member costs of a multi-member unit into one stage cost."""
     if len(costs) == 1:
@@ -189,52 +237,55 @@ def _merge_costs(costs: List[StepCost], alloc: UnitAllocation) -> StepCost:
     )
 
 
-def _fc_stage_reports(
+def _stage_reports(
     mapping: WorkloadMapping,
     training: bool,
     tile_multiplier: int,
 ) -> List[StageReport]:
-    """Per-(unit, step) costs on the FcLayer hubs.
+    """Per-(unit, step) costs in report order: the ConvLayer units, then
+    the FcLayer hub units, each with its FP (and BP, WG) stages.
 
-    Weight streaming amortises over the wheel/ring batch; with model
-    parallelism all hubs serving a copy group share each image's FC
-    work, which is folded in by dividing the cycle terms by the hub
-    count at aggregation time (see :func:`simulate`).
+    FC weight streaming amortises over the wheel/ring batch.  Members
+    of a unit share its columns, so their latencies add.
     """
     node = mapping.node
-    chip = node.cluster.fc_chip
     steps = tuple(Step) if training else (Step.FP,)
-    batch = max(1, mapping.fc_batch_size)
+    sides = (
+        (node.cluster.conv_chip, mapping.conv_allocations,
+         dict(winograd=node.use_winograd)),
+        (node.cluster.fc_chip, mapping.fc_allocations,
+         dict(weight_reuse_batch=max(1, mapping.fc_batch_size))),
+    )
     reports: List[StageReport] = []
-    for alloc in mapping.fc_allocations.values():
-        for step in steps:
-            costs = [
-                step_cost(
-                    node.frequency_hz, chip, mapping.network[member], step,
-                    alloc.columns, node.dtype_bytes, alloc.weights_on_chip,
-                    store_features_offchip=training,
-                    weight_reuse_batch=batch,
-                    step_tile_multiplier=tile_multiplier,
-                )
-                for member in alloc.members
-            ]
-            reports.append(
-                StageReport(
+    for chip, allocations, side_terms in sides:
+        for alloc in allocations.values():
+            for step in steps:
+                costs = [
+                    step_cost(
+                        node.frequency_hz, chip, mapping.network[member],
+                        step, alloc.columns, node.dtype_bytes,
+                        alloc.weights_on_chip,
+                        store_features_offchip=training,
+                        step_tile_multiplier=tile_multiplier,
+                        **side_terms,
+                    )
+                    for member in alloc.members
+                ]
+                merged = _merge_costs(costs, alloc)
+                reports.append(StageReport(
                     alloc.unit, step, chip.kind.value,
-                    _derate_cost(_merge_costs(costs, alloc), alloc.derate),
-                )
-            )
+                    _derate_cost(merged, alloc.derate),
+                ))
     return reports
 
 
 def _throughput(
     mapping: WorkloadMapping,
-    conv_stages: List[StageReport],
-    fc_stages: List[StageReport],
+    pipeline: Pipeline,
     training: bool,
     minibatch: int,
-) -> Tuple[float, StageReport]:
-    """Node images/s and the limiting stage.
+) -> float:
+    """Node images/s: the pipeline's bottleneck stage sets the pace.
 
     Each ConvLayer stage serves one copy, so its node-level rate scales
     by the copy count.  The FcLayer hubs jointly serve every image in
@@ -244,31 +295,25 @@ def _throughput(
     ``cluster_count * freq / stage_cycles``.
     """
     node = mapping.node
-    freq = node.frequency_hz
-
-    rates: List[Tuple[float, StageReport]] = []
-    for stage in conv_stages:
-        rates.append((mapping.copies * freq / stage.cycles, stage))
-    for stage in fc_stages:
-        rates.append((node.cluster_count * freq / stage.cycles, stage))
-    if not rates:
-        raise SimulationError("no pipeline stages to simulate")
-    images_per_s, limiting = min(rates, key=lambda r: r[0])
-
+    limiting = pipeline.bottleneck
+    servers = (
+        node.cluster_count if limiting.chip == ChipKind.FC.value
+        else mapping.copies
+    )
+    images_per_s = servers * node.frequency_hz / limiting.cycles
     if training:
-        # Pipeline drain at minibatch boundaries (Sec 3.2.3): training
-        # pipeline depth is twice the unit count (FP then BP/WG); each
-        # minibatch pays one drain of the pipeline.
-        units = (len(conv_stages) + len(fc_stages)) / len(tuple(Step))
-        depth = 2 * units
-        images_per_s /= 1.0 + depth / minibatch
-    return images_per_s, limiting
+        # Pipeline drain at minibatch boundaries (Sec 3.2.3): each
+        # minibatch pays one drain of the training pipeline (FP then
+        # BP/WG, twice the unit count).
+        images_per_s /= 1.0 + len(pipeline.stages) / minibatch
+    return images_per_s
 
 
 def _emit_stage_telemetry(
     tel,
     network: str,
     stages: List[StageReport],
+    beat: float,
     train_rate: float,
     eval_rate: float,
     pe_util: float,
@@ -294,12 +339,11 @@ def _emit_stage_telemetry(
         tel.observe("perf.stage_cycles", "all", stage.cycles)
     group = f"perf/{network}"
     tel.record(group, "stages", len(stages))
-    bottleneck = max(s.cycles for s in stages) if stages else 0.0
-    tel.record(group, "bottleneck_cycles", bottleneck)
+    tel.record(group, "bottleneck_cycles", beat)
     tel.record(group, "train_images_per_s", train_rate)
     tel.record(group, "eval_images_per_s", eval_rate)
     tel.record(group, "pe_utilization", pe_util)
-    tel.gauge(group, "bottleneck_cycles", bottleneck)
+    tel.gauge(group, "bottleneck_cycles", beat)
     tel.gauge(group, "train_images_per_s", train_rate)
     tel.gauge(group, "eval_images_per_s", eval_rate)
     tel.gauge(group, "pe_utilization", pe_util)
@@ -412,14 +456,15 @@ def _fc_feature_bytes(mapping: WorkloadMapping) -> float:
 
 def _link_utilization(
     mapping: WorkloadMapping,
-    conv_stages: List[StageReport],
-    fc_stages: List[StageReport],
+    stages: List[StageReport],
     images_per_s: float,
     minibatch: int,
 ) -> LinkUtilization:
     node = mapping.node
     conv = node.cluster.conv_chip
     fc = node.cluster.fc_chip
+    conv_stages = [s for s in stages if s.chip == conv.kind.value]
+    fc_stages = [s for s in stages if s.chip == fc.kind.value]
     dtype = node.dtype_bytes
     per_copy_rate = images_per_s / max(1, mapping.copies)
 
@@ -549,26 +594,18 @@ def simulate(
 
         mapping = compile_network(net, node, faults=faults).mapping
 
-    train_conv = _conv_stage_reports(mapping, training=True, tile_multiplier=1)
-    train_fc = _fc_stage_reports(mapping, training=True, tile_multiplier=1)
-    train_rate, _ = _throughput(
-        mapping, train_conv, train_fc, training=True, minibatch=minibatch
-    )
-
-    eval_conv = _conv_stage_reports(mapping, training=False, tile_multiplier=3)
-    eval_fc = _fc_stage_reports(mapping, training=False, tile_multiplier=3)
-    eval_rate, _ = _throughput(
-        mapping, eval_conv, eval_fc, training=False, minibatch=minibatch
-    )
+    stages = _stage_reports(mapping, training=True, tile_multiplier=1)
+    train_pipeline = Pipeline(stages, _hub_load(mapping))
+    eval_pipeline = evaluation_pipeline(mapping)
+    train_rate = _throughput(mapping, train_pipeline, True, minibatch)
+    eval_rate = _throughput(mapping, eval_pipeline, False, minibatch)
 
     # 2D-PE utilization over the allocated CompHeavy tiles.
     useful = _array_flops_per_image(mapping, training=True) * train_rate
     capacity = _allocated_comp_flops_per_cycle(mapping) * node.frequency_hz
     pe_util = min(1.0, useful / capacity) if capacity else 0.0
 
-    links = _link_utilization(
-        mapping, train_conv, train_fc, train_rate, minibatch
-    )
+    links = _link_utilization(mapping, stages, train_rate, minibatch)
 
     # Machine-level activity drives node power: compute activity relative
     # to the whole node's CompHeavy tiles, link activity from the on-chip
@@ -592,8 +629,8 @@ def simulate(
     tel = get_telemetry()
     if tel.enabled:
         _emit_stage_telemetry(
-            tel, net.name, train_conv + train_fc, train_rate, eval_rate,
-            pe_util,
+            tel, net.name, stages, train_pipeline.beat, train_rate,
+            eval_rate, pe_util,
         )
 
     return PerfResult(
@@ -603,53 +640,15 @@ def simulate(
         training_images_per_s=train_rate,
         evaluation_images_per_s=eval_rate,
         pe_utilization=pe_util,
-        stages=tuple(train_conv + train_fc),
+        stages=tuple(stages),
         link_utilization=links,
         average_power=draw,
         gflops_per_watt=gflops_per_watt,
         achieved_tflops=achieved / 1e12,
         minibatch=minibatch,
+        evaluation_fill=eval_pipeline.fill,
+        evaluation_beat=eval_pipeline.beat,
     )
-
-
-def evaluation_pipeline_depth(mapping: WorkloadMapping) -> int:
-    """Concurrent stages an image traverses during evaluation.
-
-    The inference pipeline is the FP slice of the nested pipeline: one
-    stage per conv mapping unit plus one per FC hub unit.  The first
-    image of a batch pays this fill depth before the pipeline reaches
-    steady state — the quantity the serving simulator charges as batch
-    startup latency.
-    """
-    return max(
-        1, len(mapping.conv_allocations) + len(mapping.fc_allocations)
-    )
-
-
-def evaluation_batch_latency_s(
-    result: PerfResult, batch: int = 1, share: float = 1.0
-) -> float:
-    """Analytical end-to-end latency of one evaluation batch (seconds).
-
-    The nested pipeline emits one image per beat once full, so a batch
-    of ``batch`` images on a node slice sustaining ``share`` of the
-    node's evaluation rate takes ``(depth + batch - 1)`` beats: the fill
-    (first image traverses every stage) plus one beat per further
-    image.  This is the fidelity-for-speed trade the serving simulator
-    makes — request-level latency from the analytical steady-state rate
-    instead of cycle-level event replay.
-    """
-    if batch < 1:
-        raise SimulationError(f"batch must be >= 1, got {batch}")
-    if not 0.0 < share <= 1.0:
-        raise SimulationError(f"share must be in (0, 1], got {share}")
-    rate = result.evaluation_images_per_s * share
-    if rate <= 0.0:
-        raise SimulationError(
-            f"{result.network} has no evaluation throughput to serve"
-        )
-    depth = evaluation_pipeline_depth(result.mapping)
-    return (depth + batch - 1) / rate
 
 
 def simulate_suite(

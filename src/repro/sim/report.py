@@ -49,7 +49,8 @@ class FullReport:
         bottleneck = perf.bottleneck
         lines.append(
             f"bottleneck stage: {bottleneck.unit}/{bottleneck.step.value} "
-            f"({bottleneck.cost.bound_by}, {bottleneck.cycles:,.0f} cycles)"
+            f"({bottleneck.cost.bound_by}, beat "
+            f"{perf.training_pipeline.beat:,.0f} cycles)"
         )
 
         lines.append("\n-- Nested pipeline (Fig 10) --")
@@ -98,5 +99,7 @@ def full_report(
         performance=performance,
         energy=energy_report(performance),
         sync=minibatch_sync(mapping, minibatch),
-        timeline=nested_pipeline(mapping, images=pipeline_images),
+        timeline=nested_pipeline(
+            performance.training_pipeline, images=pipeline_images
+        ),
     )

@@ -1,26 +1,25 @@
 """Nested-pipeline schedule: the timeline behind Fig 10.
 
-Builds the inter-layer pipeline explicitly: each mapping unit
-contributes its FP stage in dataflow order followed by the BP and WG
-stages in reverse order (training doubles the pipeline depth, Sec
-3.2.3), and successive images flow through under the classic pipeline
-recurrence — a stage starts when both its predecessor stage (same
-image) and its own previous occupancy (previous image) have finished.
+Schedules one copy's :class:`~repro.sim.perf.Pipeline` explicitly: its
+stages, in traversal order with their per-image times, take successive
+images under the classic pipeline recurrence — a stage starts when both
+its predecessor stage (same image) and its own previous occupancy
+(previous image) have finished.
 
-The model exposes the quantities the figure illustrates: the fill
-latency, the steady-state initiation interval (the bottleneck stage),
-and per-stage occupancy, plus an ASCII rendering of the schedule.
+The schedule shows what the figure illustrates: the fill latency, the
+steady-state initiation interval and per-stage occupancy, plus an ASCII
+rendering.  Its makespan is the pipeline's closed form,
+``fill + (images - 1) * beat``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.compiler.mapping import WorkloadMapping
 from repro.dnn.analysis import Step
 from repro.errors import SimulationError
-from repro.sim.perf import StageReport, _conv_stage_reports, _fc_stage_reports
+from repro.sim.perf import Pipeline
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,6 @@ class Timeline:
             return self.makespan
         return self.finish[-1][-1] - self.finish[-2][-1]
 
-    @property
-    def bottleneck(self) -> PipelineStage:
-        return max(self.stages, key=lambda s: s.cycles)
-
     def occupancy(self, stage_index: int) -> float:
         """Busy fraction of one stage over the whole run."""
         busy = sum(
@@ -98,34 +93,16 @@ class Timeline:
         return "\n".join(lines)
 
 
-def pipeline_stages(
-    mapping: WorkloadMapping, training: bool = True
-) -> List[PipelineStage]:
-    """The inter-layer pipeline in traversal order: FP stages forward,
-    then (for training) BP and WG stages in reverse dataflow order."""
-    conv = _conv_stage_reports(mapping, training=training, tile_multiplier=1)
-    fc = _fc_stage_reports(mapping, training=training, tile_multiplier=1)
-    by_key: Dict[Tuple[str, Step], StageReport] = {
-        (s.unit, s.step): s for s in conv + fc
-    }
-    conv_units = list(mapping.conv_allocations)
-    fc_units = list(mapping.fc_allocations)
-    forward_order = conv_units + fc_units
-
-    ordered: List[PipelineStage] = []
-    for unit in forward_order:
-        stage = by_key[(unit, Step.FP)]
-        ordered.append(PipelineStage(f"{unit}/fp", stage.cycles))
-    if training:
-        for unit in reversed(forward_order):
-            bp = by_key[(unit, Step.BP)]
-            wg = by_key[(unit, Step.WG)]
-            # BP and WG of a unit run concurrently on their own tiles;
-            # as a pipeline stage the image occupies them together.
-            ordered.append(
-                PipelineStage(f"{unit}/bp+wg", max(bp.cycles, wg.cycles))
-            )
-    return ordered
+def pipeline_stages(pipeline: Pipeline) -> List[PipelineStage]:
+    """One copy's pipeline as named stages in traversal order: a unit's
+    FP stage is ``unit/fp``; its BP and WG run concurrently on their
+    own tiles and occupy the image together as ``unit/bp+wg``."""
+    return [
+        PipelineStage(
+            f"{s.unit}/{'fp' if s.step is Step.FP else 'bp+wg'}", time
+        )
+        for s, time in zip(pipeline.stages, pipeline.times)
+    ]
 
 
 def schedule(
@@ -152,8 +129,8 @@ def schedule(
     )
 
 
-def nested_pipeline(
-    mapping: WorkloadMapping, images: int = 8, training: bool = True
-) -> Timeline:
-    """Fig 10: schedule a stream of images through one copy's pipeline."""
-    return schedule(pipeline_stages(mapping, training), images)
+def nested_pipeline(pipeline: Pipeline, images: int = 8) -> Timeline:
+    """Fig 10: schedule a stream of images through one copy's pipeline
+    (a :class:`~repro.sim.perf.PerfResult`'s ``training_pipeline``, or
+    :func:`~repro.sim.perf.evaluation_pipeline`)."""
+    return schedule(pipeline_stages(pipeline), images)

@@ -44,6 +44,7 @@ from repro.dnn.network import Network
 from repro.dnn.zoo.engine_proxies import PROXY_PARAMS, engine_proxy
 from repro.errors import ConfigError, ReproError, ValidationError
 from repro.functional.reference import ReferenceModel
+from repro.sim.perf import Pipeline, StageReport
 
 #: Above this weight count a network is not engine-executed directly;
 #: instead its registered engine proxy (same topology, rescaled
@@ -181,20 +182,19 @@ VALIDATION_VARIANTS: Dict[str, Callable[[], Network]] = {
 
 def analytical_forward_cycles(net: Network, rows: int) -> float:
     """Analytical FP cycles for the engine's layout: each layer owns one
-    column of ``rows`` tiles and the layers execute as a pipeline whose
-    makespan for a single image is the sum of stage latencies."""
+    column of ``rows`` tiles, and one image's makespan is the fill of
+    that one-copy pipeline."""
     chip = conv_chip().resized(rows, conv_chip().cols)
-    total = 0.0
-    for node in net:
-        if node.kind not in (LayerKind.CONV, LayerKind.FC, LayerKind.SAMP):
-            continue
-        cost = step_cost(
+    stages = [
+        StageReport(node.name, Step.FP, chip.kind.value, step_cost(
             FREQUENCY_HZ, chip, node, Step.FP, columns=1,
             dtype_bytes=4, weights_on_chip=True,
             store_features_offchip=False,
-        )
-        total += cost.cycles
-    return total
+        ))
+        for node in net
+        if node.kind in (LayerKind.CONV, LayerKind.FC, LayerKind.SAMP)
+    ]
+    return Pipeline(stages).fill
 
 
 def _random_image(net: Network, seed: int) -> np.ndarray:
@@ -213,6 +213,7 @@ def engine_forward_cycles(
     comparable quantity), the maximum absolute output deviation from
     the numpy reference forward pass, and whether the fused path
     reproduced the unfused outputs bit-for-bit."""
+    analytical = analytical_forward_cycles(net, rows)
     model = ReferenceModel(net, seed=seed)
     compiled = compile_dag_forward(net, model, rows=rows)
     image = _random_image(net, seed)
@@ -228,7 +229,7 @@ def engine_forward_cycles(
     return ValidationRow(
         network=net.name,
         engine_cycles=report.cycles,
-        analytical_cycles=analytical_forward_cycles(net, rows),
+        analytical_cycles=analytical,
         instructions=report.instructions,
         max_abs_error=max_abs_error,
         engine_seconds=elapsed,

@@ -49,8 +49,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: On-disk entry format version.  Entries are ``{"version", "kind",
 #: "digest", "artifact"}`` dicts; anything else (truncated pickle, a
 #: pre-versioning bare artifact, a future format) is treated as corrupt:
-#: counted, evicted and rebuilt — never raised to the caller.
-DISK_FORMAT_VERSION = 2
+#: counted, evicted and rebuilt — never raised to the caller.  Bump it
+#: when a cached artifact gains fields (3: ``PerfResult``'s evaluation
+#: fill and beat).
+DISK_FORMAT_VERSION = 3
 
 
 class CompileCache:

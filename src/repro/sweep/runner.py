@@ -266,7 +266,7 @@ def _execute_job(
         # measurements go to `wall.*` groups, which snapshots and
         # baseline comparisons exclude (see telemetry.metrics).
         tel.observe(
-            "sweep.job_cycles", "bottleneck", perf.bottleneck.cycles
+            "sweep.job_cycles", "bottleneck", perf.training_pipeline.beat
         )
         tel.observe("wall.sweep", "job_s", job_elapsed)
 

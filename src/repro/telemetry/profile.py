@@ -15,9 +15,11 @@ split, so one table (and one test) covers both:
 For the functional engine the numbers come from the counters the engine
 flushes into the telemetry registry (``tile/<id>`` groups); for the
 analytical model they are derived from the per-stage
-:class:`~repro.compiler.cost.StepCost` breakdown, so
-``busy + blocked + stalled == bottleneck cycles`` for every tile group
-by construction.
+:class:`~repro.compiler.cost.StepCost` breakdown, priced per image of
+one copy by the training :class:`~repro.sim.perf.Pipeline` (an FcLayer
+hub serving several copies works that many images per beat), so
+``busy + blocked + stalled == beat`` for every tile group by
+construction.
 
 On top of the three-way split, :func:`analytical_attribution` and
 :func:`engine_attribution` refine "not busy" into a **stall-cause
@@ -92,7 +94,7 @@ def analytical_tile_profile(result) -> List[TileGroupProfile]:
 
     Every pipeline stage owns ``columns x rows`` CompHeavy tiles; the
     slowest stage sets the pipeline beat.  A stage's compute term is its
-    busy time, the remainder of its latency is blocked on data movement,
+    busy time, the remainder of its time is blocked on data movement,
     and the gap up to the beat is pipeline stall.
     """
     node = result.mapping.node
@@ -100,14 +102,17 @@ def analytical_tile_profile(result) -> List[TileGroupProfile]:
         node.cluster.conv_chip.kind.value: node.cluster.conv_chip,
         node.cluster.fc_chip.kind.value: node.cluster.fc_chip,
     }
-    beat = result.bottleneck.cycles
+    pipeline = result.training_pipeline
+    beat = pipeline.beat
     rows: List[TileGroupProfile] = []
     for stage in result.stages:
         chip = chips[stage.chip]
         cost = stage.cost
+        time = pipeline.time(stage)
         busy = min(max(cost.compute_cycles, cost.sfu_cycles), stage.cycles)
-        blocked = stage.cycles - busy
-        stalled = beat - stage.cycles
+        busy *= pipeline.load(stage)
+        blocked = time - busy
+        stalled = beat - time
         rows.append(
             TileGroupProfile(
                 group=f"{stage.unit}/{stage.step.value}",
@@ -205,9 +210,10 @@ def analytical_attribution(result) -> List[StallAttribution]:
     roofline boundedness of the stage's FLOPs-dominant member layer.
 
     The compute term is compute-bound time; the remainder of the stage
-    latency splits between DMA (external memory) and on-chip links in
+    time splits between DMA (external memory) and on-chip links in
     proportion to their cycle terms; the gap to the pipeline beat is
-    beat idle.
+    beat idle.  Times are per image of one copy, as in
+    :func:`analytical_tile_profile`.
     """
     from repro.arch.roofline import chip_roofline, network_roofline
     from repro.dnn.analysis import profile as step_profile
@@ -219,7 +225,7 @@ def analytical_attribution(result) -> List[StallAttribution]:
         node.cluster.conv_chip.kind.value: node.cluster.conv_chip,
         node.cluster.fc_chip.kind.value: node.cluster.fc_chip,
     }
-    beat = result.bottleneck.cycles
+    pipeline = result.training_pipeline
     fc_units = set(mapping.fc_allocations)
 
     # Per-(chip, step, batch) roofline points, computed once each.
@@ -262,8 +268,10 @@ def analytical_attribution(result) -> List[StallAttribution]:
     rows: List[StallAttribution] = []
     for stage in result.stages:
         cost = stage.cost
+        time = pipeline.time(stage)
         busy = min(max(cost.compute_cycles, cost.sfu_cycles), stage.cycles)
-        blocked = stage.cycles - busy
+        busy *= pipeline.load(stage)
+        blocked = time - busy
         link_term = cost.comp_mem_link_cycles + cost.mem_mem_link_cycles
         dma_term = cost.ext_mem_cycles
         denominator = link_term + dma_term
@@ -282,7 +290,7 @@ def analytical_attribution(result) -> List[StallAttribution]:
                     StallCause.DMA: dma,
                     StallCause.LINK: link,
                     StallCause.TRACKER: 0.0,
-                    StallCause.BEAT_IDLE: beat - stage.cycles,
+                    StallCause.BEAT_IDLE: pipeline.beat - time,
                 },
                 boundedness=boundedness_of(stage),
             )

@@ -4,8 +4,9 @@ conservation invariant, SLO error budgets, and ``serve --mtbf/--mttr``.
 
 The acceptance config everywhere is the CI smoke's: lenet5 under
 ``mtbf 0.05s, mttr 0.02s, seed 7`` with greedy batching, where a
-tile-slow fault halves the bottleneck stage and degraded p99 is
-exactly twice the healthy p99.
+tile-slow fault doubles the time of one evaluation stage and so adds
+that time to the pipeline fill: degraded p99 is about 1.67x the healthy
+p99.
 """
 
 import json

@@ -144,7 +144,10 @@ class TestReporting:
     def test_bottleneck_is_a_stage(self, results):
         r = results["VGG-A"]
         assert r.bottleneck in r.stages
-        assert r.bottleneck.cycles == max(s.cycles for s in r.stages)
+        pipeline = r.training_pipeline
+        assert pipeline.time(r.bottleneck) == pipeline.beat == max(
+            pipeline.time(s) for s in r.stages
+        )
 
 
 class TestUtilizationReport:

@@ -6,13 +6,14 @@ from repro.arch import single_precision_node
 from repro.compiler import map_network
 from repro.dnn import zoo
 from repro.sim.perf import (
+    Pipeline,
     _array_flops_per_image,
     _chip_boundary_bytes,
     _fc_feature_bytes,
     _first_fc_input_bytes,
     _merge_costs,
-    _conv_stage_reports,
     _span_crossings,
+    _stage_reports,
     _throughput,
 )
 
@@ -109,8 +110,7 @@ class TestMergeAndThroughput:
     def test_merge_sums_member_costs(self, node):
         mapping = map_network(zoo.googlenet(), node)
         alloc = mapping.conv_allocations["inc3a"]
-        reports = _conv_stage_reports(mapping, training=False,
-                                      tile_multiplier=1)
+        reports = _stage_reports(mapping, training=False, tile_multiplier=1)
         inc = next(r for r in reports if r.unit == "inc3a")
         # The merged stage is at least as long as any single member's
         # share would be: six branch convolutions add up.
@@ -118,14 +118,23 @@ class TestMergeAndThroughput:
         assert inc.cost.traffic.comp_mem_bytes > 0
         assert len(alloc.members) == 6
 
+    @staticmethod
+    def conv_pipeline(mapping):
+        """The training pipeline of the ConvLayer stages alone."""
+        conv = [
+            s for s in _stage_reports(mapping, training=True,
+                                      tile_multiplier=1)
+            if s.unit in mapping.conv_allocations
+        ]
+        return conv, Pipeline(conv)
+
     def test_throughput_picks_slowest_stage(self, alexnet_mapping):
-        conv = _conv_stage_reports(alexnet_mapping, training=True,
-                                   tile_multiplier=1)
-        rate, limiting = _throughput(
-            alexnet_mapping, conv, [], training=False, minibatch=256
+        conv, pipeline = self.conv_pipeline(alexnet_mapping)
+        rate = _throughput(
+            alexnet_mapping, pipeline, training=False, minibatch=256
         )
         slowest = max(conv, key=lambda s: s.cycles)
-        assert limiting.unit == slowest.unit
+        assert pipeline.bottleneck.unit == slowest.unit
         expected = (
             alexnet_mapping.copies
             * alexnet_mapping.node.frequency_hz
@@ -134,12 +143,11 @@ class TestMergeAndThroughput:
         assert rate == pytest.approx(expected)
 
     def test_training_drain_slows_small_minibatches(self, alexnet_mapping):
-        conv = _conv_stage_reports(alexnet_mapping, training=True,
-                                   tile_multiplier=1)
-        fast, _ = _throughput(
-            alexnet_mapping, conv, [], training=True, minibatch=4096
+        _, pipeline = self.conv_pipeline(alexnet_mapping)
+        fast = _throughput(
+            alexnet_mapping, pipeline, training=True, minibatch=4096
         )
-        slow, _ = _throughput(
-            alexnet_mapping, conv, [], training=True, minibatch=16
+        slow = _throughput(
+            alexnet_mapping, pipeline, training=True, minibatch=16
         )
         assert slow < fast

@@ -31,10 +31,11 @@ class TestFullReport:
         assert report.performance.network == "AlexNet"
         assert report.energy.network == "AlexNet"
         assert report.sync.network == "AlexNet"
-        # The timeline's bottleneck matches the performance bottleneck's
-        # latency class (the training pipeline's slowest stage).
+        # The timeline's interval is the performance bottleneck's time
+        # (the training pipeline's slowest stage).
+        pipeline = report.performance.training_pipeline
         assert report.timeline.initiation_interval == pytest.approx(
-            report.timeline.bottleneck.cycles
+            pipeline.time(report.performance.bottleneck)
         )
 
     def test_report_reuses_given_mapping(self):

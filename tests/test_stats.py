@@ -68,12 +68,12 @@ class TestUtilizationGuard:
 class TestTileProfileParity:
     """Satellite: engine-vs-analytical parity across three zoo
     networks — group keys, utilization bands, and the
-    ``busy + blocked + stalled == bottleneck`` invariant."""
+    ``busy + blocked + stalled == beat`` invariant."""
 
     @pytest.mark.parametrize("name", ["lenet5", "alexnet", "vgg16"])
     def test_profiles_are_consistent(self, node, name):
         report = collect_stats(zoo.load(name), node, minibatch=32)
-        beat = report.result.bottleneck.cycles
+        beat = report.result.training_pipeline.beat
 
         profile_keys = [r.group for r in report.analytical_profile]
         cause_keys = [r.group for r in report.analytical_causes]

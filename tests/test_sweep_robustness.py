@@ -2,6 +2,7 @@
 quarantine, retry/fail-fast semantics, corrupt-entry self-healing and
 fault-sweep determinism across worker counts."""
 
+import copy
 import json
 import pickle
 
@@ -158,6 +159,37 @@ class TestCorruptCache:
         assert pickle.loads(path.read_bytes())["version"] == (
             DISK_FORMAT_VERSION
         )
+
+    def test_version_2_entry_is_evicted_and_rebuilt(self, tmp_path):
+        """Version 2 pickled ``PerfResult`` without its evaluation fill
+        and beat under the same digest: such an entry is evicted,
+        counted and rebuilt, never served half-formed."""
+        from repro.dnn.zoo.tiny import tiny_mlp
+
+        cache = CompileCache(tmp_path)
+        net = tiny_mlp()
+        path, node, digest = self.entry_path(cache, net)
+        good = cached_simulation(net, node, cache=cache)
+        stale = copy.copy(good)
+        del stale.__dict__["evaluation_fill"]
+        del stale.__dict__["evaluation_beat"]
+        path.write_bytes(pickle.dumps({
+            "version": 2,
+            "kind": "simulation",
+            "digest": digest,
+            "artifact": stale,
+        }))
+
+        fresh = CompileCache(tmp_path)
+        with capture() as tel:
+            rebuilt = cached_simulation(net, node, cache=fresh)
+        assert fresh.stats["corrupt"] == 1
+        assert tel.counters.get("cache", "corrupt") == 1
+        assert fresh.stats["simulation_misses"] == 1
+        assert rebuilt.evaluation_fill == good.evaluation_fill
+        entry = pickle.loads(path.read_bytes())
+        assert entry["version"] == DISK_FORMAT_VERSION == 3
+        assert entry["artifact"].evaluation_beat == good.evaluation_beat
 
     def test_digest_mismatch_evicted(self, tmp_path):
         from repro.dnn.zoo.tiny import tiny_mlp

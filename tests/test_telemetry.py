@@ -259,20 +259,25 @@ class TestAnalyticalProfile:
         result = simulate(zoo.load("AlexNet"), single_precision_node())
         rows = analytical_tile_profile(result)
         assert rows
-        beat = result.bottleneck.cycles
+        pipeline = result.training_pipeline
+        beat = pipeline.beat
         for row in rows:
             assert row.total_cycles == pytest.approx(beat)
             assert 0 <= row.utilization <= 1
-        # The bottleneck group never stalls against its own beat.
-        top = max(rows, key=lambda r: r.busy_cycles)
-        assert top.stalled_cycles == pytest.approx(0.0)
-        # Busy totals are consistent with reported throughput: the beat
-        # bounds the per-copy training rate from above.
+        # The bottleneck group never stalls against its own beat; on
+        # hub-bound AlexNet that is an FcLayer hub.
+        b = result.bottleneck
+        (top,) = [r for r in rows if r.group == f"{b.unit}/{b.step.value}"]
+        assert top.chip == "FcLayer"
+        assert top.stalled_cycles == 0.0
+        # The beat sets the training rate: every copy emits one image
+        # per beat, less one pipeline drain per minibatch.
         node = result.mapping.node
-        upper = max(
-            result.mapping.copies, node.cluster_count
-        ) * node.frequency_hz / beat
-        assert result.training_images_per_s <= upper * 1.0001
+        steady = result.mapping.copies * node.frequency_hz / beat
+        drain = 1.0 + len(pipeline.stages) / result.minibatch
+        assert result.training_images_per_s == pytest.approx(
+            steady / drain, rel=1e-12
+        )
 
     def test_simulate_emits_stage_spans_and_counters(self):
         from repro.arch import single_precision_node
@@ -283,14 +288,23 @@ class TestAnalyticalProfile:
             result = simulate(zoo.load("AlexNet"), single_precision_node())
         spans = tel.events_in("perf.stage")
         assert len(spans) == len(result.stages)
-        assert max(s.dur for s in spans) == result.bottleneck.cycles
+        b = result.bottleneck
+        (span,) = [s for s in spans if s.name == f"{b.unit}/{b.step.value}"]
+        assert span.dur == b.cycles
         group = "perf/AlexNet"
         assert tel.counters.get(group, "train_images_per_s") == (
             pytest.approx(result.training_images_per_s)
         )
         assert tel.counters.get(group, "bottleneck_cycles") == (
-            pytest.approx(result.bottleneck.cycles)
+            result.training_pipeline.beat
         )
+        # The bottleneck is the stage that limits the training rate: on
+        # hub-bound AlexNet, an FcLayer hub's stage.
+        node = result.mapping.node
+        rate = node.cluster_count * node.frequency_hz / b.cycles
+        drain = 1.0 + len(result.training_pipeline.stages) / result.minibatch
+        assert b.chip == "FcLayer"
+        assert result.training_images_per_s == rate / drain
 
     def test_mapping_and_sync_events(self):
         from repro.arch import single_precision_node

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.arch import single_precision_node
-from repro.compiler import map_network
 from repro.dnn import zoo
 from repro.errors import SimulationError
+from repro.sim import simulate
+from repro.sim.perf import evaluation_pipeline
 from repro.sim.timeline import (
     PipelineStage,
     nested_pipeline,
@@ -15,8 +16,8 @@ from repro.sim.timeline import (
 
 
 @pytest.fixture(scope="module")
-def alexnet_mapping():
-    return map_network(zoo.alexnet(), single_precision_node())
+def alexnet():
+    return simulate(zoo.alexnet(), single_precision_node())
 
 
 class TestSchedule:
@@ -36,7 +37,6 @@ class TestSchedule:
                   enumerate((3, 9, 4, 2))]
         tl = schedule(stages, images=16)
         assert tl.initiation_interval == pytest.approx(9.0)
-        assert tl.bottleneck.cycles == 9
 
     def test_makespan_decomposition(self):
         """makespan == fill latency + (N-1) * initiation interval once
@@ -74,24 +74,25 @@ class TestSchedule:
 
 
 class TestMappedPipeline:
-    def test_training_depth_doubles(self, alexnet_mapping):
-        fp_only = pipeline_stages(alexnet_mapping, training=False)
-        full = pipeline_stages(alexnet_mapping, training=True)
+    def test_training_depth_doubles(self, alexnet):
+        fp_only = pipeline_stages(evaluation_pipeline(alexnet.mapping))
+        full = pipeline_stages(alexnet.training_pipeline)
         assert len(full) == 2 * len(fp_only)
 
-    def test_stage_order_forward_then_reverse(self, alexnet_mapping):
-        names = [s.name for s in pipeline_stages(alexnet_mapping)]
+    def test_stage_order_forward_then_reverse(self, alexnet):
+        names = [s.name for s in pipeline_stages(alexnet.training_pipeline)]
         assert names[0] == "conv1/fp"
         assert names[len(names) // 2 - 1] == "fc8/fp"
         assert names[len(names) // 2] == "fc8/bp+wg"
         assert names[-1] == "conv1/bp+wg"
 
-    def test_steady_state_matches_bottleneck(self, alexnet_mapping):
-        tl = nested_pipeline(alexnet_mapping, images=12)
+    def test_steady_state_matches_bottleneck(self, alexnet):
+        pipeline = alexnet.training_pipeline
+        tl = nested_pipeline(pipeline, images=12)
         assert tl.initiation_interval == pytest.approx(
-            tl.bottleneck.cycles, rel=1e-6
+            pipeline.time(alexnet.bottleneck), rel=1e-12
         )
 
-    def test_pipelining_beats_serial_execution(self, alexnet_mapping):
-        tl = nested_pipeline(alexnet_mapping, images=16)
+    def test_pipelining_beats_serial_execution(self, alexnet):
+        tl = nested_pipeline(alexnet.training_pipeline, images=16)
         assert tl.speedup_vs_serial() > 3.0
