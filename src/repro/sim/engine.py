@@ -25,8 +25,14 @@ Engine conventions (the compiler's code generator follows these):
 * NDCONV/MATMUL/NDSUBSAMP sizes pack 2-D extents via
   :func:`repro.sim.machine.pack_shape`; DMA/tracker/vector sizes are
   raw word counts.
-* A blocked instruction (tracker not ready) retries next round; if a
-  whole round passes with every live tile blocked, the engine raises a
+* Tiles issue round-robin, one entry per round.  An entry a tracker
+  refuses (:func:`repro.sim.tracker.gate`) queues its tile on the
+  tracker files it touches; the scheduler skips the tile until one of
+  those files changes.  The accounting is the per-round retry's: when
+  the tile is polled again, every round it skipped is charged in one
+  step as a refused retry (one stall cycle, one blocked count on the
+  obstructing file, one ``blocked.*`` telemetry instant).  If a whole
+  round passes with every live tile blocked, the engine raises a
   deadlock error naming the blocked tiles.
 """
 
@@ -59,8 +65,15 @@ from repro.sim.machine import (
     instruction_accesses,
     is_reg_operand,
     unpack_shape,
+    zeroed_words,
 )
-from repro.sim.tracker import AccessVerdict, TrackerPhase
+from repro.sim.tracker import (
+    AccessVerdict,
+    TrackerFile,
+    TrackerPhase,
+    Waiter,
+    gate,
+)
 from repro.telemetry.core import NullTelemetry, Telemetry, get_telemetry
 
 #: Port value addressing external memory instead of a MemHeavy tile.
@@ -120,6 +133,15 @@ def _upsampled(o: Dict[str, int]) -> Tuple[int, int]:
     return h * stride, w * stride
 
 
+def _check_external(what: str, addr: int, count: int, words: int) -> None:
+    """External memory's bounds check, worded as a scratchpad's."""
+    if addr < 0 or addr + count > words:
+        raise SimulationError(
+            f"external memory: {what} [{addr}, {addr + count}) out of "
+            f"bounds ({words} words)"
+        )
+
+
 def _arm_port(instr: Instruction) -> int:
     """The mem tile a MEMTRACK or DMA_MEMTRACK arms its tracker on."""
     return instr.operand(
@@ -170,9 +192,10 @@ class _Decoded:
     """One entry of a tile's flat op table, covering pcs ``[pc, pc + count)``.
 
     A plain entry is one decoded instruction: everything static is
-    resolved once per program — the gated address quads (with the
-    MemTile objects already bound), the cycle cost, and a closure ``fn``
-    performing the instruction.  Entries the decoder leaves undecoded
+    resolved once per program — the gated address quads (with each mem
+    tile's TrackerFile already bound, and the distinct files in
+    ``files``), the cycle cost, and a closure ``fn`` performing the
+    instruction.  Entries the decoder leaves undecoded
     (``fn is None``) — scalar control, register-indirect operands, an
     instruction whose decode raises, a superop member — run through
     :meth:`Engine._execute` when they issue.
@@ -187,7 +210,8 @@ class _Decoded:
     """
 
     __slots__ = (
-        "instr", "fn", "reads", "writes", "cost", "count", "expire", "tag",
+        "instr", "fn", "reads", "writes", "files", "cost", "count",
+        "expire", "tag",
     )
 
     def __init__(
@@ -204,6 +228,7 @@ class _Decoded:
         self.fn = fn
         self.reads = reads
         self.writes = writes
+        self.files = tuple({q[0]: None for q in reads + writes})
         self.cost = cost
         self.expire = expire
         if sup is None:
@@ -222,6 +247,105 @@ class _Decoded:
         return self.tag.name if self.instr is None else str(self.instr)
 
 
+class _Block(NamedTuple):
+    """Why a tile's last poll was refused: the first refused quad."""
+
+    trackers: TrackerFile  # the quad's
+    kind: str  # "read" | "write"
+    port: int
+    addr: int
+    count: int
+    phase: TrackerPhase  # the obstructing tracker's
+
+
+class _Slot(Waiter):
+    """One tile's place in a run's round-robin: its op table, the last
+    round it was polled in and, while it waits, why it was refused."""
+
+    __slots__ = ("tile", "entries", "polled", "block")
+
+    def __init__(self, tile: CompTile, entries: List[_Decoded]) -> None:
+        super().__init__()
+        self.tile = tile
+        self.entries = entries
+        self.polled = 0  # every run restarts its rounds at 1
+        self.block: Optional[_Block] = None
+
+
+def _rows(words: np.ndarray, addr: int, step: int, count: int, size: int):
+    """``count`` rows of ``size`` words of ``words`` as one 2-D view: the
+    first at ``addr``, each next one ``step`` words after the last."""
+    windows = np.lib.stride_tricks.sliding_window_view(
+        words, size, writeable=True
+    )
+    if count == 1:
+        return windows[addr : addr + 1]
+    if step == 0:  # a source read ``count`` times
+        return np.broadcast_to(windows[addr], (count, size))
+    return windows[addr::step][:count]
+
+
+def _strided_runs(moves, memory) -> List[Tuple[int, int, int, int]]:
+    """Split a ``load_run``'s moves — ``(src_port, src_addr, dst_port,
+    dst_addr, size, accum)`` — into runs, in program order: ``(index of
+    the first move, number of moves, source step, destination step)``.
+
+    A run is a maximal sequence of moves with equal ports, size and
+    accumulate flag whose source and destination addresses advance by
+    constant steps.  Copying it in one numpy call equals copying its
+    moves in order unless one move can see another's write, so a run
+    whose destination rows overlap each other, or whose source rows
+    overlap its destination rows in one memory (``memory(port)`` gives a
+    port's words), is split into single moves.  A move outside its
+    memory raises :class:`SimulationError`.
+    """
+    for src_port, src_addr, dst_port, dst_addr, size, _ in moves:
+        for port, addr in ((src_port, src_addr), (dst_port, dst_addr)):
+            words = memory(port)
+            if size < 1 or addr < 0 or addr + size > words.size:
+                raise SimulationError(
+                    f"DMA of {size} words at {addr} outside port {port}'s "
+                    f"{words.size} words"
+                )
+    runs = []
+    i, n = 0, len(moves)
+    while i < n:
+        src_port, src_addr, dst_port, dst_addr, size, accum = moves[i]
+        j = i + 1
+        if j < n:
+            src_step = moves[j][1] - src_addr
+            dst_step = moves[j][3] - dst_addr
+            while j < n and tuple(moves[j]) == (
+                src_port, src_addr + (j - i) * src_step,
+                dst_port, dst_addr + (j - i) * dst_step, size, accum,
+            ):
+                j += 1
+        count = j - i
+        if count > 1 and abs(dst_step) >= size and not (
+            memory(src_port) is memory(dst_port) and _spans_meet(
+                src_addr, src_step, dst_addr, dst_step, count, size
+            )
+        ):
+            runs.append((i, count, src_step, dst_step))
+        else:
+            runs.extend((k, 1, 0, 0) for k in range(i, j))
+        i = j
+    return runs
+
+
+def _spans_meet(
+    src: int, src_step: int, dst: int, dst_step: int, count: int, size: int
+) -> bool:
+    """Whether ``count`` rows of ``size`` words from ``src``, ``src_step``
+    apart, span words that ``count`` rows from ``dst`` also span."""
+    src_last = src + (count - 1) * src_step
+    dst_last = dst + (count - 1) * dst_step
+    return (
+        min(src, src_last) < max(dst, dst_last) + size
+        and min(dst, dst_last) < max(src, src_last) + size
+    )
+
+
 class Engine:
     """Round-robin interpreter over a :class:`Machine`."""
 
@@ -238,7 +362,7 @@ class Engine:
         fused: bool = False,
     ) -> None:
         self.machine = machine
-        self.external = np.zeros(external_words, dtype=np.float32)
+        self.external = zeroed_words(external_words)
         self.max_rounds = max_rounds
         #: Superop execution: honour the compiler's fusion plans
         #: (``Program.superops``) by executing whole fused runs per
@@ -323,61 +447,70 @@ class Engine:
 
     def _quads(self, accesses) -> tuple:
         """``(port, addr, count)`` accesses as gate quads, each with its
-        MemTile bound (None for external memory)."""
+        mem tile's TrackerFile bound.  External memory has no trackers,
+        so its accesses drop out."""
         return tuple(
-            (self._tile(port), port, addr, count)
+            (self.machine.mem_tile(port).trackers, port, addr, count)
             for port, addr, count in accesses
+            if port != EXTERNAL_PORT
         )
 
-    def _gate(self, comp: CompTile, reads, writes) -> bool:
-        """Check every ``(mem_tile, port, addr, count)`` quad; consume
-        tracker counts only if ALL are allowed.  Returns True when the
-        entry may proceed.  A refusal records *why* ``comp`` is blocked
-        (the obstructing port, address range and tracker phase) for the
-        deadlock diagnostic and, when enabled, telemetry."""
-        # Peek first: a blocked companion access must not consume counts.
-        for mem, port, addr, count in reads:
-            if mem is not None and mem.trackers.read_blocked(addr, count):
-                self._note_block(
-                    comp, "read", port, addr, count, TrackerPhase.UPDATING
-                )
-                return False
-        for mem, port, addr, count in writes:
-            if mem is not None and mem.trackers.write_blocked(addr, count):
-                self._note_block(
-                    comp, "write", port, addr, count, TrackerPhase.READABLE
-                )
-                return False
-        # All clear: consume.
-        for mem, _port, addr, count in reads:
-            if mem is not None:
-                verdict = mem.trackers.check_read(addr, count)
-                assert verdict is AccessVerdict.ALLOW
-        for mem, _port, addr, count in writes:
-            if mem is not None:
-                verdict = mem.trackers.check_write(addr, count)
-                assert verdict is AccessVerdict.ALLOW
-        return True
-
-    def _note_block(
-        self,
-        comp: CompTile,
-        kind: str,
-        port: int,
-        addr: int,
-        count: int,
-        phase: TrackerPhase,
-    ) -> None:
-        self._block_reason[comp.tile_id] = (
-            kind, port, addr, count, phase.value
+    def _gate(self, slot: _Slot, entry: _Decoded) -> bool:
+        """Gate ``entry``'s quads with :func:`repro.sim.tracker.gate`:
+        tracker counts are consumed only if every quad is allowed.
+        Returns True when the entry may proceed.  A refusal records on
+        ``slot`` *why* its tile is blocked (the obstructing port, address
+        range and tracker phase) — for the charge of the rounds the tile
+        then sleeps through (:meth:`_charge`), the deadlock diagnostic
+        and, when enabled, telemetry.  :func:`~repro.sim.tracker.gate`
+        argues why the sleeping tile would have been refused, on the
+        same quad, in every round it skips."""
+        refused = gate(entry.reads, entry.writes)
+        if refused is None:
+            return True
+        kind, (trackers, port, addr, count), tracker = refused
+        block = _Block(trackers, kind, port, addr, count, tracker.phase)
+        slot.block = block
+        self._block_reason[slot.tile.tile_id] = (
+            kind, port, addr, count, block.phase.value
         )
+        self._block_instants(slot.tile, block, 1)
+        return False
+
+    def _charge(self, slot: _Slot, rounds: int) -> None:
+        """Charge ``slot``'s tile the ``rounds`` rounds it slept through
+        queued, each as the refused retry the round-robin would have
+        polled: one stall cycle, one blocked retry, one blocked count on
+        the refusing quad's file and one telemetry instant."""
+        tile, block = slot.tile, slot.block
+        if block.kind == "read":
+            block.trackers.blocked_reads += rounds
+        else:
+            block.trackers.blocked_writes += rounds
+        self._block_instants(tile, block, rounds)
+        tile.cycles += rounds
+        tile.stalled_cycles += rounds
+        tile.blocked_retries += rounds
+
+    def _charge_queued(self, slots: List[_Slot], through: int) -> None:
+        """Charge every live slot in ``slots`` up to round ``through``."""
+        for slot in slots:
+            if not slot.tile.halted and slot.polled < through:
+                self._charge(slot, through - slot.polled)
+                slot.polled = through
+
+    def _block_instants(self, comp: CompTile, block: _Block, rounds: int):
+        """One ``blocked.*`` telemetry instant for each of ``rounds``
+        refused retries, a stall cycle apart from ``comp``'s clock on."""
         if self._tel_on:
-            self.telemetry.instant(
-                f"blocked.{kind}", "engine.block",
-                ("engine", f"tile {comp.tile_id}"), comp.cycles,
-                port=port, addr_range=[addr, addr + count],
-                phase=phase.value,
-            )
+            for cycle in range(comp.cycles, comp.cycles + rounds):
+                self.telemetry.instant(
+                    f"blocked.{block.kind}", "engine.block",
+                    ("engine", f"tile {comp.tile_id}"), cycle,
+                    port=block.port,
+                    addr_range=[block.addr, block.addr + block.count],
+                    phase=block.phase.value,
+                )
 
     # ------------------------------------------------------------------
     # Cycle-cost model
@@ -462,21 +595,20 @@ class Engine:
         raise SimulationError(f"{op.value} is not a data instruction")
 
     # ------------------------------------------------------------------
-    # Issue of undecoded entries: returns cycle cost, or None when blocked
+    # Issue of undecoded entries
     # ------------------------------------------------------------------
-    def _execute(self, tile: CompTile, instr: Instruction) -> Optional[int]:
-        """Run an entry the op table left undecoded.  Scalar control
-        executes here.  Anything else is decoded now, with register
-        operands replaced by the registers' values, by the code that
-        builds the op table; then it is gated and run like any decoded
-        entry.  A malformed instruction raises from that decode."""
+    def _execute(
+        self, tile: CompTile, instr: Instruction
+    ) -> Optional[_Decoded]:
+        """Issue an entry the op table left undecoded.  Scalar control
+        executes here (one cycle) and returns None.  Anything else is
+        decoded now, with register operands replaced by the registers'
+        values, by the code that builds the op table, and returned for
+        :meth:`run` to gate and run like any decoded entry.  A malformed
+        instruction raises from that decode."""
         op = instr.opcode
         if instr.group is not InstrGroup.SCALAR:
-            entry = self._decode(self._resolve(tile, instr), tile.tile_id)
-            if not self._gate(tile, entry.reads, entry.writes):
-                return None
-            entry.fn()
-            return entry.cost
+            return self._decode(self._resolve(tile, instr), tile.tile_id)
         o = instr.named_operands()
         if op is Opcode.LDRI:
             tile.set_reg(o["rd"], o["value"])
@@ -505,7 +637,7 @@ class Engine:
             tile.pc += o["offset"]
         elif op is Opcode.HALT:
             tile.halted = True
-        return 1
+        return None
 
     @staticmethod
     def _resolve(tile: CompTile, instr: Instruction) -> Instruction:
@@ -532,7 +664,12 @@ class Engine:
         tile = self._tile(port)
         if tile is None:
             ext = self.external
-            return lambda addr, count: ext[addr : addr + count]
+
+            def read_external(addr: int, count: int) -> np.ndarray:
+                _check_external("read", addr, count, ext.size)
+                return ext[addr : addr + count]
+
+            return read_external
         return tile.read
 
     def _writer(self, port: int):
@@ -545,6 +682,7 @@ class Engine:
                 addr: int, data: np.ndarray, accumulate: bool
             ) -> None:
                 flat = data.reshape(-1).astype(np.float32)
+                _check_external("write", addr, flat.size, ext.size)
                 if accumulate:
                     ext[addr : addr + flat.size] += flat
                 else:
@@ -552,6 +690,11 @@ class Engine:
 
             return write_external
         return tile.write
+
+    def _words(self, port: int) -> np.ndarray:
+        """The words ``port`` addresses."""
+        tile = self._tile(port)
+        return self.external if tile is None else tile.words
 
     def _decode_program(self, tile: CompTile) -> List[_Decoded]:
         cached = self._decoded.get(tile.tile_id)
@@ -630,22 +773,28 @@ class Engine:
         )
 
     def _super_load_run(self, params: dict, tile_id: str):
-        moves = tuple(
-            (
-                self._reader(src_port), src_addr,
-                self._writer(dst_port), dst_addr, size, bool(accum),
-            )
-            for src_port, src_addr, dst_port, dst_addr, size, accum
-            in params["dmas"]
-        )
+        moves = params["dmas"]
+        runs = []
+        for first, count, src_step, dst_step in _strided_runs(
+            moves, self._words
+        ):
+            src_port, src_addr, dst_port, dst_addr, size, accum = moves[first]
+            runs.append((
+                _rows(self._words(src_port), src_addr, src_step, count, size),
+                _rows(self._words(dst_port), dst_addr, dst_step, count, size),
+                bool(accum),
+            ))
+        sizes = [move[4] for move in moves]
 
         def load_run() -> None:
-            tel = self._tel_on
-            for rd, src_addr, wr, dst_addr, size, accum in moves:
-                # No _dma_payload: fused decode refuses dma-flip faults,
-                # and MemTile.write's astype always copies.
-                wr(dst_addr, rd(src_addr, size), accum)
-                if tel:
+            # No _dma_payload: fused decode refuses dma-flip faults.
+            for src, dst, accum in runs:
+                if accum:
+                    np.add(dst, src, out=dst)
+                else:
+                    np.copyto(dst, src)
+            if self._tel_on:
+                for size in sizes:
                     self._observe_dma(tile_id, size)
 
         return load_run
@@ -1009,10 +1158,11 @@ class Engine:
 
         if op is Opcode.PREFETCH:
             size, src_addr, dst_addr = o["size"], o["src_addr"], o["dst_addr"]
+            rd = self._reader(EXTERNAL_PORT)
             wr = self._writer(o["dst_port"])
 
             def prefetch() -> None:
-                data = self.external[src_addr : src_addr + size]
+                data = rd(src_addr, size)
                 wr(dst_addr, self._dma_payload(data, tile_id), False)
                 if self._tel_on:
                     self._observe_dma(tile_id, size)
@@ -1056,93 +1206,123 @@ class Engine:
         )
         # One flat op table per tile, indexed by pc in lockstep with the
         # program (same list semantics); see _decode_program.
-        work = [(t, self._decode_program(t)) for t in tiles]
-        while True:
-            self.rounds += 1
-            if self.rounds > self.max_rounds:
-                raise SimulationTimeout(
-                    f"engine exceeded {self.max_rounds} rounds; likely "
-                    "livelock (watchdog cycle budget)\n"
-                    + self._describe_blocked(tiles),
-                    snapshot=self._snapshot(tiles),
-                )
-            if deadline is not None and time.monotonic() > deadline:
-                raise SimulationTimeout(
-                    f"engine watchdog: run exceeded wall-clock limit of "
-                    f"{self.wall_clock_limit:g}s after {self.rounds} "
-                    "rounds\n" + self._describe_blocked(tiles),
-                    snapshot=self._snapshot(tiles),
-                )
-            progress = False
-            live = False
-            for tile, entries in work:
-                if tile.halted:
-                    continue
-                live = True
-                pc = tile.pc
-                entry = entries[pc]
-                tile.pc = pc + entry.count
-                start_cycle = tile.cycles
-                if entry.fn is None:
-                    cost = self._execute(tile, entry.instr)
-                elif self._gate(tile, entry.reads, entry.writes):
-                    # A superop's external quads gate atomically; on
-                    # completion its internal tracker handshakes are
-                    # force-expired to their per-instruction end state.
-                    entry.fn()
-                    for trackers, addr, size in entry.expire:
-                        trackers.expire(addr, size)
-                    cost = entry.cost
-                else:
-                    cost = None
-                if cost is None:
-                    tile.pc = pc  # retry the blocked entry
-                    tile.blocked = True
-                    tile.cycles += 1  # stall cycle
-                    tile.stalled_cycles += 1
-                    tile.blocked_retries += 1
-                    continue
-                tile.blocked = False
-                tile.cycles += cost
-                tile.instructions_executed += entry.count
-                progress = True
-                if tel_on:
-                    tag = entry.tag
-                    tel.span(
-                        tag.name, "engine.instr",
-                        ("engine", f"tile {tile.tile_id}"),
-                        start_cycle, cost,
-                        round=self.rounds, **tag.args,
-                        blocked_retries=tile.blocked_retries,
+        slots = [_Slot(t, self._decode_program(t)) for t in tiles]
+        slot = None  # the slot issuing, while one is
+        try:
+            while True:
+                self.rounds += 1
+                rounds = self.rounds
+                if rounds > self.max_rounds:
+                    self._charge_queued(slots, rounds - 1)
+                    raise SimulationTimeout(
+                        f"engine exceeded {self.max_rounds} rounds; likely "
+                        "livelock (watchdog cycle budget)\n"
+                        + self._describe_blocked(tiles),
+                        snapshot=self._snapshot(tiles),
                     )
-                    # Distribution metrics: per-instruction-class cycle
-                    # costs, and tracker-block durations (each blocked
-                    # retry is one stall cycle, so the retry count at
-                    # the unblocking entry is the block duration).
-                    tel.observe("engine.instr_cycles", tag.metric, cost)
-                    if tag.dma:
-                        tel.count(
-                            f"tile/{tile.tile_id}", "dma_cycles", cost
+                if deadline is not None and time.monotonic() > deadline:
+                    self._charge_queued(slots, rounds - 1)
+                    raise SimulationTimeout(
+                        f"engine watchdog: run exceeded wall-clock limit of "
+                        f"{self.wall_clock_limit:g}s after {rounds} "
+                        "rounds\n" + self._describe_blocked(tiles),
+                        snapshot=self._snapshot(tiles),
+                    )
+                progress = False
+                live = False
+                for slot in slots:
+                    tile = slot.tile
+                    if tile.halted:
+                        continue
+                    live = True
+                    if slot.asleep:
+                        continue
+                    if slot.polled < rounds - 1:  # woken: charge its sleep
+                        self._charge(slot, rounds - 1 - slot.polled)
+                    slot.polled = rounds
+                    pc = tile.pc
+                    entry = slot.entries[pc]
+                    tile.pc = pc + entry.count
+                    start_cycle = tile.cycles
+                    op = (
+                        entry if entry.fn is not None
+                        else self._execute(tile, entry.instr)
+                    )
+                    if op is None:
+                        cost = 1  # scalar control, run by _execute
+                    elif op.files and not self._gate(slot, op):
+                        tile.pc = pc  # queued until a file it touches changes
+                        tile.blocked = True
+                        tile.cycles += 1  # stall cycle
+                        tile.stalled_cycles += 1
+                        tile.blocked_retries += 1
+                        slot.wait(op.files)
+                        continue
+                    else:
+                        # A superop's external quads gate atomically; on
+                        # completion its internal tracker handshakes are
+                        # force-expired to their per-instruction end state.
+                        op.fn()
+                        for trackers, addr, size in op.expire:
+                            trackers.expire(addr, size)
+                        cost = op.cost
+                    tile.blocked = False
+                    tile.cycles += cost
+                    tile.instructions_executed += entry.count
+                    progress = True
+                    if tel_on:
+                        tag = entry.tag
+                        tel.span(
+                            tag.name, "engine.instr",
+                            ("engine", f"tile {tile.tile_id}"),
+                            start_cycle, cost,
+                            round=rounds, **tag.args,
+                            blocked_retries=tile.blocked_retries,
                         )
-                    if tile.blocked_retries:
-                        tel.observe(
-                            "engine.block_cycles", "tracker",
-                            float(tile.blocked_retries),
-                        )
-                tile.blocked_retries = 0
-                if self.trace_enabled and len(self.trace) < self.trace_limit:
-                    self.trace.append((self.rounds, tile.tile_id, str(entry)))
-            if not live:
-                break
-            if not progress:
-                if not raise_on_deadlock:
+                        # Distribution metrics: per-instruction-class
+                        # cycle costs, and tracker-block durations (each
+                        # blocked retry is one stall cycle, so the retry
+                        # count at the unblocking entry is the block
+                        # duration).
+                        tel.observe("engine.instr_cycles", tag.metric, cost)
+                        if tag.dma:
+                            tel.count(
+                                f"tile/{tile.tile_id}", "dma_cycles", cost
+                            )
+                        if tile.blocked_retries:
+                            tel.observe(
+                                "engine.block_cycles", "tracker",
+                                float(tile.blocked_retries),
+                            )
+                    tile.blocked_retries = 0
+                    if (
+                        self.trace_enabled
+                        and len(self.trace) < self.trace_limit
+                    ):
+                        self.trace.append((rounds, tile.tile_id, str(entry)))
+                slot = None
+                if not live:
                     break
-                if tel_on:
-                    self._flush_counters(tiles)
-                raise SimulationError(
-                    "deadlock: all live tiles blocked:\n"
-                    + self._describe_blocked(tiles)
-                )
+                if not progress:
+                    self._charge_queued(slots, rounds)
+                    if not raise_on_deadlock:
+                        break
+                    if tel_on:
+                        self._flush_counters(tiles)
+                    raise SimulationError(
+                        "deadlock: all live tiles blocked:\n"
+                        + self._describe_blocked(tiles)
+                    )
+        except BaseException:
+            if slot is not None:  # raised by slot's issue, mid-round
+                i = slots.index(slot)
+                self._charge_queued(slots[:i], self.rounds)
+                self._charge_queued(slots[i + 1:], self.rounds - 1)
+            raise
+        finally:
+            for slot in slots:
+                if slot.asleep:
+                    slot.cancel()
         if tel_on:
             self._flush_counters(tiles)
         return RunReport(

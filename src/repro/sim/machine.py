@@ -10,6 +10,7 @@ signatures of Fig 8 carry shapes in single operands.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -55,6 +56,18 @@ def unpack_shape(packed: int) -> Tuple[int, int]:
     return packed >> SHAPE_SHIFT, packed & SHAPE_MASK
 
 
+def zeroed_words(count: int) -> np.ndarray:
+    """``count`` float32 zeros in an anonymous memory mapping.
+
+    The kernel zero-fills the mapping lazily, so a page becomes resident
+    only when it is touched.  ``np.zeros`` asks calloc, which may serve
+    a block this size from the heap and zero-fill it, making every
+    untouched scratchpad word resident."""
+    if count < 1:
+        return np.zeros(count, dtype=np.float32)
+    return np.frombuffer(mmap.mmap(-1, 4 * count), dtype=np.float32)
+
+
 @dataclass
 class MemTile:
     """A MemHeavy tile: scratchpad words, tracker file, DMA statistics."""
@@ -71,7 +84,7 @@ class MemTile:
     ) -> "MemTile":
         return cls(
             tile_id=tile_id,
-            words=np.zeros(capacity_bytes // 4, dtype=np.float32),
+            words=zeroed_words(capacity_bytes // 4),
             trackers=TrackerFile(tracker_capacity),
             sfu_count=sfu_count,
         )

@@ -8,13 +8,17 @@ MemHeavy tile then enforces that the range receives exactly
 ``NumUpdates`` writes before it may be read, and ``NumReads`` reads
 before it may be overwritten.  Early requests queue (or NACK on a full
 queue); satisfied trackers expire.
+
+:func:`gate` checks all of one instruction's accesses at once.  A
+requester it refuses waits on the queues of the tracker files it
+touched (:class:`Waiter`) until one of them changes.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SynchronizationError
 
@@ -30,6 +34,11 @@ class TrackerPhase(enum.Enum):
     UPDATING = "updating"  # accepting writes, blocking reads
     READABLE = "readable"  # accepting reads, blocking writes
     EXPIRED = "expired"  # all reads consumed; range is free
+
+
+#: Integer phase codes: :attr:`RangeTracker.state` indexes ``_PHASES``.
+_UPDATING, _READABLE, _EXPIRED = 0, 1, 2
+_PHASES = (TrackerPhase.UPDATING, TrackerPhase.READABLE, TrackerPhase.EXPIRED)
 
 
 class AccessVerdict(enum.Enum):
@@ -50,6 +59,10 @@ class RangeTracker:
     updates_seen: int = 0
     reads_seen: int = 0
     expire_emitted: bool = False  # telemetry: expire reported once
+    #: ``start + size``, and the phase as an integer code that
+    #: :meth:`_count` keeps current: the gate tests these fields.
+    end: int = field(init=False, repr=False)
+    state: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -58,40 +71,85 @@ class RangeTracker:
             raise SynchronizationError(
                 "update/read counts must be non-negative"
             )
-
-    @property
-    def end(self) -> int:
-        return self.start + self.size
+        self.end = self.start + self.size
+        self.state = -1
+        self._count(self.updates_seen, self.reads_seen)
 
     @property
     def phase(self) -> TrackerPhase:
-        if self.updates_seen < self.num_updates:
-            return TrackerPhase.UPDATING
-        if self.reads_seen < self.num_reads:
-            return TrackerPhase.READABLE
-        return TrackerPhase.EXPIRED
+        return _PHASES[self.state]
 
     def overlaps(self, start: int, size: int) -> bool:
         return start < self.end and self.start < start + size
 
-    # ------------------------------------------------------------------
+    def _count(self, updates_seen: int, reads_seen: int) -> bool:
+        """Set the access counts and re-derive the phase: the one place
+        the phase rules live.  Returns whether the phase changed."""
+        self.updates_seen = updates_seen
+        self.reads_seen = reads_seen
+        if updates_seen < self.num_updates:
+            state = _UPDATING
+        elif reads_seen < self.num_reads:
+            state = _READABLE
+        else:
+            state = _EXPIRED
+        changed = state != self.state
+        self.state = state
+        return changed
+
+    def _take(self, read: bool) -> Optional[bool]:
+        """Count one read or write against this range.  Returns None when
+        the phase refuses it — a read while updating, a write while
+        readable — and otherwise whether it changed the phase."""
+        state = self.state
+        if state == _EXPIRED:
+            return False  # the range is free again
+        if read:
+            if state == _UPDATING:
+                return None
+            return self._count(self.updates_seen, self.reads_seen + 1)
+        if state == _READABLE:
+            return None
+        return self._count(self.updates_seen + 1, self.reads_seen)
+
     def try_write(self) -> AccessVerdict:
         """A write against this range: allowed only while updating."""
-        if self.phase is TrackerPhase.UPDATING:
-            self.updates_seen += 1
-            return AccessVerdict.ALLOW
-        if self.phase is TrackerPhase.READABLE:
+        if self._take(False) is None:
             return AccessVerdict.BLOCK
-        return AccessVerdict.ALLOW  # expired: range is free again
+        return AccessVerdict.ALLOW
 
     def try_read(self) -> AccessVerdict:
         """A read against this range: allowed only once updates are in."""
-        if self.phase is TrackerPhase.UPDATING:
+        if self._take(True) is None:
             return AccessVerdict.BLOCK
-        if self.phase is TrackerPhase.READABLE:
-            self.reads_seen += 1
-            return AccessVerdict.ALLOW
         return AccessVerdict.ALLOW
+
+
+class Waiter:
+    """A requester :func:`gate` refused, queued on the tracker files its
+    accesses touch until one of them changes: the MemHeavy tile holds an
+    early request until the range's updates land, instead of the
+    requester retrying."""
+
+    __slots__ = ("asleep", "files")
+
+    def __init__(self) -> None:
+        self.asleep = False
+        self.files: Tuple["TrackerFile", ...] = ()
+
+    def wait(self, files: Tuple["TrackerFile", ...]) -> None:
+        """Queue on every file of ``files`` (each once)."""
+        self.asleep = True
+        self.files = files
+        for trackers in files:
+            trackers.waiters.append(self)
+
+    def cancel(self) -> None:
+        """Leave every queue without being woken."""
+        for trackers in self.files:
+            trackers.waiters.remove(self)
+        self.files = ()
+        self.asleep = False
 
 
 class TrackerFile:
@@ -109,19 +167,36 @@ class TrackerFile:
         self.blocked_reads = 0  # statistics
         self.blocked_writes = 0
         self.emit: Optional[TrackerEmit] = None  # telemetry hook
+        #: Requesters waiting for this file to change (:class:`Waiter`).
+        self.waiters: List[Waiter] = []
 
     def __len__(self) -> int:
         self._reap()
         return len(self._trackers)
 
+    def _wake(self) -> None:
+        """The tracker list or a phase changed: release every queued
+        requester, unlinking it from the other files it waits on."""
+        waiters = self.waiters
+        if waiters:
+            self.waiters = []
+            for waiter in waiters:
+                for other in waiter.files:
+                    if other is not self:
+                        other.waiters.remove(waiter)
+                waiter.files = ()
+                waiter.asleep = False
+
     def _reap(self) -> None:
+        live = [t for t in self._trackers if t.state != _EXPIRED]
+        if len(live) == len(self._trackers):
+            return
         if self.emit is not None:
             for t in self._trackers:
-                if t.phase is TrackerPhase.EXPIRED:
+                if t.state == _EXPIRED:
                     self._emit_expire(t)
-        self._trackers = [
-            t for t in self._trackers if t.phase is not TrackerPhase.EXPIRED
-        ]
+        self._trackers = live
+        self._wake()
 
     def _emit_expire(self, tracker: RangeTracker) -> None:
         if not tracker.expire_emitted:
@@ -150,72 +225,37 @@ class TrackerFile:
         self._trackers.append(tracker)
         if self.emit is not None:
             self.emit("arm", start, size, tracker.phase.value)
+        self._wake()
         return tracker
 
     def _matching(self, start: int, size: int) -> Optional[RangeTracker]:
+        """The first armed tracker overlapping [start, start+size)."""
+        end = start + size
         for tracker in self._trackers:
-            if tracker.overlaps(start, size):
+            if start < tracker.end and tracker.start < end:
                 return tracker
         return None
 
-    def read_blocked(self, start: int, size: int) -> bool:
-        """Peek: would a read of [start, start+size) block right now?
-
-        Counts a blocked read when it would — the engine's gate peeks
-        every access of an instruction before consuming any, so a
-        blocked companion access must not advance tracker counts."""
-        tracker = self._matching(start, size)
-        if tracker is not None and tracker.phase is TrackerPhase.UPDATING:
-            self.blocked_reads += 1
-            return True
-        return False
-
-    def write_blocked(self, start: int, size: int) -> bool:
-        """Peek: would a write to [start, start+size) block right now?
-        Counts a blocked write when it would (see :meth:`read_blocked`)."""
-        tracker = self._matching(start, size)
-        if tracker is not None and tracker.phase is TrackerPhase.READABLE:
-            self.blocked_writes += 1
-            return True
-        return False
+    def _check(self, read: bool, start: int, size: int) -> AccessVerdict:
+        quads = ((self, None, start, size),)
+        blocked = gate(quads, ()) if read else gate((), quads)
+        if blocked is None:
+            return AccessVerdict.ALLOW
+        if self.emit is not None:
+            _, _, tracker = blocked
+            self.emit(
+                "block_read" if read else "block_write", tracker.start,
+                tracker.size, tracker.phase.value,
+            )
+        return AccessVerdict.BLOCK
 
     def check_write(self, start: int, size: int) -> AccessVerdict:
         """Gate a write to [start, start+size)."""
-        tracker = self._matching(start, size)
-        if tracker is None:
-            return AccessVerdict.ALLOW
-        verdict = tracker.try_write()
-        if verdict is AccessVerdict.BLOCK:
-            self.blocked_writes += 1
-            if self.emit is not None:
-                self.emit(
-                    "block_write", tracker.start, tracker.size,
-                    tracker.phase.value,
-                )
-        elif self.emit is not None and (
-            tracker.phase is TrackerPhase.EXPIRED
-        ):
-            self._emit_expire(tracker)
-        return verdict
+        return self._check(False, start, size)
 
     def check_read(self, start: int, size: int) -> AccessVerdict:
         """Gate a read of [start, start+size)."""
-        tracker = self._matching(start, size)
-        if tracker is None:
-            return AccessVerdict.ALLOW
-        verdict = tracker.try_read()
-        if verdict is AccessVerdict.BLOCK:
-            self.blocked_reads += 1
-            if self.emit is not None:
-                self.emit(
-                    "block_read", tracker.start, tracker.size,
-                    tracker.phase.value,
-                )
-        elif self.emit is not None and (
-            tracker.phase is TrackerPhase.EXPIRED
-        ):
-            self._emit_expire(tracker)
-        return verdict
+        return self._check(True, start, size)
 
     def expire(self, start: int, size: int) -> None:
         """Force-expire every tracker overlapping [start, start+size).
@@ -229,6 +269,70 @@ class TrackerFile:
         same range on the next image."""
         for tracker in self._trackers:
             if tracker.overlaps(start, size):
-                tracker.updates_seen = tracker.num_updates
-                tracker.reads_seen = tracker.num_reads
+                tracker._count(tracker.num_updates, tracker.num_reads)
         self._reap()
+
+
+#: One gated access: ``(tracker file, port, addr, word count)``.
+Quad = Tuple[TrackerFile, int, int, int]
+
+
+def gate(
+    reads: Sequence[Quad], writes: Sequence[Quad]
+) -> Optional[Tuple[str, Quad, RangeTracker]]:
+    """Gate one instruction's accesses atomically.
+
+    Each quad's tracker is the first armed tracker of its file that
+    overlaps it, found once.  A read is refused while that tracker is
+    updating, a write while it is readable; a quad no tracker covers, or
+    whose tracker expired, passes.  The first refused quad, reads before
+    writes, counts one blocked read or write on its file, and the gate
+    returns ``(kind, quad, tracker)`` having consumed nothing: a blocked
+    companion access must not advance tracker counts.  Otherwise every
+    found tracker is consumed, reads first, and the gate returns None.
+
+    The gate consumes only the first tracker a quad overlaps, while
+    :func:`repro.compiler.trackers.calibrate_trackers` counts an access
+    against every armed range it covers.  The two agree because no
+    compiled access covers two armed ranges, an invariant
+    ``tests/test_scheduler_oracle.py::TestOneTrackerPerAccess`` pins.
+
+    **Why a refused requester may sleep.**  The verdict, and which quad
+    is refused first, depend only on each touched file's tracker list
+    (its order and ranges) and on those trackers' phases: count changes
+    within a phase change neither.  The list and the phases change only
+    when a tracker is armed, when expired trackers are reaped, when one
+    is force-expired and when a consume completes a tracker's updates or
+    reads — and each of these wakes the file's queue.  So a requester
+    queued on the files it touched would be refused, on the same quad,
+    by every gate it skips until it is woken.
+    """
+    hits = []
+    for quad in reads:
+        trackers = quad[0]
+        tracker = trackers._matching(quad[2], quad[3])
+        if tracker is not None:
+            if tracker.state == _UPDATING:
+                trackers.blocked_reads += 1
+                return "read", quad, tracker
+            hits.append((trackers, tracker, True))
+    for quad in writes:
+        trackers = quad[0]
+        tracker = trackers._matching(quad[2], quad[3])
+        if tracker is not None:
+            if tracker.state == _READABLE:
+                trackers.blocked_writes += 1
+                return "write", quad, tracker
+            hits.append((trackers, tracker, False))
+    for trackers, tracker, read in hits:
+        changed = tracker._take(read)
+        if changed is None:
+            raise AssertionError(
+                f"{'read' if read else 'write'} of [{tracker.start}, "
+                f"{tracker.end}) refused after the gate allowed it"
+            )
+        if changed:  # its updates or reads completed
+            trackers._wake()
+        if trackers.emit is not None and tracker.state == _EXPIRED:
+            trackers._emit_expire(tracker)
+    return None

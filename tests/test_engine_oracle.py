@@ -7,7 +7,8 @@ interpreter this replaced: the data and tracker branches of its
 triple-based ``_gate`` and its ``_read_words``/``_write_words``
 accessors, kept verbatim (the deleted ``TrackerFile.phase_of`` and
 ``operand_accesses`` are copied beside them; of the scalar branch only
-``LDRI`` and ``HALT`` remain).  One generated data instruction per
+``LDRI`` and ``HALT`` remain), driven by the per-round retry loop of
+:mod:`tests.round_robin_oracle`.  One generated data instruction per
 example, optionally behind ``LDRI``-set register operands and an armed
 MEMTRACK, must leave every scratchpad, the external memory, the tracker
 counts and the run report identical under both.
@@ -48,6 +49,7 @@ from repro.sim.machine import (
     unpack_shape,
 )
 from repro.sim.tracker import AccessVerdict, TrackerPhase
+from tests.round_robin_oracle import RetryingEngine
 
 _CODE_TO_ACT = {v: k for k, v in ACT_CODES.items()}
 _CODE_TO_SAMP = {v: k for k, v in SAMP_CODES.items()}
@@ -66,7 +68,7 @@ def _phase_of(trackers, start, size):
     return tracker.phase if tracker else None
 
 
-class OracleEngine(Engine):
+class OracleEngine(RetryingEngine):
     """Every instruction stays undecoded and runs through the old
     ``_execute``."""
 
