@@ -47,17 +47,22 @@ def im2col(
             f"kernel {kernel} stride {stride} pad {pad} does not fit "
             f"{x.shape}"
         )
-    # Gather all kernel-window offsets with stride tricks.
-    shape = (c, kernel, kernel, out_h, out_w)
-    strides = (
-        xp.strides[0],
-        xp.strides[1],
-        xp.strides[2],
-        xp.strides[1] * stride,
-        xp.strides[2] * stride,
-    )
-    windows = np.lib.stride_tricks.as_strided(xp, shape, strides)
+    windows = _conv_windows(xp, kernel, stride)
     return windows.reshape(c * kernel * kernel, out_h * out_w), out_h, out_w
+
+
+def _conv_windows(xp: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Every kernel-window offset of the padded planes ``xp`` (C,Hp,Wp)
+    as one stride-tricks view of shape (C, k, k, out_h, out_w).  The
+    kernel must fit the padded planes."""
+    c, hp, wp = xp.shape
+    out_h = (hp - kernel) // stride + 1
+    out_w = (wp - kernel) // stride + 1
+    s0, s1, s2 = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (c, kernel, kernel, out_h, out_w),
+        (s0, s1, s2, s1 * stride, s2 * stride),
+    )
 
 
 def col2im(
@@ -157,10 +162,15 @@ def conv2d_backward(
 #: kernel slice) — see :class:`ConvBlockPlan`.
 _RaggedStep = Tuple[Optional[np.ndarray], np.ndarray, slice]
 
+#: A conv block's padded plane buffer, as the two views a call uses:
+#: (interior, windows) — see :class:`ConvBlockPlan`.
+_Unfold = Tuple[np.ndarray, np.ndarray]
+
 
 class ConvBlockPlan(NamedTuple):
-    """The static gather plan of one fused conv block, built once by
-    :func:`conv_block_plan` and replayed by :func:`conv_block_forward`.
+    """The static gather plan of one fused conv block and its scratch
+    buffers, built once by :func:`conv_block_plan` and replayed by
+    :func:`conv_block_forward`.
 
     ``planes`` holds the word address of every source plane the block
     reads.  In a *shared* block (``ragged is None``) step ``s`` reads
@@ -170,6 +180,15 @@ class ConvBlockPlan(NamedTuple):
     step order, and ``ragged`` lists per step ``(features, plane
     indices, kernel slice)``, with ``features`` None for step 0, which
     covers every feature in order.
+
+    ``unfolds`` holds the padded plane buffers — one for a shared
+    block, one per step for a ragged block, each sized for the planes
+    it unfolds — as ``(interior, windows)`` views: the (planes, h, w)
+    interior each call copies its gathered planes into, and the
+    (planes, k, k, out_h, out_w) im2col window view over the whole
+    buffer.  The zero border is never written.  A plan is therefore
+    per-superop scratch: the engine builds one per fused conv block at
+    decode, and two blocks must not share one.
     """
 
     kernel: int
@@ -179,6 +198,7 @@ class ConvBlockPlan(NamedTuple):
     planes: np.ndarray
     kernels: np.ndarray
     ragged: Optional[Tuple[_RaggedStep, ...]]
+    unfolds: Tuple[_Unfold, ...]
 
     @property
     def extent(self) -> Tuple[int, int]:
@@ -191,6 +211,26 @@ class ConvBlockPlan(NamedTuple):
                 self.kernels.max() + self.kernel * self.kernel,
             )),
         )
+
+
+def _unfold(
+    n_planes: int, kernel: int, stride: int, pad: int, in_shape
+) -> _Unfold:
+    """A zeroed buffer of ``n_planes`` padded planes and its two views.
+
+    The buffer is C-contiguous float32 of exactly the shape
+    :func:`pad_spatial` returns for the gathered planes, so the window
+    view has the strides :func:`im2col` gives one plane: its reshape
+    to (C, k*k, out_h*out_w) stays a view where the windows tile as one
+    (a kernel as wide as the padded plane), else copies.  Those strides
+    decide whether ``matmul`` calls BLAS or its own loop, and the two
+    round differently."""
+    h, w = in_shape
+    buf = np.zeros((n_planes, h + 2 * pad, w + 2 * pad), np.float32)
+    return (
+        buf[:, pad : pad + h, pad : pad + w],
+        _conv_windows(buf, kernel, stride),
+    )
 
 
 def conv_block_plan(
@@ -211,7 +251,8 @@ def conv_block_plan(
 
     A block is *shared* when every step covers every feature and all
     of them read one plane, as every plain or grouped convolution does;
-    connection-table convolutions are *ragged*.
+    connection-table convolutions are *ragged*.  The plan owns the
+    block's plane buffers (see :class:`ConvBlockPlan`).
     """
     h, w = in_shape
     out_h = (h + 2 * pad - kernel) // stride + 1
@@ -235,6 +276,7 @@ def conv_block_plan(
             np.array([in_addrs[0] for _, in_addrs, _ in steps], np.intp),
             np.array([k_addrs for _, _, k_addrs in steps], np.intp),
             None,
+            (_unfold(len(steps), kernel, stride, pad, in_shape),),
         )
     distinct: Dict[int, int] = {}
     ragged = []
@@ -252,29 +294,43 @@ def conv_block_plan(
         np.array(list(distinct), np.intp),
         np.array([a for _, _, k_addrs in steps for a in k_addrs], np.intp),
         tuple(ragged),
+        tuple(
+            _unfold(len(idx), kernel, stride, pad, in_shape)
+            for _, idx, _ in ragged
+        ),
     )
 
 
-def _plane_cols(planes: np.ndarray, plan: ConvBlockPlan) -> np.ndarray:
-    """Pad each gathered plane (a row of ``h*w`` words) and unfold it
-    into its own im2col matrix: returns (C, k*k, out_h*out_w).
-
-    Each matrix keeps the strides :func:`im2col` gives one plane — a
-    view where the windows tile as one (a kernel as wide as the padded
-    plane), else a contiguous copy — because those strides decide
-    whether ``matmul`` calls BLAS or its own loop, and the two round
-    differently."""
-    h, w = plan.in_shape
-    k, stride = plan.kernel, plan.stride
-    xp = pad_spatial(planes.reshape(-1, h, w), plan.pad)
-    c, hp, wp = xp.shape
-    out_h = (hp - k) // stride + 1
-    out_w = (wp - k) // stride + 1
-    s0, s1, s2 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (c, k, k, out_h, out_w), (s0, s1, s2, s1 * stride, s2 * stride)
-    )
+def _plane_cols(planes: np.ndarray, unfold: _Unfold) -> np.ndarray:
+    """Copy the gathered planes (a row of ``h*w`` words each) into a
+    plan buffer's interior and unfold each into its own im2col matrix:
+    returns (C, k*k, out_h*out_w), a view of the buffer or a copy as
+    :func:`_unfold` describes."""
+    interior, windows = unfold
+    interior[...] = planes.reshape(interior.shape)
+    c, k, _, out_h, out_w = windows.shape
     return windows.reshape(c, k * k, out_h * out_w)
+
+
+def _step_sum(contrib: np.ndarray) -> np.ndarray:
+    """Sum the (S, F, N) products over their S steps, in step order, as
+    the NDCONV ``is_accum`` chain does: one float32 add per step.
+
+    With ``F*N > 1`` numpy's ``add.reduce`` over axis 0 of a
+    C-contiguous stack adds one whole step at a time, in step order —
+    the same additions as a Python loop over the steps, in one call.
+    With ``F*N == 1`` it reduces along the step axis itself and sums
+    pairwise with eight partial sums, which rounds differently, so
+    that shape keeps the loop.  This is numpy's observed behaviour,
+    not a documented one;
+    ``tests/test_functional_ops.py::TestConvBlockKernel`` pins it with
+    blocks of up to about 130 steps of both shapes."""
+    if contrib[0].size > 1:
+        return np.add.reduce(contrib, axis=0)
+    acc = contrib[0]
+    for part in contrib[1:]:
+        acc += part
+    return acc
 
 
 def conv_block_forward(
@@ -291,22 +347,24 @@ def conv_block_forward(
     source scratchpad (``sliding_window_view(words, h * w)`` and
     ``sliding_window_view(words, k * k)``): row ``a`` is the plane or
     kernel stored at word ``a``, so one fancy index per call gathers
-    every plane, and one every kernel, from the plan's addresses.  A
-    shared block pads and im2cols all its planes together once; a
-    ragged block does so for each step's share of its planes.
+    every plane, and one every kernel, from the plan's addresses.  The
+    gathered planes are copied into the plan's padded buffer, whose
+    zero border and im2col window view were built with the plan: a
+    shared block unfolds all its planes together, a ragged block each
+    step's share of its planes.
 
     Every (feature, source) product stays a (1, k*k) @ (k*k, N)
     vector-matrix ``matmul`` on the strides the per-instruction NDCONV
     passes through :func:`conv2d_forward`, so numpy makes the same call
-    for it: BLAS gemv, or its own loop for the shapes
-    :func:`_plane_cols` notes.  A shared block broadcasts each step's
-    plane across its features in one ``matmul`` instead of copying the
-    plane per feature.  Folding the features into an (F, k*k) @
-    (k*k, N) GEMM would be faster still but is *not* bitwise identical
-    to gemv.  The ``+ 0.0`` on each product reproduces the zero-bias
-    add in :func:`conv2d_forward`, so signed zeros match too, and the
-    steps accumulate in source order, as the NDCONV ``is_accum`` chain
-    does.
+    for it: BLAS gemv, or its own loop for the shapes :func:`_unfold`
+    notes.  A shared block broadcasts each step's plane across its
+    features in one ``matmul`` instead of copying the plane per
+    feature.  Folding the features into an (F, k*k) @ (k*k, N) GEMM
+    would be faster still but is *not* bitwise identical to gemv.  The
+    ``+ 0.0`` on each product reproduces the zero-bias add in
+    :func:`conv2d_forward`, so signed zeros match too, and the steps
+    accumulate in source order, as the NDCONV ``is_accum`` chain does
+    (:func:`_step_sum`).
 
     Returns ``(pre, out)``: the pre-activation block (the values the
     per-instruction path leaves in the accumulation scratchpad) and the
@@ -316,17 +374,15 @@ def conv_block_forward(
     weights = kernel_rows[plan.kernels]
     if plan.ragged is None:
         # (S, F, 1, k*k) @ (S, 1, k*k, N): one gemv per (step, feature).
-        cols = _plane_cols(plane_rows[plan.planes], plan)
+        cols = _plane_cols(plane_rows[plan.planes], plan.unfolds[0])
         contrib = np.matmul(weights[:, :, None, :], cols[:, None])[:, :, 0]
         contrib += np.float32(0.0)
-        acc = contrib[0]
-        for part in contrib[1:]:
-            acc += part
+        acc = _step_sum(contrib)
     else:
         planes = plane_rows[plan.planes]
-        for feats, idx, kernels in plan.ragged:
+        for (feats, idx, kernels), unfold in zip(plan.ragged, plan.unfolds):
             part = np.matmul(
-                weights[kernels, None, :], _plane_cols(planes[idx], plan)
+                weights[kernels, None, :], _plane_cols(planes[idx], unfold)
             )[:, 0]
             part += np.float32(0.0)
             if feats is None:
@@ -368,25 +424,40 @@ def pool_forward(
     """Down-sampling.  Returns ``(out, argmax)``; ``argmax`` (flat window
     indices) is empty for average pooling."""
     _check_3d(x, "pool input")
-    c = x.shape[0]
     fill = -np.inf if mode is PoolMode.MAX else 0.0
     xp = (
         np.pad(x, ((0, 0), (pad, pad), (pad, pad)), constant_values=fill)
         if pad
         else x
     )
-    h, w = xp.shape[1:]
+    return pool_reduce(pool_windows(xp, window, stride), mode)
+
+
+def pool_windows(x: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """Every pooling window of the (already padded) planes ``x``
+    (C,H,W) as one stride-tricks view of shape (C, out_h, out_w,
+    window, window).  The view reads ``x``'s memory, so it can be built
+    once over persistent words and reduced after every write to them.
+    The window must fit the planes: ``1 <= window <= min(H, W)``."""
+    c, h, w = x.shape
     out_h = (h - window) // stride + 1
     out_w = (w - window) // stride + 1
-    shape = (c, out_h, out_w, window, window)
-    strides = (
-        xp.strides[0],
-        xp.strides[1] * stride,
-        xp.strides[2] * stride,
-        xp.strides[1],
-        xp.strides[2],
+    s0, s1, s2 = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (c, out_h, out_w, window, window),
+        (s0, s1 * stride, s2 * stride, s1, s2),
     )
-    windows = np.lib.stride_tricks.as_strided(xp, shape, strides)
+
+
+def pool_reduce(
+    windows: np.ndarray, mode: PoolMode
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Reduce a :func:`pool_windows` view to ``(out, argmax)`` as
+    :func:`pool_forward` returns them: each window's value at its
+    ``argmax`` (the first of tied values, its zero sign kept), or the
+    mean.  The per-instruction NDSUBSAMP and the fused ``pool_run``
+    both reduce here."""
+    c, out_h, out_w, window, _ = windows.shape
     flat = windows.reshape(c, out_h, out_w, window * window)
     if mode is PoolMode.MAX:
         arg = flat.argmax(axis=3)

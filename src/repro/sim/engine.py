@@ -133,6 +133,16 @@ def _upsampled(o: Dict[str, int]) -> Tuple[int, int]:
     return h * stride, w * stride
 
 
+def _check_window(what: str, window: int, limit: int, why: str) -> None:
+    """A pooling window spans 1 to ``limit`` words a side; any other
+    raises :class:`SimulationError` naming ``what`` (the opcode and any
+    mode operand) and the window."""
+    if not 1 <= window <= limit:
+        raise SimulationError(
+            f"{what} window={window}: must be 1..{limit} {why}"
+        )
+
+
 def _check_external(what: str, addr: int, count: int, words: int) -> None:
     """External memory's bounds check, worded as a scratchpad's."""
     if addr < 0 or addr + count > words:
@@ -346,6 +356,59 @@ def _spans_meet(
     )
 
 
+def _observe_dma(tel, comp: Optional[CompTile], tile_id: str, size: int):
+    """One DMA transfer's telemetry: the per-tile byte counter (as a
+    timestamped sample at ``comp``'s clock, so the Chrome trace plots a
+    series) and the transfer-size distribution metric."""
+    tel.count(
+        f"tile/{tile_id}", "dma_bytes", 4 * size,
+        ts=None if comp is None else comp.cycles,
+    )
+    tel.observe("engine.dma", "transfer_bytes", 4 * size)
+
+
+class _Shared:
+    """What an engine's decoded closures and tracker hooks share with
+    it: the round counter, telemetry and the DMA fault stream.  They
+    hold this, never the engine, so a dropped engine and its machine
+    are freed by reference counting, without the cyclic GC."""
+
+    __slots__ = (
+        "rounds", "telemetry", "tel_on", "flip_rate", "rng", "flips",
+    )
+
+    def __init__(self, telemetry, flip_rate: float, seed) -> None:
+        self.rounds = 0
+        self.telemetry = telemetry
+        self.tel_on = telemetry.enabled
+        self.flip_rate = flip_rate
+        #: Flips are drawn from a named RNG stream so a given seed
+        #: corrupts the same transfers in every run.
+        self.rng = random.Random(f"scaledeep-dma:{seed}")
+        self.flips = 0
+
+    def dma_payload(self, data: np.ndarray, tile_id: str) -> np.ndarray:
+        """Copy a DMA transfer's words, injecting a sign-bit flip on one
+        word when a dma-bitflip fault fires for this transfer."""
+        out = np.array(data, dtype=np.float32)
+        if (
+            self.flip_rate
+            and out.size
+            and self.rng.random() < self.flip_rate
+        ):
+            flat = out.reshape(-1)
+            index = self.rng.randrange(flat.size)
+            flat[index] = -flat[index]
+            self.flips += 1
+            if self.tel_on:
+                self.telemetry.instant(
+                    "fault.dma_flip", "faults", ("faults", "dma-bitflip"),
+                    self.rounds, tile=tile_id, index=index,
+                )
+                self.telemetry.count("faults", "dma_flips")
+        return out
+
+
 class Engine:
     """Round-robin interpreter over a :class:`Machine`."""
 
@@ -377,17 +440,6 @@ class Engine:
         #: it is killed with a :class:`SimulationTimeout` (None = no
         #: limit; the ``max_rounds`` cycle budget always applies).
         self.wall_clock_limit = wall_clock_limit
-        #: DMA bit-flip faults: a :class:`repro.faults.model.FaultMask`
-        #: (duck-typed — ``dma_flip_rate`` and ``spec.seed`` suffice).
-        #: Flips are drawn from a named RNG stream so a given seed
-        #: corrupts the same transfers in every run.
-        self._dma_flip_rate = float(
-            getattr(faults, "dma_flip_rate", 0.0) or 0.0
-        )
-        seed = getattr(getattr(faults, "spec", None), "seed", 0)
-        self._dma_rng = random.Random(f"scaledeep-dma:{seed}")
-        self.dma_flips = 0
-        self.rounds = 0
         #: Optional execution trace: (round, tile_id, instruction text).
         self.trace_enabled = trace
         self.trace_limit = trace_limit
@@ -398,6 +450,13 @@ class Engine:
             get_telemetry()
         )
         self._tel_on = self.telemetry.enabled
+        #: DMA bit-flip faults: a :class:`repro.faults.model.FaultMask`
+        #: (duck-typed — ``dma_flip_rate`` and ``spec.seed`` suffice).
+        self._shared = _Shared(
+            self.telemetry,
+            float(getattr(faults, "dma_flip_rate", 0.0) or 0.0),
+            getattr(getattr(faults, "spec", None), "seed", 0),
+        )
         #: Last tracker obstruction per tile: (kind, port, addr, count,
         #: phase) — feeds the deadlock diagnostic and telemetry.
         self._block_reason: Dict[str, Tuple[str, int, int, int, str]] = {}
@@ -408,13 +467,28 @@ class Engine:
                 self._tracker_emitter(mem.tile_id) if self._tel_on else None
             )
 
+    @property
+    def rounds(self) -> int:
+        """Scheduler rounds of the current (or last) run."""
+        return self._shared.rounds
+
+    @rounds.setter
+    def rounds(self, value: int) -> None:
+        self._shared.rounds = value
+
+    @property
+    def dma_flips(self) -> int:
+        """DMA transfers a dma-bitflip fault has corrupted so far."""
+        return self._shared.flips
+
     def _tracker_emitter(self, mem_tile_id: int):
-        tel = self.telemetry
+        shared = self._shared
+        tel = shared.telemetry
 
         def emit(event: str, start: int, size: int, phase: str) -> None:
             tel.instant(
                 f"tracker.{event}", "engine.tracker",
-                ("engine/trackers", f"mem {mem_tile_id}"), self.rounds,
+                ("engine/trackers", f"mem {mem_tile_id}"), shared.rounds,
                 addr_range=[start, start + size], phase=phase,
             )
             tel.count(f"mem/{mem_tile_id}", f"tracker_{event}")
@@ -526,27 +600,6 @@ class Engine:
     def _offload_cycles(self, elems: int) -> int:
         sfu = self.machine.chip.mem_tile.num_sfu
         return _SETUP_OFFLOAD + math.ceil(elems / sfu)
-
-    def _dma_payload(self, data: np.ndarray, tile_id: str) -> np.ndarray:
-        """Copy a DMA transfer's words, injecting a sign-bit flip on one
-        word when a dma-bitflip fault fires for this transfer."""
-        out = np.array(data, dtype=np.float32)
-        if (
-            self._dma_flip_rate
-            and out.size
-            and self._dma_rng.random() < self._dma_flip_rate
-        ):
-            flat = out.reshape(-1)
-            index = self._dma_rng.randrange(flat.size)
-            flat[index] = -flat[index]
-            self.dma_flips += 1
-            if self._tel_on:
-                self.telemetry.instant(
-                    "fault.dma_flip", "faults", ("faults", "dma-bitflip"),
-                    self.rounds, tile=tile_id, index=index,
-                )
-                self.telemetry.count("faults", "dma_flips")
-        return out
 
     def _dma_cycles(self, words: int, src_port: int, dst_port: int) -> int:
         chip = self.machine.chip
@@ -681,7 +734,7 @@ class Engine:
             def write_external(
                 addr: int, data: np.ndarray, accumulate: bool
             ) -> None:
-                flat = data.reshape(-1).astype(np.float32)
+                flat = data.reshape(-1).astype(np.float32, copy=False)
                 _check_external("write", addr, flat.size, ext.size)
                 if accumulate:
                     ext[addr : addr + flat.size] += flat
@@ -703,7 +756,7 @@ class Engine:
         entries = None
         if (
             self.fused
-            and not self._dma_flip_rate
+            and not self._shared.flip_rate
             and getattr(tile.program, "superops", ())
         ):
             entries = self._decode_fused(tile)
@@ -785,17 +838,19 @@ class Engine:
                 bool(accum),
             ))
         sizes = [move[4] for move in moves]
+        tel = self.telemetry if self._tel_on else None
+        comp = self.machine.comp_tiles.get(tile_id)
 
         def load_run() -> None:
-            # No _dma_payload: fused decode refuses dma-flip faults.
+            # No dma_payload: fused decode refuses dma-flip faults.
             for src, dst, accum in runs:
                 if accum:
                     np.add(dst, src, out=dst)
                 else:
                     np.copyto(dst, src)
-            if self._tel_on:
+            if tel is not None:
                 for size in sizes:
-                    self._observe_dma(tile_id, size)
+                    _observe_dma(tel, comp, tile_id, size)
 
         return load_run
 
@@ -861,22 +916,37 @@ class Engine:
         return fc_block
 
     def _super_pool_run(self, params: dict, tile_id: str):
-        calls = tuple(
-            (
-                self._reader(port), in_addr, count, h, w, window, stride,
-                _CODE_TO_SAMP[samp], self._writer(out_port), out_addr,
+        """Each group's pooling windows are one view over its source
+        words, built here: scratchpads and external memory persist, so
+        a call only reduces.  A group outside its memory, or whose
+        window does not fit its plane, raises :class:`SimulationError`."""
+        calls = []
+        for (port, in_addr, count, h, w, window, stride, samp, out_port,
+             out_addr) in params["groups"]:
+            mode = _CODE_TO_SAMP[samp]
+            if stride < 1:
+                raise SimulationError(
+                    f"NDSUBSAMP stride={stride}: must be >= 1"
+                )
+            _check_window(
+                "NDSUBSAMP", window, min(h, w), f"to fit its {h}x{w} plane"
             )
-            for port, in_addr, count, h, w, window, stride, samp,
-            out_port, out_addr in params["groups"]
-        )
+            words = self._words(port)
+            end = in_addr + count * h * w
+            if in_addr < 0 or end > words.size:
+                raise SimulationError(
+                    f"pool_run on {tile_id} reads words [{in_addr}, {end}) "
+                    f"outside port {port}'s {words.size} words"
+                )
+            planes = words[in_addr:end].reshape(count, h, w)
+            calls.append((
+                ops.pool_windows(planes, window, stride), mode,
+                self._writer(out_port), out_addr,
+            ))
 
         def pool_run() -> None:
-            for (rd, in_addr, count, h, w, window, stride, mode, wr,
-                 out_addr) in calls:
-                x = rd(in_addr, count * h * w)
-                out, _ = ops.pool_forward(
-                    x.reshape(count, h, w), window, stride, 0, mode
-                )
+            for windows, mode, wr, out_addr in calls:
+                out, _ = ops.pool_reduce(windows, mode)
                 wr(out_addr, out, False)
 
         return pool_run
@@ -1036,6 +1106,9 @@ class Engine:
             mode = _code(op, o, "samp_type", _CODE_TO_SAMP, "a sampling")
             h, w = unpack_shape(o["in_size"])
             window, stride = o["window"], o["stride"]
+            _check_window(
+                op.value, window, min(h, w), f"to fit its {h}x{w} plane"
+            )
             in_addr, out_addr = o["in_addr"], o["out_addr"]
             rd = self._reader(o["port"])
             wr = self._writer(o["out_port"])
@@ -1054,6 +1127,11 @@ class Engine:
             h, w = unpack_shape(o["in_size"])  # error extent (small side)
             out_h, out_w = _upsampled(o)
             window, stride = o["window"], o["stride"]
+            if mode is not None:
+                _check_window(
+                    f"{op.value} samp_type={o['samp_type']}", window, stride,
+                    f"(the stride) to spread {mode.value} windows",
+                )
             in_addr, out_addr = o["in_addr"], o["out_addr"]
             rd = self._reader(o["port"])
             wr = self._writer(o["out_port"])
@@ -1144,12 +1222,15 @@ class Engine:
             accum = bool(o["is_accum"])
             rd = self._reader(o["src_port"])
             wr = self._writer(o["dst_port"])
+            payload = self._shared.dma_payload
+            tel = self.telemetry if self._tel_on else None
+            comp = self.machine.comp_tiles.get(tile_id)
 
             def dma() -> None:
                 data = rd(src_addr, size)
-                wr(dst_addr, self._dma_payload(data, tile_id), accum)
-                if self._tel_on:
-                    self._observe_dma(tile_id, size)
+                wr(dst_addr, payload(data, tile_id), accum)
+                if tel is not None:
+                    _observe_dma(tel, comp, tile_id, size)
 
             return entry(dma)
 
@@ -1160,12 +1241,15 @@ class Engine:
             size, src_addr, dst_addr = o["size"], o["src_addr"], o["dst_addr"]
             rd = self._reader(EXTERNAL_PORT)
             wr = self._writer(o["dst_port"])
+            payload = self._shared.dma_payload
+            tel = self.telemetry if self._tel_on else None
+            comp = self.machine.comp_tiles.get(tile_id)
 
             def prefetch() -> None:
                 data = rd(src_addr, size)
-                wr(dst_addr, self._dma_payload(data, tile_id), False)
-                if self._tel_on:
-                    self._observe_dma(tile_id, size)
+                wr(dst_addr, payload(data, tile_id), False)
+                if tel is not None:
+                    _observe_dma(tel, comp, tile_id, size)
 
             return entry(prefetch)
 
@@ -1197,7 +1281,8 @@ class Engine:
         ]
         if not tiles:
             raise SimulationError("no programs loaded (or all filtered)")
-        self.rounds = 0
+        shared = self._shared
+        shared.rounds = 0
         tel = self.telemetry
         tel_on = self._tel_on
         deadline = (
@@ -1210,8 +1295,8 @@ class Engine:
         slot = None  # the slot issuing, while one is
         try:
             while True:
-                self.rounds += 1
-                rounds = self.rounds
+                shared.rounds += 1
+                rounds = shared.rounds
                 if rounds > self.max_rounds:
                     self._charge_queued(slots, rounds - 1)
                     raise SimulationTimeout(
@@ -1389,17 +1474,6 @@ class Engine:
                 f"{phase} phase after {tile.blocked_retries} retries"
             )
         return "\n".join(lines)
-
-    def _observe_dma(self, tile_id: str, size: int) -> None:
-        """One DMA transfer's telemetry: the per-tile byte counter (as a
-        timestamped sample, so the Chrome trace plots a series) and the
-        transfer-size distribution metric."""
-        comp = self.machine.comp_tiles.get(tile_id)
-        self.telemetry.count(
-            f"tile/{tile_id}", "dma_bytes", 4 * size,
-            ts=None if comp is None else comp.cycles,
-        )
-        self.telemetry.observe("engine.dma", "transfer_bytes", 4 * size)
 
     def _flush_counters(self, tiles: List[CompTile]) -> None:
         """Snapshot per-tile cycle counters into the telemetry registry.

@@ -108,7 +108,10 @@ class MemTile:
                 f"tile {self.tile_id}: write [{addr}, {addr + count}) out "
                 f"of bounds ({len(self.words)} words)"
             )
-        flat = data.reshape(-1).astype(np.float32)
+        # No copy of float32 data: the slice assignment copies it once,
+        # and numpy's overlap check covers a source that aliases these
+        # words (an NDACCUM within one tile).
+        flat = data.reshape(-1).astype(np.float32, copy=False)
         if accumulate:
             self.words[addr : addr + count] += flat
         else:

@@ -1,9 +1,11 @@
 """DAG code generation: branches, joins and gates on the engine."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.compiler.codegen_dag import compile_dag_forward
 from repro.compiler.trackers import audit_trackers
@@ -14,6 +16,7 @@ from repro.dnn.zoo import lenet5, tiny_cnn
 from repro.errors import MappingError
 from repro.functional import ReferenceModel
 from repro.functional.tensor_ops import conv_block_plan
+from repro.sim.engine import Engine
 from repro.telemetry import capture
 
 
@@ -389,6 +392,114 @@ class TestFusionIdentity:
         assert np.array_equal(got, want)
         refused = tel.counters.group("engine.fallback")
         assert refused.get("superop.conv_block:SimulationError", 0) > 0
+
+
+@st.composite
+def pool_chains(draw):
+    """A conv→pool chain whose pools have windows of 2 or 3 at strides
+    1 to 3 — overlapping, tiling and gapped — in MAX or AVG mode, the
+    first one sometimes straight on the image."""
+    size = draw(st.integers(7, 11))
+    b = NetworkBuilder("poolchain")
+    b.input(draw(st.integers(2, 3)), size)
+    for i in range(draw(st.integers(1, 2))):
+        if i or draw(st.booleans()):
+            kernel = draw(st.sampled_from([1, 3]))
+            b.conv(
+                draw(st.integers(2, 4)), kernel=kernel, pad=kernel // 2,
+                activation=draw(
+                    st.sampled_from([Activation.RELU, Activation.NONE])
+                ),
+            )
+        window, stride = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3))
+        b.pool(window, stride=stride, mode=draw(st.sampled_from(PoolMode)))
+        size = (size - window) // stride + 1
+        if size < 3:
+            break
+    b.fc(3, activation=Activation.SOFTMAX)
+    return b.build()
+
+
+def words_after(compiled, image, fused):
+    """The output and a digest of every scratchpad and the external
+    memory after one run of ``image`` on a fresh machine."""
+    machine = compiled.build_machine()
+    compiled.load_image(machine, image)
+    engine = Engine(machine, fused=fused)
+    engine.run()
+    memories = [mem.words for mem in machine.mem_tiles] + [engine.external]
+    return compiled.read_output(machine).tobytes(), [
+        hashlib.sha256(words).hexdigest() for words in memories
+    ]
+
+
+class TestPoolRuns:
+    """Fused ``pool_run`` superops leave every word where per-instruction
+    NDSUBSAMPs leave it, ties and signed zeros included."""
+
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(net=pool_chains(), seed=st.integers(0, 2**16))
+    def test_fused_words_match_unfused(self, net, seed):
+        rng = np.random.default_rng(seed)
+        model = ReferenceModel(net, seed=seed % 97)
+        # Half-integer weights over an integer image: windows hold ties.
+        for state in model.state.values():
+            for values in (state.weights, state.bias):
+                if values is not None:
+                    values[...] = np.round(values * 2) / 2
+        compiled = compile_dag_forward(net, model, rows=1)
+        shape = net.input.output_shape
+        image = rng.integers(
+            -2, 3, (shape.count, shape.height, shape.width)
+        ).astype(np.float32)
+        zeros = image == 0
+        image[zeros] = np.copysign(0.0, rng.normal(0, 1, zeros.sum()))
+        with capture() as tel:
+            fused = words_after(compiled, image, fused=True)
+        assert fused == words_after(compiled, image, fused=False)
+        assert not any(
+            key.startswith("superop.")
+            for key in tel.counters.group("engine.fallback")
+        )
+        assert any(
+            event.name.startswith("superop.pool_run")
+            for event in tel.events_in("engine.instr")
+        )
+
+    @pytest.mark.parametrize("fault", ["outside-memory", "window-too-wide"])
+    def test_bad_group_is_refused(self, fault):
+        """A pool group outside its memory, or whose window does not
+        fit its plane, is refused at decode and counted, never read;
+        its tile runs per instruction instead."""
+        net = padded_pool_net(PoolMode.MAX, pad=0, window=2)
+        compiled = compile_dag_forward(net, model_with_biases(net), rows=1)
+        image = random_image(net)
+        want = words_after(compiled, image, fused=False)
+        last_word = compiled.chip.mem_tile.capacity_bytes // 4 - 1
+        tampered = 0
+        for prog in compiled.programs:
+            superops = []
+            for sup in prog.superops:
+                if sup.kind == "pool_run" and not tampered:
+                    params = dict(sup.params)
+                    group = list(params["groups"][-1])
+                    if fault == "outside-memory":
+                        group[1] = last_word  # in_addr
+                    else:
+                        group[5] = group[3] + 1  # window: one past h
+                    params["groups"] = params["groups"][:-1] + (tuple(group),)
+                    sup = replace(sup, params=tuple(sorted(params.items())))
+                    tampered += 1
+                superops.append(sup)
+            prog.superops = tuple(superops)
+        assert tampered == 1
+        with capture() as tel:
+            assert words_after(compiled, image, fused=True) == want
+        refused = tel.counters.group("engine.fallback")
+        assert refused.get("superop.pool_run:SimulationError") == 1
 
 
 class TestPersistentFusedRunner:

@@ -11,19 +11,24 @@ whole RunReport, DMA fault flips), and a persistent fused runner
 streaming several images produces the same outputs and per-image work.
 """
 
+import contextlib
+import gc
 import hashlib
 import types
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.arch.presets import conv_chip
+from repro.compiler import codegen
 from repro.compiler.codegen_dag import compile_dag_forward
 from repro.dnn.zoo import lenet5, tiny_cnn, tiny_mlp
 from repro.functional.reference import ReferenceModel
 from repro.isa import assemble
 from repro.sim.engine import Engine, RunReport
 from repro.sim.machine import Machine
+from repro.telemetry import capture
 
 NETS = {
     "TinyMLP": lambda: tiny_mlp(num_classes=4, in_features=8, hidden=12),
@@ -234,6 +239,54 @@ class TestStreamedImages:
         for i, (_, report) in enumerate(case.streamed, start=1):
             assert report.instructions == i * single.instructions
             assert report.busy_cycles == i * single.busy_cycles
+
+
+@contextlib.contextmanager
+def _without_cyclic_gc():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestEngineLifetime:
+    """No decoded closure or tracker hook holds its engine, so a dropped
+    engine and its machine (scratchpads, superop buffers) are freed by
+    reference counting alone, with or without telemetry."""
+
+    @pytest.fixture(scope="class")
+    def compiled(self):
+        net = NETS["LeNet-5"]()
+        return compile_dag_forward(net, ReferenceModel(net, seed=0))
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_dropped_runner_is_freed(self, compiled, telemetry):
+        with _without_cyclic_gc(), (
+            capture() if telemetry else contextlib.nullcontext()
+        ):
+            runner = compiled.runner()
+            runner(_image(compiled.network))
+            refs = [weakref.ref(runner.engine), weakref.ref(runner.machine)]
+            del runner
+            assert [ref() for ref in refs] == [None, None]
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_run_frees_its_engine(self, compiled, fused, monkeypatch):
+        refs = []
+
+        class Recorded(Engine):
+            def __init__(self, machine, **kwargs):
+                super().__init__(machine, **kwargs)
+                refs.extend((weakref.ref(self), weakref.ref(machine)))
+
+        monkeypatch.setattr(codegen, "Engine", Recorded)
+        with _without_cyclic_gc():
+            compiled.run(_image(compiled.network), fused=fused)
+            assert len(refs) == 2
+            assert [ref() for ref in refs] == [None, None]
 
 
 class TestFaultInteraction:

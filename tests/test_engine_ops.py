@@ -199,6 +199,35 @@ MALFORMED = {
         kernel_addr=100, kernel_size=pack_shape(3, 3), stride=0, pad=0,
         out_addr=0, out_port=1, is_accum=0,
     ),
+    # Pooling windows that do not fit: a window wider than the plane
+    # ran silently, writing nothing; an empty one raised numpy's
+    # ValueError; an up-sampling window wider than its stride raised
+    # IndexError (MAX) or spread into clipped windows (AVG).
+    "NDSUBSAMP window=3": make(
+        Opcode.NDSUBSAMP, samp_type=0, in_addr=0, port=0,
+        in_size=pack_shape(2, 2), window=3, stride=2, out_addr=0,
+        out_port=1,
+    ),
+    "NDSUBSAMP window=0": make(
+        Opcode.NDSUBSAMP, samp_type=0, in_addr=0, port=0,
+        in_size=pack_shape(4, 4), window=0, stride=2, out_addr=0,
+        out_port=1,
+    ),
+    "NDUPSAMP samp_type=0 window=0": make(
+        Opcode.NDUPSAMP, samp_type=0, in_addr=0, port=0,
+        in_size=pack_shape(2, 2), window=0, stride=2, out_addr=0,
+        out_port=1,
+    ),
+    "NDUPSAMP samp_type=0 window=3": make(
+        Opcode.NDUPSAMP, samp_type=0, in_addr=0, port=0,
+        in_size=pack_shape(2, 2), window=3, stride=2, out_addr=0,
+        out_port=1,
+    ),
+    "NDUPSAMP samp_type=1 window=3": make(
+        Opcode.NDUPSAMP, samp_type=1, in_addr=0, port=0,
+        in_size=pack_shape(2, 2), window=3, stride=2, out_addr=0,
+        out_port=1,
+    ),
 }
 
 

@@ -37,6 +37,7 @@ from repro.sim.engine import (
     UPSAMP_ZERO_INSERT,
     Engine,
     _Decoded,
+    _observe_dma,
 )
 from repro.sim.machine import (
     CompTile,
@@ -308,11 +309,11 @@ class OracleEngine(RetryingEngine):
             data = self._read_words(o["src_port"], o["src_addr"], size)
             self._write_words(
                 o["dst_port"], o["dst_addr"],
-                self._dma_payload(data, tile.tile_id),
+                self._shared.dma_payload(data, tile.tile_id),
                 bool(o["is_accum"]),
             )
             if self._tel_on:
-                self._observe_dma(tile.tile_id, size)
+                _observe_dma(self.telemetry, tile, tile.tile_id, size)
             return self._dma_cycles(size, o["src_port"], o["dst_port"])
 
         if op in (Opcode.PASSBUFF_RD, Opcode.PASSBUFF_WR):
@@ -323,10 +324,10 @@ class OracleEngine(RetryingEngine):
             data = self.external[o["src_addr"] : o["src_addr"] + size]
             self._write_words(
                 o["dst_port"], o["dst_addr"],
-                self._dma_payload(data, tile.tile_id), False,
+                self._shared.dma_payload(data, tile.tile_id), False,
             )
             if self._tel_on:
-                self._observe_dma(tile.tile_id, size)
+                _observe_dma(self.telemetry, tile, tile.tile_id, size)
             return self._dma_cycles(size, EXTERNAL_PORT, o["dst_port"])
 
         raise SimulationError(f"engine cannot execute {op.value}")

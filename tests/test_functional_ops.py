@@ -184,11 +184,30 @@ class TestConvBlockKernel:
     def test_matches_per_instruction_bytes(
         self, k, stride, data, n_features, ragged, zero_frac, fn, seed
     ):
-        pad = data.draw(st.integers(0, k - 1), label="pad")
-        lo = max(1, k - 2 * pad)  # the smallest plane: a 1-wide output
-        h = data.draw(st.integers(lo, lo + 5), label="h")
-        w = data.draw(st.integers(lo, lo + 5), label="w")
-        n_planes = data.draw(st.integers(1, 4), label="planes")
+        # "one-output": a 1x1 output plane, so a one-feature block sums
+        # single products (F*N == 1).  "full-width": a kernel as wide as
+        # the padded plane, whose unfold stays a view of the buffer.
+        layout = data.draw(
+            st.sampled_from(["any", "one-output", "full-width"]),
+            label="layout",
+        )
+        if layout == "one-output":
+            pad, h, w = 0, k, k
+        elif layout == "full-width":
+            pad = data.draw(st.integers(0, (k - 1) // 2), label="pad")
+            h = data.draw(st.integers(max(1, k - 2 * pad), k + 5), label="h")
+            w = k - 2 * pad
+        else:
+            pad = data.draw(st.integers(0, k - 1), label="pad")
+            lo = max(1, k - 2 * pad)  # the smallest plane: a 1-wide output
+            h = data.draw(st.integers(lo, lo + 5), label="h")
+            w = data.draw(st.integers(lo, lo + 5), label="w")
+        # Past 8 steps numpy's pairwise summation could differ from the
+        # chain's order of additions.
+        n_planes = data.draw(
+            st.one_of(st.integers(1, 4), st.integers(9, 130)),
+            label="planes",
+        )
         rng = np.random.default_rng(seed)
         gap = int(rng.integers(0, 3))
         planes = [7 + i * (h * w + gap) for i in range(n_planes)]
@@ -216,11 +235,8 @@ class TestConvBlockKernel:
             values[mask] = np.copysign(0.0, rng.normal(0, 1, mask.sum()))
             return values.astype(np.float32)
 
-        words = with_zeros(rng.normal(0, 1, kern_base + slot * k * k + 5))
         out_h = (h + 2 * pad - k) // stride + 1
         out_w = (w + 2 * pad - k) // stride + 1
-        bias = with_zeros(rng.normal(0, 1, (n_features, out_h * out_w)))
-
         plan = ops.conv_block_plan(
             _conv_block_steps(sources), k, stride, pad, (h, w), n_features
         )
@@ -230,15 +246,20 @@ class TestConvBlockKernel:
         )
         assert (plan.ragged is None) == shared
         windows = np.lib.stride_tricks.sliding_window_view
-        pre, out = ops.conv_block_forward(
-            windows(words, h * w), windows(words, k * k), plan,
-            bias.reshape(-1), fn,
-        )
-        want_pre, want_out = _conv_block_reference(
-            words, sources, k, stride, pad, (h, w), bias, fn
-        )
-        assert pre.tobytes() == want_pre.tobytes()
-        assert out.tobytes() == want_out.tobytes()
+        # Two calls on one plan: the second must not see the first's
+        # planes in the plan's buffers.
+        for call in range(2):
+            words = with_zeros(rng.normal(0, 1, kern_base + slot * k * k + 5))
+            bias = with_zeros(rng.normal(0, 1, (n_features, out_h * out_w)))
+            pre, out = ops.conv_block_forward(
+                windows(words, h * w), windows(words, k * k), plan,
+                bias.reshape(-1), fn,
+            )
+            want_pre, want_out = _conv_block_reference(
+                words, sources, k, stride, pad, (h, w), bias, fn
+            )
+            assert pre.tobytes() == want_pre.tobytes(), call
+            assert out.tobytes() == want_out.tobytes(), call
 
     def test_plan_extent_covers_every_gather(self):
         steps = [

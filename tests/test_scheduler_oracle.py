@@ -12,7 +12,8 @@ field, each tile's cycles, stalled cycles, instructions, blocked
 retries, pc and blocked flag, each mem tile's blocked counts, every
 scratchpad word, the deadlock text and the timeout snapshot — and under
 telemetry on every event, counter and metric as multisets.  No tile may
-be left on a queue after any run.
+be left on a queue after any run.  A persistent runner's streamed
+images must also match fresh machines' runs of the same images.
 
 The gate consumes only the first tracker an access overlaps, while the
 calibration counts the access against every armed range it covers; the
@@ -127,6 +128,18 @@ class TestEngineProxies:
                 images.append((report, out.tobytes(), state(runner.engine)))
             results.append(images)
         assert results[0] == results[1]
+
+    def test_stream_matches_fresh_runs(self, proxy):
+        """Three images through one persistent fused runner each come
+        out as a fresh machine's fused run of that image, byte for
+        byte: a superop's scratch buffers carry nothing from its
+        previous call into the next."""
+        net, compiled = proxy
+        runner = compiled.runner()
+        for seed in (0, 1, 2):
+            got, _ = runner(image(net, seed))
+            want, _ = compiled.run(image(net, seed))
+            assert got.tobytes() == want.tobytes(), seed
 
 
 class TestTraining:
