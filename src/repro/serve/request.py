@@ -35,7 +35,7 @@ ARRIVAL_KINDS = ("poisson", "uniform")
 DEFAULT_MAX_REQUESTS = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Request:
     """One inference request: global arrival order, target network,
     arrival timestamp (seconds from the start of the run).
@@ -58,9 +58,9 @@ class Request:
 
     def __post_init__(self) -> None:
         if self.rid < 0:
-            object.__setattr__(self, "rid", self.index)
+            self.rid = self.index
         if self.submitted_s < 0:
-            object.__setattr__(self, "submitted_s", self.arrival_s)
+            self.submitted_s = self.arrival_s
 
     def deadline_s(self, timeout_s: Optional[float]) -> Optional[float]:
         """The absolute wall deadline under ``timeout_s`` (end-to-end

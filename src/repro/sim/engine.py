@@ -58,10 +58,15 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import Program
 from repro.sim.machine import (
+    CODE_TO_SAMP,
+    SAMP_CODES,
+    UPSAMP_ZERO_INSERT,
     CompTile,
     Machine,
     MemTile,
     REG_OPERAND_MASK,
+    check_stride,
+    check_window,
     instruction_accesses,
     is_reg_operand,
     unpack_shape,
@@ -100,17 +105,9 @@ ACT_CODES = {
 }
 _CODE_TO_ACT = {v: k for k, v in ACT_CODES.items()}
 
-#: Sampling codes for NDSUBSAMP's samp_type operand.
-SAMP_CODES = {PoolMode.MAX: 0, PoolMode.AVG: 1}
-_CODE_TO_SAMP = {v: k for k, v in SAMP_CODES.items()}
-
-#: Extra NDUPSAMP mode: zero-insertion dilation (the error expansion
-#: that turns a strided convolution's BP into a stride-1 full conv).
-UPSAMP_ZERO_INSERT = 2
-
 #: NDUPSAMP's samp_type codes: the pooling mode whose backward pass
 #: spreads the error, or None for zero insertion.
-_UPSAMP_MODES = {**_CODE_TO_SAMP, UPSAMP_ZERO_INSERT: None}
+_UPSAMP_MODES = {**CODE_TO_SAMP, UPSAMP_ZERO_INSERT: None}
 
 
 def _code(op: Opcode, o: Dict[str, int], name: str, codes: dict, what: str):
@@ -131,16 +128,6 @@ def _upsampled(o: Dict[str, int]) -> Tuple[int, int]:
     if o["samp_type"] == UPSAMP_ZERO_INSERT:
         return (h - 1) * stride + 1, (w - 1) * stride + 1
     return h * stride, w * stride
-
-
-def _check_window(what: str, window: int, limit: int, why: str) -> None:
-    """A pooling window spans 1 to ``limit`` words a side; any other
-    raises :class:`SimulationError` naming ``what`` (the opcode and any
-    mode operand) and the window."""
-    if not 1 <= window <= limit:
-        raise SimulationError(
-            f"{what} window={window}: must be 1..{limit} {why}"
-        )
 
 
 def _check_external(what: str, addr: int, count: int, words: int) -> None:
@@ -923,12 +910,9 @@ class Engine:
         calls = []
         for (port, in_addr, count, h, w, window, stride, samp, out_port,
              out_addr) in params["groups"]:
-            mode = _CODE_TO_SAMP[samp]
-            if stride < 1:
-                raise SimulationError(
-                    f"NDSUBSAMP stride={stride}: must be >= 1"
-                )
-            _check_window(
+            mode = CODE_TO_SAMP[samp]
+            check_stride("NDSUBSAMP", stride)
+            check_window(
                 "NDSUBSAMP", window, min(h, w), f"to fit its {h}x{w} plane"
             )
             words = self._words(port)
@@ -1013,11 +997,7 @@ class Engine:
         """
         op = instr.opcode
         o = instr.named_operands()
-        if o.get("stride", 1) < 1:  # NDCONV, NDSUBSAMP, NDUPSAMP
-            raise SimulationError(
-                f"{op.value} stride={o['stride']}: must be >= 1"
-            )
-        reads, writes = instruction_accesses(instr)
+        reads, writes = instruction_accesses(instr)  # refuses bad shapes
 
         def entry(fn) -> _Decoded:
             return _Decoded(
@@ -1103,12 +1083,9 @@ class Engine:
             return entry(actbp)
 
         if op is Opcode.NDSUBSAMP:
-            mode = _code(op, o, "samp_type", _CODE_TO_SAMP, "a sampling")
+            mode = _code(op, o, "samp_type", CODE_TO_SAMP, "a sampling")
             h, w = unpack_shape(o["in_size"])
             window, stride = o["window"], o["stride"]
-            _check_window(
-                op.value, window, min(h, w), f"to fit its {h}x{w} plane"
-            )
             in_addr, out_addr = o["in_addr"], o["out_addr"]
             rd = self._reader(o["port"])
             wr = self._writer(o["out_port"])
@@ -1127,11 +1104,6 @@ class Engine:
             h, w = unpack_shape(o["in_size"])  # error extent (small side)
             out_h, out_w = _upsampled(o)
             window, stride = o["window"], o["stride"]
-            if mode is not None:
-                _check_window(
-                    f"{op.value} samp_type={o['samp_type']}", window, stride,
-                    f"(the stride) to spread {mode.value} windows",
-                )
             in_addr, out_addr = o["in_addr"], o["out_addr"]
             rd = self._reader(o["port"])
             wr = self._writer(o["out_port"])

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.arch.chip import ChipConfig
+from repro.dnn.layers import PoolMode
 from repro.errors import SimulationError
 from repro.isa.instructions import Instruction, NUM_REGISTERS, Opcode
 from repro.isa.program import Program
@@ -240,8 +241,35 @@ class Machine:
 Access = Tuple[int, int, int]
 
 
+#: Sampling codes for NDSUBSAMP's samp_type operand (and NDUPSAMP's
+#: pooling modes), and the mode each code names.
+SAMP_CODES = {PoolMode.MAX: 0, PoolMode.AVG: 1}
+CODE_TO_SAMP = {v: k for k, v in SAMP_CODES.items()}
+
+#: Extra NDUPSAMP mode: zero-insertion dilation (the error expansion
+#: that turns a strided convolution's BP into a stride-1 full conv).
+UPSAMP_ZERO_INSERT = 2
+
+
 def _conv_out_extent_words(extent: int, kernel: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - kernel) // stride + 1
+
+
+def check_stride(what: str, stride: int) -> None:
+    """A stride below 1 raises :class:`SimulationError` naming ``what``
+    (the opcode)."""
+    if stride < 1:
+        raise SimulationError(f"{what} stride={stride}: must be >= 1")
+
+
+def check_window(what: str, window: int, limit: int, why: str) -> None:
+    """A pooling window spans 1 to ``limit`` words a side; any other
+    raises :class:`SimulationError` naming ``what`` (the opcode and any
+    mode operand) and the window."""
+    if not 1 <= window <= limit:
+        raise SimulationError(
+            f"{what} window={window}: must be 1..{limit} {why}"
+        )
 
 
 def instruction_accesses(
@@ -256,6 +284,11 @@ def instruction_accesses(
     templates) bypass the calibration pass, which is why the production
     code generator unrolls loops — the static analysis then sees every
     address.
+
+    A stride below 1, or a pooling window that does not fit its plane
+    (NDSUBSAMP) or its stride (NDUPSAMP's max and avg modes), raises
+    :class:`SimulationError` naming the opcode and operand: the access
+    table, calibration and the engine's decoder refuse it alike.
     """
     op = instr.opcode
     o = instr.named_operands()
@@ -264,6 +297,8 @@ def instruction_accesses(
             f"{op.value} uses register-indirect operands; accesses are "
             "only known at execution time"
         )
+    if "stride" in o:  # NDCONV, NDSUBSAMP, NDUPSAMP
+        check_stride(op.value, o["stride"])
     reads: List[Access] = []
     writes: List[Access] = []
 
@@ -290,19 +325,28 @@ def instruction_accesses(
         writes.append((o["out_port"], o["out_addr"], o["size"]))
     elif op is Opcode.NDSUBSAMP:
         h, w = unpack_shape(o["in_size"])
+        check_window(
+            op.value, o["window"], min(h, w), f"to fit its {h}x{w} plane"
+        )
         out_h = (h - o["window"]) // o["stride"] + 1
         out_w = (w - o["window"]) // o["stride"] + 1
         reads.append((o["port"], o["in_addr"], h * w))
         writes.append((o["out_port"], o["out_addr"], out_h * out_w))
     elif op is Opcode.NDUPSAMP:
         h, w = unpack_shape(o["in_size"])
-        stride = o["stride"]
+        stride, samp = o["stride"], o["samp_type"]
+        mode = CODE_TO_SAMP.get(samp)
+        if mode is not None:
+            check_window(
+                f"{op.value} samp_type={samp}", o["window"], stride,
+                f"(the stride) to spread {mode.value} windows",
+            )
         reads.append((o["port"], o["in_addr"], h * w))
-        if o["samp_type"] == 2:  # zero-insert dilation
+        if samp == UPSAMP_ZERO_INSERT:
             out = ((h - 1) * stride + 1) * ((w - 1) * stride + 1)
         else:
             out = h * stride * w * stride
-            if o["samp_type"] == 0:  # max routing reads the original
+            if mode is PoolMode.MAX:  # max routing reads the original
                 reads.append((o["port"], o["in_addr"] + h * w, out))
         writes.append((o["out_port"], o["out_addr"], out))
     elif op is Opcode.NDACCUM:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.arch.presets import conv_chip
+from repro.compiler.trackers import calibrate_trackers
 from repro.dnn.layers import Activation, PoolMode
 from repro.errors import SimulationError
 from repro.functional import tensor_ops as ops
 from repro.isa import Opcode, Program, assemble, make
 from repro.sim.engine import ACT_CODES, SAMP_CODES, Engine
-from repro.sim.machine import Machine, pack_shape
+from repro.sim.machine import Machine, instruction_accesses, pack_shape
 
 
 def machine(cols=3, rows=2):
@@ -250,6 +251,36 @@ class TestMalformedInstructions:
             f"{opcode}:decode-error:SimulationError": 1,
             "HALT:scalar-control": 1,
         }
+
+    @pytest.mark.parametrize("size, window, stride, text", [
+        ((1, 1), 4, 1, "NDSUBSAMP window=4: must be 1..1 to fit its 1x1 "
+                       "plane"),
+        ((2, 2), 0, 1, "NDSUBSAMP window=0: must be 1..2 to fit its 2x2 "
+                       "plane"),
+        ((2, 2), 2, 0, "NDSUBSAMP stride=0: must be >= 1"),
+    ])
+    def test_static_accesses_refuse_like_the_engine(
+        self, size, window, stride, text
+    ):
+        """The access table and calibration size no accesses for a
+        shape the decoder refuses (a 4-word write from a 1x1 plane, a
+        9-word one from a zero window, a ZeroDivisionError from a zero
+        stride): all three raise the engine's text."""
+        instr = make(
+            Opcode.NDSUBSAMP, samp_type=0, in_addr=0, port=0,
+            in_size=pack_shape(*size), window=window, stride=stride,
+            out_addr=0, out_port=1,
+        )
+        with pytest.raises(SimulationError) as static:
+            instruction_accesses(instr)
+        with pytest.raises(SimulationError) as calibrated:
+            calibrate_trackers([one_instr(instr)])
+        m = machine()
+        m.load_program(one_instr(instr))
+        with pytest.raises(SimulationError) as engine:
+            Engine(m).run()
+        assert str(static.value) == str(calibrated.value) == text
+        assert str(engine.value) == text
 
     def test_error_beats_a_blocking_tracker(self):
         """The decode error raises before the gate: a malformed
