@@ -449,20 +449,36 @@ def pool_windows(x: np.ndarray, window: int, stride: int) -> np.ndarray:
     )
 
 
+def pool_grid(windows: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The gather grid of a :func:`pool_windows` view: the channel, row
+    and column index of each of its ``(C, out_h, out_w)`` windows, as
+    three arrays that broadcast to that shape.  It depends only on the
+    view's shape, so a fixed view needs it built once."""
+    c, out_h, out_w = windows.shape[:3]
+    return (
+        np.arange(c).reshape(c, 1, 1),
+        np.arange(out_h).reshape(1, out_h, 1),
+        np.arange(out_w).reshape(1, 1, out_w),
+    )
+
+
 def pool_reduce(
-    windows: np.ndarray, mode: PoolMode
+    windows: np.ndarray,
+    mode: PoolMode,
+    grid: Optional[Tuple[np.ndarray, ...]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Reduce a :func:`pool_windows` view to ``(out, argmax)`` as
     :func:`pool_forward` returns them: each window's value at its
     ``argmax`` (the first of tied values, its zero sign kept), or the
-    mean.  The per-instruction NDSUBSAMP and the fused ``pool_run``
-    both reduce here."""
+    mean.  A max reduce gathers through ``grid``, the view's
+    :func:`pool_grid`, built here when not given.  The per-instruction
+    NDSUBSAMP and the fused ``pool_run`` both reduce here."""
     c, out_h, out_w, window, _ = windows.shape
     flat = windows.reshape(c, out_h, out_w, window * window)
     if mode is PoolMode.MAX:
         arg = flat.argmax(axis=3)
-        out = np.take_along_axis(flat, arg[..., None], axis=3)[..., 0]
-        return out, arg
+        channel, row, col = pool_grid(windows) if grid is None else grid
+        return flat[channel, row, col, arg], arg
     return flat.mean(axis=3), np.empty(0, dtype=np.int64)
 
 

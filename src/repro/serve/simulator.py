@@ -529,7 +529,7 @@ def simulate_serving(
                 next_hedge()
                 root = payload[1]  # type: ignore[index]
                 state = states[root.network]
-                if root.resolved or root.live < 1 or state.down:
+                if root.resolved or state.down:
                     continue
                 root.live += 1
                 state.hedges += 1

@@ -60,11 +60,13 @@ from repro.isa.program import Program
 from repro.sim.machine import (
     CODE_TO_SAMP,
     SAMP_CODES,
+    UPSAMP_MODES,
     UPSAMP_ZERO_INSERT,
     CompTile,
     Machine,
     MemTile,
     REG_OPERAND_MASK,
+    check_code,
     check_stride,
     check_window,
     instruction_accesses,
@@ -78,6 +80,7 @@ from repro.sim.tracker import (
     TrackerPhase,
     Waiter,
     gate,
+    runs,
 )
 from repro.telemetry.core import NullTelemetry, Telemetry, get_telemetry
 
@@ -104,21 +107,6 @@ ACT_CODES = {
     Activation.NONE: 4,
 }
 _CODE_TO_ACT = {v: k for k, v in ACT_CODES.items()}
-
-#: NDUPSAMP's samp_type codes: the pooling mode whose backward pass
-#: spreads the error, or None for zero insertion.
-_UPSAMP_MODES = {**CODE_TO_SAMP, UPSAMP_ZERO_INSERT: None}
-
-
-def _code(op: Opcode, o: Dict[str, int], name: str, codes: dict, what: str):
-    """The meaning of code operand ``name``; a code outside ``codes``
-    raises :class:`SimulationError` naming the opcode and operand."""
-    value = o[name]
-    if value not in codes:
-        raise SimulationError(
-            f"{op.value} {name}={value}: not {what} code {sorted(codes)}"
-        )
-    return codes[value]
 
 
 def _upsampled(o: Dict[str, int]) -> Tuple[int, int]:
@@ -189,26 +177,26 @@ class _Decoded:
     """One entry of a tile's flat op table, covering pcs ``[pc, pc + count)``.
 
     A plain entry is one decoded instruction: everything static is
-    resolved once per program — the gated address quads (with each mem
-    tile's TrackerFile already bound, and the distinct files in
-    ``files``), the cycle cost, and a closure ``fn`` performing the
-    instruction.  Entries the decoder leaves undecoded
-    (``fn is None``) — scalar control, register-indirect operands, an
-    instruction whose decode raises, a superop member — run through
-    :meth:`Engine._execute` when they issue.
+    resolved once per program — the gated address quads, grouped into
+    the gate's runs of same-file quads (with each mem tile's TrackerFile
+    already bound, and the distinct files in ``files``), the cycle cost,
+    and a closure ``fn`` performing the instruction.  Entries the
+    decoder leaves undecoded (``fn is None``) — scalar control,
+    register-indirect operands, an instruction whose decode raises, a
+    superop member — run through :meth:`Engine._execute` when they
+    issue.
 
     A superop entry (``sup`` given) is a fused run of ``count``
-    instructions placed at the run's first pc.  Its quads are the
-    *external* tracker accesses to gate atomically, ``expire`` holds the
-    pre-bound tracker ranges to force-expire on completion (the exact
-    end state of the internal handshakes it elides), and ``cost`` is
-    pre-summed from the members' decoded per-instruction costs — so
-    reports stay reconciled with per-instruction execution.
+    instructions placed at the run's first pc.  Its runs are the
+    *external* tracker accesses to gate atomically, its ``fn`` ends by
+    force-expiring the tracker ranges internal to the run (the exact end
+    state of the handshakes it elides), and ``cost`` is pre-summed from
+    the members' decoded per-instruction costs — so reports stay
+    reconciled with per-instruction execution.
     """
 
     __slots__ = (
-        "instr", "fn", "reads", "writes", "files", "cost", "count",
-        "expire", "tag",
+        "instr", "fn", "reads", "writes", "files", "cost", "count", "tag",
     )
 
     def __init__(
@@ -219,15 +207,16 @@ class _Decoded:
         writes=(),
         cost: int = 0,
         sup=None,
-        expire=(),
     ) -> None:
         self.instr = instr
         self.fn = fn
         self.reads = reads
         self.writes = writes
-        self.files = tuple({q[0]: None for q in reads + writes})
+        self.files = (
+            tuple({run[0]: None for run in reads + writes})
+            if reads or writes else ()
+        )
         self.cost = cost
-        self.expire = expire
         if sup is None:
             self.count = 1
             self.tag = _OPCODE_TAGS[instr.opcode]
@@ -506,18 +495,19 @@ class Engine:
             return None
         return self.machine.mem_tile(port)
 
-    def _quads(self, accesses) -> tuple:
-        """``(port, addr, count)`` accesses as gate quads, each with its
-        mem tile's TrackerFile bound.  External memory has no trackers,
-        so its accesses drop out."""
-        return tuple(
+    def _runs(self, accesses) -> tuple:
+        """``(port, addr, count)`` accesses as the gate's runs
+        (:func:`repro.sim.tracker.runs`) of quads, each with its mem
+        tile's TrackerFile bound.  External memory has no trackers, so
+        its accesses drop out."""
+        return runs(tuple(
             (self.machine.mem_tile(port).trackers, port, addr, count)
             for port, addr, count in accesses
             if port != EXTERNAL_PORT
-        )
+        ))
 
     def _gate(self, slot: _Slot, entry: _Decoded) -> bool:
-        """Gate ``entry``'s quads with :func:`repro.sim.tracker.gate`:
+        """Gate ``entry``'s runs with :func:`repro.sim.tracker.gate`:
         tracker counts are consumed only if every quad is allowed.
         Returns True when the entry may proceed.  A refusal records on
         ``slot`` *why* its tile is blocked (the obstructing port, address
@@ -792,8 +782,8 @@ class Engine:
             self._cost(instr.opcode, instr.named_operands())
             for instr in instrs[sup.start:sup.end]
         )
-        reads = self._quads(sup.external_reads)
-        writes = self._quads(sup.external_writes)
+        reads = self._runs(sup.external_reads)
+        writes = self._runs(sup.external_writes)
         expire = tuple(
             (self.machine.mem_tile(port).trackers, addr, size)
             for port, addr, size in sup.expire
@@ -807,9 +797,18 @@ class Engine:
         }.get(sup.kind)
         if builder is None:
             raise SimulationError(f"unknown superop kind {sup.kind!r}")
+        kernel = builder(params, tile.tile_id)
+
+        def superop() -> None:
+            kernel()
+            # Jump the run's internal tracker handshakes to their
+            # per-instruction end state.
+            for trackers, addr, size in expire:
+                trackers.expire(addr, size)
+
         return _Decoded(
-            None, fn=builder(params, tile.tile_id), reads=reads,
-            writes=writes, cost=cost, sup=sup, expire=expire,
+            None, fn=superop if expire else kernel, reads=reads,
+            writes=writes, cost=cost, sup=sup,
         )
 
     def _super_load_run(self, params: dict, tile_id: str):
@@ -904,9 +903,10 @@ class Engine:
 
     def _super_pool_run(self, params: dict, tile_id: str):
         """Each group's pooling windows are one view over its source
-        words, built here: scratchpads and external memory persist, so
-        a call only reduces.  A group outside its memory, or whose
-        window does not fit its plane, raises :class:`SimulationError`."""
+        words, built here with a max reduce's gather grid: scratchpads
+        and external memory persist, so a call only reduces.  A group
+        outside its memory, or whose window does not fit its plane,
+        raises :class:`SimulationError`."""
         calls = []
         for (port, in_addr, count, h, w, window, stride, samp, out_port,
              out_addr) in params["groups"]:
@@ -923,14 +923,15 @@ class Engine:
                     f"outside port {port}'s {words.size} words"
                 )
             planes = words[in_addr:end].reshape(count, h, w)
+            windows = ops.pool_windows(planes, window, stride)
+            grid = ops.pool_grid(windows) if mode is PoolMode.MAX else None
             calls.append((
-                ops.pool_windows(planes, window, stride), mode,
-                self._writer(out_port), out_addr,
+                windows, mode, grid, self._writer(out_port), out_addr,
             ))
 
         def pool_run() -> None:
-            for windows, mode, wr, out_addr in calls:
-                out, _ = ops.pool_reduce(windows, mode)
+            for windows, mode, grid, wr, out_addr in calls:
+                out, _ = ops.pool_reduce(windows, mode, grid)
                 wr(out_addr, out, False)
 
         return pool_run
@@ -1001,8 +1002,8 @@ class Engine:
 
         def entry(fn) -> _Decoded:
             return _Decoded(
-                instr, fn=fn, reads=self._quads(reads),
-                writes=self._quads(writes), cost=self._cost(op, o),
+                instr, fn=fn, reads=self._runs(reads),
+                writes=self._runs(writes), cost=self._cost(op, o),
             )
 
         if op is Opcode.NDCONV:
@@ -1048,7 +1049,9 @@ class Engine:
             return entry(matmul)
 
         if op is Opcode.NDACTFN:
-            fn_act = _code(op, o, "fn_type", _CODE_TO_ACT, "an activation")
+            fn_act = check_code(
+                op, o, "fn_type", _CODE_TO_ACT, "an activation"
+            )
             size, in_addr, out_addr = o["size"], o["in_addr"], o["out_addr"]
             rd = self._reader(o["port"])
             wr = self._writer(o["out_port"])
@@ -1066,7 +1069,9 @@ class Engine:
             # companion operand would not fit Fig 8, so the convention is
             # act values live at err_addr + size), writing the masked
             # error to out_addr.
-            fn_act = _code(op, o, "fn_type", _CODE_TO_ACT, "an activation")
+            fn_act = check_code(
+                op, o, "fn_type", _CODE_TO_ACT, "an activation"
+            )
             size, err_addr, out_addr = o["size"], o["err_addr"], o["out_addr"]
             act_addr = err_addr + size
             rd = self._reader(o["port"])
@@ -1083,7 +1088,7 @@ class Engine:
             return entry(actbp)
 
         if op is Opcode.NDSUBSAMP:
-            mode = _code(op, o, "samp_type", CODE_TO_SAMP, "a sampling")
+            mode = check_code(op, o, "samp_type", CODE_TO_SAMP, "a sampling")
             h, w = unpack_shape(o["in_size"])
             window, stride = o["window"], o["stride"]
             in_addr, out_addr = o["in_addr"], o["out_addr"]
@@ -1100,7 +1105,9 @@ class Engine:
             return entry(subsamp)
 
         if op is Opcode.NDUPSAMP:
-            mode = _code(op, o, "samp_type", _UPSAMP_MODES, "an up-sampling")
+            mode = check_code(
+                op, o, "samp_type", UPSAMP_MODES, "an up-sampling"
+            )
             h, w = unpack_shape(o["in_size"])  # error extent (small side)
             out_h, out_w = _upsampled(o)
             window, stride = o["window"], o["stride"]
@@ -1316,12 +1323,7 @@ class Engine:
                         slot.wait(op.files)
                         continue
                     else:
-                        # A superop's external quads gate atomically; on
-                        # completion its internal tracker handshakes are
-                        # force-expired to their per-instruction end state.
                         op.fn()
-                        for trackers, addr, size in op.expire:
-                            trackers.expire(addr, size)
                         cost = op.cost
                     tile.blocked = False
                     tile.cycles += cost

@@ -250,6 +250,10 @@ CODE_TO_SAMP = {v: k for k, v in SAMP_CODES.items()}
 #: that turns a strided convolution's BP into a stride-1 full conv).
 UPSAMP_ZERO_INSERT = 2
 
+#: NDUPSAMP's samp_type codes: the pooling mode whose backward pass
+#: spreads the error, or None for zero insertion.
+UPSAMP_MODES = {**CODE_TO_SAMP, UPSAMP_ZERO_INSERT: None}
+
 
 def _conv_out_extent_words(extent: int, kernel: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - kernel) // stride + 1
@@ -260,6 +264,19 @@ def check_stride(what: str, stride: int) -> None:
     (the opcode)."""
     if stride < 1:
         raise SimulationError(f"{what} stride={stride}: must be >= 1")
+
+
+def check_code(
+    op: Opcode, o: Dict[str, int], name: str, codes: dict, what: str
+):
+    """The meaning of code operand ``name``; a code outside ``codes``
+    raises :class:`SimulationError` naming the opcode and operand."""
+    value = o[name]
+    if value not in codes:
+        raise SimulationError(
+            f"{op.value} {name}={value}: not {what} code {sorted(codes)}"
+        )
+    return codes[value]
 
 
 def check_window(what: str, window: int, limit: int, why: str) -> None:
@@ -285,8 +302,9 @@ def instruction_accesses(
     code generator unrolls loops — the static analysis then sees every
     address.
 
-    A stride below 1, or a pooling window that does not fit its plane
-    (NDSUBSAMP) or its stride (NDUPSAMP's max and avg modes), raises
+    A stride below 1, a sampling code outside NDSUBSAMP's or NDUPSAMP's
+    modes, or a pooling window that does not fit its plane (NDSUBSAMP)
+    or its stride (NDUPSAMP's max and avg modes), raises
     :class:`SimulationError` naming the opcode and operand: the access
     table, calibration and the engine's decoder refuse it alike.
     """
@@ -328,6 +346,7 @@ def instruction_accesses(
         check_window(
             op.value, o["window"], min(h, w), f"to fit its {h}x{w} plane"
         )
+        check_code(op, o, "samp_type", CODE_TO_SAMP, "a sampling")
         out_h = (h - o["window"]) // o["stride"] + 1
         out_w = (w - o["window"]) // o["stride"] + 1
         reads.append((o["port"], o["in_addr"], h * w))
@@ -335,7 +354,9 @@ def instruction_accesses(
     elif op is Opcode.NDUPSAMP:
         h, w = unpack_shape(o["in_size"])
         stride, samp = o["stride"], o["samp_type"]
-        mode = CODE_TO_SAMP.get(samp)
+        mode = check_code(
+            op, o, "samp_type", UPSAMP_MODES, "an up-sampling"
+        )
         if mode is not None:
             check_window(
                 f"{op.value} samp_type={samp}", o["window"], stride,

@@ -9,9 +9,12 @@ MemHeavy tile then enforces that the range receives exactly
 before it may be overwritten.  Early requests queue (or NACK on a full
 queue); satisfied trackers expire.
 
-:func:`gate` checks all of one instruction's accesses at once.  A
-requester it refuses waits on the queues of the tracker files it
-touched (:class:`Waiter`) until one of them changes.
+:func:`gate` checks all of one instruction's accesses at once, one run
+of consecutive accesses to one tracker file at a time (:func:`runs`):
+a file's armed ranges are disjoint, so a run whose address hull lies
+inside one tracker needs one lookup and one count.  A requester it
+refuses waits on the queues of the tracker files it touched
+(:class:`Waiter`) until one of them changes.
 """
 
 from __future__ import annotations
@@ -97,20 +100,30 @@ class RangeTracker:
         self.state = state
         return changed
 
-    def _take(self, read: bool) -> Optional[bool]:
-        """Count one read or write against this range.  Returns None when
-        the phase refuses it — a read while updating, a write while
-        readable — and otherwise whether it changed the phase."""
+    def _take(self, read: bool, n: int = 1) -> Optional[bool]:
+        """Count ``n`` reads or writes against this range, exactly as
+        ``n`` single accesses would count.  Returns None when the phase
+        refuses them — a read while updating, a write while readable,
+        writes past ``num_updates`` that leave the range readable — and
+        otherwise whether they changed the phase.  Accesses past the
+        range's expiry are free."""
         state = self.state
         if state == _EXPIRED:
             return False  # the range is free again
         if read:
             if state == _UPDATING:
                 return None
-            return self._count(self.updates_seen, self.reads_seen + 1)
+            return self._count(
+                self.updates_seen, min(self.reads_seen + n, self.num_reads)
+            )
         if state == _READABLE:
             return None
-        return self._count(self.updates_seen + 1, self.reads_seen)
+        updates = self.updates_seen + n
+        if updates > self.num_updates:
+            if self.reads_seen < self.num_reads:
+                return None  # the last writes find the range readable
+            updates = self.num_updates
+        return self._count(updates, self.reads_seen)
 
     def try_write(self) -> AccessVerdict:
         """A write against this range: allowed only while updating."""
@@ -237,8 +250,8 @@ class TrackerFile:
         return None
 
     def _check(self, read: bool, start: int, size: int) -> AccessVerdict:
-        quads = ((self, None, start, size),)
-        blocked = gate(quads, ()) if read else gate((), quads)
+        run = runs(((self, None, start, size),))
+        blocked = gate(run, ()) if read else gate((), run)
         if blocked is None:
             return AccessVerdict.ALLOW
         if self.emit is not None:
@@ -276,26 +289,95 @@ class TrackerFile:
 #: One gated access: ``(tracker file, port, addr, word count)``.
 Quad = Tuple[TrackerFile, int, int, int]
 
+#: Consecutive quads on one tracker file with their address hull:
+#: ``(tracker file, lo, hi, quads)`` (:func:`runs`).
+Run = Tuple[TrackerFile, int, int, Tuple[Quad, ...]]
+
+
+def runs(quads: Sequence[Quad]) -> Tuple[Run, ...]:
+    """``quads`` in order, grouped into runs of consecutive quads on one
+    tracker file, each with the hull ``[lo, hi)`` of its addresses.  A
+    quad of fewer than one word overlaps only a tracker that strictly
+    contains its address, so a hull inside a tracker does not prove it
+    overlaps that tracker: such a quad is a run of its own."""
+    if not quads:
+        return ()
+    if len(quads) == 1:
+        quad = quads[0]
+        return ((quad[0], quad[2], quad[2] + quad[3], tuple(quads)),)
+    grouped = []
+    last = None  # the open run: [trackers, lo, hi, quads], if joinable
+    for quad in quads:
+        trackers, _, addr, count = quad
+        if last is not None and last[0] is trackers and count > 0:
+            last[1] = min(last[1], addr)
+            last[2] = max(last[2], addr + count)
+            last[3].append(quad)
+            continue
+        run = [trackers, addr, addr + count, [quad]]
+        grouped.append(run)
+        last = run if count > 0 else None
+    return tuple(
+        (trackers, lo, hi, tuple(members))
+        for trackers, lo, hi, members in grouped
+    )
+
+
+def _resolve(
+    side: Sequence[Run], read: bool, hits: list
+) -> Optional[Tuple[Quad, RangeTracker]]:
+    """Find the tracker of every quad of ``side``, the reads or the
+    writes (see :func:`gate`), appending ``(file, tracker, read,
+    accesses)`` to ``hits``.  Returns the first quad whose tracker
+    refuses it, with that tracker, or None."""
+    refuse = _UPDATING if read else _READABLE
+    for trackers, lo, hi, quads in side:
+        first = quads[0]
+        tracker = trackers._matching(first[2], first[3])
+        if tracker is not None and tracker.start <= lo and hi <= tracker.end:
+            if tracker.state == refuse:
+                return first, tracker
+            hits.append((trackers, tracker, read, len(quads)))
+            continue
+        for quad in quads:
+            if quad is not first:
+                tracker = trackers._matching(quad[2], quad[3])
+            if tracker is not None:
+                if tracker.state == refuse:
+                    return quad, tracker
+                hits.append((trackers, tracker, read, 1))
+    return None
+
 
 def gate(
-    reads: Sequence[Quad], writes: Sequence[Quad]
+    reads: Sequence[Run], writes: Sequence[Run]
 ) -> Optional[Tuple[str, Quad, RangeTracker]]:
-    """Gate one instruction's accesses atomically.
+    """Gate one instruction's accesses, as :func:`runs`, atomically.
 
     Each quad's tracker is the first armed tracker of its file that
-    overlaps it, found once.  A read is refused while that tracker is
-    updating, a write while it is readable; a quad no tracker covers, or
-    whose tracker expired, passes.  The first refused quad, reads before
+    overlaps it.  A read is refused while that tracker is updating, a
+    write while it is readable; a quad no tracker covers, or whose
+    tracker expired, passes.  The first refused quad, reads before
     writes, counts one blocked read or write on its file, and the gate
     returns ``(kind, quad, tracker)`` having consumed nothing: a blocked
     companion access must not advance tracker counts.  Otherwise every
-    found tracker is consumed, reads first, and the gate returns None.
+    found tracker is consumed, one access per quad, reads first, and the
+    gate returns None.
 
     The gate consumes only the first tracker a quad overlaps, while
     :func:`repro.compiler.trackers.calibrate_trackers` counts an access
     against every armed range it covers.  The two agree because no
     compiled access covers two armed ranges, an invariant
     ``tests/test_scheduler_oracle.py::TestOneTrackerPerAccess`` pins.
+
+    **Why a run needs one lookup.**  A file's armed trackers are
+    disjoint: :meth:`TrackerFile.arm` reaps expired trackers, then
+    refuses any overlap.  So when the tracker a run's first quad finds
+    contains the run's hull, it is the one tracker every quad of the run
+    overlaps, and the run is checked once and counted in one step, as
+    many accesses as it has quads.  A refused run reports its first
+    quad, as the quad-by-quad check would.  Any other run is resolved
+    quad by quad.
 
     **Why a refused requester may sleep.**  The verdict, and which quad
     is refused first, depend only on each touched file's tracker list
@@ -308,24 +390,18 @@ def gate(
     by every gate it skips until it is woken.
     """
     hits = []
-    for quad in reads:
-        trackers = quad[0]
-        tracker = trackers._matching(quad[2], quad[3])
-        if tracker is not None:
-            if tracker.state == _UPDATING:
-                trackers.blocked_reads += 1
-                return "read", quad, tracker
-            hits.append((trackers, tracker, True))
-    for quad in writes:
-        trackers = quad[0]
-        tracker = trackers._matching(quad[2], quad[3])
-        if tracker is not None:
-            if tracker.state == _READABLE:
-                trackers.blocked_writes += 1
-                return "write", quad, tracker
-            hits.append((trackers, tracker, False))
-    for trackers, tracker, read in hits:
-        changed = tracker._take(read)
+    refused = _resolve(reads, True, hits)
+    if refused is not None:
+        quad, tracker = refused
+        quad[0].blocked_reads += 1
+        return "read", quad, tracker
+    refused = _resolve(writes, False, hits)
+    if refused is not None:
+        quad, tracker = refused
+        quad[0].blocked_writes += 1
+        return "write", quad, tracker
+    for trackers, tracker, read, n in hits:
+        changed = tracker._take(read, n)
         if changed is None:
             raise AssertionError(
                 f"{'read' if read else 'write'} of [{tracker.start}, "

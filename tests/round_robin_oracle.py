@@ -6,9 +6,11 @@ each retry peeking the trackers through ``TrackerFile.read_blocked`` /
 ``write_blocked`` and charging one stall cycle.  :class:`RetryingEngine`
 is that engine: its round loop (``run``), ``_gate``, ``_note_block``
 and ``_execute`` are kept verbatim, and the deleted peeks are copied
-below as functions.  The only edit is the binding of a gate quad, which
+below as functions.  The only edits are the binding of a gate quad, which
 now carries its mem tile's TrackerFile (and external accesses drop out
-at decode) instead of the MemTile.
+at decode) instead of the MemTile, the quads' source (an entry now
+holds them grouped into the gate's runs, and :func:`quads` flattens
+them back) and a superop's force-expire, which its ``fn`` now runs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from repro.isa.instructions import Instruction, InstrGroup, Opcode
 from repro.sim.engine import Engine, RunReport
 from repro.sim.machine import CompTile
 from repro.sim.tracker import AccessVerdict, TrackerFile, TrackerPhase
+
+
+def quads(runs) -> list:
+    """The quads of an entry's gate runs, in order."""
+    return [quad for run in runs for quad in run[3]]
 
 
 def read_blocked(trackers: TrackerFile, start: int, size: int) -> bool:
@@ -106,7 +113,7 @@ class RetryingEngine(Engine):
         op = instr.opcode
         if instr.group is not InstrGroup.SCALAR:
             entry = self._decode(self._resolve(tile, instr), tile.tile_id)
-            if not self._gate(tile, entry.reads, entry.writes):
+            if not self._gate(tile, quads(entry.reads), quads(entry.writes)):
                 return None
             entry.fn()
             return entry.cost
@@ -203,13 +210,13 @@ class RetryingEngine(Engine):
                 start_cycle = tile.cycles
                 if entry.fn is None:
                     cost = self._execute(tile, entry.instr)
-                elif self._gate(tile, entry.reads, entry.writes):
+                elif self._gate(
+                    tile, quads(entry.reads), quads(entry.writes)
+                ):
                     # A superop's external quads gate atomically; on
                     # completion its internal tracker handshakes are
                     # force-expired to their per-instruction end state.
                     entry.fn()
-                    for trackers, addr, size in entry.expire:
-                        trackers.expire(addr, size)
                     cost = entry.cost
                 else:
                     cost = None

@@ -282,6 +282,30 @@ class TestMalformedInstructions:
         assert str(static.value) == str(calibrated.value) == text
         assert str(engine.value) == text
 
+    @pytest.mark.parametrize("name, text", [
+        ("NDUPSAMP samp_type=7",
+         "NDUPSAMP samp_type=7: not an up-sampling code [0, 1, 2]"),
+        ("NDSUBSAMP samp_type=5",
+         "NDSUBSAMP samp_type=5: not a sampling code [0, 1]"),
+    ])
+    def test_static_accesses_refuse_unknown_sampling_codes(self, name, text):
+        """The access table and calibration size no accesses for a
+        sampling code the decoder refuses (they used to report a 16-word
+        write for NDUPSAMP's code 7 on a 2x2 plane at stride 2, and a
+        write for NDSUBSAMP's code 5): all three raise the engine's
+        text."""
+        instr = MALFORMED[name]
+        with pytest.raises(SimulationError) as static:
+            instruction_accesses(instr)
+        with pytest.raises(SimulationError) as calibrated:
+            calibrate_trackers([one_instr(instr)])
+        m = machine()
+        m.load_program(one_instr(instr))
+        with pytest.raises(SimulationError) as engine:
+            Engine(m).run()
+        assert str(static.value) == str(calibrated.value) == text
+        assert str(engine.value) == text
+
     def test_error_beats_a_blocking_tracker(self):
         """The decode error raises before the gate: a malformed
         instruction whose read would block reports its error instead of

@@ -320,6 +320,39 @@ class TestPooling:
         lm = (ops.pool_forward(xm, 3, 2, 0, PoolMode.MAX)[0] * grad).sum()
         assert (lp - lm) / (2 * eps) == pytest.approx(gx[idx], abs=1e-5)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        c=st.integers(1, 3),
+        h=st.integers(1, 7),
+        w=st.integers(1, 7),
+        window=st.integers(1, 4),
+        stride=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_max_gather_through_the_grid(self, c, h, w, window, stride, seed):
+        """A max reduce through a prebuilt :func:`pool_grid` chooses the
+        same words, bit for bit, as ``take_along_axis`` at the argmax:
+        the first of tied values, a zero's sign, a NaN's payload."""
+        window = min(window, h, w)
+        rng = np.random.default_rng(seed)
+        words = rng.choice(
+            np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.nan, -np.inf],
+                     dtype=np.float32),
+            size=c * h * w,
+        )
+        nan = words.view(np.uint32)
+        nan[np.isnan(words)] |= rng.integers(1, 2**10, np.isnan(words).sum(),
+                                             dtype=np.uint32)
+        windows = ops.pool_windows(words.reshape(c, h, w), window, stride)
+        flat = windows.reshape(*windows.shape[:3], window * window)
+        arg = flat.argmax(axis=3)
+        want = np.take_along_axis(flat, arg[..., None], axis=3)[..., 0]
+        for grid in (ops.pool_grid(windows), None):
+            out, got_arg = ops.pool_reduce(windows, PoolMode.MAX, grid)
+            assert out.shape == want.shape
+            assert out.tobytes() == want.tobytes()
+            assert np.array_equal(got_arg, arg)
+
     def test_global_pool_roundtrip(self):
         x = np.arange(8, dtype=np.float32).reshape(2, 2, 2)
         out = ops.global_pool_forward(x)
