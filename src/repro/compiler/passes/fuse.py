@@ -27,10 +27,11 @@ end state).  Every other access stays an **external** quad, peeked and
 consumed one at a time so shared-tracker handshakes between tiles are
 bit-identical to per-instruction execution.  Accesses to ranges no
 tracker ever arms are dropped from the gate entirely.  The analysis
-reads the accesses and arms from the lowering's
-:class:`~repro.compiler.trackers.AccessTable`; a set with any
-register-indirect operand is not fused at all, so the matchers see
-immediates only.
+reads the accesses, arms and each access's coverage (resolved by
+calibration) from the lowering's
+:class:`~repro.compiler.trackers.AccessTable`, a span at a time; a set
+with any register-indirect operand is not fused at all, so the
+matchers see immediates only, and read them by position.
 
 The pass rewrites no instructions: with fusion off (or an engine that
 ignores superops) the same programs execute unchanged.
@@ -38,14 +39,17 @@ ignores superops) the same programs execute unchanged.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate, chain, compress
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.passes.manager import Pass, PassContext, PassStats
 from repro.compiler.ir import MappingIR
 from repro.compiler.trackers import AccessTable
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import OPERAND_NAMES, Instruction, Opcode
 from repro.isa.program import SuperOp
-from repro.sim.machine import unpack_shape
+from repro.sim.machine import Access, unpack_shape
 
 #: Opcodes a superop may cover.  Everything else — scalar/control,
 #: tracker arms, VECMUL and the other low-count ops — stays on the
@@ -74,15 +78,25 @@ class _Span:
 # ---------------------------------------------------------------------------
 # Pattern matching
 # ---------------------------------------------------------------------------
+#: An NDCONV's layout operands: in_port, in_size, kernel_size, stride,
+#: pad and out_port.  A conv block's NDCONVs agree on all of them.
+_conv_layout = itemgetter(*(
+    OPERAND_NAMES[Opcode.NDCONV].index(name) for name in (
+        "in_port", "in_size", "kernel_size", "stride", "pad", "out_port",
+    )
+))
+
+
 def _parse_load_run(instrs: Sequence[Instruction], start: int) -> Optional[_Span]:
     n = len(instrs)
     j = start
     dmas: List[Tuple[int, int, int, int, int, int]] = []
     while j < n and instrs[j].opcode is Opcode.DMALOAD:
-        o = instrs[j].named_operands()
+        src_addr, src_port, dst_addr, dst_port, size, accum = (
+            instrs[j].operands
+        )
         dmas.append((
-            o["src_port"], o["src_addr"], o["dst_port"], o["dst_addr"],
-            o["size"], int(bool(o["is_accum"])),
+            src_port, src_addr, dst_port, dst_addr, size, int(bool(accum)),
         ))
         j += 1
     if j - start < _MIN_RUN:
@@ -95,12 +109,12 @@ def _parse_conv_block(
 ) -> Optional[_Span]:
     """Match ``(NDCONV+ NDACCUM)+ NDACTFN`` — one conv layer slice."""
     n = len(instrs)
-    o0 = instrs[start].named_operands()
-    if o0["is_accum"]:
+    first = instrs[start].operands
+    (_, in_port, in_size, _, kern_size, stride, pad, pre_base, out_port,
+     accum) = first
+    if accum:
         return None
-    in_port, out_port = o0["in_port"], o0["out_port"]
-    in_size, kern_size = o0["in_size"], o0["kernel_size"]
-    stride, pad = o0["stride"], o0["pad"]
+    layout = _conv_layout(first)
     h, w = unpack_shape(in_size)
     k, _ = unpack_shape(kern_size)
     out_h = (h + 2 * pad - k) // stride + 1
@@ -108,56 +122,51 @@ def _parse_conv_block(
     out_size = out_h * out_w
     if out_size <= 0:
         return None
-    pre_base = o0["out_addr"]
     features: List[List[Tuple[int, int]]] = []
     bias_addrs: List[int] = []
     i = start
     while i < n and instrs[i].opcode is Opcode.NDCONV:
-        o = instrs[i].named_operands()
+        operands = instrs[i].operands
+        in_addr, _, _, kernel_addr, _, _, _, out_addr, _, accum = operands
         expected_out = pre_base + len(features) * out_size
         if (
-            o["is_accum"]
-            or o["in_port"] != in_port or o["out_port"] != out_port
-            or o["in_size"] != in_size or o["kernel_size"] != kern_size
-            or o["stride"] != stride or o["pad"] != pad
-            or o["out_addr"] != expected_out
+            accum or _conv_layout(operands) != layout
+            or out_addr != expected_out
         ):
             return None
-        sources = [(o["in_addr"], o["kernel_addr"])]
+        sources = [(in_addr, kernel_addr)]
         i += 1
         while i < n and instrs[i].opcode is Opcode.NDCONV:
-            o = instrs[i].named_operands()
-            if not o["is_accum"]:
+            operands = instrs[i].operands
+            in_addr, _, _, kernel_addr, _, _, _, out_addr, _, accum = (
+                operands
+            )
+            if not accum:
                 break  # next feature's first source
             if (
-                o["in_port"] != in_port or o["out_port"] != out_port
-                or o["in_size"] != in_size or o["kernel_size"] != kern_size
-                or o["stride"] != stride or o["pad"] != pad
-                or o["out_addr"] != expected_out
+                _conv_layout(operands) != layout
+                or out_addr != expected_out
             ):
                 return None
-            sources.append((o["in_addr"], o["kernel_addr"]))
+            sources.append((in_addr, kernel_addr))
             i += 1
         if i >= n or instrs[i].opcode is not Opcode.NDACCUM:
             return None
-        o = instrs[i].named_operands()
-        if (
-            o["port"] != out_port or o["dst_addr"] != expected_out
-            or o["size"] != out_size
-        ):
+        src_addr, port, size, dst_addr = instrs[i].operands
+        if port != out_port or dst_addr != expected_out or size != out_size:
             return None
-        bias_addrs.append(o["src_addr"])
+        bias_addrs.append(src_addr)
         features.append(sources)
         i += 1
         if i < n and instrs[i].opcode is Opcode.NDACTFN:
             break
     if not features or i >= n or instrs[i].opcode is not Opcode.NDACTFN:
         return None
-    o = instrs[i].named_operands()
+    fn_type, act_in, port, size, home_addr, home_port = instrs[i].operands
     n_features = len(features)
     if (
-        o["port"] != out_port or o["in_addr"] != pre_base
-        or o["size"] != n_features * out_size
+        port != out_port or act_in != pre_base
+        or size != n_features * out_size
     ):
         return None
     bias_base = bias_addrs[0]
@@ -185,8 +194,8 @@ def _parse_conv_block(
         "h": h, "w": w, "k": k, "stride": stride, "pad": pad,
         "out_size": out_size, "n_features": n_features,
         "pre_base": pre_base, "bias_base": bias_base,
-        "fn_type": o["fn_type"],
-        "home_port": o["out_port"], "home_addr": o["out_addr"],
+        "fn_type": fn_type,
+        "home_port": home_port, "home_addr": home_addr,
         "steps": tuple(steps),
     })
 
@@ -200,27 +209,26 @@ def _parse_fc_block(
     mm, acc, act = instrs[start], instrs[start + 1], instrs[start + 2]
     if acc.opcode is not Opcode.NDACCUM or act.opcode is not Opcode.NDACTFN:
         return None
-    om = mm.named_operands()
-    rows, cols = unpack_shape(om["in2_size"])
-    _, n = unpack_shape(om["in1_size"])
-    if n != cols or om["is_accum"]:
+    (vec_addr, vec_port, vec_size, mat_addr, mat_port, mat_size, pre_addr,
+     pre_port, accum) = mm.operands
+    rows, cols = unpack_shape(mat_size)
+    _, n = unpack_shape(vec_size)
+    if n != cols or accum:
         return None
-    oa = acc.named_operands()
-    of = act.named_operands()
+    bias_addr, acc_port, acc_size, acc_dst = acc.operands
+    fn_type, act_in, act_port, act_size, home_addr, home_port = act.operands
     if (
-        oa["port"] != om["out_port"] or oa["dst_addr"] != om["out_addr"]
-        or oa["size"] != rows
-        or of["port"] != om["out_port"] or of["in_addr"] != om["out_addr"]
-        or of["size"] != rows
+        acc_port != pre_port or acc_dst != pre_addr or acc_size != rows
+        or act_port != pre_port or act_in != pre_addr or act_size != rows
     ):
         return None
     return _Span("fc_block", start, start + 3, {
-        "vec_port": om["in1_port"], "vec_addr": om["in1_addr"], "n": n,
-        "mat_port": om["in2_port"], "mat_addr": om["in2_addr"],
+        "vec_port": vec_port, "vec_addr": vec_addr, "n": n,
+        "mat_port": mat_port, "mat_addr": mat_addr,
         "rows": rows,
-        "pre_port": om["out_port"], "pre_addr": om["out_addr"],
-        "bias_addr": oa["src_addr"], "fn_type": of["fn_type"],
-        "home_port": of["out_port"], "home_addr": of["out_addr"],
+        "pre_port": pre_port, "pre_addr": pre_addr,
+        "bias_addr": bias_addr, "fn_type": fn_type,
+        "home_port": home_port, "home_addr": home_addr,
     })
 
 
@@ -232,11 +240,11 @@ def _parse_pool_run(
     j = start
     planes = []
     while j < n and instrs[j].opcode is Opcode.NDSUBSAMP:
-        o = instrs[j].named_operands()
-        h, w = unpack_shape(o["in_size"])
+        (samp, in_addr, port, in_size, window, stride, out_addr,
+         out_port) = instrs[j].operands
+        h, w = unpack_shape(in_size)
         planes.append((
-            o["port"], o["in_addr"], h, w, o["window"], o["stride"],
-            o["samp_type"], o["out_port"], o["out_addr"],
+            port, in_addr, h, w, window, stride, samp, out_port, out_addr,
         ))
         j += 1
     if j - start < _MIN_RUN:
@@ -300,9 +308,36 @@ def _match_spans(instrs: Sequence[Instruction]) -> List[_Span]:
 # ---------------------------------------------------------------------------
 # Externality analysis
 # ---------------------------------------------------------------------------
+def _blocks(table: AccessTable, pi: int, spans: Sequence[_Span]):
+    """Program ``pi``'s access rows a block at a time: each span's rows,
+    and the rows between spans.  Yields ``(span index or None, rows,
+    read codes, write codes)``: a block's rows are contiguous, in pc
+    order, and so are the coverage codes of their reads and writes."""
+    rows = table.accesses[pi]
+    pcs = list(map(itemgetter(0), rows))
+    read_at = [0, *accumulate(map(len, map(itemgetter(1), rows)))]
+    write_at = [0, *accumulate(map(len, map(itemgetter(2), rows)))]
+    bounds = []
+    row = 0
+    for si, span in enumerate(spans):
+        lo = bisect_left(pcs, span.start, row)
+        hi = bisect_left(pcs, span.end, lo)
+        bounds += [(None, row, lo), (si, lo, hi)]
+        row = hi
+    bounds.append((None, row, len(rows)))
+    reads, writes = table.read_arms[pi], table.write_arms[pi]
+    for si, lo, hi in bounds:
+        if lo < hi:
+            yield (
+                si, rows[lo:hi], reads[read_at[lo]:read_at[hi]],
+                writes[write_at[lo]:write_at[hi]],
+            )
+
+
 def _annotate_superops(table: AccessTable) -> int:
     """Match spans, classify tracker ranges, attach superops to the
-    programs of ``table`` (whose arms calibration has accepted).
+    programs of ``table`` (whose arms calibration has accepted, and whose
+    coverage it has resolved).
 
     Returns the number of instructions covered by superops (0 when the
     program set is unanalyzable and fusion is skipped entirely).
@@ -311,70 +346,63 @@ def _annotate_superops(table: AccessTable) -> int:
         return 0  # register-indirect operands: cannot analyze
     programs = table.programs
     arms = table.arms
-    covering = table.covering
+    arms_of = table.arms_of
     spans_by_prog = [_match_spans(prog.instructions) for prog in programs]
-    covered_by_prog = []
-    for spans in spans_by_prog:
-        covered: Dict[int, int] = {}
-        for si, span in enumerate(spans):
-            for pc in range(span.start, span.end):
-                covered[pc] = si
-        covered_by_prog.append(covered)
 
     # Pass 1: every data access marks each armed range it overlaps as
     # internal (same program, inside a span) or external.  An arm's
-    # last span is the latest (program, span) that touches it.
+    # last span is the latest span of its program that touches it.
     internal = [True] * len(arms)
-    last_span: List[Optional[Tuple[int, int]]] = [None] * len(arms)
-    for pi, rows in enumerate(table.accesses):
-        covered = covered_by_prog[pi]
-        for pc, reads, writes in rows:
-            span_idx = covered.get(pc)
-            for port, addr, count in reads + writes:
-                for a in covering(port, addr, count):
-                    if span_idx is None or arms[a].prog != pi:
+    last_span: List[Optional[int]] = [None] * len(arms)
+    for pi, spans in enumerate(spans_by_prog):
+        for si, _, reads, writes in _blocks(table, pi, spans):
+            for code in set(reads).union(writes):
+                for a in arms_of(code):
+                    if si is None or arms[a].prog != pi:
                         internal[a] = False
-                    elif last_span[a] is None or last_span[a] < (
-                        pi, span_idx
-                    ):
-                        last_span[a] = (pi, span_idx)
+                    else:
+                        last_span[a] = si
     expires: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
     for arm, inside, last in zip(arms, internal, last_span):
         if inside and last is not None:
-            expires.setdefault(last, []).append(
+            expires.setdefault((arm.prog, last), []).append(
                 (arm.port, arm.addr, arm.size)
             )
 
     # Pass 2: build the external quad lists and expire sets per span.
+    # A quad over internal ranges is expired at its span's end, and one
+    # over ranges no tracker ever arms is dropped.
     fused_instrs = 0
     for pi, prog in enumerate(programs):
         spans = spans_by_prog[pi]
         if not spans:
             prog.superops = ()
             continue
-        ext_reads: List[List[Tuple[int, int, int]]] = [[] for _ in spans]
-        ext_writes: List[List[Tuple[int, int, int]]] = [[] for _ in spans]
-        covered = covered_by_prog[pi]
-        for pc, reads, writes in table.accesses[pi]:
-            si = covered.get(pc)
+        ext_reads: List[Tuple[Access, ...]] = [()] * len(spans)
+        ext_writes: List[Tuple[Access, ...]] = [()] * len(spans)
+        for si, rows, reads, writes in _blocks(table, pi, spans):
             if si is None:
                 continue
-            for quads, out in ((reads, ext_reads), (writes, ext_writes)):
-                for port, addr, count in quads:
-                    hit = covering(port, addr, count)
-                    if hit and all(internal[a] for a in hit):
-                        continue  # internal: expired at span end
-                    if hit:
-                        out[si].append((port, addr, count))
-                    # no tracker ever arms this range: drop the quad
+            external = {
+                code for code in set(reads).union(writes)
+                if not all(internal[a] for a in arms_of(code))
+            }
+            if external:
+                for column, codes, out in (
+                    (1, reads, ext_reads), (2, writes, ext_writes),
+                ):
+                    out[si] = tuple(compress(
+                        chain.from_iterable(map(itemgetter(column), rows)),
+                        map(external.__contains__, codes),
+                    ))
         superops = []
         for si, span in enumerate(spans):
             superops.append(SuperOp(
                 kind=span.kind,
                 start=span.start,
                 end=span.end,
-                external_reads=tuple(ext_reads[si]),
-                external_writes=tuple(ext_writes[si]),
+                external_reads=ext_reads[si],
+                external_writes=ext_writes[si],
                 expire=tuple(sorted(expires.get((pi, si), ()))),
                 params=tuple(sorted(span.params.items())),
             ))

@@ -289,22 +289,30 @@ class EngineEmitter:
             col - 1, row, kern_base, np.stack(packed)
         ))
 
-        # Body: batch convolution, Fig 9 steps 1-2, then bias.
-        fwords = in_shape.feature_size
+        # Body: batch convolution, Fig 9 steps 1-2, then bias.  Operands
+        # every feature repeats are computed once, so the instructions
+        # share their values.
+        in_addrs = [
+            stage_base + g * in_shape.feature_size
+            for g in range(in_shape.count)
+        ]
+        in_size = pack_shape(in_shape.height, in_shape.width)
+        kernel_size = pack_shape(k, k)
         slot = 0
         for f_local in range(home.feature_count):
             feature = home.first_feature + f_local
+            out_addr = pre_base + f_local * out_size
             for i, (g, _) in enumerate(sources_of(feature)):
                 body.append(make(
                     Opcode.NDCONV,
-                    in_addr=stage_base + g * fwords,
+                    in_addr=in_addrs[g],
                     in_port=left,
-                    in_size=pack_shape(in_shape.height, in_shape.width),
+                    in_size=in_size,
                     kernel_addr=kern_base + slot * kwords,
-                    kernel_size=pack_shape(k, k),
+                    kernel_size=kernel_size,
                     stride=spec.stride,
                     pad=spec.pad,
-                    out_addr=pre_base + f_local * out_size,
+                    out_addr=out_addr,
                     out_port=right,
                     is_accum=int(i > 0),
                 ))
@@ -314,7 +322,7 @@ class EngineEmitter:
                 src_addr=bias_base + f_local * out_size,
                 port=right,
                 size=out_size,
-                dst_addr=pre_base + f_local * out_size,
+                dst_addr=out_addr,
             ))
         # Step 4: activation into the home block.
         body.append(make(

@@ -10,31 +10,44 @@ the single definition of a gated access, shared with the engine's
 gating logic), the instructions whose operands are register references
 and so cannot be resolved statically, and every armed tracker range in
 arming order.  The arms are also indexed per port, sorted by address,
-so the arms one access covers are a bisect on their ends plus a walk
-over one contiguous run.  One table serves a whole compile: calibration,
-superop fusion and the program verifier all read it.
+so the arms one access covers are one contiguous run found by two
+bisects (:meth:`AccessTable.covering`).  One table serves a whole
+compile: calibration, superop fusion and the program verifier all read
+it.
 
-:func:`calibrate_trackers` counts the accesses landing in every armed
-range and rewrites each MEMTRACK / DMA_MEMTRACK with the exact
-update/read counts.  Compilers can therefore emit trackers with
-placeholder counts and let the calibration pass finish the job; a
-miscounted tracker becomes impossible by construction.
+:func:`calibrate_trackers` resolves each access's coverage once, after
+it has accepted the arms, and keeps it on the table for fusion; it
+counts the accesses landing in every armed range and rewrites each
+MEMTRACK / DMA_MEMTRACK with the exact update/read counts.  Compilers
+can therefore emit trackers with placeholder counts and let the
+calibration pass finish the job; a miscounted tracker becomes
+impossible by construction.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ProgramError, SimulationError
-from repro.isa.instructions import InstrGroup, Opcode, make
+from repro.isa.instructions import OPCODE_GROUPS, InstrGroup, Opcode, make
 from repro.isa.program import Program
-from repro.sim.machine import Access, instruction_accesses, is_reg_operand
+from repro.sim.machine import (
+    Access, has_register_operand, instruction_accesses,
+)
 
-#: The instruction groups whose operands address scratchpad data.
-_DATA_GROUPS = frozenset((
-    InstrGroup.COARSE, InstrGroup.OFFLOAD, InstrGroup.TRANSFER,
-))
+#: The opcodes whose operands address scratchpad data.
+_DATA_OPCODES = frozenset(
+    op for op, group in OPCODE_GROUPS.items()
+    if group in (InstrGroup.COARSE, InstrGroup.OFFLOAD, InstrGroup.TRANSFER)
+)
+
+#: The coverage code of an access that overlaps no armed range.
+NO_ARM = -1
 
 
 class ArmedRange(NamedTuple):
@@ -68,24 +81,35 @@ class AccessTable:
         self.indirect: List[Tuple[int, int]] = []
         #: Every MEMTRACK / DMA_MEMTRACK, in arming order.
         self.arms: List[ArmedRange] = []
+        #: Per program, the coverage code of each read, and of each
+        #: write, of :attr:`accesses` in order (:meth:`arms_of` reads
+        #: one).  :func:`calibrate_trackers` resolves them once it has
+        #: accepted the arms; None until then.
+        self.read_arms: Optional[List[array]] = None
+        self.write_arms: Optional[List[array]] = None
+        #: The arms of each access that covers more than one, by code.
+        self.several: List[Tuple[int, ...]] = []
         for prog, program in enumerate(self.programs):
             rows = []
             for pc, instr in enumerate(program.instructions):
-                group = instr.group
-                if group is InstrGroup.TRACK:
-                    o = instr.named_operands()
-                    port = (
-                        o["target"] if instr.opcode is Opcode.DMA_MEMTRACK
-                        else o["port"]
-                    )
-                    self.arms.append(
-                        ArmedRange(prog, pc, port, o["addr"], o["size"])
-                    )
-                if any(map(is_reg_operand, instr.operands)):
-                    self.indirect.append((prog, pc))
-                elif group in _DATA_GROUPS:
-                    reads, writes = instruction_accesses(instr)
+                op = instr.opcode
+                if op in _DATA_OPCODES:
+                    try:
+                        reads, writes = instruction_accesses(instr)
+                    except SimulationError:
+                        if not has_register_operand(instr.operands):
+                            raise
+                        self.indirect.append((prog, pc))
+                        continue
                     rows.append((pc, reads, writes))
+                    continue
+                if op is Opcode.MEMTRACK or op is Opcode.DMA_MEMTRACK:
+                    addr, port, size = instr.operands[:3]
+                    if op is Opcode.DMA_MEMTRACK:
+                        port = instr.operands[5]  # target
+                    self.arms.append(ArmedRange(prog, pc, port, addr, size))
+                if has_register_operand(instr.operands):
+                    self.indirect.append((prog, pc))
             self.accesses.append(rows)
         #: Per port: the arms' indices sorted by address, and their
         #: starts and ends in the same order.
@@ -113,13 +137,37 @@ class AccessTable:
         if entry is None:
             return []
         ids, starts, ends = entry
-        end = addr + count
-        i = bisect_right(ends, addr)
-        hit = []
-        while i < len(starts) and starts[i] < end:
-            hit.append(ids[i])
-            i += 1
-        return hit
+        first = bisect_right(ends, addr)
+        return ids[first:bisect_left(starts, addr + count, first)]
+
+    def resolve_coverage(self) -> None:
+        """Resolve :attr:`read_arms` and :attr:`write_arms`: one
+        :meth:`covering` per access, kept as one machine word."""
+        covering = self.covering
+        several = self.several = []
+        self.read_arms, self.write_arms = [], []
+        for rows in self.accesses:
+            for column, per_program in ((1, self.read_arms),
+                                        (2, self.write_arms)):
+                codes = array("l")
+                for port, addr, count in chain.from_iterable(
+                    map(itemgetter(column), rows)
+                ):
+                    hit = covering(port, addr, count)
+                    if len(hit) == 1:
+                        codes.append(hit[0])
+                    elif not hit:
+                        codes.append(NO_ARM)
+                    else:
+                        several.append(tuple(hit))
+                        codes.append(NO_ARM - len(several))
+                per_program.append(codes)
+
+    def arms_of(self, code: int) -> Sequence[int]:
+        """The arms a coverage code names, in address order."""
+        if code >= 0:
+            return (code,)
+        return () if code == NO_ARM else self.several[NO_ARM - 1 - code]
 
 
 def calibrate_trackers(
@@ -135,7 +183,8 @@ def calibrate_trackers(
     programs cannot see (e.g. the injected loss gradient), keyed by
     ``(port, addr)`` of the armed range.  ``table`` is the
     :class:`AccessTable` of ``programs`` when the caller already built
-    one; otherwise one is built here.
+    one; otherwise one is built here.  Once the arms are accepted, each
+    access's coverage is resolved on the table (for fusion) and counted.
 
     Returns the number of trackers calibrated.  Raises
     :class:`ProgramError` if an armed range is empty, if two armed
@@ -181,17 +230,16 @@ def calibrate_trackers(
         )
 
     # Count every planned access against the armed ranges.
+    table.resolve_coverage()
     updates = [0] * len(arms)
     reads = [0] * len(arms)
-    covering = table.covering
-    for rows in table.accesses:
-        for _, row_reads, row_writes in rows:
-            for port, addr, count in row_reads:
-                for i in covering(port, addr, count):
-                    reads[i] += 1
-            for port, addr, count in row_writes:
-                for i in covering(port, addr, count):
-                    updates[i] += 1
+    for counts, per_program in (
+        (reads, table.read_arms), (updates, table.write_arms),
+    ):
+        for codes in per_program:
+            for code, times in Counter(codes).items():
+                for i in table.arms_of(code):
+                    counts[i] += times
 
     for i, arm in enumerate(arms):
         program = table.programs[arm.prog]

@@ -29,9 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import (
-    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.compiler.trackers import AccessTable
 from repro.errors import IRVerificationError, ProgramError
@@ -62,17 +60,6 @@ class MachineShape:
 
     def valid_port(self, port: int) -> bool:
         return port == EXTERNAL_PORT or 0 <= port < self.mem_tiles
-
-
-def _located(table: AccessTable, reads: bool) -> Iterator[
-    Tuple[str, int, int, int, int]
-]:
-    """Every (program, pc, port, addr, words) read, or every write."""
-    which = 1 if reads else 2
-    for program, rows in zip(table.programs, table.accesses):
-        for row in rows:
-            for port, addr, count in row[which]:
-                yield program.tile, row[0], port, addr, count
 
 
 def _merged(
@@ -137,44 +124,64 @@ def verify_programs(
     if table is None:
         table = AccessTable(programs)
     issues: List[Issue] = []
+    valid_port, words = shape.valid_port, shape.words_per_tile
 
-    # 1. Addressing envelope.  Register-indirect instructions are not in
-    # the table: they are checked at execution.
-    for tile, pc, port, addr, count in chain(
-        _located(table, reads=True), _located(table, reads=False)
-    ):
-        if not shape.valid_port(port):
-            issues.append(Issue(tile, pc, f"port {port} does not exist"))
-            continue
-        if port == EXTERNAL_PORT:
-            continue
-        if addr < 0 or addr + count > shape.words_per_tile:
-            issues.append(Issue(
-                tile, pc,
-                f"range [{addr}, {addr + count}) exceeds the "
-                f"{shape.words_per_tile}-word scratchpad of tile {port}",
-            ))
+    # 1. Addressing envelope, reads before writes.  Register-indirect
+    # instructions are not in the table: they are checked at execution.
+    envelope: Tuple[List[Issue], List[Issue]] = ([], [])
+    for program, rows in zip(table.programs, table.accesses):
+        tile = program.tile
+        for pc, row_reads, row_writes in rows:
+            for found, quads in ((envelope[0], row_reads),
+                                 (envelope[1], row_writes)):
+                for port, addr, count in quads:
+                    if port == EXTERNAL_PORT:
+                        continue
+                    if not valid_port(port):
+                        found.append(Issue(
+                            tile, pc, f"port {port} does not exist"
+                        ))
+                    elif addr < 0 or addr + count > words:
+                        found.append(Issue(
+                            tile, pc,
+                            f"range [{addr}, {addr + count}) exceeds the "
+                            f"{words}-word scratchpad of tile {port}",
+                        ))
+    issues.extend(envelope[0])
+    issues.extend(envelope[1])
 
-    # 2. No reads of never-written scratchpad.
+    # 2. No reads of never-written scratchpad.  Written intervals are
+    # disjoint and apart, so a read one of them holds is fully written.
     written = _merged(chain(
         preloaded, host_writes,
         (
-            (port, addr, count)
-            for _, _, port, addr, count in _located(table, reads=False)
-            if port != EXTERNAL_PORT
+            quad
+            for rows in table.accesses
+            for _, _, row_writes in rows
+            for quad in row_writes
+            if quad[0] != EXTERNAL_PORT
         ),
     ))
-    for tile, pc, port, addr, count in _located(table, reads=True):
-        if port == EXTERNAL_PORT:
-            continue
-        missing, first = _unwritten(*written.get(port, ([], [])),
-                                    addr, count)
-        if missing:
-            issues.append(Issue(
-                tile, pc,
-                f"reads {missing} never-written word(s) of tile "
-                f"{port} starting at {first}",
-            ))
+    nowhere: Tuple[List[int], List[int]] = ([], [])
+    for program, rows in zip(table.programs, table.accesses):
+        for pc, row_reads, _ in rows:
+            for port, addr, count in row_reads:
+                if port == EXTERNAL_PORT:
+                    continue
+                starts, ends = written.get(port, nowhere)
+                i = bisect_right(ends, addr)
+                if (
+                    i < len(starts) and starts[i] <= addr
+                    and addr + count <= ends[i]
+                ):
+                    continue
+                missing, first = _unwritten(starts, ends, addr, count)
+                if missing:
+                    issues.append(Issue(
+                        program.tile, pc,
+                        f"reads {missing} never-written word(s) of tile "
+                        f"{port} starting at {first}",
+                    ))
 
     # 3. Every arm names a scratchpad range the engine can track.  A
     # negative immediate carries the register flag but is no register.

@@ -207,16 +207,22 @@ class Instruction:
         return f"{text}  ; {self.comment}" if self.comment else text
 
 
+#: Per opcode, its operand names in signature order and as a set.
+_SIGNATURES = {
+    op: (names, frozenset(names)) for op, names in OPERAND_NAMES.items()
+}
+
+
 def make(opcode: Opcode, comment: str = "", **operands: int) -> Instruction:
     """Build an instruction from keyword operands, in signature order."""
-    names = OPERAND_NAMES[opcode]
-    missing = [n for n in names if n not in operands]
-    extra = [n for n in operands if n not in names]
-    if missing or extra:
+    names, expected = _SIGNATURES[opcode]
+    if operands.keys() != expected:
+        missing = [n for n in names if n not in operands]
+        extra = [n for n in operands if n not in expected]
         raise ProgramError(
             f"{opcode.value}: missing operands {missing}, "
             f"unexpected {extra}; signature is {names}"
         )
     return Instruction(
-        opcode, tuple(int(operands[n]) for n in names), comment
+        opcode, tuple([int(operands[n]) for n in names]), comment
     )

@@ -13,6 +13,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from repro.errors import ProgramError
 from repro.isa.instructions import (
     NUM_REGISTERS,
+    OPCODE_GROUPS,
     Instruction,
     InstrGroup,
     Opcode,
@@ -25,6 +26,23 @@ BRANCH_OPCODES = frozenset({Opcode.BEQZ, Opcode.BNEZ, Opcode.BGTZ,
 
 #: Operand names that denote register indices (for validation).
 _REGISTER_OPERANDS = frozenset({"rd", "rs", "rs1", "rs2"})
+
+#: What :meth:`Program.validate` checks per opcode: the positions of its
+#: register operands and of its branch offset (None if it has none).
+#: Only scalar opcodes name registers, and only branches carry offsets;
+#: every other opcode is absent.
+_CHECKED_OPERANDS = {
+    op: (
+        tuple(i for i, name in enumerate(names)
+              if name in _REGISTER_OPERANDS),
+        names.index("offset") if op in BRANCH_OPCODES else None,
+    )
+    for op, names in OPERAND_NAMES.items()
+    if op in BRANCH_OPCODES or _REGISTER_OPERANDS.intersection(names)
+}
+assert all(
+    OPCODE_GROUPS[op] is InstrGroup.SCALAR for op in _CHECKED_OPERANDS
+)
 
 
 @dataclass(frozen=True)
@@ -106,8 +124,8 @@ class Program:
         """Check structural well-formedness.
 
         Raises :class:`ProgramError` on: empty program, missing HALT,
-        branch offsets leaving the program, or register indices out of
-        range.
+        a branch target naming no instruction of the program, or
+        register indices out of range.
         """
         if not self.instructions:
             raise ProgramError(f"program for {self.tile} is empty")
@@ -116,22 +134,25 @@ class Program:
                 f"program for {self.tile} must end with HALT, ends with "
                 f"{self.instructions[-1].opcode.value}"
             )
+        length = len(self.instructions)
         for pc, instr in enumerate(self.instructions):
-            names = OPERAND_NAMES[instr.opcode]
-            for name, value in zip(names, instr.operands):
-                if name in _REGISTER_OPERANDS and not (
-                    0 <= value < NUM_REGISTERS
-                ):
+            checked = _CHECKED_OPERANDS.get(instr.opcode)
+            if checked is None:
+                continue
+            registers, offset = checked
+            for i in registers:
+                value = instr.operands[i]
+                if not 0 <= value < NUM_REGISTERS:
                     raise ProgramError(
                         f"{self.tile} pc={pc}: register r{value} out of "
                         f"range in {instr}"
                     )
-            if instr.opcode in BRANCH_OPCODES:
-                target = pc + 1 + instr.operand("offset")
-                if not 0 <= target <= len(self.instructions):
+            if offset is not None:
+                target = pc + 1 + instr.operands[offset]
+                if not 0 <= target < length:
                     raise ProgramError(
                         f"{self.tile} pc={pc}: branch target {target} "
-                        f"outside program of length {len(self.instructions)}"
+                        f"outside program of length {length}"
                     )
 
     # ------------------------------------------------------------------

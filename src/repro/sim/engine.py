@@ -42,6 +42,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -69,6 +70,7 @@ from repro.sim.machine import (
     check_code,
     check_stride,
     check_window,
+    has_register_operand,
     instruction_accesses,
     is_reg_operand,
     unpack_shape,
@@ -183,8 +185,8 @@ class _Decoded:
     and a closure ``fn`` performing the instruction.  Entries the
     decoder leaves undecoded (``fn is None``) — scalar control,
     register-indirect operands, an instruction whose decode raises, a
-    superop member — run through :meth:`Engine._execute` when they
-    issue.
+    superop member a jump lands on — run through
+    :meth:`Engine._execute` when they issue.
 
     A superop entry (``sup`` given) is a fused run of ``count``
     instructions placed at the run's first pc.  Its runs are the
@@ -231,6 +233,24 @@ class _Decoded:
     def __str__(self) -> str:
         """The execution-trace text: the instruction, or the superop."""
         return self.tag.name if self.instr is None else str(self.instr)
+
+
+#: The op-table entry at each member pc of a superop but its first:
+#: never dispatched unless a jump lands there, when :meth:`Engine.run`
+#: decodes the member through :meth:`Engine._execute`.
+_MEMBER = object()
+
+
+#: Per opcode, a getter of its operands but the addresses: the cost of
+#: an instruction does not depend on where its data lives, so they key
+#: a superop's memo of its members' costs (:meth:`Engine._cost`).
+_COST_KEYS = {
+    op: itemgetter(*(
+        i for i, name in enumerate(names) if not name.endswith("addr")
+    ))
+    for op, names in OPERAND_NAMES.items()
+    if any(not name.endswith("addr") for name in names)
+}
 
 
 class _Block(NamedTuple):
@@ -747,13 +767,13 @@ class Engine:
 
     def _decode_fused(self, tile: CompTile) -> Optional[List[_Decoded]]:
         """Build the fused op table: one superop entry per superop at
-        its first pc, undecoded sentinels at the member pcs it jumps
-        over (never dispatched; :meth:`_execute` decodes one if a jump
-        ever reaches it), and the normal full decode everywhere else.
-        Returns None when a superop doesn't validate against this
-        program — the caller falls back to the per-instruction table,
-        and the refusal is counted in ``engine.fallback`` as
-        ``superop.<kind>:<error type>``."""
+        its first pc, the shared :data:`_MEMBER` marker at the member
+        pcs it jumps over (:meth:`run` decodes a member through
+        :meth:`_execute` if a jump ever reaches one), and the normal
+        full decode everywhere else.  Returns None when a superop
+        doesn't validate against this program — the caller falls back to
+        the per-instruction table, and the refusal is counted in
+        ``engine.fallback`` as ``superop.<kind>:<error type>``."""
         instrs = tile.program.instructions
         n = len(instrs)
         entries: List[Optional[_Decoded]] = [None] * n
@@ -770,18 +790,25 @@ class Engine:
                     f"superop.{sup.kind}", type(exc).__name__
                 )
                 return None
-            for pc in range(sup.start + 1, sup.end):
-                entries[pc] = _Decoded(instrs[pc])
+            entries[sup.start + 1:sup.end] = [_MEMBER] * (
+                sup.end - sup.start - 1
+            )
         for pc in range(n):
             if entries[pc] is None:
                 entries[pc] = self._decode_instr(instrs[pc], tile.tile_id)
         return entries
 
     def _build_super(self, sup, instrs, tile: CompTile) -> _Decoded:
-        cost = sum(
-            self._cost(instr.opcode, instr.named_operands())
-            for instr in instrs[sup.start:sup.end]
-        )
+        # Price each distinct opcode and non-address operands once.
+        costs: Dict[tuple, int] = {}
+        cost = 0
+        for instr in instrs[sup.start:sup.end]:
+            op = instr.opcode
+            key = (op, _COST_KEYS.get(op, tuple)(instr.operands))
+            member = costs.get(key)
+            if member is None:
+                member = costs[key] = self._cost(op, instr.named_operands())
+            cost += member
         reads = self._runs(sup.external_reads)
         writes = self._runs(sup.external_writes)
         expire = tuple(
@@ -953,7 +980,7 @@ class Engine:
         Any other exception is an engine bug and surfaces here."""
         if instr.group is InstrGroup.SCALAR:
             reason = "scalar-control"
-        elif any(is_reg_operand(v) for v in instr.operands):
+        elif has_register_operand(instr.operands):
             reason = "register-indirect"
         else:
             try:
@@ -1050,7 +1077,7 @@ class Engine:
 
         if op is Opcode.NDACTFN:
             fn_act = check_code(
-                op, o, "fn_type", _CODE_TO_ACT, "an activation"
+                op, "fn_type", o["fn_type"], _CODE_TO_ACT, "an activation"
             )
             size, in_addr, out_addr = o["size"], o["in_addr"], o["out_addr"]
             rd = self._reader(o["port"])
@@ -1070,7 +1097,7 @@ class Engine:
             # act values live at err_addr + size), writing the masked
             # error to out_addr.
             fn_act = check_code(
-                op, o, "fn_type", _CODE_TO_ACT, "an activation"
+                op, "fn_type", o["fn_type"], _CODE_TO_ACT, "an activation"
             )
             size, err_addr, out_addr = o["size"], o["err_addr"], o["out_addr"]
             act_addr = err_addr + size
@@ -1088,7 +1115,9 @@ class Engine:
             return entry(actbp)
 
         if op is Opcode.NDSUBSAMP:
-            mode = check_code(op, o, "samp_type", CODE_TO_SAMP, "a sampling")
+            mode = check_code(
+                op, "samp_type", o["samp_type"], CODE_TO_SAMP, "a sampling"
+            )
             h, w = unpack_shape(o["in_size"])
             window, stride = o["window"], o["stride"]
             in_addr, out_addr = o["in_addr"], o["out_addr"]
@@ -1106,7 +1135,8 @@ class Engine:
 
         if op is Opcode.NDUPSAMP:
             mode = check_code(
-                op, o, "samp_type", UPSAMP_MODES, "an up-sampling"
+                op, "samp_type", o["samp_type"], UPSAMP_MODES,
+                "an up-sampling",
             )
             h, w = unpack_shape(o["in_size"])  # error extent (small side)
             out_h, out_w = _upsampled(o)
@@ -1306,6 +1336,8 @@ class Engine:
                     slot.polled = rounds
                     pc = tile.pc
                     entry = slot.entries[pc]
+                    if entry is _MEMBER:  # a jump into a fused run
+                        entry = _Decoded(tile.program.instructions[pc])
                     tile.pc = pc + entry.count
                     start_cycle = tile.cycles
                     op = (

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -266,12 +268,10 @@ def check_stride(what: str, stride: int) -> None:
         raise SimulationError(f"{what} stride={stride}: must be >= 1")
 
 
-def check_code(
-    op: Opcode, o: Dict[str, int], name: str, codes: dict, what: str
-):
-    """The meaning of code operand ``name``; a code outside ``codes``
-    raises :class:`SimulationError` naming the opcode and operand."""
-    value = o[name]
+def check_code(op: Opcode, name: str, value: int, codes: dict, what: str):
+    """The meaning of ``value``, code operand ``name`` of an ``op``; a
+    code outside ``codes`` raises :class:`SimulationError` naming the
+    opcode and operand."""
     if value not in codes:
         raise SimulationError(
             f"{op.value} {name}={value}: not {what} code {sorted(codes)}"
@@ -287,6 +287,13 @@ def check_window(what: str, window: int, limit: int, why: str) -> None:
         raise SimulationError(
             f"{what} window={window}: must be 1..{limit} {why}"
         )
+
+
+def has_register_operand(operands: Tuple[int, ...]) -> bool:
+    """Whether any operand carries the register flag (every negative
+    immediate does too): bit 30 of the operands' OR is set exactly when
+    it is set in one of them."""
+    return bool(reduce(or_, operands, 0) & REG_OPERAND_FLAG)
 
 
 def instruction_accesses(
@@ -307,84 +314,91 @@ def instruction_accesses(
     or its stride (NDUPSAMP's max and avg modes), raises
     :class:`SimulationError` naming the opcode and operand: the access
     table, calibration and the engine's decoder refuse it alike.
+
+    Operands are unpacked by position, in :data:`OPERAND_NAMES` order.
     """
     op = instr.opcode
-    o = instr.named_operands()
-    if any(is_reg_operand(v) for v in instr.operands):
+    operands = instr.operands
+    if has_register_operand(operands):
         raise SimulationError(
             f"{op.value} uses register-indirect operands; accesses are "
             "only known at execution time"
         )
-    if "stride" in o:  # NDCONV, NDSUBSAMP, NDUPSAMP
-        check_stride(op.value, o["stride"])
-    reads: List[Access] = []
-    writes: List[Access] = []
-
     if op is Opcode.NDCONV:
-        h, w = unpack_shape(o["in_size"])
-        k, _ = unpack_shape(o["kernel_size"])
-        out_h = _conv_out_extent_words(h, k, o["stride"], o["pad"])
-        out_w = _conv_out_extent_words(w, k, o["stride"], o["pad"])
-        reads.append((o["in_port"], o["in_addr"], h * w))
-        reads.append((o["in_port"], o["kernel_addr"], k * k))
-        writes.append((o["out_port"], o["out_addr"], out_h * out_w))
-    elif op is Opcode.MATMUL:
-        rows, cols = unpack_shape(o["in2_size"])
-        _, n = unpack_shape(o["in1_size"])
-        reads.append((o["in1_port"], o["in1_addr"], n))
-        reads.append((o["in2_port"], o["in2_addr"], rows * cols))
-        writes.append((o["out_port"], o["out_addr"], rows))
-    elif op is Opcode.NDACTFN:
-        reads.append((o["port"], o["in_addr"], o["size"]))
-        writes.append((o["out_port"], o["out_addr"], o["size"]))
-    elif op is Opcode.NDACTBP:
-        reads.append((o["port"], o["err_addr"], o["size"]))
-        reads.append((o["port"], o["err_addr"] + o["size"], o["size"]))
-        writes.append((o["out_port"], o["out_addr"], o["size"]))
-    elif op is Opcode.NDSUBSAMP:
-        h, w = unpack_shape(o["in_size"])
-        check_window(
-            op.value, o["window"], min(h, w), f"to fit its {h}x{w} plane"
+        (in_addr, in_port, in_size, kernel_addr, kernel_size, stride, pad,
+         out_addr, out_port, _) = operands
+        check_stride(op.value, stride)
+        h, w = unpack_shape(in_size)
+        k, _ = unpack_shape(kernel_size)
+        out_h = _conv_out_extent_words(h, k, stride, pad)
+        out_w = _conv_out_extent_words(w, k, stride, pad)
+        return (
+            [(in_port, in_addr, h * w), (in_port, kernel_addr, k * k)],
+            [(out_port, out_addr, out_h * out_w)],
         )
-        check_code(op, o, "samp_type", CODE_TO_SAMP, "a sampling")
-        out_h = (h - o["window"]) // o["stride"] + 1
-        out_w = (w - o["window"]) // o["stride"] + 1
-        reads.append((o["port"], o["in_addr"], h * w))
-        writes.append((o["out_port"], o["out_addr"], out_h * out_w))
-    elif op is Opcode.NDUPSAMP:
-        h, w = unpack_shape(o["in_size"])
-        stride, samp = o["stride"], o["samp_type"]
-        mode = check_code(
-            op, o, "samp_type", UPSAMP_MODES, "an up-sampling"
+    if op is Opcode.DMALOAD or op is Opcode.DMASTORE:
+        src_addr, src_port, dst_addr, dst_port, size, _ = operands
+        return [(src_port, src_addr, size)], [(dst_port, dst_addr, size)]
+    if op is Opcode.NDACCUM:
+        src_addr, port, size, dst_addr = operands
+        return [(port, src_addr, size)], [(port, dst_addr, size)]
+    if op is Opcode.MATMUL:
+        (in1_addr, in1_port, in1_size, in2_addr, in2_port, in2_size,
+         out_addr, out_port, _) = operands
+        rows, cols = unpack_shape(in2_size)
+        _, n = unpack_shape(in1_size)
+        return (
+            [(in1_port, in1_addr, n), (in2_port, in2_addr, rows * cols)],
+            [(out_port, out_addr, rows)],
         )
+    if op is Opcode.NDACTFN:
+        _, in_addr, port, size, out_addr, out_port = operands
+        return [(port, in_addr, size)], [(out_port, out_addr, size)]
+    if op is Opcode.NDACTBP:
+        _, err_addr, port, size, out_addr, out_port = operands
+        return (
+            [(port, err_addr, size), (port, err_addr + size, size)],
+            [(out_port, out_addr, size)],
+        )
+    if op is Opcode.NDSUBSAMP:
+        (samp, in_addr, port, in_size, window, stride, out_addr,
+         out_port) = operands
+        check_stride(op.value, stride)
+        h, w = unpack_shape(in_size)
+        check_window(op.value, window, min(h, w), f"to fit its {h}x{w} plane")
+        check_code(op, "samp_type", samp, CODE_TO_SAMP, "a sampling")
+        out_h = (h - window) // stride + 1
+        out_w = (w - window) // stride + 1
+        return [(port, in_addr, h * w)], [(out_port, out_addr, out_h * out_w)]
+    if op is Opcode.NDUPSAMP:
+        (samp, in_addr, port, in_size, window, stride, out_addr,
+         out_port) = operands
+        check_stride(op.value, stride)
+        h, w = unpack_shape(in_size)
+        mode = check_code(op, "samp_type", samp, UPSAMP_MODES, "an up-sampling")
         if mode is not None:
             check_window(
-                f"{op.value} samp_type={samp}", o["window"], stride,
+                f"{op.value} samp_type={samp}", window, stride,
                 f"(the stride) to spread {mode.value} windows",
             )
-        reads.append((o["port"], o["in_addr"], h * w))
+        reads = [(port, in_addr, h * w)]
         if samp == UPSAMP_ZERO_INSERT:
             out = ((h - 1) * stride + 1) * ((w - 1) * stride + 1)
         else:
             out = h * stride * w * stride
             if mode is PoolMode.MAX:  # max routing reads the original
-                reads.append((o["port"], o["in_addr"] + h * w, out))
-        writes.append((o["out_port"], o["out_addr"], out))
-    elif op is Opcode.NDACCUM:
-        reads.append((o["port"], o["src_addr"], o["size"]))
-        writes.append((o["port"], o["dst_addr"], o["size"]))
-    elif op is Opcode.VECMUL:
-        reads.append((o["port"], o["in1_addr"], o["size"]))
-        reads.append((o["port"], o["in2_addr"], o["size"]))
-        writes.append((o["port"], o["out_addr"], o["size"]))
-    elif op is Opcode.WUPDATE:
-        reads.append((o["port"], o["grad_addr"], o["size"]))
-        writes.append((o["port"], o["weight_addr"], o["size"]))
-    elif op in (Opcode.DMALOAD, Opcode.DMASTORE):
-        reads.append((o["src_port"], o["src_addr"], o["size"]))
-        writes.append((o["dst_port"], o["dst_addr"], o["size"]))
-    elif op is Opcode.PREFETCH:
-        writes.append((o["dst_port"], o["dst_addr"], o["size"]))
-    return reads, writes
-
-
+                reads.append((port, in_addr + h * w, out))
+        return reads, [(out_port, out_addr, out)]
+    if op is Opcode.VECMUL:
+        in1_addr, in2_addr, port, size, out_addr = operands
+        return (
+            [(port, in1_addr, size), (port, in2_addr, size)],
+            [(port, out_addr, size)],
+        )
+    if op is Opcode.WUPDATE:
+        weight_addr, grad_addr, port, size, _, _ = operands
+        return [(port, grad_addr, size)], [(port, weight_addr, size)]
+    if op is Opcode.PREFETCH:
+        _, dst_addr, dst_port, size = operands
+        return [], [(dst_port, dst_addr, size)]
+    return [], []

@@ -124,7 +124,8 @@ class ValidationRow:
     compresses stall rounds, so the fused makespan is an execution-mode
     artifact, not a hardware estimate).  The fused path runs too: its outputs
     must be bit-identical (``fused_identical``) and its makespan is
-    recorded as ``fused_cycles``."""
+    recorded as ``fused_cycles``.  ``compile_seconds`` (the compile) and
+    ``engine_seconds`` (the fused run) are wall-clock times."""
 
     network: str
     engine_cycles: int
@@ -132,6 +133,7 @@ class ValidationRow:
     instructions: int
     max_abs_error: float = 0.0
     engine_seconds: float = 0.0
+    compile_seconds: float = 0.0
     status: str = "ok"  # ok | skipped
     reason: str = ""
     fused_cycles: int = 0
@@ -215,7 +217,9 @@ def engine_forward_cycles(
     reproduced the unfused outputs bit-for-bit."""
     analytical = analytical_forward_cycles(net, rows)
     model = ReferenceModel(net, seed=seed)
+    start = time.perf_counter()
     compiled = compile_dag_forward(net, model, rows=rows)
+    compile_seconds = time.perf_counter() - start
     image = _random_image(net, seed)
     start = time.perf_counter()
     fused_out, fused_report = compiled.run(image)
@@ -233,6 +237,7 @@ def engine_forward_cycles(
         instructions=report.instructions,
         max_abs_error=max_abs_error,
         engine_seconds=elapsed,
+        compile_seconds=compile_seconds,
         fused_cycles=fused_report.cycles,
         fused_identical=bool(np.array_equal(fused_out, out)),
     )
@@ -423,6 +428,7 @@ class ValidationReport:
                     "instructions": r.instructions,
                     "max_abs_error": r.max_abs_error,
                     "engine_seconds": r.engine_seconds,
+                    "compile_seconds": r.compile_seconds,
                     "fused_cycles": r.fused_cycles,
                     "fused_identical": r.fused_identical,
                 }

@@ -10,6 +10,7 @@ of bounds) must leave every word bit for bit where per-instruction
 execution leaves it, or raise a :class:`SimulationError` in both modes.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -86,10 +87,16 @@ def load_runs(draw):
     return moves
 
 
-def _program(moves) -> Program:
+def _program(moves, skip=None) -> Program:
+    """One ``load_run`` over ``moves``.  With ``skip``, a leading BRANCH
+    jumps over the run's first ``skip`` moves, onto a member pc."""
+    lead = 0 if skip is None else 1
     prog = Program(tile="t", superops=(SuperOp(
-        "load_run", 0, len(moves), params=(("dmas", tuple(moves)),),
+        "load_run", lead, lead + len(moves),
+        params=(("dmas", tuple(moves)),),
     ),))
+    if skip is not None:
+        prog.append(make(Opcode.BRANCH, offset=skip))
     for src_port, src, dst_port, dst, size, accum in moves:
         prog.append(make(
             Opcode.DMALOAD, src_addr=src, src_port=src_port, dst_addr=dst,
@@ -143,6 +150,41 @@ class TestAgainstSingleMoves:
             hist = tel.metrics.histogram("engine.dma", "transfer_bytes")
             assert hist.count == len(moves)
             assert tel.counters.get("tile/t", "dma_bytes") == 4 * 23
+
+
+class TestBranchIntoRun:
+    """A jump onto a superop's member pc runs the members from there one
+    instruction at a time, as the unfused program does."""
+
+    MOVES = [(0, 100 + 4 * k, 1, 200 + 8 * k, 4, k % 2) for k in range(6)]
+
+    @staticmethod
+    def run(skip, fused):
+        rng = np.random.default_rng(skip)
+        machine = Machine(conv_chip(), 3, 1)
+        for mem in machine.mem_tiles:
+            mem.words[:FILLED] = rng.normal(0, 1, FILLED)
+        machine.load_program(_program(TestBranchIntoRun.MOVES, skip))
+        engine = Engine(machine, fused=fused)
+        report = engine.run()
+        if fused:  # the run was planned as one superop
+            assert engine._decoded["t"][1].count == len(
+                TestBranchIntoRun.MOVES
+            )
+        words = [
+            hashlib.sha256(mem.words).hexdigest()
+            for mem in machine.mem_tiles
+        ]
+        return report, words
+
+    @pytest.mark.parametrize("skip", [1, 3, 5])
+    def test_same_words_and_report_as_unfused(self, skip):
+        report, words = self.run(skip, fused=True)
+        unfused, unfused_words = self.run(skip, fused=False)
+        assert words == unfused_words
+        assert dataclasses.astuple(report) == dataclasses.astuple(unfused)
+        # BRANCH, the moves after the landing pc, HALT.
+        assert report.instructions == len(self.MOVES) - skip + 2
 
 
 class TestPlan:

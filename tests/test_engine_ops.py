@@ -9,6 +9,7 @@ from repro.dnn.layers import Activation, PoolMode
 from repro.errors import SimulationError
 from repro.functional import tensor_ops as ops
 from repro.isa import Opcode, Program, assemble, make
+from repro.isa.instructions import OPCODE_GROUPS, OPERAND_NAMES, InstrGroup
 from repro.sim.engine import ACT_CODES, SAMP_CODES, Engine
 from repro.sim.machine import Machine, instruction_accesses, pack_shape
 
@@ -321,3 +322,23 @@ class TestMalformedInstructions:
         m.load_program(prog)
         with pytest.raises(SimulationError, match="NDACTFN fn_type=9"):
             Engine(m).run()
+
+
+class TestCostKeys:
+    def test_cost_reads_no_address(self):
+        """A superop prices its members once per distinct non-address
+        operands, which holds only while no cost reads an address."""
+        engine = Engine(machine())
+        for op in Opcode:
+            if OPCODE_GROUPS[op] not in (
+                InstrGroup.COARSE, InstrGroup.OFFLOAD, InstrGroup.TRANSFER,
+            ):
+                continue
+            costs = {
+                engine._cost(op, {
+                    name: addr if name.endswith("addr") else 3
+                    for name in OPERAND_NAMES[op]
+                })
+                for addr in (0, 1000)
+            }
+            assert len(costs) == 1, op

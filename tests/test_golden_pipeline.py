@@ -34,6 +34,7 @@ from repro.dnn import zoo
 from repro.dnn.zoo.engine_proxies import engine_proxy
 from repro.functional.reference import ReferenceModel
 from repro.sim import simulate
+from repro.sim.validation import ENGINE_WEIGHT_LIMIT, VALIDATION_VARIANTS
 
 BASELINE = json.loads(
     (Path(__file__).parent / "data" / "pipeline_baseline.json").read_text()
@@ -59,22 +60,83 @@ SEQUENTIAL_LISTING = {
         "2973e3aafa2c42b292e52674738f4885a8c100ae65b2822642d8d9bb7c011448",
 }
 
-#: Engine proxy -> sha256 of its listing and of the ``repr`` of its
-#: programs' superops: the programs and fusion plans the engine-stream
-#: benchmark compiles, recorded before calibration, fusion and the
-#: verifier shared one access table.
-ENGINE_PROXIES = {
+#: Network of the default ``validate`` set -> sha256 of its listing
+#: and of the ``repr`` of its programs' superops, for the program set
+#: validate compiles (the engine proxy above the engine weight limit).
+#: The three engine-stream proxies were recorded before calibration,
+#: fusion and the verifier shared one access table.
+VALIDATE_PROGRAMS = {
     "AlexNet": (
         "fe2238a52f83aad7ef38f9505f94a47829ed0a8b223da58b28d40ea2c83ec53b",
         "0158757f3736b094582ad9a1f872ca374a0fbba0412428b44d657b5eea8dac11",
+    ),
+    "CNN-S": (
+        "540a15e44ee82cdd9432d884e56b00e55220b306a3f24ffc0f2b45d2b3fc24f4",
+        "008401662c82fc97a4bc00f551038edfb13dde87eb1d388f847e3281c748d66d",
     ),
     "GoogLeNet": (
         "cd633c0f12cf8a46185a6cf8e778877ec61bf0ae59017c174bbd6a164392af32",
         "fad4b63b791c6d3520a429630119c2b1a7e5bc4c99453ccda22a8c83375c1507",
     ),
+    "OF-Acc": (
+        "a48cb4e29f2c5e95d3e165edc1e3494c97d64d74bb0c4e3072eb72276e2b23ec",
+        "3c7ab0c5b6342b029364825ae59bd7cfc8c159cba3095d81c1dac26261a2978b",
+    ),
+    "OF-Fast": (
+        "4bca815a8310bcf9d902b581e4046eb7ec4fdc05eff3eecfd45d9ad66668de3d",
+        "5c18c6b67b82bb89e62efb0956e784b5e5dc97ec9a8a07ed5312722ac910b5eb",
+    ),
     "ResNet18": (
         "147c541e21ef009672f0b15dca8a042f4d4c499cd037e2d889a3e4c4f3f8b229",
         "605a81ca2803c71a26bd74a8842e9c4b05991780fe82656329571a4a80e8d6a4",
+    ),
+    "ResNet34": (
+        "9235871a243573269e3ab8d682046eeca6469f8a3cac9f2278f9ca40c59e4eec",
+        "a99189be3f8c504f83883f75ba10fbc4d46786e888ef6d5b192eadb7a9551e41",
+    ),
+    "VGG-A": (
+        "ed7300cce83dc1c064a910da5d44f40326cc3b091caa06813f6d535c32561c8b",
+        "43566a1ee0131036769193cdff5a662dc06ca4a2255f8ffd1f9e1067b9d52f22",
+    ),
+    "VGG-D": (
+        "7e1189ff43b6384efd0f8fa53c8f3f219697dece5b76dab5e5055bc467ebfba5",
+        "64d3fa8c4aa7079fd5ae84359babed35583bc5a6cfdb7aea89abe75f660317ab",
+    ),
+    "VGG-E": (
+        "a92941d01d75d4ffdd2910ead59f2c417806b96316e441798c2542db4c78ade7",
+        "55812441f0bea85ae13bbb35c08a46c13c2c2401ef27bba2ec4262aa623b944b",
+    ),
+    "ZF": (
+        "7c1b9faa46f858e932db1cabd75d90e128af465bf3ca7f1c9ddc1194148eb974",
+        "727b70feb8c6e5bbff6f44d773a1d53e7c542a30ac7621e31cacefa76b062915",
+    ),
+    "LeNet-5": (
+        "7a70ab5c5b97e55ec95918249302ba8d519a10db48c1305f3057a6a8ff7cb0cd",
+        "595cff7c3fc03b5093d39b82585bce62f074ae592e1ad440bb40f144092b604a",
+    ),
+    "NiN": (
+        "9fe827c56ca7f61669242901eb7dbd990f3058caff62cc81a502e78f8d4f3f22",
+        "da4957b5b58bb62cfd95e24f6f58cb8078f32795ff0d1b4afbcf35a68194d7fe",
+    ),
+    "TinyCNN": (
+        "b02c3f85e9dd11eecb736d20e6069c15cef7892caa1fd0d00dac4e55ec18d76e",
+        "5962ddf4d0d1aba3eda8948df8f31c2dbb1d2005ab57fa2b3bcadc571d35ee27",
+    ),
+    "TinyMLP": (
+        "43ba1caee9bfcbbf176943cf3c9197e7bb7b93fe6d0ebca061f9105605a4a044",
+        "57ecb3f44adb29f9b85ae0d0bc613f54f66f992c625e951a593401233bbc8e07",
+    ),
+    "TinyCNN-8": (
+        "f97ea5c0f7a7af155fc64f79ac11e4c5d3f7ce7621b300751a8a7ae0806b4ca7",
+        "52bd1d167eb9835cc686ba686b4c6abce65ef008368c1a5366f4a560fbede7a9",
+    ),
+    "WideCNN": (
+        "cc4822ecf36aad655e5b7f2bd704482bcdbeced199d8e9fd161250c7bf39e323",
+        "01967ba58d63e532136730156b007322e36a2e39827fe1a900042abea3f12229",
+    ),
+    "DeepCNN": (
+        "20fd632680d31b30c3a617ff53523c65baabef580400e3d5e4807ce373517258",
+        "b0ad6656ce83867cff2d0c0d8bb68a7c374e63c6b39e2be31cf2e6e89ad5410c",
     ),
 }
 
@@ -175,9 +237,14 @@ class TestEngineForwardGolden:
 
 
 class TestEngineProxyGolden:
-    @pytest.mark.parametrize("name", sorted(ENGINE_PROXIES))
+    @pytest.mark.parametrize("name", sorted(VALIDATE_PROGRAMS))
     def test_proxy_programs_and_superops_are_pinned(self, name):
-        net = engine_proxy(name)
+        if name in VALIDATION_VARIANTS:
+            net = VALIDATION_VARIANTS[name]()
+        else:
+            net = zoo.load(name)
+            if net.weight_count > ENGINE_WEIGHT_LIMIT:
+                net = engine_proxy(name)
         programs = compile_dag_forward(
             net, ReferenceModel(net, seed=0)
         ).programs
@@ -185,7 +252,12 @@ class TestEngineProxyGolden:
         assert (
             digest(programs),
             hashlib.sha256(superops.encode()).hexdigest(),
-        ) == ENGINE_PROXIES[name]
+        ) == VALIDATE_PROGRAMS[name]
+
+    def test_pins_cover_the_validate_set(self):
+        assert set(VALIDATE_PROGRAMS) == (
+            set(zoo.available()) | set(VALIDATION_VARIANTS)
+        )
 
 
 class TestEngineTrainingGolden:

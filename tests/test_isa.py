@@ -103,6 +103,14 @@ class TestProgram:
         with pytest.raises(ProgramError):
             prog.validate()
 
+    def test_branch_one_past_the_end(self):
+        """A target equal to the program length names no instruction."""
+        prog = Program(tile="t")
+        prog.append(make(Opcode.BRANCH, offset=1))
+        prog.append(make(Opcode.HALT))
+        with pytest.raises(ProgramError, match="branch target 2"):
+            prog.validate()
+
     def test_register_out_of_range(self):
         prog = Program(tile="t")
         prog.append(make(Opcode.LDRI, rd=NUM_REGISTERS, value=0))
@@ -168,6 +176,10 @@ class TestAssembler:
     def test_forward_label(self):
         prog = assemble("BRANCH offset=@end\nLDRI rd=0, value=0\nend:\nHALT")
         assert prog[0].operand("offset") == 1
+
+    def test_trailing_label_names_no_instruction(self):
+        with pytest.raises(ProgramError, match="branch target 2"):
+            assemble("BRANCH offset=@end\nHALT\nend:\n")
 
     def test_hex_immediates(self):
         prog = assemble("LDRI rd=1, value=0x10\nHALT")

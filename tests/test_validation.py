@@ -238,6 +238,10 @@ class TestValidateZoo:
     def test_speedup_disabled(self, report):
         assert report.speedup is None
 
+    def test_compile_time_recorded(self, report):
+        rows = report.to_dict()["rows"]
+        assert all(row["compile_seconds"] > 0 for row in rows)
+
     def test_oversize_network_runs_its_proxy(self):
         """Networks above ENGINE_WEIGHT_LIMIT engine-execute their
         registered proxy under the canonical name instead of skipping."""
