@@ -14,12 +14,17 @@ additional power and protocol overheads").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.arch.node import NodeConfig
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+# networkx is imported inside the functions that build or query a
+# graph: importing it costs a process about 0.1 s and 13 MB, and most
+# processes (the engine, serving, validate) never build one.
 
 
 def conv_chip_name(cluster: int, index: int) -> str:
@@ -35,6 +40,8 @@ def build_topology(node: NodeConfig) -> nx.Graph:
     Edge attributes: ``kind`` ("arc" | "spoke" | "ring") and
     ``bandwidth`` (bytes/s, from the node configuration).
     """
+    import networkx as nx
+
     graph = nx.Graph()
     cluster = node.cluster
     for c in range(node.cluster_count):
@@ -76,6 +83,8 @@ def build_system_topology(system) -> nx.Graph:
     edges carrying the system's fabric bandwidth.  A 1-node system is
     exactly :func:`build_topology` with the prefix.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     for n in range(system.node_count):
         node_graph = build_topology(system.node)
@@ -103,6 +112,8 @@ def degraded_topology(node: NodeConfig, faults) -> nx.Graph:
     :class:`ConfigError` if the surviving graph is disconnected — a
     partitioned machine cannot run a single training job.
     """
+    import networkx as nx
+
     graph = build_topology(node)
     wheel = node.cluster.conv_chip_count
     for cluster, i in faults.down_arcs:
@@ -146,6 +157,8 @@ def build_fat_tree(
 ) -> nx.Graph:
     """A conventional fat tree over ``leaves`` accelerator chips — the
     DaDianNao-style alternative (Sec 7)."""
+    import networkx as nx
+
     if leaves < 1 or arity < 2:
         raise ConfigError("fat tree needs leaves >= 1 and arity >= 2")
     graph = nx.Graph()
@@ -189,6 +202,8 @@ def _conv_nodes(graph: nx.Graph) -> List[str]:
 
 def profile_topology(graph: nx.Graph, name: str) -> TopologyProfile:
     """Measure the properties the paper's argument uses."""
+    import networkx as nx
+
     conv = _conv_nodes(graph)
     switches = [
         n for n, d in graph.nodes(data=True) if d["kind"] == "switch"
@@ -233,6 +248,8 @@ def bisection_bandwidth(graph: nx.Graph) -> float:
     """Minimum total bandwidth crossing any balanced cut (approximated
     with the weighted minimum edge cut — exact for these small graphs'
     purposes)."""
+    import networkx as nx
+
     cut_value, _ = nx.stoer_wagner(graph, weight="bandwidth")
     return float(cut_value)
 

@@ -29,9 +29,10 @@ bit-identical to per-instruction execution.  Accesses to ranges no
 tracker ever arms are dropped from the gate entirely.  The analysis
 reads the accesses, arms and each access's coverage (resolved by
 calibration) from the lowering's
-:class:`~repro.compiler.trackers.AccessTable`, a span at a time; a set
-with any register-indirect operand is not fused at all, so the
-matchers see immediates only, and read them by position.
+:class:`~repro.compiler.trackers.AccessTable` as whole columns, each
+access tagged with the span holding it; a set with any
+register-indirect operand is not fused at all, so the matchers see
+immediates only, and read them by position.
 
 The pass rewrites no instructions: with fusion off (or an engine that
 ignores superops) the same programs execute unchanged.
@@ -39,25 +40,25 @@ ignores superops) the same programs execute unchanged.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import accumulate, chain, compress
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.compiler.passes.manager import Pass, PassContext, PassStats
 from repro.compiler.ir import MappingIR
-from repro.compiler.trackers import AccessTable
-from repro.isa.instructions import OPERAND_NAMES, Instruction, Opcode
+from repro.compiler.trackers import NO_ARM, Accesses, AccessTable
+from repro.isa.instructions import (
+    DMALOAD, MATMUL, NDACCUM, NDACTFN, NDCONV, NDSUBSAMP, OPERAND_NAMES,
+    Instruction,
+)
 from repro.isa.program import SuperOp
 from repro.sim.machine import Access, unpack_shape
 
-#: Opcodes a superop may cover.  Everything else — scalar/control,
+#: The opcodes a superop may cover.  Everything else — scalar/control,
 #: tracker arms, VECMUL and the other low-count ops — stays on the
 #: per-instruction path.
-_FUSABLE = frozenset((
-    Opcode.DMALOAD, Opcode.NDCONV, Opcode.NDACCUM, Opcode.NDACTFN,
-    Opcode.MATMUL, Opcode.NDSUBSAMP,
-))
+_FUSABLE = frozenset((DMALOAD, NDCONV, NDACCUM, NDACTFN, MATMUL, NDSUBSAMP))
 
 #: Minimum instructions for a run-style superop to be worth the gate.
 _MIN_RUN = 2
@@ -81,7 +82,7 @@ class _Span:
 #: An NDCONV's layout operands: in_port, in_size, kernel_size, stride,
 #: pad and out_port.  A conv block's NDCONVs agree on all of them.
 _conv_layout = itemgetter(*(
-    OPERAND_NAMES[Opcode.NDCONV].index(name) for name in (
+    OPERAND_NAMES[NDCONV].index(name) for name in (
         "in_port", "in_size", "kernel_size", "stride", "pad", "out_port",
     )
 ))
@@ -91,7 +92,7 @@ def _parse_load_run(instrs: Sequence[Instruction], start: int) -> Optional[_Span
     n = len(instrs)
     j = start
     dmas: List[Tuple[int, int, int, int, int, int]] = []
-    while j < n and instrs[j].opcode is Opcode.DMALOAD:
+    while j < n and instrs[j].opcode is DMALOAD:
         src_addr, src_port, dst_addr, dst_port, size, accum = (
             instrs[j].operands
         )
@@ -119,13 +120,11 @@ def _parse_conv_block(
     k, _ = unpack_shape(kern_size)
     out_h = (h + 2 * pad - k) // stride + 1
     out_w = (w + 2 * pad - k) // stride + 1
-    out_size = out_h * out_w
-    if out_size <= 0:
-        return None
+    out_size = out_h * out_w  # >= 1: the table refuses larger kernels
     features: List[List[Tuple[int, int]]] = []
     bias_addrs: List[int] = []
     i = start
-    while i < n and instrs[i].opcode is Opcode.NDCONV:
+    while i < n and instrs[i].opcode is NDCONV:
         operands = instrs[i].operands
         in_addr, _, _, kernel_addr, _, _, _, out_addr, _, accum = operands
         expected_out = pre_base + len(features) * out_size
@@ -136,7 +135,7 @@ def _parse_conv_block(
             return None
         sources = [(in_addr, kernel_addr)]
         i += 1
-        while i < n and instrs[i].opcode is Opcode.NDCONV:
+        while i < n and instrs[i].opcode is NDCONV:
             operands = instrs[i].operands
             in_addr, _, _, kernel_addr, _, _, _, out_addr, _, accum = (
                 operands
@@ -150,7 +149,7 @@ def _parse_conv_block(
                 return None
             sources.append((in_addr, kernel_addr))
             i += 1
-        if i >= n or instrs[i].opcode is not Opcode.NDACCUM:
+        if i >= n or instrs[i].opcode is not NDACCUM:
             return None
         src_addr, port, size, dst_addr = instrs[i].operands
         if port != out_port or dst_addr != expected_out or size != out_size:
@@ -158,9 +157,9 @@ def _parse_conv_block(
         bias_addrs.append(src_addr)
         features.append(sources)
         i += 1
-        if i < n and instrs[i].opcode is Opcode.NDACTFN:
+        if i < n and instrs[i].opcode is NDACTFN:
             break
-    if not features or i >= n or instrs[i].opcode is not Opcode.NDACTFN:
+    if not features or i >= n or instrs[i].opcode is not NDACTFN:
         return None
     fn_type, act_in, port, size, home_addr, home_port = instrs[i].operands
     n_features = len(features)
@@ -207,13 +206,13 @@ def _parse_fc_block(
     if start + 2 >= len(instrs):
         return None
     mm, acc, act = instrs[start], instrs[start + 1], instrs[start + 2]
-    if acc.opcode is not Opcode.NDACCUM or act.opcode is not Opcode.NDACTFN:
+    if acc.opcode is not NDACCUM or act.opcode is not NDACTFN:
         return None
     (vec_addr, vec_port, vec_size, mat_addr, mat_port, mat_size, pre_addr,
      pre_port, accum) = mm.operands
-    rows, cols = unpack_shape(mat_size)
-    _, n = unpack_shape(vec_size)
-    if n != cols or accum:
+    rows, _ = unpack_shape(mat_size)
+    _, n = unpack_shape(vec_size)  # the matrix's width (table-checked)
+    if accum:
         return None
     bias_addr, acc_port, acc_size, acc_dst = acc.operands
     fn_type, act_in, act_port, act_size, home_addr, home_port = act.operands
@@ -239,7 +238,7 @@ def _parse_pool_run(
     n = len(instrs)
     j = start
     planes = []
-    while j < n and instrs[j].opcode is Opcode.NDSUBSAMP:
+    while j < n and instrs[j].opcode is NDSUBSAMP:
         (samp, in_addr, port, in_size, window, stride, out_addr,
          out_port) = instrs[j].operands
         h, w = unpack_shape(in_size)
@@ -289,13 +288,13 @@ def _match_spans(instrs: Sequence[Instruction]) -> List[_Span]:
         op = instr.opcode
         span: Optional[_Span] = None
         if op in _FUSABLE:
-            if op is Opcode.DMALOAD:
+            if op is DMALOAD:
                 span = _parse_load_run(instrs, i)
-            elif op is Opcode.NDCONV:
+            elif op is NDCONV:
                 span = _parse_conv_block(instrs, i)
-            elif op is Opcode.MATMUL:
+            elif op is MATMUL:
                 span = _parse_fc_block(instrs, i)
-            elif op is Opcode.NDSUBSAMP:
+            elif op is NDSUBSAMP:
                 span = _parse_pool_run(instrs, i)
         if span is not None:
             spans.append(span)
@@ -308,30 +307,21 @@ def _match_spans(instrs: Sequence[Instruction]) -> List[_Span]:
 # ---------------------------------------------------------------------------
 # Externality analysis
 # ---------------------------------------------------------------------------
-def _blocks(table: AccessTable, pi: int, spans: Sequence[_Span]):
-    """Program ``pi``'s access rows a block at a time: each span's rows,
-    and the rows between spans.  Yields ``(span index or None, rows,
-    read codes, write codes)``: a block's rows are contiguous, in pc
-    order, and so are the coverage codes of their reads and writes."""
-    rows = table.accesses[pi]
-    pcs = list(map(itemgetter(0), rows))
-    read_at = [0, *accumulate(map(len, map(itemgetter(1), rows)))]
-    write_at = [0, *accumulate(map(len, map(itemgetter(2), rows)))]
-    bounds = []
-    row = 0
-    for si, span in enumerate(spans):
-        lo = bisect_left(pcs, span.start, row)
-        hi = bisect_left(pcs, span.end, lo)
-        bounds += [(None, row, lo), (si, lo, hi)]
-        row = hi
-    bounds.append((None, row, len(rows)))
-    reads, writes = table.read_arms[pi], table.write_arms[pi]
-    for si, lo, hi in bounds:
-        if lo < hi:
-            yield (
-                si, rows[lo:hi], reads[read_at[lo]:read_at[hi]],
-                writes[write_at[lo]:write_at[hi]],
-            )
+def _span_of(accesses: Accesses, spans_by_prog) -> np.ndarray:
+    """Per access, the index of the span of its program holding its
+    pc, or -1."""
+    span = np.full(len(accesses.pc), -1, np.int64)
+    for pi, spans in enumerate(spans_by_prog):
+        lo, hi = accesses.at[pi], accesses.at[pi + 1]
+        if not spans or lo == hi:
+            continue
+        pcs = accesses.pc[lo:hi]
+        starts = np.array([s.start for s in spans], np.int64)
+        ends = np.array([s.end for s in spans], np.int64)
+        si = np.searchsorted(starts, pcs, "right") - 1
+        inside = (si >= 0) & (pcs < ends[si])
+        span[lo:hi] = np.where(inside, si, -1)
+    return span
 
 
 def _annotate_superops(table: AccessTable) -> int:
@@ -346,25 +336,37 @@ def _annotate_superops(table: AccessTable) -> int:
         return 0  # register-indirect operands: cannot analyze
     programs = table.programs
     arms = table.arms
-    arms_of = table.arms_of
     spans_by_prog = [_match_spans(prog.instructions) for prog in programs]
+    kinds = (table.reads, table.writes)
+    codes = (table.read_arms, table.write_arms)
+    spans = [_span_of(accesses, spans_by_prog) for accesses in kinds]
 
     # Pass 1: every data access marks each armed range it overlaps as
     # internal (same program, inside a span) or external.  An arm's
     # last span is the latest span of its program that touches it.
-    internal = [True] * len(arms)
-    last_span: List[Optional[int]] = [None] * len(arms)
-    for pi, spans in enumerate(spans_by_prog):
-        for si, _, reads, writes in _blocks(table, pi, spans):
-            for code in set(reads).union(writes):
-                for a in arms_of(code):
-                    if si is None or arms[a].prog != pi:
-                        internal[a] = False
-                    else:
-                        last_span[a] = si
+    # Each (access, arm) pair: an access covering one arm is one pair,
+    # and one covering several (a rare code) is expanded.
+    arm_of, prog_of, span_of = [], [], []
+    for accesses, code, span in zip(kinds, codes, spans):
+        one = code >= 0
+        arm_of.append(code[one])
+        prog_of.append(accesses.prog[one])
+        span_of.append(span[one])
+        for i in np.flatnonzero(code < NO_ARM).tolist():
+            covered = table.arms_of(int(code[i]))
+            arm_of.append(np.array(covered, np.int64))
+            prog_of.append(np.full(len(covered), accesses.prog[i]))
+            span_of.append(np.full(len(covered), span[i]))
+    arm_of, prog_of, span_of = map(np.concatenate, (arm_of, prog_of, span_of))
+    arm_prog = np.array([arm.prog for arm in arms], np.int64)
+    own = (span_of >= 0) & (arm_prog[arm_of] == prog_of)
+    internal = np.ones(len(arms), bool)
+    internal[arm_of[~own]] = False
+    last_span = np.full(len(arms), -1, np.int64)
+    np.maximum.at(last_span, arm_of[own], span_of[own])
     expires: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-    for arm, inside, last in zip(arms, internal, last_span):
-        if inside and last is not None:
+    for arm, inside, last in zip(arms, internal.tolist(), last_span.tolist()):
+        if inside and last >= 0:
             expires.setdefault((arm.prog, last), []).append(
                 (arm.port, arm.addr, arm.size)
             )
@@ -372,37 +374,33 @@ def _annotate_superops(table: AccessTable) -> int:
     # Pass 2: build the external quad lists and expire sets per span.
     # A quad over internal ranges is expired at its span's end, and one
     # over ranges no tracker ever arms is dropped.
+    external: List[Dict[Tuple[int, int], Tuple[Access, ...]]] = []
+    for accesses, code, span in zip(kinds, codes, spans):
+        ext = code >= 0
+        ext[ext] = ~internal[code[ext]]
+        for i in np.flatnonzero(code < NO_ARM).tolist():
+            ext[i] = not internal[list(table.arms_of(int(code[i])))].all()
+        at = np.flatnonzero(ext & (span >= 0))
+        quads = accesses.quads(at)
+        keys = list(zip(accesses.prog[at].tolist(), span[at].tolist()))
+        cuts = [0, *(np.flatnonzero(
+            np.diff(accesses.prog[at]) | np.diff(span[at])
+        ) + 1).tolist(), len(at)]
+        external.append({
+            keys[lo]: tuple(quads[lo:hi])
+            for lo, hi in zip(cuts, cuts[1:]) if lo < hi
+        })
+    ext_reads, ext_writes = external
     fused_instrs = 0
     for pi, prog in enumerate(programs):
-        spans = spans_by_prog[pi]
-        if not spans:
-            prog.superops = ()
-            continue
-        ext_reads: List[Tuple[Access, ...]] = [()] * len(spans)
-        ext_writes: List[Tuple[Access, ...]] = [()] * len(spans)
-        for si, rows, reads, writes in _blocks(table, pi, spans):
-            if si is None:
-                continue
-            external = {
-                code for code in set(reads).union(writes)
-                if not all(internal[a] for a in arms_of(code))
-            }
-            if external:
-                for column, codes, out in (
-                    (1, reads, ext_reads), (2, writes, ext_writes),
-                ):
-                    out[si] = tuple(compress(
-                        chain.from_iterable(map(itemgetter(column), rows)),
-                        map(external.__contains__, codes),
-                    ))
         superops = []
-        for si, span in enumerate(spans):
+        for si, span in enumerate(spans_by_prog[pi]):
             superops.append(SuperOp(
                 kind=span.kind,
                 start=span.start,
                 end=span.end,
-                external_reads=ext_reads[si],
-                external_writes=ext_writes[si],
+                external_reads=ext_reads.get((pi, si), ()),
+                external_writes=ext_writes.get((pi, si), ()),
                 expire=tuple(sorted(expires.get((pi, si), ()))),
                 params=tuple(sorted(span.params.items())),
             ))

@@ -54,7 +54,7 @@ from repro.dnn.layers import (
 )
 from repro.dnn.network import LayerNode
 from repro.errors import MappingError
-from repro.isa.instructions import Instruction, Opcode, make
+from repro.isa.instructions import NDCONV, Instruction, Opcode, make
 from repro.isa.program import Program
 from repro.sim.engine import (
     ACT_CODES,
@@ -291,32 +291,28 @@ class EngineEmitter:
 
         # Body: batch convolution, Fig 9 steps 1-2, then bias.  Operands
         # every feature repeats are computed once, so the instructions
-        # share their values.
+        # share their values.  The NDCONVs, nearly every instruction of
+        # a compile, are built from Python ints in OPERAND_NAMES order,
+        # without make()'s keyword round trip.
         in_addrs = [
-            stage_base + g * in_shape.feature_size
+            int(stage_base + g * in_shape.feature_size)
             for g in range(in_shape.count)
         ]
         in_size = pack_shape(in_shape.height, in_shape.width)
         kernel_size = pack_shape(k, k)
-        slot = 0
+        in_port, out_port = int(left), int(right)
+        stride, pad, kwords = int(spec.stride), int(spec.pad), int(kwords)
+        kernel_addr = int(kern_base)
         for f_local in range(home.feature_count):
             feature = home.first_feature + f_local
-            out_addr = pre_base + f_local * out_size
+            out_addr = int(pre_base + f_local * out_size)
             for i, (g, _) in enumerate(sources_of(feature)):
-                body.append(make(
-                    Opcode.NDCONV,
-                    in_addr=in_addrs[g],
-                    in_port=left,
-                    in_size=in_size,
-                    kernel_addr=kern_base + slot * kwords,
-                    kernel_size=kernel_size,
-                    stride=spec.stride,
-                    pad=spec.pad,
-                    out_addr=out_addr,
-                    out_port=right,
-                    is_accum=int(i > 0),
-                ))
-                slot += 1
+                body.append(Instruction(NDCONV, (
+                    in_addrs[g], in_port, in_size, kernel_addr,
+                    kernel_size, stride, pad, out_addr, out_port,
+                    int(i > 0),
+                )))
+                kernel_addr += kwords
             body.append(make(
                 Opcode.NDACCUM,
                 src_addr=bias_base + f_local * out_size,

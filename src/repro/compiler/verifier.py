@@ -16,8 +16,9 @@ this verifier checks whole compiled *sets* against a machine shape, and
 * armed trackers fit the MemHeavy tracker-file capacity per tile.
 
 Program-set checks read the compile's
-:class:`~repro.compiler.trackers.AccessTable`, and record written
-memory as merged intervals per tile, so a read costs one bisect.
+:class:`~repro.compiler.trackers.AccessTable` as whole columns, and
+record written memory as merged intervals per tile, so every read of a
+tile is checked by one binary search over them.
 
 The code generators run it as a back-end gate: a program set that
 passes cannot fault the engine on addressing, and cannot silently read
@@ -28,8 +29,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.compiler.trackers import AccessTable
 from repro.errors import IRVerificationError, ProgramError
@@ -63,25 +65,26 @@ class MachineShape:
 
 
 def _merged(
-    regions: Iterable[Tuple[int, int, int]],
-) -> Dict[int, Tuple[List[int], List[int]]]:
-    """Per port, the written words as sorted, disjoint, non-adjacent
-    intervals: their starts and their ends."""
-    spans: Dict[int, List[Tuple[int, int]]] = {}
-    for port, addr, count in regions:
-        if count > 0:
-            spans.setdefault(port, []).append((addr, addr + count))
-    merged: Dict[int, Tuple[List[int], List[int]]] = {}
-    for port, intervals in spans.items():
-        intervals.sort()
-        starts, ends = [intervals[0][0]], [intervals[0][1]]
-        for start, end in intervals[1:]:
-            if start <= ends[-1]:
-                ends[-1] = max(ends[-1], end)
-            else:
-                starts.append(start)
-                ends.append(end)
-        merged[port] = (starts, ends)
+    port: np.ndarray, start: np.ndarray, end: np.ndarray,
+) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+    """Per port, the words ``[start, end)`` the regions write, as
+    sorted, disjoint, non-adjacent intervals: their starts and their
+    ends.  Sorted by start, an interval opens where a start passes the
+    running maximum of the ends before it."""
+    keep = end > start
+    order = np.lexsort((end[keep], start[keep], port[keep]))
+    port, start, end = port[keep][order], start[keep][order], end[keep][order]
+    merged: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    if not port.size:
+        return merged
+    bounds = np.flatnonzero(np.diff(port)) + 1
+    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(port)]):
+        starts = start[lo:hi]
+        ends = np.maximum.accumulate(end[lo:hi])
+        opens = np.flatnonzero(starts[1:] > ends[:-1]) + 1
+        merged[int(port[lo])] = (
+            starts[np.r_[0, opens]], ends[np.r_[opens - 1, hi - lo - 1]],
+        )
     return merged
 
 
@@ -119,69 +122,71 @@ def verify_programs(
     build (weights, biases, the input image's home blocks);
     ``host_writes`` lists regions the host injects between phases.
     ``table`` is the :class:`AccessTable` of ``programs`` when the
-    caller already built one; otherwise one is built here.
+    caller already built one; otherwise one is built here.  The checks
+    are array masks over the table's columns: an :class:`Issue` is built
+    only for an access that fails one.
     """
     if table is None:
         table = AccessTable(programs)
     issues: List[Issue] = []
-    valid_port, words = shape.valid_port, shape.words_per_tile
+    words = shape.words_per_tile
+    tiles = [program.tile for program in table.programs]
+    reads, writes = table.reads, table.writes
 
-    # 1. Addressing envelope, reads before writes.  Register-indirect
-    # instructions are not in the table: they are checked at execution.
-    envelope: Tuple[List[Issue], List[Issue]] = ([], [])
-    for program, rows in zip(table.programs, table.accesses):
-        tile = program.tile
-        for pc, row_reads, row_writes in rows:
-            for found, quads in ((envelope[0], row_reads),
-                                 (envelope[1], row_writes)):
-                for port, addr, count in quads:
-                    if port == EXTERNAL_PORT:
-                        continue
-                    if not valid_port(port):
-                        found.append(Issue(
-                            tile, pc, f"port {port} does not exist"
-                        ))
-                    elif addr < 0 or addr + count > words:
-                        found.append(Issue(
-                            tile, pc,
-                            f"range [{addr}, {addr + count}) exceeds the "
-                            f"{words}-word scratchpad of tile {port}",
-                        ))
-    issues.extend(envelope[0])
-    issues.extend(envelope[1])
+    # 1. Addressing envelope: every read's finding, then every write's.
+    # Register-indirect instructions are not in the table: they are
+    # checked at execution.
+    for accesses in (reads, writes):
+        port, addr, count = accesses.port, accesses.addr, accesses.count
+        internal = port != EXTERNAL_PORT
+        no_port = internal & ((port < 0) | (port >= shape.mem_tiles))
+        outside = internal & ((addr < 0) | (addr + count > words))
+        for i in np.flatnonzero(no_port | outside).tolist():
+            tile, pc = tiles[accesses.prog[i]], int(accesses.pc[i])
+            if no_port[i]:
+                issues.append(Issue(
+                    tile, pc, f"port {port[i]} does not exist"
+                ))
+            else:
+                issues.append(Issue(
+                    tile, pc,
+                    f"range [{addr[i]}, {addr[i] + count[i]}) exceeds the "
+                    f"{words}-word scratchpad of tile {port[i]}",
+                ))
 
     # 2. No reads of never-written scratchpad.  Written intervals are
     # disjoint and apart, so a read one of them holds is fully written.
-    written = _merged(chain(
-        preloaded, host_writes,
-        (
-            quad
-            for rows in table.accesses
-            for _, _, row_writes in rows
-            for quad in row_writes
-            if quad[0] != EXTERNAL_PORT
-        ),
-    ))
-    nowhere: Tuple[List[int], List[int]] = ([], [])
-    for program, rows in zip(table.programs, table.accesses):
-        for pc, row_reads, _ in rows:
-            for port, addr, count in row_reads:
-                if port == EXTERNAL_PORT:
-                    continue
-                starts, ends = written.get(port, nowhere)
-                i = bisect_right(ends, addr)
-                if (
-                    i < len(starts) and starts[i] <= addr
-                    and addr + count <= ends[i]
-                ):
-                    continue
-                missing, first = _unwritten(starts, ends, addr, count)
-                if missing:
-                    issues.append(Issue(
-                        program.tile, pc,
-                        f"reads {missing} never-written word(s) of tile "
-                        f"{port} starting at {first}",
-                    ))
+    internal = writes.port != EXTERNAL_PORT
+    host = np.array([*preloaded, *host_writes], np.int64).reshape(-1, 3).T
+    written = _merged(
+        np.concatenate((host[0], writes.port[internal])),
+        np.concatenate((host[1], writes.addr[internal])),
+        np.concatenate((host[1] + host[2],
+                        (writes.addr + writes.count)[internal])),
+    )
+    port, addr, count = reads.port, reads.addr, reads.count
+    end = addr + count
+    unchecked = (port == EXTERNAL_PORT) | (count <= 0)  # nothing to miss
+    for tile_port, (starts, ends) in written.items():
+        at = np.flatnonzero(port == tile_port)
+        i = np.minimum(np.searchsorted(ends, addr[at], "right"),
+                       len(ends) - 1)
+        unchecked[at] |= (starts[i] <= addr[at]) & (end[at] <= ends[i])
+    listed: Dict[int, Tuple[List[int], List[int]]] = {}
+    for i in np.flatnonzero(~unchecked).tolist():
+        tile_port = int(port[i])
+        if tile_port not in listed:
+            starts, ends = written.get(tile_port, ((), ()))
+            listed[tile_port] = (list(map(int, starts)), list(map(int, ends)))
+        missing, first = _unwritten(
+            *listed[tile_port], int(addr[i]), int(count[i])
+        )
+        if missing:
+            issues.append(Issue(
+                tiles[reads.prog[i]], int(reads.pc[i]),
+                f"reads {missing} never-written word(s) of tile "
+                f"{port[i]} starting at {first}",
+            ))
 
     # 3. Every arm names a scratchpad range the engine can track.  A
     # negative immediate carries the register flag but is no register.

@@ -20,7 +20,7 @@ signature the assembler and the functional engine agree on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 from repro.errors import ProgramError
@@ -163,18 +163,32 @@ assert len(Opcode) == 28, "the paper's ISA has exactly 28 instructions"
 assert set(OPERAND_NAMES) == set(Opcode)
 assert set(OPCODE_GROUPS) == set(Opcode)
 
+#: Every opcode also as a module name.  Hot paths import these and test
+#: ``op is NDCONV`` against a global: reading ``Opcode.NDCONV`` goes
+#: through the enum class on each use, several times slower.
+(LDRI, MOVR, ADDR, ADDRI, SUBR, SUBRI, MULR, BEQZ, BNEZ, BGTZ, BRANCH,
+ HALT, NDCONV, MATMUL, NDACTFN, NDACTBP, NDSUBSAMP, NDUPSAMP, NDACCUM,
+ VECMUL, WUPDATE, DMALOAD, DMASTORE, PASSBUFF_RD, PASSBUFF_WR, PREFETCH,
+ MEMTRACK, DMA_MEMTRACK) = Opcode
+assert all(globals()[op.name] is op for op in Opcode)
 
-@dataclass(frozen=True)
+#: Per opcode, the number of operands it takes.
+_ARITY = {op: len(names) for op, names in OPERAND_NAMES.items()}
+
+
+@dataclass(frozen=True, slots=True)
 class Instruction:
-    """One decoded ScaleDeep instruction."""
+    """One decoded ScaleDeep instruction: an immutable value, equal and
+    hashable by its fields.  ``operands`` are in :data:`OPERAND_NAMES`
+    order."""
 
     opcode: Opcode
     operands: Tuple[int, ...] = ()
     comment: str = ""
 
     def __post_init__(self) -> None:
-        expected = OPERAND_NAMES[self.opcode]
-        if len(self.operands) != len(expected):
+        if len(self.operands) != _ARITY[self.opcode]:
+            expected = OPERAND_NAMES[self.opcode]
             raise ProgramError(
                 f"{self.opcode.value} expects {len(expected)} operands "
                 f"{expected}, got {len(self.operands)}"
@@ -224,5 +238,5 @@ def make(opcode: Opcode, comment: str = "", **operands: int) -> Instruction:
             f"unexpected {extra}; signature is {names}"
         )
     return Instruction(
-        opcode, tuple([int(operands[n]) for n in names]), comment
+        opcode, tuple(map(int, map(operands.__getitem__, names))), comment
     )

@@ -51,9 +51,22 @@ from repro.dnn.layers import Activation, PoolMode
 from repro.errors import ShapeError, SimulationError, SimulationTimeout
 from repro.functional import tensor_ops as ops
 from repro.isa.instructions import (
+    ADDR,
+    ADDRI,
+    BEQZ,
+    BGTZ,
+    BNEZ,
+    BRANCH,
+    HALT,
+    LDRI,
+    MOVR,
+    MULR,
+    SUBR,
+    SUBRI,
     Instruction,
     InstrGroup,
     NUM_REGISTERS,
+    OPCODE_GROUPS,
     OPERAND_NAMES,
     Opcode,
 )
@@ -94,6 +107,8 @@ EXTERNAL_PORT = 0xFFFF
 _DMA_OPCODES = frozenset(
     (Opcode.DMALOAD, Opcode.DMASTORE, Opcode.PREFETCH)
 )
+
+_SCALAR = InstrGroup.SCALAR
 
 #: Fixed per-instruction issue overheads (cycles).
 _SETUP_COARSE = 8
@@ -657,35 +672,35 @@ class Engine:
         :meth:`run` to gate and run like any decoded entry.  A malformed
         instruction raises from that decode."""
         op = instr.opcode
-        if instr.group is not InstrGroup.SCALAR:
+        if OPCODE_GROUPS[op] is not _SCALAR:
             return self._decode(self._resolve(tile, instr), tile.tile_id)
         o = instr.named_operands()
-        if op is Opcode.LDRI:
+        if op is LDRI:
             tile.set_reg(o["rd"], o["value"])
-        elif op is Opcode.MOVR:
+        elif op is MOVR:
             tile.set_reg(o["rd"], tile.reg(o["rs"]))
-        elif op is Opcode.ADDR:
+        elif op is ADDR:
             tile.set_reg(o["rd"], tile.reg(o["rs1"]) + tile.reg(o["rs2"]))
-        elif op is Opcode.ADDRI:
+        elif op is ADDRI:
             tile.set_reg(o["rd"], tile.reg(o["rs"]) + o["value"])
-        elif op is Opcode.SUBR:
+        elif op is SUBR:
             tile.set_reg(o["rd"], tile.reg(o["rs1"]) - tile.reg(o["rs2"]))
-        elif op is Opcode.SUBRI:
+        elif op is SUBRI:
             tile.set_reg(o["rd"], tile.reg(o["rs"]) - o["value"])
-        elif op is Opcode.MULR:
+        elif op is MULR:
             tile.set_reg(o["rd"], tile.reg(o["rs1"]) * tile.reg(o["rs2"]))
-        elif op in (Opcode.BEQZ, Opcode.BNEZ, Opcode.BGTZ):
+        elif op is BEQZ or op is BNEZ or op is BGTZ:
             value = tile.reg(o["rs"])
             taken = (
-                value == 0 if op is Opcode.BEQZ
-                else value != 0 if op is Opcode.BNEZ
+                value == 0 if op is BEQZ
+                else value != 0 if op is BNEZ
                 else value > 0
             )
             if taken:
                 tile.pc += o["offset"]
-        elif op is Opcode.BRANCH:
+        elif op is BRANCH:
             tile.pc += o["offset"]
-        elif op is Opcode.HALT:
+        elif op is HALT:
             tile.halted = True
         return None
 
@@ -1057,11 +1072,6 @@ class Engine:
         if op is Opcode.MATMUL:
             rows, cols = unpack_shape(o["in2_size"])
             _, n = unpack_shape(o["in1_size"])
-            if n != cols:
-                raise SimulationError(
-                    f"MATMUL shape mismatch: vector {n} vs matrix "
-                    f"{rows}x{cols}"
-                )
             in1_addr, in2_addr = o["in1_addr"], o["in2_addr"]
             out_addr, accum = o["out_addr"], bool(o["is_accum"])
             rd_vec = self._reader(o["in1_port"])

@@ -21,7 +21,11 @@ import numpy as np
 from repro.arch.chip import ChipConfig
 from repro.dnn.layers import PoolMode
 from repro.errors import SimulationError
-from repro.isa.instructions import Instruction, NUM_REGISTERS, Opcode
+from repro.isa.instructions import (
+    DMALOAD, DMASTORE, MATMUL, NDACCUM, NDACTBP, NDACTFN, NDCONV,
+    NDSUBSAMP, NDUPSAMP, NUM_REGISTERS, PREFETCH, VECMUL, WUPDATE,
+    Instruction, Opcode,
+)
 from repro.isa.program import Program
 from repro.sim.tracker import TrackerFile
 
@@ -257,15 +261,33 @@ UPSAMP_ZERO_INSERT = 2
 UPSAMP_MODES = {**CODE_TO_SAMP, UPSAMP_ZERO_INSERT: None}
 
 
-def _conv_out_extent_words(extent: int, kernel: int, stride: int, pad: int) -> int:
-    return (extent + 2 * pad - kernel) // stride + 1
-
-
 def check_stride(what: str, stride: int) -> None:
     """A stride below 1 raises :class:`SimulationError` naming ``what``
     (the opcode)."""
     if stride < 1:
         raise SimulationError(f"{what} stride={stride}: must be >= 1")
+
+
+def check_kernel(what: str, kernel: int, h: int, w: int, pad: int) -> None:
+    """A convolution kernel spans at most its padded ``h`` x ``w``
+    plane; a larger one (which would give no output) raises
+    :class:`SimulationError` naming ``what`` (the opcode) and the
+    kernel."""
+    limit = min(h, w) + 2 * pad
+    if kernel > limit:
+        raise SimulationError(
+            f"{what} kernel={kernel}: must be at most {limit} to fit its "
+            f"{h}x{w} plane padded by {pad}"
+        )
+
+
+def check_matmul(n: int, rows: int, cols: int) -> None:
+    """A MATMUL's vector is as long as its matrix is wide; any other
+    raises :class:`SimulationError` naming both shapes."""
+    if n != cols:
+        raise SimulationError(
+            f"MATMUL shape mismatch: vector {n} vs matrix {rows}x{cols}"
+        )
 
 
 def check_code(op: Opcode, name: str, value: int, codes: dict, what: str):
@@ -296,9 +318,12 @@ def has_register_operand(operands: Tuple[int, ...]) -> bool:
     return bool(reduce(or_, operands, 0) & REG_OPERAND_FLAG)
 
 
+_MAX = PoolMode.MAX
+
+
 def instruction_accesses(
     instr: Instruction,
-) -> Tuple[List[Access], List[Access]]:
+) -> Tuple[Tuple[Access, ...], Tuple[Access, ...]]:
     """The (reads, writes) a data instruction performs, as the engine
     gates them.  Scalar/control/track instructions access nothing.
 
@@ -309,13 +334,17 @@ def instruction_accesses(
     code generator unrolls loops — the static analysis then sees every
     address.
 
-    A stride below 1, a sampling code outside NDSUBSAMP's or NDUPSAMP's
-    modes, or a pooling window that does not fit its plane (NDSUBSAMP)
-    or its stride (NDUPSAMP's max and avg modes), raises
-    :class:`SimulationError` naming the opcode and operand: the access
-    table, calibration and the engine's decoder refuse it alike.
+    A stride below 1, an NDCONV kernel larger than its padded plane, a
+    MATMUL vector as long as its matrix is not wide, a sampling code
+    outside NDSUBSAMP's or NDUPSAMP's modes, or a pooling window that
+    does not fit its plane (NDSUBSAMP) or its stride (NDUPSAMP's max
+    and avg modes), raises :class:`SimulationError` naming the opcode
+    and operand: the access table, calibration and the engine's decoder
+    refuse it alike.
 
     Operands are unpacked by position, in :data:`OPERAND_NAMES` order.
+    The accesses are tuples of ``(port, addr, count)`` tuples of ints,
+    which the cyclic collector need not track.
     """
     op = instr.opcode
     operands = instr.operands
@@ -324,81 +353,88 @@ def instruction_accesses(
             f"{op.value} uses register-indirect operands; accesses are "
             "only known at execution time"
         )
-    if op is Opcode.NDCONV:
+    if op is NDCONV:
         (in_addr, in_port, in_size, kernel_addr, kernel_size, stride, pad,
          out_addr, out_port, _) = operands
-        check_stride(op.value, stride)
-        h, w = unpack_shape(in_size)
-        k, _ = unpack_shape(kernel_size)
-        out_h = _conv_out_extent_words(h, k, stride, pad)
-        out_w = _conv_out_extent_words(w, k, stride, pad)
+        check_stride("NDCONV", stride)
+        h = in_size >> SHAPE_SHIFT
+        w = in_size & SHAPE_MASK
+        k = kernel_size >> SHAPE_SHIFT
+        check_kernel("NDCONV", k, h, w, pad)
+        out_h = (h + 2 * pad - k) // stride + 1
+        out_w = (w + 2 * pad - k) // stride + 1
         return (
-            [(in_port, in_addr, h * w), (in_port, kernel_addr, k * k)],
-            [(out_port, out_addr, out_h * out_w)],
+            ((in_port, in_addr, h * w), (in_port, kernel_addr, k * k)),
+            ((out_port, out_addr, out_h * out_w),),
         )
-    if op is Opcode.DMALOAD or op is Opcode.DMASTORE:
+    if op is DMALOAD or op is DMASTORE:
         src_addr, src_port, dst_addr, dst_port, size, _ = operands
-        return [(src_port, src_addr, size)], [(dst_port, dst_addr, size)]
-    if op is Opcode.NDACCUM:
+        return ((src_port, src_addr, size),), ((dst_port, dst_addr, size),)
+    if op is NDACCUM:
         src_addr, port, size, dst_addr = operands
-        return [(port, src_addr, size)], [(port, dst_addr, size)]
-    if op is Opcode.MATMUL:
+        return ((port, src_addr, size),), ((port, dst_addr, size),)
+    if op is MATMUL:
         (in1_addr, in1_port, in1_size, in2_addr, in2_port, in2_size,
          out_addr, out_port, _) = operands
         rows, cols = unpack_shape(in2_size)
-        _, n = unpack_shape(in1_size)
+        n = in1_size & SHAPE_MASK
+        check_matmul(n, rows, cols)
         return (
-            [(in1_port, in1_addr, n), (in2_port, in2_addr, rows * cols)],
-            [(out_port, out_addr, rows)],
+            ((in1_port, in1_addr, n), (in2_port, in2_addr, rows * cols)),
+            ((out_port, out_addr, rows),),
         )
-    if op is Opcode.NDACTFN:
+    if op is NDACTFN:
         _, in_addr, port, size, out_addr, out_port = operands
-        return [(port, in_addr, size)], [(out_port, out_addr, size)]
-    if op is Opcode.NDACTBP:
+        return ((port, in_addr, size),), ((out_port, out_addr, size),)
+    if op is NDACTBP:
         _, err_addr, port, size, out_addr, out_port = operands
         return (
-            [(port, err_addr, size), (port, err_addr + size, size)],
-            [(out_port, out_addr, size)],
+            ((port, err_addr, size), (port, err_addr + size, size)),
+            ((out_port, out_addr, size),),
         )
-    if op is Opcode.NDSUBSAMP:
+    if op is NDSUBSAMP:
         (samp, in_addr, port, in_size, window, stride, out_addr,
          out_port) = operands
-        check_stride(op.value, stride)
+        check_stride("NDSUBSAMP", stride)
         h, w = unpack_shape(in_size)
-        check_window(op.value, window, min(h, w), f"to fit its {h}x{w} plane")
+        check_window(
+            "NDSUBSAMP", window, min(h, w), f"to fit its {h}x{w} plane"
+        )
         check_code(op, "samp_type", samp, CODE_TO_SAMP, "a sampling")
         out_h = (h - window) // stride + 1
         out_w = (w - window) // stride + 1
-        return [(port, in_addr, h * w)], [(out_port, out_addr, out_h * out_w)]
-    if op is Opcode.NDUPSAMP:
+        return (
+            ((port, in_addr, h * w),), ((out_port, out_addr, out_h * out_w),)
+        )
+    if op is NDUPSAMP:
         (samp, in_addr, port, in_size, window, stride, out_addr,
          out_port) = operands
-        check_stride(op.value, stride)
+        check_stride("NDUPSAMP", stride)
         h, w = unpack_shape(in_size)
         mode = check_code(op, "samp_type", samp, UPSAMP_MODES, "an up-sampling")
         if mode is not None:
             check_window(
-                f"{op.value} samp_type={samp}", window, stride,
+                f"NDUPSAMP samp_type={samp}", window, stride,
                 f"(the stride) to spread {mode.value} windows",
             )
-        reads = [(port, in_addr, h * w)]
+        reads = ((port, in_addr, h * w),)
         if samp == UPSAMP_ZERO_INSERT:
             out = ((h - 1) * stride + 1) * ((w - 1) * stride + 1)
         else:
             out = h * stride * w * stride
-            if mode is PoolMode.MAX:  # max routing reads the original
-                reads.append((port, in_addr + h * w, out))
-        return reads, [(out_port, out_addr, out)]
-    if op is Opcode.VECMUL:
+            if mode is _MAX:  # max routing reads the original
+                reads += ((port, in_addr + h * w, out),)
+        return reads, ((out_port, out_addr, out),)
+    if op is VECMUL:
         in1_addr, in2_addr, port, size, out_addr = operands
         return (
-            [(port, in1_addr, size), (port, in2_addr, size)],
-            [(port, out_addr, size)],
+            ((port, in1_addr, size), (port, in2_addr, size)),
+            ((port, out_addr, size),),
         )
-    if op is Opcode.WUPDATE:
+    if op is WUPDATE:
         weight_addr, grad_addr, port, size, _, _ = operands
-        return [(port, grad_addr, size)], [(port, weight_addr, size)]
-    if op is Opcode.PREFETCH:
+        return ((port, grad_addr, size),), ((port, weight_addr, size),)
+    if op is PREFETCH:
         _, dst_addr, dst_port, size = operands
-        return [], [(dst_port, dst_addr, size)]
-    return [], []
+        return (), ((dst_port, dst_addr, size),)
+    return (), ()

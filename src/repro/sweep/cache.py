@@ -51,8 +51,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: pre-versioning bare artifact, a future format) is treated as corrupt:
 #: counted, evicted and rebuilt — never raised to the caller.  Bump it
 #: when a cached artifact gains fields (3: ``PerfResult``'s evaluation
-#: fill and beat).
-DISK_FORMAT_VERSION = 3
+#: fill and beat) or changes how it pickles (4: ``Instruction`` has
+#: slots, so its state is a tuple of fields, no longer a ``__dict__``).
+DISK_FORMAT_VERSION = 4
 
 
 class CompileCache:

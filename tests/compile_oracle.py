@@ -1,40 +1,57 @@
 """The compiler's static analysis before it read each instruction's
-operands by position and each access's tracker coverage once, kept as a
-test oracle.
+operands by position and each access's tracker coverage once, and
+before the access table became numpy columns, kept as a test oracle.
 
 Until then, :func:`instruction_accesses` unpacked an instruction's
 operands into a dict by name, :func:`calibrate_trackers` asked
-:meth:`~repro.compiler.trackers.AccessTable.covering` for every access,
-and fusion's :func:`_annotate_superops` asked it again in each of its
-two passes, matching spans over named operands.  The functions below
-are those verbatim (``check_code`` with its dict signature, which the
-old :func:`instruction_accesses` calls).  They read an
-:class:`~repro.compiler.trackers.AccessTable` only through its
-``programs``, ``accesses``, ``arms``, ``index``, ``indirect`` and
-``covering``.  ``tests/test_compile_oracle.py`` checks that the
-compiler computes the same accesses, tracker counts and superops.
+:meth:`AccessTable.covering` for every access, and fusion's
+:func:`_annotate_superops` asked it again in each of its two passes,
+matching spans over named operands.  The functions below are those
+verbatim (``check_code`` with its dict signature, which the old
+:func:`instruction_accesses` calls, and ``_conv_out_extent_words``).
+They read an :class:`AccessTable` only through its ``programs``,
+``accesses``, ``arms``, ``index``, ``indirect`` and ``covering``.
+
+The last section keeps, also verbatim, the row-based
+:class:`AccessTable` (with ``covering`` and ``resolve_coverage``), the
+program verifier that read it row by row and fusion's ``_blocks``, as
+they were before the table became integer columns.  The table here
+enumerates accesses through this module's :func:`instruction_accesses`.
+``tests/test_compile_oracle.py`` checks that the compiler computes the
+same accesses, coverage codes, tracker counts, superops and verifier
+findings.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.compiler.trackers import AccessTable
+from repro.compiler.trackers import _DATA_OPCODES, NO_ARM, ArmedRange
+from repro.compiler.verifier import Issue, MachineShape
 from repro.dnn.layers import PoolMode
 from repro.errors import ProgramError, SimulationError
 from repro.isa.instructions import Instruction, Opcode, make
 from repro.isa.program import Program, SuperOp
+from repro.sim.engine import EXTERNAL_PORT
 from repro.sim.machine import (
     Access,
     CODE_TO_SAMP,
     UPSAMP_MODES,
     UPSAMP_ZERO_INSERT,
-    _conv_out_extent_words,
     check_stride,
     check_window,
+    has_register_operand,
     is_reg_operand,
     unpack_shape,
 )
+
+
+def _conv_out_extent_words(extent: int, kernel: int, stride: int, pad: int) -> int:
+    return (extent + 2 * pad - kernel) // stride + 1
 
 
 def check_code(
@@ -574,3 +591,297 @@ def _annotate_superops(table: AccessTable) -> int:
             fused_instrs += span.end - span.start
         prog.superops = tuple(superops)
     return fused_instrs
+
+
+# ---------------------------------------------------------------------------
+# The row-based access table, program verifier and fusion blocks
+# ---------------------------------------------------------------------------
+class AccessTable:
+    """Every gated access and armed range of one program set.
+
+    Build it once the pcs are final and share it for the rest of the
+    compile; it holds no tracker counts, so calibration does not
+    invalidate it.  It is large (a tuple per data instruction), so it
+    lives no longer than the compile that built it.
+    """
+
+    def __init__(self, programs: Sequence[Program]) -> None:
+        self.programs = list(programs)
+        #: Per program, ``(pc, reads, writes)`` of each data instruction
+        #: whose operands are all immediates.
+        self.accesses: List[List[Tuple[int, List[Access], List[Access]]]] = []
+        #: ``(prog, pc)`` of every instruction with an operand carrying
+        #: the register flag (negative immediates read the same way), in
+        #: program order: their accesses are known only at execution.
+        self.indirect: List[Tuple[int, int]] = []
+        #: Every MEMTRACK / DMA_MEMTRACK, in arming order.
+        self.arms: List[ArmedRange] = []
+        #: Per program, the coverage code of each read, and of each
+        #: write, of :attr:`accesses` in order (:meth:`arms_of` reads
+        #: one).  :func:`calibrate_trackers` resolves them once it has
+        #: accepted the arms; None until then.
+        self.read_arms: Optional[List[array]] = None
+        self.write_arms: Optional[List[array]] = None
+        #: The arms of each access that covers more than one, by code.
+        self.several: List[Tuple[int, ...]] = []
+        for prog, program in enumerate(self.programs):
+            rows = []
+            for pc, instr in enumerate(program.instructions):
+                op = instr.opcode
+                if op in _DATA_OPCODES:
+                    try:
+                        reads, writes = instruction_accesses(instr)
+                    except SimulationError:
+                        if not has_register_operand(instr.operands):
+                            raise
+                        self.indirect.append((prog, pc))
+                        continue
+                    rows.append((pc, reads, writes))
+                    continue
+                if op is Opcode.MEMTRACK or op is Opcode.DMA_MEMTRACK:
+                    addr, port, size = instr.operands[:3]
+                    if op is Opcode.DMA_MEMTRACK:
+                        port = instr.operands[5]  # target
+                    self.arms.append(ArmedRange(prog, pc, port, addr, size))
+                if has_register_operand(instr.operands):
+                    self.indirect.append((prog, pc))
+            self.accesses.append(rows)
+        #: Per port: the arms' indices sorted by address, and their
+        #: starts and ends in the same order.
+        self.index: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
+        by_port: Dict[int, List[int]] = {}
+        for i, arm in enumerate(self.arms):
+            by_port.setdefault(arm.port, []).append(i)
+        for port, ids in by_port.items():
+            ids.sort(key=lambda i: self.arms[i].addr)
+            self.index[port] = (
+                ids,
+                [self.arms[i].addr for i in ids],
+                [self.arms[i].addr + self.arms[i].size for i in ids],
+            )
+
+    def covering(self, port: int, addr: int, count: int) -> List[int]:
+        """Indices of the arms on ``port`` that ``[addr, addr + count)``
+        overlaps, in address order.
+
+        Exact once calibration has accepted the arms: every size is at
+        least 1 and no two overlap, so the ends ascend with the starts
+        and the covered arms form one contiguous run.
+        """
+        entry = self.index.get(port)
+        if entry is None:
+            return []
+        ids, starts, ends = entry
+        first = bisect_right(ends, addr)
+        return ids[first:bisect_left(starts, addr + count, first)]
+
+    def resolve_coverage(self) -> None:
+        """Resolve :attr:`read_arms` and :attr:`write_arms`: one
+        :meth:`covering` per access, kept as one machine word."""
+        covering = self.covering
+        several = self.several = []
+        self.read_arms, self.write_arms = [], []
+        for rows in self.accesses:
+            for column, per_program in ((1, self.read_arms),
+                                        (2, self.write_arms)):
+                codes = array("l")
+                for port, addr, count in chain.from_iterable(
+                    map(itemgetter(column), rows)
+                ):
+                    hit = covering(port, addr, count)
+                    if len(hit) == 1:
+                        codes.append(hit[0])
+                    elif not hit:
+                        codes.append(NO_ARM)
+                    else:
+                        several.append(tuple(hit))
+                        codes.append(NO_ARM - len(several))
+                per_program.append(codes)
+
+    def arms_of(self, code: int) -> Sequence[int]:
+        """The arms a coverage code names, in address order."""
+        if code >= 0:
+            return (code,)
+        return () if code == NO_ARM else self.several[NO_ARM - 1 - code]
+
+
+def _merged(
+    regions: Iterable[Tuple[int, int, int]],
+) -> Dict[int, Tuple[List[int], List[int]]]:
+    """Per port, the written words as sorted, disjoint, non-adjacent
+    intervals: their starts and their ends."""
+    spans: Dict[int, List[Tuple[int, int]]] = {}
+    for port, addr, count in regions:
+        if count > 0:
+            spans.setdefault(port, []).append((addr, addr + count))
+    merged: Dict[int, Tuple[List[int], List[int]]] = {}
+    for port, intervals in spans.items():
+        intervals.sort()
+        starts, ends = [intervals[0][0]], [intervals[0][1]]
+        for start, end in intervals[1:]:
+            if start <= ends[-1]:
+                ends[-1] = max(ends[-1], end)
+            else:
+                starts.append(start)
+                ends.append(end)
+        merged[port] = (starts, ends)
+    return merged
+
+
+def _unwritten(
+    starts: List[int], ends: List[int], addr: int, count: int
+) -> Tuple[int, int]:
+    """(how many words of ``[addr, addr + count)`` no interval covers,
+    the first of them)."""
+    end = addr + count
+    i = bisect_right(ends, addr)
+    missing, first, pos = 0, addr, addr
+    while pos < end:
+        if i < len(starts) and starts[i] <= pos:
+            pos = ends[i]
+            i += 1
+            continue
+        gap_end = min(end, starts[i]) if i < len(starts) else end
+        if not missing:
+            first = pos
+        missing += gap_end - pos
+        pos = gap_end
+    return missing, first
+
+
+def verify_programs(
+    programs: Sequence[Program],
+    shape: MachineShape,
+    preloaded: Sequence[Tuple[int, int, int]] = (),
+    host_writes: Sequence[Tuple[int, int, int]] = (),
+    table: Optional[AccessTable] = None,
+) -> List[Issue]:
+    """Check a program set; returns the list of findings (empty = ok).
+
+    ``preloaded`` lists (port, addr, words) regions written at machine
+    build (weights, biases, the input image's home blocks);
+    ``host_writes`` lists regions the host injects between phases.
+    ``table`` is the :class:`AccessTable` of ``programs`` when the
+    caller already built one; otherwise one is built here.
+    """
+    if table is None:
+        table = AccessTable(programs)
+    issues: List[Issue] = []
+    valid_port, words = shape.valid_port, shape.words_per_tile
+
+    # 1. Addressing envelope, reads before writes.  Register-indirect
+    # instructions are not in the table: they are checked at execution.
+    envelope: Tuple[List[Issue], List[Issue]] = ([], [])
+    for program, rows in zip(table.programs, table.accesses):
+        tile = program.tile
+        for pc, row_reads, row_writes in rows:
+            for found, quads in ((envelope[0], row_reads),
+                                 (envelope[1], row_writes)):
+                for port, addr, count in quads:
+                    if port == EXTERNAL_PORT:
+                        continue
+                    if not valid_port(port):
+                        found.append(Issue(
+                            tile, pc, f"port {port} does not exist"
+                        ))
+                    elif addr < 0 or addr + count > words:
+                        found.append(Issue(
+                            tile, pc,
+                            f"range [{addr}, {addr + count}) exceeds the "
+                            f"{words}-word scratchpad of tile {port}",
+                        ))
+    issues.extend(envelope[0])
+    issues.extend(envelope[1])
+
+    # 2. No reads of never-written scratchpad.  Written intervals are
+    # disjoint and apart, so a read one of them holds is fully written.
+    written = _merged(chain(
+        preloaded, host_writes,
+        (
+            quad
+            for rows in table.accesses
+            for _, _, row_writes in rows
+            for quad in row_writes
+            if quad[0] != EXTERNAL_PORT
+        ),
+    ))
+    nowhere: Tuple[List[int], List[int]] = ([], [])
+    for program, rows in zip(table.programs, table.accesses):
+        for pc, row_reads, _ in rows:
+            for port, addr, count in row_reads:
+                if port == EXTERNAL_PORT:
+                    continue
+                starts, ends = written.get(port, nowhere)
+                i = bisect_right(ends, addr)
+                if (
+                    i < len(starts) and starts[i] <= addr
+                    and addr + count <= ends[i]
+                ):
+                    continue
+                missing, first = _unwritten(starts, ends, addr, count)
+                if missing:
+                    issues.append(Issue(
+                        program.tile, pc,
+                        f"reads {missing} never-written word(s) of tile "
+                        f"{port} starting at {first}",
+                    ))
+
+    # 3. Every arm names a scratchpad range the engine can track.  A
+    # negative immediate carries the register flag but is no register.
+    for prog, pc, port, addr, size in table.arms:
+        if any(v >= 0 and is_reg_operand(v) for v in (port, addr, size)):
+            continue  # register-indirect: checked at execution
+        tile = table.programs[prog].tile
+        if port == EXTERNAL_PORT:
+            issues.append(Issue(
+                tile, pc, "arms a tracker on external memory"
+            ))
+        elif not shape.valid_port(port):
+            issues.append(Issue(
+                tile, pc, f"tracker port {port} does not exist"
+            ))
+        elif addr < 0 or addr + size > shape.words_per_tile:
+            issues.append(Issue(
+                tile, pc,
+                f"tracked range [{addr}, {addr + size}) exceeds the "
+                f"{shape.words_per_tile}-word scratchpad of tile {port}",
+            ))
+
+    # 4. Tracker-file capacity per tile.
+    armed: Dict[int, int] = {}
+    for arm in table.arms:
+        armed[arm.port] = armed.get(arm.port, 0) + 1
+    for port, count in armed.items():
+        if count > shape.trackers_per_tile:
+            issues.append(Issue(
+                "<set>", -1,
+                f"tile {port} arms {count} trackers; the tracker file "
+                f"holds {shape.trackers_per_tile}",
+            ))
+    return issues
+
+
+def _blocks(table: AccessTable, pi: int, spans: Sequence[_Span]):
+    """Program ``pi``'s access rows a block at a time: each span's rows,
+    and the rows between spans.  Yields ``(span index or None, rows,
+    read codes, write codes)``: a block's rows are contiguous, in pc
+    order, and so are the coverage codes of their reads and writes."""
+    rows = table.accesses[pi]
+    pcs = list(map(itemgetter(0), rows))
+    read_at = [0, *accumulate(map(len, map(itemgetter(1), rows)))]
+    write_at = [0, *accumulate(map(len, map(itemgetter(2), rows)))]
+    bounds = []
+    row = 0
+    for si, span in enumerate(spans):
+        lo = bisect_left(pcs, span.start, row)
+        hi = bisect_left(pcs, span.end, lo)
+        bounds += [(None, row, lo), (si, lo, hi)]
+        row = hi
+    bounds.append((None, row, len(rows)))
+    reads, writes = table.read_arms[pi], table.write_arms[pi]
+    for si, lo, hi in bounds:
+        if lo < hi:
+            yield (
+                si, rows[lo:hi], reads[read_at[lo]:read_at[hi]],
+                writes[write_at[lo]:write_at[hi]],
+            )

@@ -230,7 +230,35 @@ MALFORMED = {
         in_size=pack_shape(2, 2), window=3, stride=2, out_addr=0,
         out_port=1,
     ),
+    # Shapes the kernels cannot run: a kernel larger than its padded
+    # plane was sized as a 9-word write and raised ShapeError from the
+    # conv kernel at run time; a vector as long as its matrix is not
+    # wide was sized by the access table but refused by the decoder.
+    "NDCONV kernel=5": make(
+        Opcode.NDCONV, in_addr=0, in_port=0, in_size=pack_shape(1, 1),
+        kernel_addr=100, kernel_size=pack_shape(5, 5), stride=1, pad=0,
+        out_addr=0, out_port=1, is_accum=0,
+    ),
+    "MATMUL shape mismatch: vector 12 vs matrix 5x10": make(
+        Opcode.MATMUL, in1_addr=0, in1_port=0, in1_size=pack_shape(1, 12),
+        in2_addr=16, in2_port=0, in2_size=pack_shape(5, 10), out_addr=0,
+        out_port=1, is_accum=0,
+    ),
 }
+
+
+def refusals(instr):
+    """The errors the access analysis, calibration and the engine raise
+    for ``instr``, as text."""
+    with pytest.raises(SimulationError) as static:
+        instruction_accesses(instr)
+    with pytest.raises(SimulationError) as calibrated:
+        calibrate_trackers([one_instr(instr)])
+    m = machine()
+    m.load_program(one_instr(instr))
+    with pytest.raises(SimulationError) as engine:
+        Engine(m).run()
+    return str(static.value), str(calibrated.value), str(engine.value)
 
 
 class TestMalformedInstructions:
@@ -295,17 +323,25 @@ class TestMalformedInstructions:
         write for NDUPSAMP's code 7 on a 2x2 plane at stride 2, and a
         write for NDSUBSAMP's code 5): all three raise the engine's
         text."""
-        instr = MALFORMED[name]
-        with pytest.raises(SimulationError) as static:
-            instruction_accesses(instr)
-        with pytest.raises(SimulationError) as calibrated:
-            calibrate_trackers([one_instr(instr)])
-        m = machine()
-        m.load_program(one_instr(instr))
-        with pytest.raises(SimulationError) as engine:
-            Engine(m).run()
-        assert str(static.value) == str(calibrated.value) == text
-        assert str(engine.value) == text
+        assert refusals(MALFORMED[name]) == (text, text, text)
+
+    @pytest.mark.parametrize("name, text", [
+        ("NDCONV kernel=5",
+         "NDCONV kernel=5: must be at most 1 to fit its 1x1 plane padded "
+         "by 0"),
+        ("MATMUL shape mismatch: vector 12 vs matrix 5x10",
+         "MATMUL shape mismatch: vector 12 vs matrix 5x10"),
+    ])
+    def test_static_accesses_refuse_shapes_the_kernels_cannot_run(
+        self, name, text
+    ):
+        """The access table and calibration size no accesses for an
+        NDCONV whose kernel exceeds its padded plane (they reported a
+        9-word write, from two negative extents) or a MATMUL whose
+        vector length differs from its matrix width (reads of 12 and
+        50 words and a 5-word write): all three raise the engine's
+        text, the engine at decode."""
+        assert refusals(MALFORMED[name]) == (text, text, text)
 
     def test_error_beats_a_blocking_tracker(self):
         """The decode error raises before the gate: a malformed

@@ -1,5 +1,7 @@
 """Tests for the instruction set, programs and assembler."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ProgramError
@@ -16,6 +18,7 @@ from repro.isa import (
     disassemble,
     make,
 )
+from repro.isa.program import SuperOp
 
 
 class TestInstructionSet:
@@ -72,6 +75,27 @@ class TestInstruction:
         instr = make(Opcode.ADDR, rd=1, rs1=2, rs2=3, comment="sum")
         text = str(instr)
         assert "ADDR" in text and "rd=1" in text and "sum" in text
+
+    def test_immutable_value(self):
+        """Instructions are values: a field cannot be assigned, equal
+        instructions hash equal (whichever way they were built), and a
+        program with superops survives a pickle round trip."""
+        instr = make(Opcode.ADDRI, rd=1, rs=2, value=3, comment="c")
+        with pytest.raises(AttributeError):
+            instr.opcode = Opcode.HALT
+        with pytest.raises(AttributeError):
+            instr.operands = (1, 2, 4)
+        twin = Instruction(Opcode.ADDRI, (1, 2, 3), "c")
+        assert twin == instr and hash(twin) == hash(instr)
+        assert twin != Instruction(Opcode.ADDRI, (1, 2, 3))
+        prog = Program(tile="t0")
+        prog.append(instr)
+        prog.append(make(Opcode.HALT))
+        prog.superops = (SuperOp("load_run", 0, 1, ((0, 1, 2),)),)
+        clone = pickle.loads(pickle.dumps(prog))
+        assert clone.instructions == prog.instructions
+        assert clone.superops == prog.superops
+        assert clone.instructions[0].opcode is Opcode.ADDRI
 
 
 class TestProgram:

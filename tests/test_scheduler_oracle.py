@@ -323,11 +323,10 @@ class TestTelemetry:
 def _most_arms_covered(programs) -> int:
     """The most armed ranges one access of ``programs`` covers."""
     table = AccessTable(programs)
+    table.resolve_coverage()
     return max(
-        len(table.covering(port, addr, count))
-        for rows in table.accesses
-        for _, reads, writes in rows
-        for port, addr, count in (*reads, *writes)
+        len(table.arms_of(code))
+        for code in (*table.read_arms.tolist(), *table.write_arms.tolist())
     )
 
 

@@ -188,8 +188,51 @@ class TestCorruptCache:
         assert fresh.stats["simulation_misses"] == 1
         assert rebuilt.evaluation_fill == good.evaluation_fill
         entry = pickle.loads(path.read_bytes())
-        assert entry["version"] == DISK_FORMAT_VERSION == 3
+        assert entry["version"] == DISK_FORMAT_VERSION == 4
         assert entry["artifact"].evaluation_beat == good.evaluation_beat
+
+    def test_version_3_codegen_entry_is_evicted_and_rebuilt(self, tmp_path):
+        """Version 3 pickled each ``Instruction`` with its fields in a
+        ``__dict__``, which the slotted class cannot restore: such an
+        entry is evicted, counted and rebuilt, never served."""
+        import copyreg
+
+        from repro.dnn.zoo.tiny import tiny_mlp
+        from repro.isa.instructions import Instruction
+        from repro.sweep.cache import cached_dag_forward_codegen
+
+        class DictState:
+            """Pickles as an ``Instruction`` did in version 3."""
+
+            def __init__(self, instr):
+                self.instr = instr
+
+            def __reduce__(self):
+                i = self.instr
+                return copyreg._reconstructor, (Instruction, object, None), {
+                    "opcode": i.opcode, "operands": i.operands,
+                    "comment": i.comment,
+                }
+
+        net = tiny_mlp()
+        good = cached_dag_forward_codegen(net, cache=CompileCache(tmp_path))
+        [path] = (tmp_path / "codegen").iterdir()
+        stale = copy.deepcopy(good)
+        for program in stale.programs:
+            program.instructions = list(map(DictState, program))
+        path.write_bytes(pickle.dumps({
+            **pickle.loads(path.read_bytes()), "version": 3,
+            "artifact": stale,
+        }))
+
+        fresh = CompileCache(tmp_path)
+        rebuilt = cached_dag_forward_codegen(net, cache=fresh)
+        assert fresh.stats["corrupt"] == 1
+        assert fresh.stats["codegen_misses"] == 1
+        assert [p.instructions for p in rebuilt.programs] == [
+            p.instructions for p in good.programs
+        ]
+        assert pickle.loads(path.read_bytes())["version"] == 4
 
     def test_digest_mismatch_evicted(self, tmp_path):
         from repro.dnn.zoo.tiny import tiny_mlp

@@ -191,3 +191,28 @@ class TestSystemTopology:
             if d["kind"] == "fabric"
         ]
         assert len(fabric) == 1  # collapsed, not doubled
+
+
+class TestLazyImport:
+    def test_networkx_loads_only_for_a_graph(self):
+        """The engine, serving and validate never build a topology
+        graph, so importing them leaves networkx unloaded; building a
+        topology loads it."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        script = (
+            "import sys\n"
+            "import repro.arch.presets, repro.serve.simulator\n"
+            "import repro.sim.validation, repro.compiler.codegen_dag\n"
+            "assert 'networkx' not in sys.modules\n"
+            "from repro.arch.topology import build_topology\n"
+            "build_topology(repro.arch.presets.single_precision_node())\n"
+            "assert 'networkx' in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", script], check=True, env=env)

@@ -23,14 +23,14 @@ class TestInstructionAccesses:
         reads, writes = instruction_accesses(
             make(Opcode.LDRI, rd=1, value=7)
         )
-        assert reads == [] and writes == []
+        assert reads == () and writes == ()
 
     def test_dma(self):
         instr = make(Opcode.DMALOAD, src_addr=4, src_port=0, dst_addr=8,
                      dst_port=1, size=16, is_accum=0)
         reads, writes = instruction_accesses(instr)
-        assert reads == [(0, 4, 16)]
-        assert writes == [(1, 8, 16)]
+        assert reads == ((0, 4, 16),)
+        assert writes == ((1, 8, 16),)
 
     def test_ndconv_output_extent(self):
         instr = make(
@@ -42,7 +42,7 @@ class TestInstructionAccesses:
         reads, writes = instruction_accesses(instr)
         assert (0, 0, 64) in reads  # input feature
         assert (0, 64, 9) in reads  # kernel
-        assert writes == [(1, 0, 64)]  # same-size output (pad=1)
+        assert writes == ((1, 0, 64),)  # same-size output (pad=1)
 
     def test_matmul(self):
         instr = make(
@@ -54,7 +54,7 @@ class TestInstructionAccesses:
         reads, writes = instruction_accesses(instr)
         assert (0, 0, 12) in reads
         assert (0, 16, 60) in reads
-        assert writes == [(1, 0, 5)]
+        assert writes == ((1, 0, 5),)
 
     def test_engine_and_analysis_agree(self):
         """The engine gates exactly the accesses the calibrator counts —
