@@ -87,8 +87,8 @@ def evaluate_point(
     """Map + simulate every workload on one design point.
 
     Routed through the content-keyed compile cache: re-running a study
-    over an overlapping grid skips STEP1-6 for every point already
-    evaluated (in this process or, with a disk-backed cache, ever)."""
+    over an overlapping grid in the same process skips STEP1-6 for every
+    point already evaluated."""
     node = point.apply(base)
     results = {
         name: cached_simulation(net, node)

@@ -6,8 +6,8 @@ content-keyed compile cache (:mod:`repro.sweep.cache`) rather than
 per-function ``lru_cache`` tables.  Keying on the digest of (topology,
 node config, compiler version) means logically-equal requests hit the
 same entry regardless of spelling (``"alexnet"`` vs ``"AlexNet"``), a
-changed preset can never serve a stale result, and CLI sweeps, DSE runs
-and the figure benchmarks all warm one another.
+changed preset can never serve a stale result, and sweeps, DSE runs and
+the figure benchmarks in one process all warm one another.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def suite_results(precision: str = "sp") -> Dict[str, PerfResult]:
 
 
 def clear_caches() -> None:
-    """Drop every memoised mapping/simulation result (the shared compile
-    cache, both its memory and disk layers).
+    """Drop every memoised mapping/simulation result (the shared
+    in-process compile cache).
 
     Benchmark teardown calls this so repeated suite runs in one process
     measure cold caches rather than the previous run's warm results."""

@@ -347,13 +347,11 @@ def _fault_spec(args: argparse.Namespace):
 
 
 def cmd_faults(args: argparse.Namespace) -> None:
-    from repro.sweep.cache import CompileCache, cached_simulation, set_cache
+    from repro.sweep.cache import cached_simulation
 
     net = _load(args.network)
     node = _node(args)
     spec = _fault_spec(args)
-    if args.cache_dir:
-        set_cache(CompileCache(args.cache_dir))
 
     # Both runs route through the content-keyed cache: the fault spec is
     # folded into the fingerprint digest, so baseline and degraded
@@ -495,22 +493,8 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     from repro.bench.export import write_sweep_csv, write_sweep_json
     from repro.errors import ConfigError, SweepError
     from repro.faults import FaultSpec, parse_kinds
-    from repro.sweep import (
-        CompileCache,
-        expand_jobs,
-        get_cache,
-        run_sweep,
-        set_cache,
-    )
+    from repro.sweep import expand_jobs, run_sweep
     from repro.sweep.runner import check_workers
-
-    if args.cache_dir:
-        set_cache(CompileCache(args.cache_dir))
-    if args.clear_cache:
-        removed = get_cache().clear()
-        print(f"cleared {removed} cached artifacts")
-        if not args.networks:
-            return  # clear-only invocation: don't launch the full suite
 
     try:
         check_workers(args.workers)
@@ -534,8 +518,6 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     report = run_sweep(
         jobs,
         workers=args.workers,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
         retries=args.retries,
         fail_fast=args.fail_fast,
     )
@@ -953,19 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
         "KPIs) to PATH",
     )
     p.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the compile cache for this run",
-    )
-    p.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="disk-backed cache directory "
-        "(default: memory only, or $REPRO_CACHE_DIR)",
-    )
-    p.add_argument(
-        "--clear-cache", action="store_true",
-        help="drop cached artifacts first (alone: clear and exit)",
-    )
-    p.add_argument(
         "--retries", type=int, default=1,
         help="re-attempts per failing job before quarantine (default: 1)",
     )
@@ -1042,10 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 0.5)",
     )
     p.add_argument("--minibatch", type=int, default=256)
-    p.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="disk-backed compile cache directory",
-    )
     p.set_defaults(func=cmd_faults)
     p = sub.add_parser(
         "serve",

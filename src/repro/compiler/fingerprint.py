@@ -26,9 +26,11 @@ from repro.compiler.ir import IR_SCHEMA_VERSION
 from repro.dnn.network import Network
 
 #: Version of the mapping/codegen pipeline baked into every digest.
-#: Bump this whenever STEP1-6 or the code generators change the
-#: artifacts they produce for the same inputs — every cache entry keyed
-#: under the old version becomes unreachable (implicit invalidation).
+#: Digests key the in-process compile memo (:mod:`repro.sweep.cache`),
+#: which starts empty in every process and so needs no bump to stay
+#: fresh, and the ``fingerprint`` of each ``repro stats`` snapshot
+#: (``tests/data/stats_baseline_lenet5.json``): a new version changes
+#: that fingerprint, and the baseline file must be regenerated with it.
 #: "2": fault-aware mapping added assigned-column/derate fields to
 #: allocations and a fault mask to WorkloadMapping.
 #: "3": the unified-IR pass pipeline; digests also bake in

@@ -2,16 +2,15 @@
 
 ``run_sweep`` fans (network x chip-preset x minibatch) jobs across
 worker processes; :mod:`repro.sweep.cache` memoises mapping / simulation
-/ codegen artifacts under content digests so repeated sweeps and DSE
-runs skip STEP1-6 entirely.
+/ codegen artifacts in process under content digests, so the jobs and
+DSE points of one process that share a (network, node) pair run STEP1-6
+once.
 """
 
 from repro.sweep.cache import (
-    CACHE_DIR_ENV,
     CompileCache,
     cached_mapping,
     cached_simulation,
-    clear_cache,
     get_cache,
     set_cache,
     simulation_digest,
@@ -26,14 +25,12 @@ from repro.sweep.runner import (
 )
 
 __all__ = [
-    "CACHE_DIR_ENV",
     "CompileCache",
     "SweepJob",
     "SweepReport",
     "SweepResult",
     "cached_mapping",
     "cached_simulation",
-    "clear_cache",
     "expand_jobs",
     "fan_out",
     "get_cache",

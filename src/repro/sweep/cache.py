@@ -1,20 +1,13 @@
-"""Content-keyed compile cache shared by the sweep runner, DSE and benchmarks.
+"""Content-keyed compile memo shared by the sweep runner, DSE and benchmarks.
 
-Mapping, simulation and codegen artifacts are memoised under the stable
-digests of :mod:`repro.compiler.fingerprint`, so a repeated sweep or DSE
-run skips STEP1-6 (and the downstream cost aggregation) entirely on a
-hit.  Two layers:
-
-* an in-process **memory** table, always on;
-* an optional **disk** layer (pickles under ``<dir>/<kind>/<digest>.pkl``)
-  shared between worker processes and across CLI invocations, enabled by
-  passing a directory or setting ``REPRO_CACHE_DIR``.
-
-Invalidation rules: the digest bakes in the compiler version, so
-changing the compiler, the network topology, or any preset field makes
-old entries unreachable automatically; :meth:`CompileCache.clear` (and
-``repro sweep --clear-cache`` / ``bench.clear_caches``) drops both
-layers explicitly, and ``--no-cache`` bypasses the cache for one run.
+Mapping, simulation and codegen artifacts are memoised in process under
+the stable digests of :mod:`repro.compiler.fingerprint`, so sweep jobs
+that share a (network, node) pair across minibatches or node counts,
+DSE runs and serving's healthy baselines run STEP1-6 once per digest.
+Nothing is written to disk: every process starts cold and computes from
+the code it runs, so no entry can outlive the model that built it.
+:meth:`CompileCache.clear` (and ``bench.clear_caches``) drops every
+entry.
 
 Cache activity is observable: every hit/miss bumps a ``cache`` group
 counter on the active telemetry handle (``<kind>_hits`` /
@@ -23,11 +16,8 @@ counter on the active telemetry handle (``<kind>_hits`` /
 
 from __future__ import annotations
 
-import os
-import pickle
-from pathlib import Path
 from threading import Lock
-from typing import Callable, Dict, Optional, Tuple, TypeVar, Union
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 # repro.sim must start loading before repro.compiler: the compiler
 # package pulls in the engine-facing codegen, which resolves through the
@@ -43,26 +33,11 @@ from repro.telemetry.core import get_telemetry
 
 T = TypeVar("T")
 
-#: Environment variable naming the default on-disk cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: On-disk entry format version.  Entries are ``{"version", "kind",
-#: "digest", "artifact"}`` dicts; anything else (truncated pickle, a
-#: pre-versioning bare artifact, a future format) is treated as corrupt:
-#: counted, evicted and rebuilt — never raised to the caller.  Bump it
-#: when a cached artifact gains fields (3: ``PerfResult``'s evaluation
-#: fill and beat) or changes how it pickles (4: ``Instruction`` has
-#: slots, so its state is a tuple of fields, no longer a ``__dict__``).
-DISK_FORMAT_VERSION = 4
-
 
 class CompileCache:
-    """Keyed artifact store: memory table plus optional pickle directory."""
+    """Keyed in-process artifact memo."""
 
-    def __init__(self, directory: Union[str, Path, None] = None) -> None:
-        self.directory = (
-            Path(directory).expanduser() if directory else None
-        )
+    def __init__(self) -> None:
         self._memory: Dict[Tuple[str, str], object] = {}
         self._lock = Lock()
         #: ``{"<kind>_hits": n, "<kind>_misses": n}`` for this process.
@@ -78,69 +53,6 @@ class CompileCache:
         if tel.enabled:
             tel.count("cache", name)
 
-    def _disk_path(self, kind: str, digest: str) -> Optional[Path]:
-        if self.directory is None:
-            return None
-        return self.directory / kind / f"{digest}.pkl"
-
-    def _evict_corrupt(self, kind: str, path: Path) -> None:
-        """A disk entry failed validation: count it, delete it, and let
-        the caller rebuild through the normal miss path."""
-        self.stats["corrupt"] = self.stats.get("corrupt", 0) + 1
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("cache", "corrupt")
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-    def _disk_load(self, kind: str, digest: str) -> Optional[object]:
-        path = self._disk_path(kind, digest)
-        if path is None or not path.exists():
-            return None
-        try:
-            with path.open("rb") as handle:
-                entry = pickle.load(handle)
-        except Exception:
-            # Truncated or garbled pickle.
-            self._evict_corrupt(kind, path)
-            return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("version") != DISK_FORMAT_VERSION
-            or entry.get("kind") != kind
-            or entry.get("digest") != digest
-            or "artifact" not in entry
-        ):
-            # Stale format, or an entry that does not match its own
-            # file name (bit rot, a bad copy): self-invalidate.
-            self._evict_corrupt(kind, path)
-            return None
-        return entry["artifact"]
-
-    def _disk_store(self, kind: str, digest: str, artifact: object) -> None:
-        path = self._disk_path(kind, digest)
-        if path is None:
-            return
-        entry = {
-            "version": DISK_FORMAT_VERSION,
-            "kind": kind,
-            "digest": digest,
-            "artifact": artifact,
-        }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Atomic publish: parallel writers race benignly (same
-            # digest -> same content), partial writes never surface.
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            with tmp.open("wb") as handle:
-                pickle.dump(entry, handle)
-            tmp.replace(path)
-        except Exception:
-            pass  # unpicklable or unwritable: memory layer still serves
-
-    # ------------------------------------------------------------------
     def get(self, kind: str, digest: str, build: Callable[[], T]) -> T:
         """The artifact under ``(kind, digest)``, building it on a miss."""
         key = (kind, digest)
@@ -148,12 +60,6 @@ class CompileCache:
             if key in self._memory:
                 self._bump(kind, "hits")
                 return self._memory[key]  # type: ignore[return-value]
-        artifact = self._disk_load(kind, digest)
-        if artifact is not None:
-            with self._lock:
-                self._memory[key] = artifact
-            self._bump(kind, "hits")
-            return artifact  # type: ignore[return-value]
         self._bump(kind, "misses")
         artifact = build()
         self.put(kind, digest, artifact)
@@ -164,21 +70,12 @@ class CompileCache:
         parent cache with results computed in worker processes)."""
         with self._lock:
             self._memory[(kind, digest)] = artifact
-        self._disk_store(kind, digest, artifact)
 
     def clear(self) -> int:
-        """Drop every memory entry and delete the disk entries; returns
-        the number of entries removed."""
+        """Drop every entry; returns the number of entries removed."""
         with self._lock:
             removed = len(self._memory)
             self._memory.clear()
-        if self.directory is not None and self.directory.exists():
-            for path in self.directory.glob("*/*.pkl"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
         return removed
 
 
@@ -189,11 +86,10 @@ _default: Optional[CompileCache] = None
 
 
 def get_cache() -> CompileCache:
-    """The process-global cache (disk-backed iff ``REPRO_CACHE_DIR`` is
-    set or :func:`set_cache` installed a directory-backed one)."""
+    """The process-global cache."""
     global _default
     if _default is None:
-        _default = CompileCache(os.environ.get(CACHE_DIR_ENV) or None)
+        _default = CompileCache()
     return _default
 
 
@@ -204,11 +100,6 @@ def set_cache(cache: Optional[CompileCache]) -> Optional[CompileCache]:
     previous = _default
     _default = cache
     return previous
-
-
-def clear_cache() -> int:
-    """Clear the process-global cache (memory and disk layers)."""
-    return get_cache().clear()
 
 
 # ---------------------------------------------------------------------------

@@ -41,21 +41,10 @@ from repro.arch.presets import load_preset
 from repro.arch.system import ParallelismStrategy, make_system
 from repro.dnn import zoo
 from repro.errors import ConfigError, ReproError, SweepError
-from repro.faults.model import FaultSpec, sample_faults
-from repro.sim.perf import (
-    DEFAULT_MINIBATCH,
-    PerfResult,
-    simulate,
-    simulate_system,
-)
+from repro.faults.model import FaultSpec
+from repro.sim.perf import DEFAULT_MINIBATCH, PerfResult, simulate_system
 from repro.sim.tco import tco_report
-from repro.sweep.cache import (
-    CompileCache,
-    cached_simulation,
-    get_cache,
-    set_cache,
-    simulation_digest,
-)
+from repro.sweep.cache import cached_simulation, get_cache, simulation_digest
 from repro.telemetry.core import capture, get_telemetry
 
 
@@ -216,12 +205,10 @@ def expand_jobs(
 
 
 # ---------------------------------------------------------------------------
-# The per-job unit of work (module-level: must pickle for the pool)
+# The per-job unit of work (module-level: workers import it by name)
 # ---------------------------------------------------------------------------
 def _execute_job(
     job: SweepJob,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
 ) -> Tuple[SweepResult, PerfResult, Dict[str, int], tuple, tuple, object]:
     """Run one job; returns the result row, the full simulation (to warm
     the parent's cache), the cache hit/miss delta, and the telemetry the
@@ -236,27 +223,15 @@ def _execute_job(
         system if (job.nodes > 1 or job.strategy != "data") else None
     )
 
-    cache: Optional[CompileCache] = None
-    if use_cache:
-        cache = get_cache()
-        if cache_dir is not None and str(cache.directory or "") != cache_dir:
-            cache = CompileCache(cache_dir)
-            set_cache(cache)
-    before = dict(cache.stats) if cache is not None else {}
+    cache = get_cache()
+    before = dict(cache.stats)
 
     with capture() as tel:
         job_started = time.perf_counter()
-        if cache is not None:
-            perf = cached_simulation(
-                net, node, job.minibatch, cache, faults=job.faults,
-                system=digest_system,
-            )
-        else:
-            mask = (
-                sample_faults(job.faults, node)
-                if job.faults is not None else None
-            )
-            perf = simulate(net, node, job.minibatch, faults=mask)
+        perf = cached_simulation(
+            net, node, job.minibatch, cache, faults=job.faults,
+            system=digest_system,
+        )
         sysres = simulate_system(
             net, system, minibatch=job.minibatch, node_result=perf
         )
@@ -270,17 +245,13 @@ def _execute_job(
         )
         tel.observe("wall.sweep", "job_s", job_elapsed)
 
-    delta: Dict[str, int] = {}
-    if cache is not None:
-        delta = {
-            k: v - before.get(k, 0)
-            for k, v in cache.stats.items()
-            if v != before.get(k, 0)
-        }
-        hit = delta.get("simulation_hits", 0) > 0
-        tel.observe(
-            "wall.cache", "hit_s" if hit else "miss_s", job_elapsed
-        )
+    delta = {
+        k: v - before.get(k, 0)
+        for k, v in cache.stats.items()
+        if v != before.get(k, 0)
+    }
+    hit = delta.get("simulation_hits", 0) > 0
+    tel.observe("wall.cache", "hit_s" if hit else "miss_s", job_elapsed)
 
     bottleneck = perf.bottleneck
     row = SweepResult(
@@ -300,7 +271,7 @@ def _execute_job(
         copies=perf.mapping.copies,
         bottleneck=f"{bottleneck.unit}/{bottleneck.step.value}",
         bound_by=bottleneck.cost.bound_by,
-        cache_hit=delta.get("simulation_hits", 0) > 0,
+        cache_hit=hit,
         nodes=job.nodes,
         strategy=sysres.strategy,
         system_train_images_per_s=sysres.system_training_images_per_s,
@@ -364,8 +335,6 @@ def _failed_result(job: SweepJob, error: str) -> SweepResult:
 
 def _run_job(
     job: SweepJob,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
     retries: int = 1,
     backoff: float = 0.1,
     sleep: Callable[[float], None] = time.sleep,
@@ -384,8 +353,7 @@ def _run_job(
     attempt = 0
     while True:
         try:
-            return _execute_job(job, use_cache=use_cache,
-                                cache_dir=cache_dir)
+            return _execute_job(job)
         except ReproError as exc:
             # Deterministic domain failure: retrying burns wall-clock
             # for an identical outcome.  Fail fast.
@@ -448,8 +416,6 @@ def fan_out(
 def run_sweep(
     jobs: Iterable[SweepJob],
     workers: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
     retries: int = 1,
     backoff: float = 0.1,
     fail_fast: bool = False,
@@ -459,8 +425,9 @@ def run_sweep(
 
     ``workers=1`` (or a single job) runs serially in-process; a pool
     that cannot start (sandboxed environments) falls back to serial with
-    a warning rather than failing the sweep.  ``cache_dir`` installs a
-    disk-backed cache for this process and every worker.
+    a warning rather than failing the sweep.  Every job goes through
+    the process's compile memo (:func:`repro.sweep.cache.get_cache`);
+    results computed in workers warm the caller's memo.
 
     A job crashing with an *unexpected* exception is retried ``retries``
     times with exponential backoff (``sleep`` is injectable for tests)
@@ -471,19 +438,13 @@ def run_sweep(
     on the first failed job instead.
     """
     jobs = list(jobs)
-    if use_cache and cache_dir is not None:
-        current = get_cache()
-        if str(current.directory or "") != cache_dir:
-            set_cache(CompileCache(cache_dir))
-
-    run = partial(_run_job, use_cache=use_cache, cache_dir=cache_dir,
-                  retries=retries, backoff=backoff, sleep=sleep)
+    run = partial(_run_job, retries=retries, backoff=backoff, sleep=sleep)
     started = time.perf_counter()
     outputs = fan_out(run, jobs, workers=workers)
     elapsed = time.perf_counter() - started
 
     tel = get_telemetry()
-    cache = get_cache() if use_cache else None
+    cache = get_cache()
     results: List[SweepResult] = []
     totals: Dict[str, int] = {}
     offset = 0.0
@@ -498,7 +459,7 @@ def run_sweep(
             )
         for key, value in delta.items():
             totals[key] = totals.get(key, 0) + value
-        if cache is not None and perf is not None:
+        if perf is not None:
             # Warm the parent's cache with worker-computed results so a
             # rerun hits even when this run fanned out to processes.
             cache.put("simulation", row.digest, perf)

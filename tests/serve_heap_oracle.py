@@ -228,7 +228,7 @@ def simulate_serving(
                 continue
             if state.down:
                 state.down = False
-                state.down_s += now_s - state.down_since
+                state.down_spans.append((state.down_since, now_s))
             if state.tenant is not tenant:
                 # In-flight batches keep the rate they dispatched at
                 # (their departures are already on the heap); the next
@@ -370,7 +370,7 @@ def simulate_serving(
     ]
     for state in states.values():
         if state.down:  # close out open down-time at the horizon
-            state.down_s += max(0.0, horizon_s - state.down_since)
+            state.down_spans.append((state.down_since, horizon_s))
             state.down = False
 
     tenants = tuple(
@@ -391,7 +391,7 @@ def simulate_serving(
             retries=states[name].retries,
             hedges=states[name].hedges,
             shed_copies=states[name].batcher.shed,
-            down_s=states[name].down_s,
+            down_s=states[name].down_s(horizon_s),
             healthy_ms=states[name].healthy_ms,
             degraded_ms=states[name].degraded_ms,
         )

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.arch import single_precision_node
 from repro.dnn import zoo
+from repro.faults import FaultKind
 from repro.serve import (
     CHAOS_KINDS,
     BatchPolicy,
@@ -42,7 +43,7 @@ from repro.telemetry import capture
 from tests import serve_heap_oracle
 
 NODE = single_precision_node()
-NETS = {name: zoo.load(name) for name in ("LeNet-5", "AlexNet")}
+NETS = {name: zoo.load(name) for name in ("LeNet-5", "AlexNet", "OF-Acc")}
 BOTH = ("LeNet-5", "AlexNet")
 GREEDY = BatchPolicy(kind="greedy")
 CHAOS = FailureConfig(
@@ -61,14 +62,17 @@ def _assert_same(names, config, lifecycle=None):
         nets, NODE, config, lifecycle=lifecycle
     )
     assert _dump(new) == _dump(old)
+    for t in new.tenants:  # outages are clipped at the horizon
+        assert t.down_s <= new.horizon_s, t.network
     return new
 
 
 class _DownWhileFaulted:
     """A lifecycle whose every fault also takes ``victim`` down until
-    repair: sampled faults on the full node never leave a tenant
-    unmappable, and this reaches the down path (queue flush, arrivals
-    failing, hedges skipped) anyway."""
+    repair.  Sampled faults take a tenant down only once many overlap
+    (``test_sampled_faults_take_tenants_down``); this reaches the down
+    path (queue flush, arrivals failing, hedges skipped) in a short run
+    with timeouts, retries and hedges on."""
 
     def __init__(self, lifecycle: FailureLifecycle, victim: str):
         self.events = lifecycle.events
@@ -164,6 +168,26 @@ class TestFixedSpread:
         report = _assert_same(*_down_case())
         assert report.tenant("AlexNet").failed > 0
         assert report.tenant("AlexNet").down_s > 0
+
+    def test_sampled_faults_take_tenants_down(self):
+        # `serve of-acc,lenet5 --qps 20000 --duration 0.05 --mtbf 0.001
+        # --mttr 1 --fault-kind tile-dead --fault-seed 5 --seed 7
+        # --policy greedy`: OF-Acc goes down once 14 tile-dead faults
+        # overlap, LeNet-5 at 29, and both stay down until repairs that
+        # land past the horizon, so each outage is clipped there.
+        failures = FailureConfig(
+            mtbf_s=0.001, mttr_s=1.0, kinds=(FaultKind.TILE_DEAD,), seed=5,
+        )
+        report = _assert_same(("OF-Acc", "LeNet-5"), ServeConfig(
+            qps=20_000.0, duration_s=0.05, seed=7, policy=GREEDY,
+            failures=failures,
+        ))
+        for t in report.tenants:
+            assert t.failed > 0, t.network
+            assert t.down_s > 0, t.network
+            assert t.offered == (
+                t.completed + t.shed + t.timed_out + t.failed
+            ), t.network
 
     def test_spread_exercises_every_path(self):
         # A spread that never retried, hedged, shed or timed out would

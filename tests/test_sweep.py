@@ -1,6 +1,7 @@
-"""Tests for the content-keyed compile cache and the parallel sweep
-runner: digest stability/sensitivity, artifact identity, disk layer,
-serial/parallel bit-identity and the warm-run zero-compile guarantee."""
+"""Tests for the content-keyed compile memo and the parallel sweep
+runner: digest stability/sensitivity, artifact identity, memory-only
+storage, serial/parallel bit-identity and the warm-run zero-compile
+guarantee."""
 
 import dataclasses
 import json
@@ -112,35 +113,20 @@ class TestCompileCache:
         assert stats["simulation_hits"] == 1
         assert stats["simulation_misses"] == 1
 
-    def test_disk_round_trip(self, tmp_path, node):
-        net = tiny_cnn()
-        warm = CompileCache(tmp_path)
-        built = cached_mapping(net, node, cache=warm)
-        files = list(tmp_path.glob("mapping/*.pkl"))
-        assert len(files) == 1
-        # A fresh cache over the same directory serves from disk: the
-        # build callable must never run.
-        cold = CompileCache(tmp_path)
-        digest = compile_digest(net, node, artifact="mapping")
-
-        def explode():
-            raise AssertionError("cache miss despite disk entry")
-
-        loaded = cold.get("mapping", digest, explode)
-        assert cold.stats == {"mapping_hits": 1}
-        assert loaded.conv_columns_per_copy == built.conv_columns_per_copy
-        assert [a.columns for a in loaded.conv_allocations.values()] == [
-            a.columns for a in built.conv_allocations.values()
-        ]
-
-    def test_clear_drops_memory_and_disk(self, tmp_path, node):
-        cache = CompileCache(tmp_path)
-        set_cache(cache)
-        cached_mapping(tiny_cnn(), node)
-        assert len(cache) == 1
-        assert cache.clear() == 2  # one memory entry + one disk entry
+    def test_clear_drops_memory_and_disk(self, tmp_path, node,
+                                         monkeypatch):
+        # The memo lives in memory only: a directory in the environment
+        # gets no entries, and clear() leaves nothing behind anywhere.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        set_cache(None)
+        cache = get_cache()
+        first = cached_mapping(tiny_cnn(), node)
+        cached_simulation(tiny_mlp(), node)  # its mapping + simulation
+        assert len(cache) == 3
+        assert cache.clear() == 3
         assert len(cache) == 0
-        assert not list(tmp_path.glob("*/*.pkl"))
+        assert cached_mapping(tiny_cnn(), node) is not first
+        assert list(tmp_path.iterdir()) == []
 
     def test_bench_clear_caches_covers_shared_cache(self, node):
         first = bench_runner.cached_mapping("tiny")
@@ -220,27 +206,12 @@ class TestRunSweep:
             ("cache", "simulation_hits"): float(len(jobs))
         }
 
-    def test_no_cache_bypasses_cache(self):
-        report = run_sweep(expand_jobs(["TinyMLP"]), use_cache=False)
-        assert report.cache_stats == {}
-        assert len(get_cache()) == 0
-        assert not report.results[0].cache_hit
-
     def test_sweep_emits_job_spans(self):
         jobs = expand_jobs(TINY)
         with capture() as tel:
             run_sweep(jobs, workers=1)
         spans = tel.events_in("sweep.job")
         assert [s.name for s in spans] == [j.label for j in jobs]
-
-    def test_disk_cache_dir_spans_processes(self, tmp_path):
-        jobs = expand_jobs(TINY)
-        run_sweep(jobs, workers=2, cache_dir=str(tmp_path))
-        assert list(tmp_path.glob("simulation/*.pkl"))
-        # A brand-new process-global cache over the same directory hits.
-        set_cache(None)
-        warm = run_sweep(jobs, workers=1, cache_dir=str(tmp_path))
-        assert all(r.cache_hit for r in warm.results)
 
 
 class TestSweepExport:
@@ -295,3 +266,35 @@ class TestSweepCli:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "nope", "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "tiny", "--cache-dir", "{dir}"],
+        ["sweep", "tiny", "--clear-cache"],
+        ["sweep", "tiny", "--no-cache"],
+        ["faults", "tiny", "--cache-dir", "{dir}"],
+    ])
+    def test_cli_cache_flags_are_usage_errors(self, argv, tmp_path):
+        from repro.cli import main
+
+        cache_dir = tmp_path / "cache"
+        argv = [a.format(dir=cache_dir) for a in argv]
+        if argv[0] == "sweep":
+            argv += ["--out", str(tmp_path / "x.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not cache_dir.exists()
+
+    def test_cli_sweep_writes_nothing_to_env_cache_dir(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cli import main
+
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        set_cache(None)  # the process default is built afresh
+        assert main([
+            "sweep", "tiny", "--out", str(tmp_path / "sweep.json"),
+        ]) == 0
+        assert list(cache_dir.iterdir()) == []

@@ -1,10 +1,8 @@
-"""Robustness tests for the sweep runner and the disk cache: poison-job
-quarantine, retry/fail-fast semantics, corrupt-entry self-healing and
-fault-sweep determinism across worker counts."""
+"""Robustness tests for the sweep runner: poison-job quarantine,
+retry/fail-fast semantics and fault-sweep determinism across worker
+counts."""
 
-import copy
 import json
-import pickle
 
 import pytest
 
@@ -14,13 +12,10 @@ from repro.faults import FaultSpec
 from repro.sweep import (
     CompileCache,
     SweepJob,
-    cached_simulation,
     expand_jobs,
     run_sweep,
     set_cache,
-    simulation_digest,
 )
-from repro.sweep.cache import DISK_FORMAT_VERSION
 from repro.sweep.runner import SweepResult
 from repro.telemetry.core import capture
 
@@ -110,159 +105,6 @@ class TestFaultSweep:
         assert {r.digest for r in ra.results}.isdisjoint(
             {r.digest for r in rb.results}
         )
-
-
-class TestCorruptCache:
-    def entry_path(self, cache, net, node_name="sp"):
-        from repro.arch.presets import load_preset
-
-        node = load_preset(node_name)
-        digest = simulation_digest(net, node)
-        return cache._disk_path("simulation", digest), node, digest
-
-    def test_truncated_pickle_evicted_and_recomputed(self, tmp_path):
-        from repro.dnn.zoo.tiny import tiny_mlp
-
-        cache = CompileCache(tmp_path)
-        net = tiny_mlp()
-        path, node, _ = self.entry_path(cache, net)
-        cached_simulation(net, node, cache=cache)
-        assert path.exists()
-        path.write_bytes(path.read_bytes()[:20])  # truncate
-
-        fresh = CompileCache(tmp_path)  # cold memory layer
-        with capture() as tel:
-            result = cached_simulation(net, node, cache=fresh)
-        assert result.training_images_per_s > 0
-        assert fresh.stats["corrupt"] == 1
-        assert tel.counters.get("cache", "corrupt") == 1
-
-    def test_stale_format_version_self_invalidates(self, tmp_path):
-        from repro.dnn.zoo.tiny import tiny_mlp
-
-        cache = CompileCache(tmp_path)
-        net = tiny_mlp()
-        path, node, digest = self.entry_path(cache, net)
-        good = cached_simulation(net, node, cache=cache)
-        entry = {
-            "version": DISK_FORMAT_VERSION - 1,
-            "kind": "simulation",
-            "digest": digest,
-            "artifact": good,
-        }
-        path.write_bytes(pickle.dumps(entry))
-
-        fresh = CompileCache(tmp_path)
-        cached_simulation(net, node, cache=fresh)
-        assert fresh.stats["corrupt"] == 1
-        # The rebuilt entry replaced the stale one on disk.
-        assert pickle.loads(path.read_bytes())["version"] == (
-            DISK_FORMAT_VERSION
-        )
-
-    def test_version_2_entry_is_evicted_and_rebuilt(self, tmp_path):
-        """Version 2 pickled ``PerfResult`` without its evaluation fill
-        and beat under the same digest: such an entry is evicted,
-        counted and rebuilt, never served half-formed."""
-        from repro.dnn.zoo.tiny import tiny_mlp
-
-        cache = CompileCache(tmp_path)
-        net = tiny_mlp()
-        path, node, digest = self.entry_path(cache, net)
-        good = cached_simulation(net, node, cache=cache)
-        stale = copy.copy(good)
-        del stale.__dict__["evaluation_fill"]
-        del stale.__dict__["evaluation_beat"]
-        path.write_bytes(pickle.dumps({
-            "version": 2,
-            "kind": "simulation",
-            "digest": digest,
-            "artifact": stale,
-        }))
-
-        fresh = CompileCache(tmp_path)
-        with capture() as tel:
-            rebuilt = cached_simulation(net, node, cache=fresh)
-        assert fresh.stats["corrupt"] == 1
-        assert tel.counters.get("cache", "corrupt") == 1
-        assert fresh.stats["simulation_misses"] == 1
-        assert rebuilt.evaluation_fill == good.evaluation_fill
-        entry = pickle.loads(path.read_bytes())
-        assert entry["version"] == DISK_FORMAT_VERSION == 4
-        assert entry["artifact"].evaluation_beat == good.evaluation_beat
-
-    def test_version_3_codegen_entry_is_evicted_and_rebuilt(self, tmp_path):
-        """Version 3 pickled each ``Instruction`` with its fields in a
-        ``__dict__``, which the slotted class cannot restore: such an
-        entry is evicted, counted and rebuilt, never served."""
-        import copyreg
-
-        from repro.dnn.zoo.tiny import tiny_mlp
-        from repro.isa.instructions import Instruction
-        from repro.sweep.cache import cached_dag_forward_codegen
-
-        class DictState:
-            """Pickles as an ``Instruction`` did in version 3."""
-
-            def __init__(self, instr):
-                self.instr = instr
-
-            def __reduce__(self):
-                i = self.instr
-                return copyreg._reconstructor, (Instruction, object, None), {
-                    "opcode": i.opcode, "operands": i.operands,
-                    "comment": i.comment,
-                }
-
-        net = tiny_mlp()
-        good = cached_dag_forward_codegen(net, cache=CompileCache(tmp_path))
-        [path] = (tmp_path / "codegen").iterdir()
-        stale = copy.deepcopy(good)
-        for program in stale.programs:
-            program.instructions = list(map(DictState, program))
-        path.write_bytes(pickle.dumps({
-            **pickle.loads(path.read_bytes()), "version": 3,
-            "artifact": stale,
-        }))
-
-        fresh = CompileCache(tmp_path)
-        rebuilt = cached_dag_forward_codegen(net, cache=fresh)
-        assert fresh.stats["corrupt"] == 1
-        assert fresh.stats["codegen_misses"] == 1
-        assert [p.instructions for p in rebuilt.programs] == [
-            p.instructions for p in good.programs
-        ]
-        assert pickle.loads(path.read_bytes())["version"] == 4
-
-    def test_digest_mismatch_evicted(self, tmp_path):
-        from repro.dnn.zoo.tiny import tiny_mlp
-
-        cache = CompileCache(tmp_path)
-        net = tiny_mlp()
-        path, node, digest = self.entry_path(cache, net)
-        good = cached_simulation(net, node, cache=cache)
-        entry = {
-            "version": DISK_FORMAT_VERSION,
-            "kind": "simulation",
-            "digest": "not-the-digest",
-            "artifact": good,
-        }
-        path.write_bytes(pickle.dumps(entry))
-
-        fresh = CompileCache(tmp_path)
-        cached_simulation(net, node, cache=fresh)
-        assert fresh.stats["corrupt"] == 1
-
-    def test_corrupt_entry_never_raises(self, tmp_path):
-        from repro.dnn.zoo.tiny import tiny_mlp
-
-        cache = CompileCache(tmp_path)
-        net = tiny_mlp()
-        path, node, _ = self.entry_path(cache, net)
-        cached_simulation(net, node, cache=cache)
-        path.write_bytes(b"garbage, not a pickle")
-        fresh = CompileCache(tmp_path)
-        assert cached_simulation(net, node, cache=fresh) is not None
 
 
 class TestRetrySemantics:

@@ -454,13 +454,10 @@ class TestSweepScaleOut:
     def test_default_node_sweep_matches_legacy_rows(self):
         """`sweep X` and `sweep X --nodes 1` export identical rows —
         same digests, same numbers, canonicalized strategy token."""
-        legacy = run_sweep(
-            expand_jobs(networks=["lenet5"]), use_cache=False
-        ).results
+        legacy = run_sweep(expand_jobs(networks=["lenet5"])).results
         explicit = run_sweep(
             expand_jobs(networks=["lenet5"], nodes=(1,),
                         strategies=("data",)),
-            use_cache=False,
         ).results
         assert [r.to_row() for r in legacy] == [
             r.to_row() for r in explicit
@@ -473,10 +470,7 @@ class TestSweepScaleOut:
         )
 
     def test_scaled_rows_carry_system_numbers(self):
-        report = run_sweep(
-            expand_jobs(networks=["lenet5"], nodes=(4,)),
-            use_cache=False,
-        )
+        report = run_sweep(expand_jobs(networks=["lenet5"], nodes=(4,)))
         row = report.results[0].to_row()
         assert row["nodes"] == 4
         assert row["status"] == "ok"
@@ -495,10 +489,7 @@ class TestSweepScaleOut:
         )
 
     def test_rows_serialize(self):
-        report = run_sweep(
-            expand_jobs(networks=["lenet5"], nodes=(2,)),
-            use_cache=False,
-        )
+        report = run_sweep(expand_jobs(networks=["lenet5"], nodes=(2,)))
         payload = json.dumps([r.to_row() for r in report.results])
         assert "dollars_per_training_run" in payload
 
@@ -514,7 +505,6 @@ class TestScalingDashboard:
                 networks=["lenet5"], nodes=(1, 2, 4),
                 strategies=("data", "hybrid:2"),
             ),
-            use_cache=False,
         ).results
 
     def test_series_grouping(self, results):
