@@ -4,16 +4,18 @@ Subcommands:
 
 * ``list`` — the benchmark zoo with Fig 15 statistics;
 * ``analyze NET`` — workload analysis (Fig 4/5 style);
-* ``map NET`` — the compiler's column allocation (Fig 13 / STEP1-6);
 * ``lower NET`` — map the network once, build its unit-level IR,
   verify it and dump it (``--json`` for the full serialised form,
   ``--phase fp|bp|wg`` to restrict to one phase);
-* ``simulate NET`` — throughput / utilization / power (Figs 16/20/21);
-* ``energy NET`` — per-image energy and ImageNet-epoch cost;
-* ``compare-gpu NET`` — speedup over the TitanX stacks (Fig 18);
-* ``stages NET`` — per-stage pipeline latencies and binding subsystem;
-* ``report NET`` — the full simulation report (mapping, throughput,
-  pipeline, links, power, energy, gradient sync);
+* ``report NET`` — the analytical model's one per-network view, from
+  one simulation: the compiler's column allocation (Fig 13 / STEP1-6),
+  throughput, per-stage pipeline latencies and the bottleneck (Fig 16),
+  the nested pipeline (Fig 10), link utilization (Fig 21), power and
+  per-image energy (Fig 20), gradient sync and the speedup over the
+  TitanX stacks (Fig 18); ``--nodes/--strategy`` add the multi-node
+  system's throughput, TCO and energy, and ``--fault-rate`` a fault
+  what-if (a deterministic fault mask, the remap around it, and
+  baseline vs degraded throughput / energy);
 * ``stats NET`` — both simulators under one telemetry capture: metric
   percentiles, per-tile busy/blocked/stalled cycles, bottleneck
   attribution, baselines (``--baseline/--compare``), the HTML dashboard
@@ -25,8 +27,6 @@ Subcommands:
   (and optionally CSV) results;
 * ``validate [NET...]`` — the differential gate: functional engine vs
   analytical model vs numpy reference;
-* ``faults NET`` — inject a deterministic fault mask and report
-  baseline vs degraded throughput / energy after remapping;
 * ``serve NET[,NET...]`` — datacenter inference serving simulation:
   seeded open-loop arrivals drive dynamic batchers over a multi-tenant
   placement; reports p50/p95/p99 latency, sustained QPS and shed rate
@@ -50,7 +50,6 @@ import sys
 from typing import List, NoReturn, Optional
 
 from repro.arch import half_precision_node, single_precision_node
-from repro.baselines.gpu import GpuFramework, all_framework_rates
 from repro.bench import Table, fmt_count
 from repro.compiler import compile_network
 from repro.dnn import zoo
@@ -63,8 +62,6 @@ from repro.dnn.analysis import (
     training_flops,
 )
 from repro.errors import ReproError
-from repro.sim import simulate
-from repro.sim.energy import energy_report
 
 
 def _node(args: argparse.Namespace):
@@ -134,12 +131,6 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     table.show()
 
 
-def cmd_map(args: argparse.Namespace) -> None:
-    net = _load(args.network)
-    compiled = compile_network(net, _node(args))
-    print(compiled.mapping.describe())
-
-
 def cmd_lower(args: argparse.Namespace) -> None:
     from repro.compiler.ir import Phase
 
@@ -162,90 +153,36 @@ def cmd_lower(args: argparse.Namespace) -> None:
     table.show()
 
 
-def cmd_simulate(args: argparse.Namespace) -> None:
-    net = _load(args.network)
-    node = _node(args)
-    result = simulate(net, node, minibatch=args.minibatch)
-    print(result.mapping.describe())
-    print()
-    print(result.describe())
-    print("\nLink utilization:")
-    for link, value in result.link_utilization.as_dict().items():
-        print(f"  {link:<10} {value:.2f}")
-    if args.nodes != 1 or args.strategy != "data":
-        from repro.arch.system import make_system
-        from repro.sim.perf import simulate_system
-        from repro.sim.tco import tco_report
+def _fault_kinds(text: str):
+    """A comma-separated fault-kind list; ``all`` is every kind."""
+    from repro.faults import ALL_KINDS, parse_kinds
 
-        system = make_system(node, args.nodes, args.strategy)
-        sysres = simulate_system(
-            net, system, minibatch=args.minibatch, node_result=result
-        )
-        print()
-        print(system.describe())
-        print(sysres.describe())
-        print(tco_report(sysres).describe())
-
-
-def cmd_energy(args: argparse.Namespace) -> None:
-    net = _load(args.network)
-    node = _node(args)
-    result = simulate(net, node)
-    print(energy_report(result).describe())
-    if args.nodes != 1 or args.strategy != "data":
-        from repro.arch.system import make_system
-        from repro.sim.energy import system_energy_report
-        from repro.sim.perf import simulate_system
-
-        system = make_system(node, args.nodes, args.strategy)
-        sysres = simulate_system(net, system, node_result=result)
-        print(system_energy_report(sysres).describe())
-
-
-def cmd_compare_gpu(args: argparse.Namespace) -> None:
-    net = _load(args.network)
-    node = _node(args)
-    result = simulate(net, node)
-    cluster_rate = result.training_images_per_s / node.cluster_count
-    table = Table(
-        f"ScaleDeep chip cluster vs TitanX on {net.name} (training)",
-        ["stack", "GPU img/s", "cluster img/s", "speedup"],
-    )
-    for fw, rate in all_framework_rates(net).items():
-        table.add(fw.value, f"{rate:,.0f}", f"{cluster_rate:,.0f}",
-                  f"{cluster_rate / rate:.1f}x")
-    table.show()
-
-
-def cmd_stages(args: argparse.Namespace) -> None:
-    net = _load(args.network)
-    result = simulate(net, _node(args))
-    pipeline = result.training_pipeline
-    table = Table(
-        f"Pipeline stages of {net.name} (training)",
-        ["unit", "step", "chip", "cols", "cycles", "per copy",
-         "bound by", "achieved util"],
-    )
-    for stage in sorted(result.stages, key=lambda s: -pipeline.time(s)):
-        table.add(
-            stage.unit, stage.step.value, stage.chip,
-            stage.cost.columns, f"{stage.cycles:,.0f}",
-            f"{pipeline.time(stage):,.0f}", stage.cost.bound_by,
-            f"{stage.cost.utilization.achieved:.2f}",
-        )
-    table.show()
-    b = result.bottleneck
-    print(
-        f"\nbottleneck: {b.unit}/{b.step.value} "
-        f"({b.cost.bound_by}, beat {pipeline.beat:,.0f} cycles)"
-    )
+    return ALL_KINDS if text.strip() == "all" else parse_kinds(text)
 
 
 def cmd_report(args: argparse.Namespace) -> None:
+    from repro.arch.system import make_system
+    from repro.errors import ConfigError
+    from repro.faults import FaultSpec
     from repro.sim.report import full_report
 
     net = _load(args.network)
-    print(full_report(net, _node(args)).render())
+    node = _node(args)
+    system = faults = None
+    try:
+        if args.nodes != 1 or args.strategy != "data":
+            system = make_system(node, args.nodes, args.strategy)
+        if args.fault_rate is not None:
+            faults = FaultSpec(
+                rate=args.fault_rate, seed=args.fault_seed,
+                kinds=_fault_kinds(args.fault_kind),
+                slow_factor=args.slow_factor,
+            )
+    except ConfigError as exc:
+        _usage_error(_message(exc))
+    print(full_report(
+        net, node, args.minibatch, system=system, faults=faults
+    ).render())
 
 
 def cmd_stats(args: argparse.Namespace) -> None:
@@ -322,82 +259,6 @@ def cmd_stats(args: argparse.Namespace) -> None:
         print(comparison.describe())
         if not comparison.ok:
             raise SystemExit(2)
-
-
-def _fault_kinds(text: str):
-    """A comma-separated fault-kind list; ``all`` is every kind."""
-    from repro.faults import ALL_KINDS, parse_kinds
-
-    return ALL_KINDS if text.strip() == "all" else parse_kinds(text)
-
-
-def _fault_spec(args: argparse.Namespace):
-    """Build a :class:`FaultSpec` from CLI flags; malformed specs are
-    usage errors (exit 2)."""
-    from repro.errors import ConfigError
-    from repro.faults import FaultSpec
-
-    try:
-        return FaultSpec(
-            rate=args.rate, seed=args.seed, kinds=_fault_kinds(args.kind),
-            slow_factor=args.slow_factor,
-        )
-    except ConfigError as exc:
-        _usage_error(_message(exc))
-
-
-def cmd_faults(args: argparse.Namespace) -> None:
-    from repro.sweep.cache import cached_simulation
-
-    net = _load(args.network)
-    node = _node(args)
-    spec = _fault_spec(args)
-
-    # Both runs route through the content-keyed cache: the fault spec is
-    # folded into the fingerprint digest, so baseline and degraded
-    # artifacts never collide and reruns are byte-identical.
-    baseline = cached_simulation(net, node, args.minibatch)
-    degraded = cached_simulation(net, node, args.minibatch, faults=spec)
-
-    mask = degraded.mapping.faults
-    print(f"fault what-if: {net.name} on {node.name}")
-    if mask is not None:
-        print(mask.describe())
-    if degraded.mapping.degraded:
-        print(
-            f"remapped {degraded.mapping.remapped_columns} column(s) "
-            f"around faulty tiles"
-        )
-    print()
-
-    base_energy = energy_report(baseline)
-    hurt_energy = energy_report(degraded)
-    table = Table(
-        f"Baseline vs degraded ({spec.describe()})",
-        ["metric", "baseline", "degraded", "ratio"],
-    )
-
-    def row(label: str, b: float, d: float, fmt: str) -> None:
-        ratio = d / b if b else 0.0
-        table.add(label, fmt.format(b), fmt.format(d), f"{ratio:.3f}x")
-
-    row("train img/s", baseline.training_images_per_s,
-        degraded.training_images_per_s, "{:,.0f}")
-    row("eval img/s", baseline.evaluation_images_per_s,
-        degraded.evaluation_images_per_s, "{:,.0f}")
-    row("PE utilization", baseline.pe_utilization,
-        degraded.pe_utilization, "{:.3f}")
-    row("achieved TFLOPs", baseline.achieved_tflops,
-        degraded.achieved_tflops, "{:.2f}")
-    row("total power W", baseline.average_power.total_w,
-        degraded.average_power.total_w, "{:,.1f}")
-    row("mJ/training image",
-        base_energy.joules_per_training_image * 1e3,
-        hurt_energy.joules_per_training_image * 1e3, "{:.1f}")
-    row("mJ/evaluation",
-        base_energy.joules_per_evaluation_image * 1e3,
-        hurt_energy.joules_per_evaluation_image * 1e3, "{:.2f}")
-    table.show()
 
 
 def cmd_validate(args: argparse.Namespace) -> None:
@@ -515,12 +376,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     except (KeyError, ValueError, ConfigError, SweepError) as exc:
         _usage_error(_message(exc))
 
-    report = run_sweep(
-        jobs,
-        workers=args.workers,
-        retries=args.retries,
-        fail_fast=args.fail_fast,
-    )
+    report = run_sweep(jobs, workers=args.workers, retries=args.retries)
 
     scaled_out = any(
         r.nodes != 1 or r.strategy != "data/ring" for r in report.results
@@ -818,7 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     with_net("analyze", "workload analysis").set_defaults(func=cmd_analyze)
-    with_net("map", "compiler column allocation").set_defaults(func=cmd_map)
     p = with_net("lower", "compile to the unified IR and dump it")
     p.add_argument(
         "--phase", choices=["fp", "bp", "wg"], default=None,
@@ -829,33 +684,43 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump the full IR as JSON instead of a summary",
     )
     p.set_defaults(func=cmd_lower)
-    def with_system(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p.add_argument(
-            "--nodes", type=int, default=1,
-            help="scale out to an N-node system (default: 1)",
-        )
-        p.add_argument(
-            "--strategy", default="data",
-            help="parallelism strategy kind[:group][/sync] "
-            "(default: data)",
-        )
-        return p
-
-    p = with_system(with_net("simulate", "throughput / power simulation"))
+    p = with_net(
+        "report",
+        "the analytical model's one per-network view: mapping, "
+        "throughput, pipeline stages, links, power, energy, gradient "
+        "sync and TitanX speedups, with a scale-out block "
+        "(--nodes/--strategy) and a fault what-if (--fault-rate)",
+    )
     p.add_argument("--minibatch", type=int, default=256)
-    p.set_defaults(func=cmd_simulate)
-    with_system(with_net("energy", "per-image energy")).set_defaults(
-        func=cmd_energy
+    p.add_argument(
+        "--nodes", type=int, default=1,
+        help="scale out to an N-node system (default: 1)",
     )
-    with_net("compare-gpu", "Fig 18 speedups").set_defaults(
-        func=cmd_compare_gpu
+    p.add_argument(
+        "--strategy", default="data",
+        help="parallelism strategy kind[:group][/sync] "
+        "(default: data)",
     )
-    with_net("stages", "pipeline-stage report").set_defaults(
-        func=cmd_stages
+    p.add_argument(
+        "--fault-rate", type=float, default=None, metavar="R",
+        help="add a fault what-if: sample a fault mask at per-site "
+        "rate R and compare the remapped node with the healthy one",
     )
-    with_net("report", "full simulation report").set_defaults(
-        func=cmd_report
+    p.add_argument(
+        "--fault-seed", type=int, default=0,
+        help="fault RNG seed (default: 0)",
     )
+    p.add_argument(
+        "--fault-kind", default="tile-dead",
+        help="comma-separated fault kinds: tile-dead, tile-slow, "
+        "link-down, dma-bitflip, or 'all' (default: tile-dead)",
+    )
+    p.add_argument(
+        "--slow-factor", type=float, default=0.5,
+        help="throughput fraction a tile-slow column retains "
+        "(default: 0.5)",
+    )
+    p.set_defaults(func=cmd_report)
     p = with_net(
         "stats",
         "metric distributions, per-tile cycles and bottleneck "
@@ -939,11 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-attempts per failing job before quarantine (default: 1)",
     )
     p.add_argument(
-        "--fail-fast", action="store_true",
-        help="abort the sweep on the first failed job instead of "
-        "quarantining it as a failed row",
-    )
-    p.add_argument(
         "--fault-rate", type=float, default=None, metavar="R",
         help="inject faults at per-site rate R into every job",
     )
@@ -991,27 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. BENCH_validate.json)",
     )
     p.set_defaults(func=cmd_validate)
-    p = with_net("faults", "fault-injection what-if: baseline vs degraded")
-    p.add_argument(
-        "--rate", type=float, default=0.02,
-        help="per-site fault probability (default: 0.02)",
-    )
-    p.add_argument(
-        "--seed", type=int, default=0,
-        help="fault RNG seed (default: 0)",
-    )
-    p.add_argument(
-        "--kind", default="tile-dead",
-        help="comma-separated fault kinds: tile-dead, tile-slow, "
-        "link-down, dma-bitflip, or 'all' (default: tile-dead)",
-    )
-    p.add_argument(
-        "--slow-factor", type=float, default=0.5,
-        help="throughput fraction a tile-slow column retains "
-        "(default: 0.5)",
-    )
-    p.add_argument("--minibatch", type=int, default=256)
-    p.set_defaults(func=cmd_faults)
     p = sub.add_parser(
         "serve",
         help="datacenter inference serving simulation (latency/QPS; "
@@ -1170,8 +1009,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.func(args)
     except ReproError as exc:
         # Domain failures (unmappable networks, partitioned topologies,
-        # simulation timeouts, fail-fast sweeps) exit 1 with a one-line
-        # message — never a traceback.
+        # simulation timeouts) exit 1 with a one-line message — never a
+        # traceback.
         print(f"repro: {_message(exc)}", file=sys.stderr)
         return 1
     return 0

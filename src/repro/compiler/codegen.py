@@ -10,7 +10,7 @@ producers with consumers.
 The emission itself lives in the pass pipeline
 (:mod:`repro.compiler.passes`): this module partitions the network over
 the engine machine, builds the tile-level IR, drives ``legalize ->
-place-check -> tracker-assign -> schedule -> lower -> fuse`` and wraps
+place-check -> schedule -> lower -> tracker-assign -> fuse`` and wraps
 the emitted programs in :class:`CompiledForward`.  The lowering arms
 every tracker with placeholder counts and calibrates them from a static
 access analysis of the finished programs.  The generated code follows
@@ -241,9 +241,9 @@ class ForwardCompiler:
         passes = [
             LegalizePass(self.scope),
             PlaceCheckPass(),
-            TrackerAssignPass(),
             SchedulePass(),
             LowerPass(),
+            TrackerAssignPass(),
         ]
         if self.supports_fusion:
             passes.append(FusePass())

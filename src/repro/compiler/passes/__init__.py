@@ -3,8 +3,8 @@
 Ordered, individually-testable passes transform a
 :class:`~repro.compiler.ir.MappingIR`:
 
-``legalize`` -> ``place-check`` -> ``tracker-assign`` -> ``schedule``
--> ``lower`` -> ``fuse``
+``legalize`` -> ``place-check`` -> ``schedule`` -> ``lower`` ->
+``tracker-assign`` -> ``fuse``
 
 The :class:`~repro.compiler.passes.manager.PassManager` threads a
 shared :class:`~repro.compiler.passes.manager.PassContext` through the

@@ -1,130 +1,33 @@
-"""Tracker assignment: plan the MEMTRACK budget before emission.
+"""Tracker assignment: the MEMTRACK budget of the emitted programs.
 
-Every synchronising tracker the lowering will arm is planned here at
-the IR level: one entry per (op, guarded region) carrying the mem-tile
-port it occupies.  The plan serves two purposes:
-
-* **capacity** — the MemHeavy tracker file holds a fixed number of
-  trackers per tile (Sec 3.2.4); overflow is a typed
-  :class:`~repro.errors.IRVerificationError` *before* any program is
-  emitted, instead of a post-hoc verifier finding;
-* **accountability** — each op's ``attrs["trackers"]`` and the per-port
-  totals in ``ir.meta["tracker_plan"]`` are pinned against the actual
-  armed-tracker counts by the pass tests, so the plan cannot drift from
-  the emission.
-
-The plan mirrors the lowering exactly: an FP conv/FC op arms an output
-tracker, a staging tracker (left tile) and a pre-activation tracker;
-pools and copies arm only their output tracker; element-wise ops add
-their operand regions; BP ops arm the raw/activation-copy/masked-error
-trio (or a single unmasked target), their error staging, and dilation
-scratch for strided convolutions; WG ops arm the error copy, gradient
-region and (strided) dilation scratch on the weight tile.
+Runs after the lowering and reads every armed tracker from its access
+table (``ctx.accesses.arms``: each MEMTRACK / DMA_MEMTRACK with the
+mem-tile port it occupies), so the plan is the emission by
+construction.  The per-port counts land in ``ir.meta["tracker_plan"]``
+and their total in the pass's ``trackers`` note.  Capacity — the
+MemHeavy tracker file holds a fixed number of trackers per tile
+(Sec 3.2.4) — is the program verifier's check, which names the tile.
 """
 
 from __future__ import annotations
 
-from typing import List
+from collections import Counter
 
-from repro.compiler.ir import IROp, MappingIR, Phase
+from repro.compiler.ir import MappingIR
 from repro.compiler.passes.manager import Pass, PassContext, PassStats
-from repro.compiler.verifier import IRIssue
-from repro.dnn.layers import (
-    ConvSpec,
-    EltwiseMulSpec,
-    LayerKind,
-    PoolMode,
-    PoolSpec,
-)
-from repro.errors import IRVerificationError
-
-
-def planned_tracker_ports(
-    op: IROp, ctx: PassContext
-) -> List[int]:
-    """Mem-tile ports of every tracker ``op``'s program will arm."""
-    net, rows = ctx.net, ctx.rows
-    if op.kind == "inject":
-        return [op.column * rows + op.row]
-    node = net[op.layer]
-    spec = node.spec
-    col, row = op.column, op.row
-    left = (col - 1) * rows + row
-    right = col * rows + row
-
-    if op.phase is Phase.FP:
-        if node.kind is LayerKind.INPUT:
-            return []  # host-written pseudo-op
-        if node.kind in (LayerKind.CONV, LayerKind.FC):
-            return [right, left, right]  # out, stage, pre
-        if node.kind is LayerKind.ELTWISE:
-            if isinstance(spec, EltwiseMulSpec):
-                return [right, right, right]  # out, opA, opB
-            return [right, right]  # out, accumulator
-        return [right]  # pool / concat / slice: out only
-
-    if op.phase is Phase.BP:
-        if node.kind is LayerKind.SAMP:
-            ports = [left, left, left]  # raw, act copy, err[pred]
-            if getattr(spec, "mode", PoolMode.AVG) is PoolMode.MAX:
-                ports.append(right)  # max-routing work slots
-            return ports
-        ports = [right]  # staged err[node]
-        if isinstance(spec, ConvSpec) and spec.stride > 1:
-            ports.append(right)  # dilated error
-        pred = net[node.input_names[0]]
-        if pred.kind in (LayerKind.CONV, LayerKind.FC):
-            ports.extend([left, left, left])  # raw, act copy, err[pred]
-        else:
-            ports.append(left)  # unmasked err[pred]
-        return ports
-
-    # WG: error copy + gradients (+ dilation scratch), all on the
-    # weight tile to the left.
-    ports = [left]
-    if isinstance(spec, ConvSpec) and spec.stride > 1:
-        ports.append(left)
-    ports.append(left)
-    return ports
 
 
 class TrackerAssignPass(Pass):
-    """Plan per-tile tracker occupancy; reject capacity overflow."""
+    """Record the per-tile tracker occupancy of the lowered programs."""
 
     name = "tracker-assign"
 
     def run(self, ir: MappingIR, ctx: PassContext,
             stats: PassStats) -> MappingIR:
-        per_port = {}
-        total = 0
-        for op in ir.ops:
-            ports = planned_tracker_ports(op, ctx)
-            op.attrs["trackers"] = len(ports)
-            total += len(ports)
-            for port in ports:
-                per_port[port] = per_port.get(port, 0) + 1
+        arms = ctx.accesses.arms
+        per_port = Counter(arm.port for arm in arms)
         ir.meta["tracker_plan"] = {
             str(port): count for port, count in sorted(per_port.items())
         }
-        stats.notes["trackers"] = total
-
-        shape = ctx.machine_shape()
-        if shape is not None:
-            issues = [
-                IRIssue(
-                    op=f"port {port}",
-                    message=(
-                        f"plans {count} trackers; the tracker file "
-                        f"holds {shape.trackers_per_tile}"
-                    ),
-                )
-                for port, count in sorted(per_port.items())
-                if count > shape.trackers_per_tile
-            ]
-            if issues:
-                raise IRVerificationError(
-                    "tracker plan exceeds tracker-file capacity: "
-                    + "; ".join(str(i) for i in issues[:5]),
-                    issues=issues,
-                )
+        stats.notes["trackers"] = len(arms)
         return ir

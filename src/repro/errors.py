@@ -89,8 +89,7 @@ class ValidationError(ReproError):
 
 
 class SweepError(ReproError):
-    """A sweep aborted (a job failed while ``fail_fast`` was set, or the
-    runner itself could not proceed)."""
+    """A sweep could not proceed (e.g. a malformed job grid)."""
 
 
 class SLOViolation(ReproError):

@@ -144,17 +144,11 @@ def simulation_digest(
     node: NodeConfig,
     minibatch: int = DEFAULT_MINIBATCH,
     faults: Optional[FaultSpec] = None,
-    system: Optional["SystemConfig"] = None,
 ) -> str:
-    """Digest keying a full simulation result.
-
-    ``system`` stays ``None`` on the single-node path so those digests
-    are untouched by the scale-out axes; sweep rows with ``--nodes`` or
-    ``--strategy`` set key under their full system fingerprint.
-    """
+    """Digest keying a full (per-node) simulation result."""
     return compile_digest(
         net, node, artifact="simulation", minibatch=minibatch,
-        system=system, **_fault_extra(faults),
+        **_fault_extra(faults),
     )
 
 
@@ -164,17 +158,15 @@ def cached_simulation(
     minibatch: int = DEFAULT_MINIBATCH,
     cache: Optional[CompileCache] = None,
     faults: Optional[FaultSpec] = None,
-    system: Optional["SystemConfig"] = None,
 ) -> PerfResult:
     """Full analytical simulation, content-cached (the mapping inside a
     freshly-built result comes from the same cache).
 
-    The cached artifact is always the *per-node* :class:`PerfResult`;
-    ``system`` only namespaces the digest so multi-node sweep rows get
-    their own cache entries (the cheap scale-out overlay is recomputed
-    by the caller)."""
+    The cached artifact is the per-node :class:`PerfResult`, which no
+    scale-out axis changes: sweep rows that differ only in node count or
+    strategy share one entry and recompute the cheap system overlay."""
     cache = cache if cache is not None else get_cache()
-    digest = simulation_digest(net, node, minibatch, faults, system=system)
+    digest = simulation_digest(net, node, minibatch, faults)
     return cache.get(
         "simulation",
         digest,

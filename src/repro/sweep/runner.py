@@ -79,7 +79,7 @@ class SweepResult:
 
     A job that crashed is quarantined as a row with ``status="failed"``
     and the trimmed traceback in ``error`` (numeric fields zeroed); the
-    sweep itself always completes unless ``fail_fast`` is set.
+    sweep itself always completes.
     """
 
     network: str
@@ -217,11 +217,6 @@ def _execute_job(
     net = zoo.load(job.network)
     node = load_preset(job.preset)
     system = make_system(node, job.nodes, job.strategy)
-    # Default-shaped jobs keep the single-node digest: the scale-out
-    # axes only namespace the cache when they are actually in play.
-    digest_system = (
-        system if (job.nodes > 1 or job.strategy != "data") else None
-    )
 
     cache = get_cache()
     before = dict(cache.stats)
@@ -229,8 +224,7 @@ def _execute_job(
     with capture() as tel:
         job_started = time.perf_counter()
         perf = cached_simulation(
-            net, node, job.minibatch, cache, faults=job.faults,
-            system=digest_system,
+            net, node, job.minibatch, cache, faults=job.faults
         )
         sysres = simulate_system(
             net, system, minibatch=job.minibatch, node_result=perf
@@ -258,9 +252,7 @@ def _execute_job(
         network=job.network,
         preset=job.preset,
         minibatch=job.minibatch,
-        digest=simulation_digest(
-            net, node, job.minibatch, job.faults, system=digest_system
-        ),
+        digest=simulation_digest(net, node, job.minibatch, job.faults),
         train_images_per_s=perf.training_images_per_s,
         eval_images_per_s=perf.evaluation_images_per_s,
         pe_utilization=perf.pe_utilization,
@@ -418,7 +410,6 @@ def run_sweep(
     workers: int = 1,
     retries: int = 1,
     backoff: float = 0.1,
-    fail_fast: bool = False,
     sleep: Callable[[float], None] = time.sleep,
 ) -> SweepReport:
     """Evaluate ``jobs`` across ``workers`` processes.
@@ -434,8 +425,6 @@ def run_sweep(
     and then quarantined as a ``status="failed"`` row — the other jobs
     always complete.  Typed :class:`ReproError` failures are
     deterministic and quarantine immediately without retrying.
-    ``fail_fast=True`` opts out: the sweep raises :class:`SweepError`
-    on the first failed job instead.
     """
     jobs = list(jobs)
     run = partial(_run_job, retries=retries, backoff=backoff, sleep=sleep)
@@ -452,11 +441,6 @@ def run_sweep(
         jobs, outputs
     ):
         results.append(row)
-        if row.failed and fail_fast:
-            raise SweepError(
-                f"sweep aborted (fail-fast): job {job.label} failed:\n"
-                f"{row.error}"
-            )
         for key, value in delta.items():
             totals[key] = totals.get(key, 0) + value
         if perf is not None:

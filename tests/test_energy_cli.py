@@ -101,32 +101,33 @@ class TestCli:
         assert "nD-convolution" in out
 
     def test_map(self, capsys):
-        assert main(["map", "AlexNet"]) == 0
+        assert main(["report", "AlexNet"]) == 0
         out = capsys.readouterr().out
         assert "conv1" in out and "ConvLayer" in out
 
     def test_simulate(self, capsys):
-        assert main(["simulate", "AlexNet", "--minibatch", "128"]) == 0
+        assert main(["report", "AlexNet", "--minibatch", "128"]) == 0
         out = capsys.readouterr().out
         assert "img/s" in out and "comp_mem" in out
 
     def test_simulate_hp(self, capsys):
-        assert main(["simulate", "AlexNet", "--hp"]) == 0
+        assert main(["report", "AlexNet", "--hp"]) == 0
         out = capsys.readouterr().out
         assert "scaledeep-hp" in out
 
     def test_energy(self, capsys):
-        assert main(["energy", "AlexNet"]) == 0
+        assert main(["report", "AlexNet"]) == 0
         assert "mJ" in capsys.readouterr().out
 
     def test_compare_gpu(self, capsys):
-        assert main(["compare-gpu", "AlexNet"]) == 0
+        assert main(["report", "AlexNet"]) == 0
         out = capsys.readouterr().out
+        assert "ScaleDeep chip cluster vs TitanX on AlexNet" in out
         assert "cuDNN-R2" in out and "x" in out
 
     def test_unknown_network_exits(self):
         with pytest.raises(SystemExit):
-            main(["simulate", "LeNet-1998"])
+            main(["report", "LeNet-1998"])
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -139,8 +140,9 @@ class TestCli:
         assert (tmp_path / "fig16_sp_throughput.csv").exists()
 
     def test_stages(self, capsys):
-        assert main(["stages", "AlexNet"]) == 0
+        assert main(["report", "AlexNet"]) == 0
         out = capsys.readouterr().out
+        assert "Pipeline stages of AlexNet (training)" in out
         assert "bottleneck" in out and "conv2" in out
 
     def test_report(self, capsys):

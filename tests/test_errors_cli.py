@@ -1,6 +1,6 @@
 """Every public CLI failure path exits 1 (domain errors) or 2 (usage
 errors) with a one-line ``repro:`` message — never a traceback — and
-the ``faults`` verb is byte-identical across reruns."""
+``report``'s fault what-if is byte-identical across reruns."""
 
 import pytest
 
@@ -31,32 +31,36 @@ def run_cli(argv):
 
 class TestExitCodes:
     def test_success_is_zero(self):
-        code, out, err = run_cli(["faults", "tinymlp", "--rate", "0"])
+        code, out, err = run_cli(["report", "tinymlp", "--fault-rate", "0"])
         assert code == 0
         assert "Baseline vs degraded" in out
         assert err == ""
 
     def test_unknown_network_exits_2(self):
-        code, _, err = run_cli(["faults", "no-such-net"])
+        code, _, err = run_cli(["report", "no-such-net"])
         assert code == 2
         assert err.startswith("repro: unknown network")
         assert "Traceback" not in err
 
     def test_bad_rate_exits_2(self):
-        code, _, err = run_cli(["faults", "tinymlp", "--rate", "2.0"])
+        code, _, err = run_cli(["report", "tinymlp", "--fault-rate", "2.0"])
         assert code == 2
         assert "rate must be in [0, 1]" in err
         assert "Traceback" not in err
 
     def test_bad_kind_exits_2(self):
-        code, _, err = run_cli(["faults", "tinymlp", "--kind", "bogus"])
+        code, _, err = run_cli(
+            ["report", "tinymlp", "--fault-rate", "0.02",
+             "--fault-kind", "bogus"]
+        )
         assert code == 2
         assert "unknown fault kind" in err
         assert "Traceback" not in err
 
     def test_unmappable_exits_1_without_traceback(self):
         code, _, err = run_cli(
-            ["faults", "alexnet", "--rate", "0.93", "--seed", "3"]
+            ["report", "alexnet", "--fault-rate", "0.93",
+             "--fault-seed", "3"]
         )
         assert code == 1
         assert err.startswith("repro: ")
@@ -95,19 +99,12 @@ class TestExitCodes:
         assert "FAILED" in out
         assert "repro: job" in err
 
-    def test_sweep_fail_fast_exits_1(self, tmp_path):
-        code, _, err = run_cli(
-            ["sweep", "tinymlp", "--fault-rate", "0.95",
-             "--fault-seed", "3", "--retries", "0", "--fail-fast",
-             "--out", str(tmp_path / "r.json")]
-        )
-        assert code == 1
-        assert "fail-fast" in err
-
 
 class TestFaultsVerb:
+    """``report``'s fault what-if block (``--fault-rate`` and friends)."""
+
     def test_rerun_byte_identical(self):
-        argv = ["faults", "vgg_e", "--rate", "0.02", "--seed", "7"]
+        argv = ["report", "vgg_e", "--fault-rate", "0.02", "--fault-seed", "7"]
         first = run_cli(argv)
         set_cache(CompileCache())  # cold cache: output must not change
         second = run_cli(argv)
@@ -116,7 +113,7 @@ class TestFaultsVerb:
 
     def test_reports_remap_and_ratio(self):
         code, out, _ = run_cli(
-            ["faults", "vgg_e", "--rate", "0.02", "--seed", "7"]
+            ["report", "vgg_e", "--fault-rate", "0.02", "--fault-seed", "7"]
         )
         assert code == 0
         assert "fault mask" in out
@@ -125,8 +122,8 @@ class TestFaultsVerb:
 
     def test_all_kinds_accepted(self):
         code, out, _ = run_cli(
-            ["faults", "tinycnn", "--rate", "0.05", "--seed", "1",
-             "--kind", "all"]
+            ["report", "tinycnn", "--fault-rate", "0.05",
+             "--fault-seed", "1", "--fault-kind", "all"]
         )
         assert code == 0
         assert "Baseline vs degraded" in out

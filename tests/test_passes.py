@@ -16,13 +16,15 @@ from repro.compiler.passes.legalize import LegalizePass
 from repro.compiler.passes.manager import Pass, PassContext, PassManager
 from repro.compiler.pipeline import compile_network
 from repro.dnn import zoo
-from repro.errors import IRVerificationError, MappingError
+from repro.dnn.zoo.engine_proxies import engine_proxy
+from repro.errors import IRVerificationError, MappingError, ProgramError
 from repro.faults.model import FaultSpec, sample_faults
 from repro.functional.reference import ReferenceModel
 from repro.isa.instructions import Opcode
+from repro.sim.validation import ENGINE_WEIGHT_LIMIT, VALIDATION_VARIANTS
 
 PIPELINE_ORDER = [
-    "legalize", "place-check", "tracker-assign", "schedule", "lower",
+    "legalize", "place-check", "schedule", "lower", "tracker-assign",
     "fuse",
 ]
 
@@ -49,7 +51,7 @@ class TestPipeline:
 
     def test_lower_notes_programs(self):
         compiled = compile_dag_forward(*_model_pair("TinyCNN"))
-        lower = compiled.pass_stats[-2]
+        lower = compiled.pass_stats[PIPELINE_ORDER.index("lower")]
         assert lower.name == "lower"
         assert lower.notes == {
             "programs": len(compiled.programs),
@@ -115,18 +117,32 @@ class TestSchedule:
 
 
 class TestTrackerPlan:
-    @pytest.mark.parametrize("name", ["TinyCNN", "TinyMLP"])
+    @staticmethod
+    def _assert_plan_is_armed(ir, pass_stats, programs):
+        """The IR-level tracker plan and the pass's ``trackers`` note
+        are exactly what the lowering arms."""
+        plan = {k: int(v) for k, v in ir.meta["tracker_plan"].items()}
+        armed = _armed_tracker_ports(programs)
+        assert plan == armed
+        (stats,) = [s for s in pass_stats if s.name == "tracker-assign"]
+        assert stats.notes["trackers"] == sum(armed.values())
+
+    @pytest.mark.parametrize(
+        "name", [*zoo.available(), *VALIDATION_VARIANTS]
+    )
     def test_forward_plan_matches_armed_trackers(self, name):
-        """The IR-level tracker plan is exactly what the lowering arms —
-        the plan cannot drift from the emission."""
-        compiled = compile_dag_forward(*_model_pair(name))
-        plan = {
-            k: int(v)
-            for k, v in compiled.ir.meta["tracker_plan"].items()
-        }
-        assert _armed_tracker_ports(compiled.programs) == plan
-        assert sum(plan.values()) == sum(
-            op.attrs["trackers"] for op in compiled.ir.ops
+        """On every network ``validate`` runs, engine proxies as it
+        builds them; a padded pool arms a second tracker for its
+        zero-padded staging plane (GoogLeNet's proxy has 26)."""
+        if name in VALIDATION_VARIANTS:
+            net = VALIDATION_VARIANTS[name]()
+        else:
+            net = zoo.load(name)
+            if net.weight_count > ENGINE_WEIGHT_LIMIT:
+                net = engine_proxy(name)
+        compiled = compile_dag_forward(net, ReferenceModel(net, seed=0))
+        self._assert_plan_is_armed(
+            compiled.ir, compiled.pass_stats, compiled.programs
         )
 
     @pytest.mark.parametrize("minibatch", [1, 2])
@@ -134,20 +150,23 @@ class TestTrackerPlan:
         compiled = compile_training(
             *_model_pair("TinyCNN"), minibatch=minibatch
         )
-        plan = {
-            k: int(v)
-            for k, v in compiled.forward.ir.meta["tracker_plan"].items()
-        }
-        assert _armed_tracker_ports(compiled.forward.programs) == plan
+        forward = compiled.forward
+        self._assert_plan_is_armed(
+            forward.ir, forward.pass_stats, forward.programs
+        )
 
     def test_capacity_overflow_is_typed(self):
+        """The program verifier is the one capacity check: it names
+        the tile whose tracker file overflows."""
         net, model = _model_pair("TinyCNN")
         compiler = ForwardCompiler(net, model)
         compiler.chip = replace(
             compiler.chip,
             mem_tile=replace(compiler.chip.mem_tile, tracker_count=1),
         )
-        with pytest.raises(IRVerificationError, match="tracker"):
+        with pytest.raises(
+            ProgramError, match=r"tile \d+ arms \d+ trackers"
+        ):
             compiler.compile()
 
 

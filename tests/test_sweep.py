@@ -271,7 +271,7 @@ class TestSweepCli:
         ["sweep", "tiny", "--cache-dir", "{dir}"],
         ["sweep", "tiny", "--clear-cache"],
         ["sweep", "tiny", "--no-cache"],
-        ["faults", "tiny", "--cache-dir", "{dir}"],
+        ["report", "tiny", "--cache-dir", "{dir}"],
     ])
     def test_cli_cache_flags_are_usage_errors(self, argv, tmp_path):
         from repro.cli import main

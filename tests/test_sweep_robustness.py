@@ -1,13 +1,11 @@
 """Robustness tests for the sweep runner: poison-job quarantine,
-retry/fail-fast semantics and fault-sweep determinism across worker
-counts."""
+retry semantics and fault-sweep determinism across worker counts."""
 
 import json
 
 import pytest
 
 from repro.bench.export import write_sweep_json
-from repro.errors import SweepError
 from repro.faults import FaultSpec
 from repro.sweep import (
     CompileCache,
@@ -56,11 +54,6 @@ class TestQuarantine:
         assert [r.to_row() for r in serial.results] == [
             r.to_row() for r in pooled.results
         ]
-
-    def test_fail_fast_raises(self):
-        jobs = [poison_job()] + expand_jobs(TINY)
-        with pytest.raises(SweepError, match="fail-fast"):
-            run_sweep(jobs, retries=0, fail_fast=True)
 
     def test_retries_still_quarantine_persistent_failures(self):
         report = run_sweep([poison_job()], retries=2, backoff=0.0)

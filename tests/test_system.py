@@ -488,6 +488,25 @@ class TestSweepScaleOut:
             4 * row["total_power_w"]
         )
 
+    def test_node_counts_share_one_simulation(self):
+        """The memo keys the per-node simulation, which no scale-out
+        axis changes: one miss per (network, preset, minibatch)."""
+        from repro.sweep import CompileCache, set_cache
+
+        previous = set_cache(CompileCache())
+        try:
+            report = run_sweep(expand_jobs(
+                networks=["lenet5"], nodes=(1, 2, 4),
+                strategies=("data", "hybrid:2"),
+            ))
+        finally:
+            set_cache(previous)
+        assert report.cache_stats["simulation_misses"] == 1
+        assert report.cache_stats["simulation_hits"] == 5
+        assert len({r.digest for r in report.results}) == 1
+        assert len({r.system_train_images_per_s
+                    for r in report.results}) > 1
+
     def test_rows_serialize(self):
         report = run_sweep(expand_jobs(networks=["lenet5"], nodes=(2,)))
         payload = json.dumps([r.to_row() for r in report.results])

@@ -380,12 +380,14 @@ class TestCli:
             if isinstance(action, argparse._SubParsersAction)
         ]
         assert set(verbs) == {
-            "list", "analyze", "map", "lower", "simulate", "energy",
-            "compare-gpu", "stages", "report", "stats", "sweep",
-            "validate", "faults", "serve", "export",
+            "list", "analyze", "lower", "report", "stats", "sweep",
+            "validate", "serve", "export",
         }
 
-    @pytest.mark.parametrize("verb", ["chaos", "profile", "trace"])
+    @pytest.mark.parametrize("verb", [
+        "chaos", "profile", "trace", "map", "simulate", "energy",
+        "stages", "compare-gpu", "faults",
+    ])
     def test_folded_verbs_are_unknown(self, verb):
         with pytest.raises(SystemExit) as excinfo:
             main([verb, "lenet5"])
