@@ -16,14 +16,17 @@ processes are supported:
 
 Both are plain float arithmetic over a seeded PRNG, so the same
 (networks, qps, duration, seed) produce a bit-identical stream on every
-run — the property the serve determinism gate pins.
+run — the property the serve determinism gate pins.  The stream is
+drawn into two columns (arrival time, network index) and each
+:class:`Request` object is built only when the serving loop reads it.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 from repro.errors import ConfigError
 
@@ -71,6 +74,45 @@ class Request:
         return self.submitted_s + timeout_s
 
 
+class RequestStream(Sequence[Request]):
+    """A generated request stream held as two columns, arrival times
+    and network indices; the :class:`Request` at position ``i`` (its
+    ``index``) is built when it is read, so a run holds only the
+    requests it has pulled and not yet released, never the stream as
+    objects.  It equals any sequence of the same requests."""
+
+    __slots__ = ("networks", "arrival_s", "network_index")
+
+    def __init__(self, networks: Sequence[str]) -> None:
+        self.networks = tuple(networks)
+        self.arrival_s = array("d")
+        self.network_index = array("H")
+
+    def __len__(self) -> int:
+        return len(self.arrival_s)
+
+    def __getitem__(self, i: int) -> Request:
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("request stream index out of range")
+        return Request(
+            i, self.networks[self.network_index[i]], self.arrival_s[i]
+        )
+
+    def __iter__(self) -> Iterator[Request]:
+        networks = self.networks
+        for i, (target, arrival_s) in enumerate(
+            zip(self.network_index, self.arrival_s)
+        ):
+            yield Request(i, networks[target], arrival_s)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 def _normalized_weights(
     networks: Sequence[str], weights: Optional[Sequence[float]]
 ) -> List[float]:
@@ -94,8 +136,10 @@ def generate_requests(
     seed: int = 0,
     weights: Optional[Sequence[float]] = None,
     max_requests: int = DEFAULT_MAX_REQUESTS,
-) -> Tuple[Request, ...]:
-    """The deterministic request stream for one serving run.
+) -> RequestStream:
+    """The deterministic request stream for one serving run, as a
+    :class:`RequestStream`: every arrival is drawn here, and each
+    :class:`Request` is built when the stream is read.
 
     ``qps`` is the aggregate offered rate across every network;
     ``weights`` splits it (default: equally).  Generation stops at
@@ -119,7 +163,8 @@ def generate_requests(
         )
     shares = _normalized_weights(networks, weights)
 
-    requests: List[Request] = []
+    stream = RequestStream(networks)
+    times, targets = stream.arrival_s, stream.network_index
     if arrivals == "poisson":
         rng = random.Random(seed)
         cumulative: List[float] = []
@@ -129,24 +174,23 @@ def generate_requests(
             cumulative.append(running)
         cumulative[-1] = 1.0  # guard float residue on the last slot
         now = 0.0
-        while len(requests) < max_requests:
+        while len(times) < max_requests:
             now += rng.expovariate(qps)
             if now >= duration_s:
                 break
             draw = rng.random()
-            for name, edge in zip(networks, cumulative):
+            for target, edge in enumerate(cumulative):
                 if draw < edge:
-                    network = name
                     break
             else:  # pragma: no cover - cumulative[-1] == 1.0
-                network = networks[-1]
-            requests.append(Request(len(requests), network, now))
+                target = len(cumulative) - 1
+            times.append(now)
+            targets.append(target)
     else:  # uniform closed trace
         interval = 1.0 / qps
         credits = [0.0] * len(networks)
-        index = 0
-        while len(requests) < max_requests:
-            now = (index + 1) * interval
+        while len(times) < max_requests:
+            now = (len(times) + 1) * interval
             if now >= duration_s:
                 break
             # Largest-remainder weighted round-robin: every arrival
@@ -158,6 +202,6 @@ def generate_requests(
                 if credits[i] > credits[best]:
                     best = i
             credits[best] -= 1.0
-            requests.append(Request(index, networks[best], now))
-            index += 1
-    return tuple(requests)
+            times.append(now)
+            targets.append(best)
+    return stream

@@ -55,18 +55,30 @@ retries and the fault schedule, so an event costs the log of that, not
 of the request count, and a run costs O(requests) events, not
 O(cycles): the SCALE-Sim trade of event fidelity for request-level
 analytical speed.
+
+The loop holds O(in flight) state as well.  The generated stream is
+two columns whose requests are built as the loop pulls them
+(:class:`~repro.serve.request.RequestStream`); a root leaves the table
+of roots the moment it is resolved with no live copy, so the table ends
+the run empty; and each completion is one entry in typed columns (time,
+latency, tenant and degraded flag), with each failed root's time in
+another.  The latency histograms and the timeline are filled from those
+columns once, when the heap has drained.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.arch.node import NodeConfig
 from repro.dnn.network import Network
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.serve.batcher import BatchPolicy, DynamicBatcher
 from repro.serve.failures import (
     DegradedInterval,
@@ -274,6 +286,10 @@ def simulate_serving(
         name: _TenantState(placement.tenant(name), config.policy)
         for name in names
     }
+    # Each tenant's completion code: twice its index, plus one when the
+    # completion lands under an active fault.
+    codes = {name: 2 * i for i, name in enumerate(states)}
+    # Unresolved roots, and resolved ones with a copy still live.
     roots: Dict[int, _Root] = {}
     tel = get_telemetry()
     timeout_s = config.timeout_s
@@ -311,9 +327,14 @@ def simulate_serving(
     interval_start = 0.0
     interval_sites: List[str] = []
     interval_peak = 0
-    # (time, latency_ms, degraded) samples for the report timeline.
-    completions: List[Tuple[float, float, bool]] = []
-    failure_samples: List[Tuple[float, str]] = []  # non-completed roots
+    # One entry per completed root, in completion order: the time, the
+    # latency and the tenant's code; and the time of every root that
+    # did not complete.  The histograms and the timeline are filled
+    # from these columns once the heap drains.
+    done_s = array("d")
+    done_ms = array("d")
+    done_code = array("H")
+    failed_s = array("d")
 
     def push(time_s: float, kind: int, payload: object) -> None:
         nonlocal sequence
@@ -363,7 +384,8 @@ def simulate_serving(
             state.timed_out += 1
         else:
             state.failed += 1
-        failure_samples.append((now_s, reason))
+        failed_s.append(now_s)
+        del roots[root.rid]  # no copy is live: copy_death checked
         outcome(state, f"outcome_{reason}", now_s)
 
     def copy_death(root: _Root, reason: str, now_s: float) -> None:
@@ -404,6 +426,8 @@ def simulate_serving(
         root.live -= 1
         if not root.resolved:
             copy_death(root, "timed_out", now_s)
+        elif not root.live:
+            del roots[req.rid]
 
     def try_dispatch(name: str, now_s: float) -> None:
         state = states[name]
@@ -446,6 +470,8 @@ def simulate_serving(
                         root.live -= 1
                         if not root.resolved:
                             copy_death(root, "failed", now_s)
+                        elif not root.live:
+                            del roots[req.rid]
                 continue
             if state.down:
                 state.down = False
@@ -476,6 +502,8 @@ def simulate_serving(
                 state.offered += 1
             if root.resolved:
                 root.live -= 1  # cancelled copy (sibling already won)
+                if not root.live:
+                    del roots[request.rid]
                 continue
             if root.deadline is not None and root.deadline <= now_s:
                 root.live -= 1
@@ -502,22 +530,24 @@ def simulate_serving(
         elif kind == _DEPART:
             name, batch = payload  # type: ignore[misc]
             state = states[name]
+            code = codes[name] + (1 if active_faults else 0)
             for request in batch:
                 root = roots[request.rid]
                 root.live -= 1
-                if root.resolved:
-                    continue  # hedge loser: sibling already completed
+                if root.resolved:  # hedge loser: sibling already completed
+                    if not root.live:
+                        del roots[request.rid]
+                    continue
                 if root.deadline is not None and root.deadline <= now_s:
                     copy_death(root, "timed_out", now_s)
                     continue
                 root.resolved = True
-                latency_ms = (now_s - root.submitted_s) * 1e3
-                state.latency_ms.observe(latency_ms)
-                degraded = bool(active_faults)
-                (state.degraded_ms if degraded
-                 else state.healthy_ms).observe(latency_ms)
+                if not root.live:
+                    del roots[request.rid]
+                done_s.append(now_s)
+                done_ms.append((now_s - root.submitted_s) * 1e3)
+                done_code.append(code)
                 state.completed += 1
-                completions.append((now_s, latency_ms, degraded))
                 outcome(state, "completed", now_s)
             last_completion_s = max(last_completion_s, now_s)
             state.busy = False
@@ -575,6 +605,11 @@ def simulate_serving(
                         "serve/faults", "repair", 1.0, ts=now_s * 1e6
                     )
             apply_transition(now_s)
+    if roots:
+        raise SimulationError(
+            f"{len(roots)} request(s) unresolved or with a live copy "
+            "after the event heap drained"
+        )
 
     # The sustained rate divides by the full horizon: the arrival
     # window stretched to the last completion, so a backlogged run
@@ -594,6 +629,13 @@ def simulate_serving(
         if state.down:  # close out open down-time at the horizon
             state.down_spans.append((state.down_since, horizon_s))
             state.down = False
+    latencies = np.asarray(done_ms)
+    tenant_of, degraded = np.divmod(np.asarray(done_code), 2)
+    for i, state in enumerate(states.values()):
+        mine = tenant_of == i
+        state.latency_ms.observe_many(latencies[mine])
+        state.healthy_ms.observe_many(latencies[mine & (degraded == 0)])
+        state.degraded_ms.observe_many(latencies[mine & (degraded == 1)])
 
     tenants = tuple(
         TenantServeStats(
@@ -639,7 +681,9 @@ def simulate_serving(
             lifecycle.events if lifecycle is not None else ()
         ),
         degraded_intervals=tuple(intervals),
-        timeline=_timeline(completions, failure_samples, horizon_s),
+        timeline=_timeline(
+            done_s, latencies, degraded, failed_s, horizon_s
+        ),
     )
 
     if tel.enabled:
@@ -665,35 +709,37 @@ TIMELINE_BINS = 40
 
 
 def _timeline(
-    completions: Sequence[Tuple[float, float, bool]],
-    failures: Sequence[Tuple[float, str]],
+    done_s: Sequence[float],
+    done_ms: np.ndarray,
+    degraded: np.ndarray,
+    failed_s: Sequence[float],
     horizon_s: float,
 ) -> Tuple[Dict[str, float], ...]:
-    """Bucket per-request samples into the dashboard's time axis."""
-    if not completions and not failures:
+    """Bucket the completion columns (time, latency, degraded flag) and
+    the failure times into the dashboard's time axis."""
+    if not len(done_s) and not len(failed_s):
         return ()
     width = horizon_s / TIMELINE_BINS
-    hists = [Histogram() for _ in range(TIMELINE_BINS)]
-    degraded = [0] * TIMELINE_BINS
-    failed = [0] * TIMELINE_BINS
 
-    def bucket(t: float) -> int:
-        return min(int(t / width), TIMELINE_BINS - 1)
+    def bucket(times: Sequence[float]) -> np.ndarray:
+        # Float division, then truncation: int(t / width) per sample.
+        index = (np.asarray(times) / width).astype(np.int64)
+        return np.minimum(index, TIMELINE_BINS - 1)
 
-    for t, latency_ms, was_degraded in completions:
-        hists[bucket(t)].observe(latency_ms)
-        if was_degraded:
-            degraded[bucket(t)] += 1
-    for t, _reason in failures:
-        failed[bucket(t)] += 1
+    done_bin = bucket(done_s)
+    degraded_n = np.bincount(done_bin[degraded == 1],
+                             minlength=TIMELINE_BINS)
+    failed_n = np.bincount(bucket(failed_s), minlength=TIMELINE_BINS)
     bins: List[Dict[str, float]] = []
-    for i, hist in enumerate(hists):
+    for i in range(TIMELINE_BINS):
+        hist = Histogram()
+        hist.observe_many(done_ms[done_bin == i])
         bins.append({
             "start_s": i * width,
             "end_s": (i + 1) * width,
             "completed": float(hist.count),
-            "degraded": float(degraded[i]),
-            "failed": float(failed[i]),
+            "degraded": float(degraded_n[i]),
+            "failed": float(failed_n[i]),
             "p99_ms": hist.percentile(99) if hist.count else 0.0,
             "mean_ms": hist.mean if hist.count else 0.0,
         })

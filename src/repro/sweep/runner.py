@@ -177,20 +177,26 @@ def expand_jobs(
     in deterministic order.  ``networks`` defaults to the Fig 15 zoo
     and ``minibatches`` to the paper's 256; names resolve
     case-insensitively with zoo aliases, presets and strategies eagerly
-    (unknown names raise before any work starts).  ``faults`` applies
+    (unknown names, and a model group that does not divide a node
+    count, raise before any work starts).  ``faults`` applies
     one fault spec to every job (the mask itself still differs per
     preset — sampling depends on the node)."""
     names = [
         zoo.resolve(n) for n in (networks or list(zoo.BENCHMARKS))
     ]
     minibatches = minibatches or (DEFAULT_MINIBATCH,)
-    for preset in presets:
-        load_preset(preset)  # validate eagerly
+    configs = [load_preset(preset) for preset in presets]  # validate eagerly
     for count in nodes:
         if count < 1:
             raise SweepError(f"node count must be >= 1, got {count}")
     for strategy in strategies:
         ParallelismStrategy.parse(strategy)  # validate eagerly
+        # Each job's system, built as the job builds it: a hybrid group
+        # larger than the system clamps down, and one that does not
+        # divide the node count raises here, before any job runs.
+        for node in configs:
+            for count in nodes:
+                make_system(node, count, strategy)
     return [
         SweepJob(
             network=n, preset=p, minibatch=m, faults=faults,

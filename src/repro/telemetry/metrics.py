@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 #: Observations retained verbatim per histogram; beyond this the exact
 #: sample is dropped and percentiles interpolate within log buckets.
 HISTOGRAM_EXACT_CAP = 4096
@@ -99,6 +101,42 @@ class Histogram:
                 self._exact.append(value)
             else:
                 self._exact = None  # switch to bucket interpolation
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` each of ``values`` in order, in bulk: the
+        histogram ends in exactly the state the one-by-one calls leave
+        (the total accumulates strictly left to right, as ``+=`` does,
+        and bucket indices come from the same ``math.log2``)."""
+        column = np.asarray(values, dtype=np.float64)
+        if not column.size:
+            return
+        if not np.isfinite(column).all():
+            for value in column.tolist():
+                self.observe(value)
+            return
+        self.count += column.size
+        self.total = float(np.add.accumulate(
+            np.concatenate(([self.total], column))
+        )[-1])
+        # argmin/argmax take the first of equal values, as the strict
+        # comparisons in observe keep the first (0.0 before -0.0).
+        low = float(column[column.argmin()])
+        high = float(column[column.argmax()])
+        if low < self.min:
+            self.min = low
+        if high > self.max:
+            self.max = high
+        positive = column[column > 0.0]
+        negative = column[column < 0.0]
+        self._zeros += column.size - positive.size - negative.size
+        _add_to_buckets(self._buckets, positive)
+        _add_to_buckets(self._neg_buckets, -negative)
+        if self._exact is not None:
+            self._sorted = None
+            if len(self._exact) + column.size <= self.exact_cap:
+                self._exact.extend(column.tolist())
+            else:
+                self._exact = None
 
     def merge(self, other: "Histogram") -> None:
         """Fold ``other`` into this histogram (order-insensitive for
@@ -199,6 +237,25 @@ class Histogram:
             label = f"p{q:g}".replace(".", "_")
             out[label] = self.percentile(q)
         return out
+
+
+def _add_to_buckets(buckets: Dict[int, int], magnitudes: np.ndarray) -> None:
+    """Count positive ``magnitudes`` into their log buckets, each new
+    bucket inserted in first-seen order as :meth:`Histogram.observe`
+    inserts it.  ``numpy.log2`` is not bit-equal to ``math.log2``, so
+    the logs come from ``math.log2``; scaling and flooring are exact."""
+    if not magnitudes.size:
+        return
+    logs = np.fromiter(
+        map(math.log2, magnitudes.tolist()), np.float64, magnitudes.size
+    )
+    keys, first, counts = np.unique(
+        np.floor(logs * BUCKETS_PER_OCTAVE),
+        return_index=True, return_counts=True,
+    )
+    for i in np.argsort(first).tolist():
+        key = int(keys[i])
+        buckets[key] = buckets.get(key, 0) + int(counts[i])
 
 
 class MetricsRegistry:

@@ -3,36 +3,163 @@
 Until the heap held only pending events, ``simulate_serving`` heapified
 every generated arrival up front and pushed every hedge timer onto the
 heap, where a timer whose request had already resolved still fired and
-did nothing.  :func:`simulate_serving` below is that loop verbatim;
-everything else (config, per-request and per-tenant state, batcher,
-placement, lifecycle, report, timeline) is imported from the package.
-``tests/test_serve_oracle.py`` checks that both loops produce
-byte-identical report JSON.
+did nothing.  :func:`simulate_serving` below is that loop verbatim,
+with verbatim copies of the request generator it called (every
+:class:`Request` built up front into a tuple) and of the timeline it
+built from per-request samples (one scalar ``observe`` each), so the
+oracle keeps neither the lazy request stream nor the bulk histogram
+fill of the code under test.  Everything else (config, per-request and
+per-tenant state, batcher, placement, lifecycle, report) is imported
+from the package.  ``tests/test_serve_oracle.py`` checks that both
+loops produce byte-identical report JSON and that both generators yield
+the same requests.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.node import NodeConfig
 from repro.dnn.network import Network
+from repro.errors import ConfigError
 from repro.serve.failures import DegradedInterval, FailureLifecycle
 from repro.serve.placement import NodePlacement, place_networks
 from repro.serve.report import ServeReport, TenantServeStats
-from repro.serve.request import Request, generate_requests
+from repro.serve.request import (
+    ARRIVAL_KINDS,
+    DEFAULT_MAX_REQUESTS,
+    Request,
+    _normalized_weights,
+)
 from repro.serve.simulator import (
     _ARRIVAL,
     _DEPART,
     _FAULT,
     _TIMER,
+    TIMELINE_BINS,
     ServeConfig,
     _Root,
     _TenantState,
-    _timeline,
 )
 from repro.telemetry.core import get_telemetry
+from repro.telemetry.metrics import Histogram
+
+
+def generate_requests(
+    networks: Sequence[str],
+    qps: float,
+    duration_s: float,
+    arrivals: str = "poisson",
+    seed: int = 0,
+    weights: Optional[Sequence[float]] = None,
+    max_requests: int = DEFAULT_MAX_REQUESTS,
+) -> Tuple[Request, ...]:
+    """The deterministic request stream for one serving run.
+
+    ``qps`` is the aggregate offered rate across every network;
+    ``weights`` splits it (default: equally).  Generation stops at
+    ``duration_s`` simulated seconds or ``max_requests`` requests,
+    whichever comes first.
+    """
+    if not networks:
+        raise ConfigError("at least one network is required to serve")
+    if qps <= 0:
+        raise ConfigError(f"offered qps must be > 0, got {qps}")
+    if duration_s <= 0:
+        raise ConfigError(f"duration must be > 0, got {duration_s}")
+    if max_requests < 1:
+        raise ConfigError(
+            f"max_requests must be >= 1, got {max_requests}"
+        )
+    if arrivals not in ARRIVAL_KINDS:
+        raise ConfigError(
+            f"unknown arrival process {arrivals!r} "
+            f"(choose from: {', '.join(ARRIVAL_KINDS)})"
+        )
+    shares = _normalized_weights(networks, weights)
+
+    requests: List[Request] = []
+    if arrivals == "poisson":
+        rng = random.Random(seed)
+        cumulative: List[float] = []
+        running = 0.0
+        for share in shares:
+            running += share
+            cumulative.append(running)
+        cumulative[-1] = 1.0  # guard float residue on the last slot
+        now = 0.0
+        while len(requests) < max_requests:
+            now += rng.expovariate(qps)
+            if now >= duration_s:
+                break
+            draw = rng.random()
+            for name, edge in zip(networks, cumulative):
+                if draw < edge:
+                    network = name
+                    break
+            else:  # pragma: no cover - cumulative[-1] == 1.0
+                network = networks[-1]
+            requests.append(Request(len(requests), network, now))
+    else:  # uniform closed trace
+        interval = 1.0 / qps
+        credits = [0.0] * len(networks)
+        index = 0
+        while len(requests) < max_requests:
+            now = (index + 1) * interval
+            if now >= duration_s:
+                break
+            # Largest-remainder weighted round-robin: every arrival
+            # credits each network its share, the most-owed network
+            # (first wins ties) takes the slot.
+            best = 0
+            for i, share in enumerate(shares):
+                credits[i] += share
+                if credits[i] > credits[best]:
+                    best = i
+            credits[best] -= 1.0
+            requests.append(Request(index, networks[best], now))
+            index += 1
+    return tuple(requests)
+
+
+def _timeline(
+    completions: Sequence[Tuple[float, float, bool]],
+    failures: Sequence[Tuple[float, str]],
+    horizon_s: float,
+) -> Tuple[Dict[str, float], ...]:
+    """Bucket per-request samples into the dashboard's time axis."""
+    if not completions and not failures:
+        return ()
+    width = horizon_s / TIMELINE_BINS
+    hists = [Histogram() for _ in range(TIMELINE_BINS)]
+    degraded = [0] * TIMELINE_BINS
+    failed = [0] * TIMELINE_BINS
+
+    def bucket(t: float) -> int:
+        return min(int(t / width), TIMELINE_BINS - 1)
+
+    for t, latency_ms, was_degraded in completions:
+        hists[bucket(t)].observe(latency_ms)
+        if was_degraded:
+            degraded[bucket(t)] += 1
+    for t, _reason in failures:
+        failed[bucket(t)] += 1
+    bins: List[Dict[str, float]] = []
+    for i, hist in enumerate(hists):
+        bins.append({
+            "start_s": i * width,
+            "end_s": (i + 1) * width,
+            "completed": float(hist.count),
+            "degraded": float(degraded[i]),
+            "failed": float(failed[i]),
+            "p99_ms": hist.percentile(99) if hist.count else 0.0,
+            "mean_ms": hist.mean if hist.count else 0.0,
+        })
+    return tuple(bins)
+
 
 def simulate_serving(
     networks: Sequence[Network],

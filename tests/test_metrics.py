@@ -7,9 +7,14 @@ merge bit-identically regardless of the merge sequence's partitioning.
 """
 
 import json
+import math
 import pickle
+from array import array
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import (
     HISTOGRAM_EXACT_CAP,
@@ -302,3 +307,86 @@ class TestHistogramSortedCache:
         a.merge(b)
         assert a.percentile(100) == 9.0
         assert a.percentile(50) == 5.0
+
+
+def _state(hist):
+    """Every slot of a histogram, floats as hex (so -0.0 and 0.0, and
+    a total's last bit, count)."""
+    hexes = lambda values: (  # noqa: E731
+        None if values is None else [float.hex(v) for v in values]
+    )
+    return (
+        hist.count, float.hex(hist.total), float.hex(hist.min),
+        float.hex(hist.max), hist._zeros, list(hist._buckets.items()),
+        list(hist._neg_buckets.items()), hexes(hist._exact),
+        hexes(hist._sorted), hist.exact_cap,
+    )
+
+
+def _bucket_edges():
+    """Each bucket edge ``2 ** (k / 4)`` and its float neighbours."""
+    for k in range(-80, 81):
+        edge = 2.0 ** (k / 4)
+        yield from (edge, math.nextafter(edge, 0.0),
+                    math.nextafter(edge, math.inf))
+
+
+_EDGES = list(_bucket_edges())
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     math.nan]),
+    st.sampled_from(_EDGES + [-edge for edge in _EDGES]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.floats(-1e3, 1e3),
+)
+
+
+class TestObserveMany:
+    """``observe_many(xs)`` leaves a histogram exactly as ``observe``
+    on each ``x`` in turn does: the serving simulator fills its
+    latency histograms and timeline in bulk, and its reports must not
+    move a bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cap=st.integers(0, 12),
+        head=st.lists(_VALUES, max_size=12),
+        batch=st.lists(_VALUES, max_size=30),
+        cached=st.booleans(),
+        container=st.sampled_from((list, np.array, lambda v: array("d", v))),
+    )
+    def test_matches_observe_one_by_one(
+        self, cap, head, batch, cached, container
+    ):
+        one, bulk = Histogram(exact_cap=cap), Histogram(exact_cap=cap)
+        for value in head:  # empty, or partly filled, or past the cap
+            one.observe(value)
+            bulk.observe(value)
+        if cached and one.exact:  # a sorted view to invalidate
+            one.percentile(50)
+            bulk.percentile(50)
+        for value in batch:
+            one.observe(value)
+        bulk.observe_many(container(batch))
+        assert _state(bulk) == _state(one)
+
+    def test_crosses_the_cap_within_one_call(self):
+        one, bulk = Histogram(exact_cap=8), Histogram(exact_cap=8)
+        head = [1.0, 2.0, 3.0]
+        batch = [float(v) for v in range(4, 10)]  # 3 + 6 > 8
+        for value in head + batch:
+            one.observe(value)
+        bulk.observe_many(head)
+        assert bulk.exact
+        bulk.observe_many(batch)
+        assert not bulk.exact
+        assert _state(bulk) == _state(one)
+
+    def test_total_accumulates_left_to_right(self):
+        # A pairwise sum (numpy's) keeps the small terms that a left to
+        # right one rounds away.
+        values = [1e16] + [1.0] * 64
+        hist = Histogram()
+        hist.observe_many(values)
+        assert hist.total == 1e16
+        assert float(np.sum(values)) != 1e16

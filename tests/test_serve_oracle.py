@@ -13,6 +13,9 @@ chaos kind, a tenant taken down by its faults, a binding request cap, a
 latency curve under faults) and on hypothesis-drawn ones, and identical
 telemetry under a capture.
 
+``TestRequestStream`` checks the lazily built request stream against
+the oracle's copy of the generator that built every request up front.
+
 The comparison is against the oracle rather than recorded digests: a
 float sum's last bits depend on the interpreter (Python 3.12's ``sum``
 is compensated), so a digest recorded on one version need not hold on
@@ -30,11 +33,13 @@ from repro.dnn import zoo
 from repro.faults import FaultKind
 from repro.serve import (
     CHAOS_KINDS,
+    DEFAULT_MAX_REQUESTS,
     BatchPolicy,
     FailureConfig,
     FailureLifecycle,
     ServeConfig,
     curve,
+    generate_requests,
     run_curve,
     simulate_serving,
 )
@@ -243,6 +248,31 @@ class TestFixedSpread:
             ))
         assert captured[0] == captured[1]
         assert captured[0][0]
+
+
+class TestRequestStream:
+    @pytest.mark.parametrize("arrivals", ("poisson", "uniform"))
+    @pytest.mark.parametrize("weights", (None, (0.2, 0.0, 0.8)))
+    # One request, a cap that binds (of about 300), and the default.
+    @pytest.mark.parametrize("max_requests", (1, 150, DEFAULT_MAX_REQUESTS))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_stream_equals_the_oracle_tuple(
+        self, arrivals, weights, max_requests, seed
+    ):
+        args = (("A", "B", "C"), 30_000.0, 0.01, arrivals, seed, weights,
+                max_requests)
+        stream = generate_requests(*args)
+        requests = serve_heap_oracle.generate_requests(*args)
+        assert len(stream) == len(requests)
+        if max_requests < DEFAULT_MAX_REQUESTS:  # the cap binds
+            assert len(stream) == max_requests
+        assert stream[-1] == requests[-1]
+        assert list(stream) == list(requests)
+        assert [stream[i] for i in range(len(stream))] == list(requests)
+        assert stream == requests
+        for i in (len(stream), -len(stream) - 1):
+            with pytest.raises(IndexError):
+                stream[i]
 
 
 POLICIES = st.builds(

@@ -161,6 +161,11 @@ class TestExpandJobs:
         with pytest.raises(ConfigError, match="unknown chip preset"):
             expand_jobs(TINY, presets=("fp8",))
 
+    def test_hybrid_group_clamps_to_small_systems(self):
+        # As make_system does: hybrid:4 on 1 or 2 nodes spans them all.
+        jobs = expand_jobs(TINY, nodes=(1, 2), strategies=("hybrid:4",))
+        assert len(jobs) == 4
+
     def test_preset_factories_agree_with_bench(self):
         assert load_preset("sp").name == single_precision_node().name
 
@@ -266,6 +271,29 @@ class TestSweepCli:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "nope", "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("nodes, strategy, group, count", [
+        ("3", "hybrid:2", 2, 3),
+        ("2,3", "data,hybrid:2", 2, 3),
+        ("4,6", "hybrid:4", 4, 6),
+    ])
+    def test_cli_strategy_that_does_not_fit_the_nodes_exits_2(
+        self, nodes, strategy, group, count, tmp_path, capsys
+    ):
+        # As `report --nodes 3 --strategy hybrid:2` refuses it: one
+        # line, exit 2, and no job run or quarantined.
+        from repro.cli import main
+
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "alexnet", "--nodes", nodes, "--strategy",
+                  strategy, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip() == (
+            f"repro: model group {group} does not divide the "
+            f"{count}-node system"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "tiny", "--cache-dir", "{dir}"],
