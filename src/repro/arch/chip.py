@@ -107,11 +107,6 @@ class ChipConfig:
         """Scratchpad bytes available in one chip column."""
         return self.rows * self.mem_tile.capacity_bytes
 
-    @property
-    def pes_per_column(self) -> int:
-        """2D-PEs in one column across its FP/BP/WG CompHeavy tiles."""
-        return self.comp_tiles_per_column * self.comp_tile.pe_count
-
     # ------------------------------------------------------------------
     # Peak throughput
     # ------------------------------------------------------------------

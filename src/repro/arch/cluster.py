@@ -36,10 +36,6 @@ class ClusterConfig:
             raise ConfigError("cluster needs at least one ConvLayer chip")
 
     @property
-    def chip_count(self) -> int:
-        return self.conv_chip_count + 1
-
-    @property
     def comp_tile_count(self) -> int:
         return (
             self.conv_chip_count * self.conv_chip.comp_tile_count

@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bench.stats import StatsReport
-from repro.telemetry.metrics import VOLATILE_GROUP_PREFIX
 from repro.telemetry.profile import StallCause, TileGroupProfile
 
 #: Sequential blue ramp, light -> dark (steps 100..700) — utilization.
@@ -593,8 +592,6 @@ def _attribution_bars(report: StatsReport) -> str:
 def _percentile_tables(report: StatsReport) -> str:
     by_group: Dict[str, List[Tuple[str, Dict[str, float]]]] = {}
     for group, name, histogram in report.metrics.histograms():
-        if group.startswith(VOLATILE_GROUP_PREFIX):
-            continue
         by_group.setdefault(group, []).append(
             (name, histogram.summary())
         )

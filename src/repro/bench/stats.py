@@ -20,10 +20,8 @@ The report keeps the capture itself (:attr:`StatsReport.telemetry`), so
 tables summarise.
 
 Everything here is deterministic: the capture contains no wall-clock
-observations (those live in ``wall.``-prefixed volatile groups, which
-:meth:`~repro.telemetry.metrics.MetricsRegistry.to_dict` excludes), so
-two runs of the same network/node/minibatch produce bit-identical
-snapshots.
+observations, so two runs of the same network/node/minibatch produce
+bit-identical snapshots.
 """
 
 from __future__ import annotations
@@ -94,8 +92,7 @@ class StatsReport:
 
         Metric histograms collapse to their summaries (count/mean/
         percentiles); attribution rows collapse to per-cause shares.
-        Volatile (wall-clock) groups are excluded, so the snapshot is
-        bit-identical across reruns and sweep worker counts.
+        The snapshot is bit-identical across reruns.
         """
         causes = {}
         for row in self.attributions():

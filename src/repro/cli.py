@@ -376,7 +376,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     except (KeyError, ValueError, ConfigError, SweepError) as exc:
         _usage_error(_message(exc))
 
-    report = run_sweep(jobs, workers=args.workers, retries=args.retries)
+    report = run_sweep(jobs, workers=args.workers)
 
     scaled_out = any(
         r.nodes != 1 or r.strategy != "data/ring" for r in report.results
@@ -798,10 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--html", metavar="PATH", default=None,
         help="write the scale-out dashboard (scaling curve + TCO "
         "KPIs) to PATH",
-    )
-    p.add_argument(
-        "--retries", type=int, default=1,
-        help="re-attempts per failing job before quarantine (default: 1)",
     )
     p.add_argument(
         "--fault-rate", type=float, default=None, metavar="R",

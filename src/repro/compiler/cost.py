@@ -121,12 +121,6 @@ class StepCost:
         return max(bounds, key=lambda k: bounds[k])
 
 
-def _feature_distribution_util(features: int, tiles: int) -> float:
-    """Factor 2: load imbalance when features don't divide over tiles."""
-    per_tile = math.ceil(features / tiles)
-    return features / (per_tile * tiles)
-
-
 def _bytes_per_cycle(bandwidth_bytes_per_s: float, frequency_hz: float) -> float:
     return bandwidth_bytes_per_s / frequency_hz
 

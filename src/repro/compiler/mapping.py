@@ -354,12 +354,8 @@ def map_network(
     )
     conv_allocs = _allocate_side(node, conv_chip, conv_units, conv_budget)
     if faults is not None:
-        _assign_columns(
-            conv_allocs, conv_assign_ids, faults.conv_speed, net.name
-        )
-        _assign_columns(
-            fc_allocs, fc_assign_ids, faults.fc_speed, net.name
-        )
+        _assign_columns(conv_allocs, conv_assign_ids, faults.conv_speed)
+        _assign_columns(fc_allocs, fc_assign_ids, faults.fc_speed)
 
     mapping = WorkloadMapping(
         network=net,
@@ -482,15 +478,6 @@ def _conv_footprint(
 
     remapped = sum(cols - caps[chip] for chip in used_chips)
     assign_ids = [c for chip in first_chips for c in healthy[chip]]
-    tel = get_telemetry()
-    if tel.enabled and remapped:
-        tel.instant(
-            "fault.remap", "faults", ("faults", "remap"), 0,
-            network=net.name, dead_columns=remapped,
-            copies=copies, chips_per_copy=chips_per_copy,
-            column_budget=budget,
-        )
-        tel.count("faults", "remapped_columns", remapped)
     return (chips_per_copy, clusters_per_copy, copies, budget,
             assign_ids, remapped)
 
@@ -526,15 +513,13 @@ def _assign_columns(
     allocs: Dict[str, UnitAllocation],
     healthy_ids: Sequence[int],
     speed_of: Callable[[int], float],
-    network: str,
 ) -> None:
     """Give every unit its concrete healthy columns, re-elect its home
     column, and fold tile-slow faults into a per-unit derate."""
     if not allocs or not healthy_ids:
         return
-    tel = get_telemetry()
     pos = 0
-    for index, alloc in enumerate(allocs.values()):
+    for alloc in allocs.values():
         span = tuple(healthy_ids[pos:pos + alloc.columns])
         pos += alloc.columns
         alloc.assigned_columns = span
@@ -542,13 +527,6 @@ def _assign_columns(
             continue
         alloc.home_column = span[0]
         alloc.derate = min(speed_of(c) for c in span)
-        if tel.enabled:
-            tel.instant(
-                "fault.assign", "faults", ("faults", "assign"), index,
-                network=network, unit=alloc.unit,
-                home_column=alloc.home_column,
-                columns=len(span), derate=alloc.derate,
-            )
 
 
 # ---------------------------------------------------------------------------

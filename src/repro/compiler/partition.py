@@ -99,9 +99,6 @@ class StatePartition:
         except KeyError:
             raise MappingError(f"layer {layer!r} not partitioned") from None
 
-    def rows_used(self, layer: str) -> List[int]:
-        return [h.row for h in self.blocks_of(layer)]
-
     def tile_occupancy(self) -> Dict[Tuple[int, int], float]:
         """Fraction of each tile's scratchpad the compiler has claimed."""
         return {

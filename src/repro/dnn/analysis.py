@@ -239,35 +239,6 @@ class NetworkProfile:
                     totals[kernel] += fl
         return totals
 
-    def kernel_bytes_per_flop(self, dtype_bytes: int = 4) -> Dict[Kernel, float]:
-        """B/F per kernel (Fig 5 'Bytes/FLOP' column).
-
-        Compute-dominant kernels (ND_CONV, MATMUL) get the traffic of
-        the layer steps they dominate; memory-dominant kernels use their
-        intrinsic scratchpad access patterns (see
-        :func:`intrinsic_bytes_per_flop`)."""
-        flops: Dict[Kernel, int] = {k: 0 for k in Kernel}
-        traffic: Dict[Kernel, int] = {k: 0 for k in Kernel}
-        for per_step in self.per_layer.values():
-            for prof in per_step.values():
-                candidates = [
-                    k for k in prof.flops_by_kernel
-                    if k in COMPUTE_DOMINANT_KERNELS
-                ]
-                for kernel, fl in prof.flops_by_kernel.items():
-                    flops[kernel] += fl
-                if candidates:
-                    dominant = max(
-                        candidates, key=lambda k: prof.flops_by_kernel[k]
-                    )
-                    traffic[dominant] += prof.bytes_total
-        out: Dict[Kernel, float] = {}
-        for k in Kernel:
-            if k in COMPUTE_DOMINANT_KERNELS:
-                out[k] = (traffic[k] / flops[k]) if flops[k] else 0.0
-            else:
-                out[k] = intrinsic_bytes_per_flop(k, dtype_bytes)
-        return out
 
 
 def profile_network(net: Network, dtype_bytes: int = 4) -> NetworkProfile:

@@ -18,7 +18,6 @@ from repro.dnn.layers import (
     InputSpec,
     LayerKind,
     LayerSpec,
-    is_weighted,
 )
 from repro.errors import TopologyError
 
@@ -190,9 +189,6 @@ class Network:
         from repro.dnn.analysis import layer_macs
 
         return sum(layer_macs(n) for n in self._nodes)
-
-    def weighted_layers(self) -> Tuple[LayerNode, ...]:
-        return tuple(n for n in self._nodes if is_weighted(n.spec))
 
     def describe(self) -> str:
         """A human-readable multi-line summary of the topology."""

@@ -19,8 +19,7 @@ Everything is a pure function of (:class:`FaultSpec`, node shape): the
 sampler seeds a named RNG (``scaledeep-faults:<seed>``) and walks the
 node's fault sites in a fixed order, so the same spec on the same node
 always yields the same :class:`FaultMask` — in-process, across worker
-processes, and across runs.  Every injected fault is emitted as a
-telemetry ``fault.inject`` instant plus a ``faults`` group counter.
+processes, and across runs.
 
 This module deliberately imports nothing from :mod:`repro.arch`,
 :mod:`repro.compiler` or :mod:`repro.sim` (node configurations are
@@ -36,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.telemetry.core import get_telemetry
 
 
 class FaultKind(enum.Enum):
@@ -214,15 +212,6 @@ class FaultMask:
             return 0.0
         return self.slow_fc.get(column, 1.0)
 
-    def dead_conv_in_chip(self, chip_index: int) -> int:
-        """Dead conv columns on global chip ``chip_index``."""
-        lo = chip_index * self.conv_chip_cols
-        hi = lo + self.conv_chip_cols
-        return sum(1 for c in self.dead_conv_columns if lo <= c < hi)
-
-    def down_arcs_in_cluster(self, cluster: int) -> int:
-        return sum(1 for c, _ in self.down_arcs if c == cluster)
-
     @property
     def worst_cluster_down_arcs(self) -> int:
         """Down arcs in the worst-hit cluster (the reroute multiplier)."""
@@ -297,7 +286,6 @@ class FaultModel:
         spec = self.spec
         kinds = set(spec.kinds)
         rng = random.Random(spec.rng_name)
-        tel = get_telemetry()
 
         cluster = node.cluster
         wheel = cluster.conv_chip_count
@@ -360,18 +348,6 @@ class FaultModel:
         if FaultKind.DMA_BITFLIP in kinds and spec.rate > 0:
             flip_rate = spec.rate
             faults.append(Fault(FaultKind.DMA_BITFLIP, "dma", spec.rate))
-
-        if tel.enabled:
-            for index, fault in enumerate(faults):
-                tel.instant(
-                    "fault.inject", "faults", ("faults", fault.kind.value),
-                    index, site=fault.site, kind=fault.kind.value,
-                    magnitude=fault.magnitude, seed=spec.seed,
-                )
-                tel.count("faults", fault.kind.value.replace("-", "_"))
-            tel.record("faults", "total", len(faults))
-            tel.record("faults", "seed", spec.seed)
-            tel.record("faults", "rate", spec.rate)
 
         return FaultMask(
             spec=spec,

@@ -95,7 +95,6 @@ from repro.serve.request import (
     generate_requests,
 )
 from repro.sim.perf import DEFAULT_MINIBATCH
-from repro.telemetry.core import get_telemetry
 from repro.telemetry.metrics import Histogram
 
 #: Event kinds in tie-break order: free the server, then admit new
@@ -291,7 +290,6 @@ def simulate_serving(
     codes = {name: 2 * i for i, name in enumerate(states)}
     # Unresolved roots, and resolved ones with a copy still live.
     roots: Dict[int, _Root] = {}
-    tel = get_telemetry()
     timeout_s = config.timeout_s
     robust = (
         timeout_s is not None
@@ -367,13 +365,6 @@ def simulate_serving(
                 return
             hedges.popleft()
 
-    def outcome(state: _TenantState, name: str, now_s: float) -> None:
-        if tel.enabled:
-            tel.count(
-                f"serve/{state.tenant.network}", name, 1.0,
-                ts=now_s * 1e6,
-            )
-
     def finalize(root: _Root, reason: str, now_s: float) -> None:
         """Resolve a root into its failure outcome."""
         root.resolved = True
@@ -386,7 +377,6 @@ def simulate_serving(
             state.failed += 1
         failed_s.append(now_s)
         del roots[root.rid]  # no copy is live: copy_death checked
-        outcome(state, f"outcome_{reason}", now_s)
 
     def copy_death(root: _Root, reason: str, now_s: float) -> None:
         """One copy died (shed / expired / tenant down).  The root
@@ -402,7 +392,6 @@ def simulate_serving(
                 root.live += 1
                 state = states[root.network]
                 state.retries += 1
-                outcome(state, "retry", now_s)
                 nonlocal copy_index
                 push(at, _ARRIVAL, Request(
                     index=copy_index, network=root.network,
@@ -524,7 +513,6 @@ def simulate_serving(
                 try_dispatch(request.network, now_s)
             else:
                 root.live -= 1
-                outcome(state, "shed", now_s)
                 if not root.resolved:
                     copy_death(root, "shed", now_s)
         elif kind == _DEPART:
@@ -548,7 +536,6 @@ def simulate_serving(
                 done_ms.append((now_s - root.submitted_s) * 1e3)
                 done_code.append(code)
                 state.completed += 1
-                outcome(state, "completed", now_s)
             last_completion_s = max(last_completion_s, now_s)
             state.busy = False
             try_dispatch(name, now_s)
@@ -571,7 +558,6 @@ def simulate_serving(
                     continue
                 root.live += 1
                 state.hedges += 1
-                outcome(state, "hedge", now_s)
                 push(now_s, _ARRIVAL, Request(
                     index=copy_index, network=root.network,
                     arrival_s=now_s, rid=root.rid,
@@ -589,10 +575,6 @@ def simulate_serving(
                 active_faults[event.fault.fault_id] = event.fault.site
                 interval_sites.append(event.fault.site)
                 interval_peak = max(interval_peak, len(active_faults))
-                if tel.enabled:
-                    tel.count(
-                        "serve/faults", "fault", 1.0, ts=now_s * 1e6
-                    )
             else:
                 active_faults.pop(event.fault.fault_id, None)
                 if not active_faults:
@@ -600,10 +582,6 @@ def simulate_serving(
                         interval_start, now_s, interval_peak,
                         tuple(interval_sites),
                     ))
-                if tel.enabled:
-                    tel.count(
-                        "serve/faults", "repair", 1.0, ts=now_s * 1e6
-                    )
             apply_transition(now_s)
     if roots:
         raise SimulationError(
@@ -661,7 +639,7 @@ def simulate_serving(
         )
         for name in names
     )
-    report = ServeReport(
+    return ServeReport(
         node=node.name,
         policy=config.policy,
         arrivals=config.arrivals,
@@ -685,23 +663,6 @@ def simulate_serving(
             done_s, latencies, degraded, failed_s, horizon_s
         ),
     )
-
-    if tel.enabled:
-        for stats in tenants:
-            group = f"serve/{stats.network}"
-            tel.count(group, "offered", stats.offered)
-            # "completed"/"shed" accumulated in-loop as timestamped
-            # samples (Chrome-trace counter series), not re-added here.
-            tel.gauge(group, "sustained_qps", stats.sustained_qps)
-            tel.gauge(group, "p99_ms", stats.latency_percentile_ms(99))
-            tel.gauge(group, "availability", stats.availability)
-            tel.metrics.adopt(
-                "serve.latency_ms", stats.network, stats.latency_ms
-            )
-            tel.metrics.adopt(
-                "serve.batch_size", stats.network, stats.batch_sizes
-            )
-    return report
 
 
 #: Buckets in the report timeline (coarse by design: it feeds one SVG).

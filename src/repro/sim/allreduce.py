@@ -40,7 +40,6 @@ from typing import Optional
 from repro.arch.system import GradientSync, SystemConfig
 from repro.compiler.mapping import WorkloadMapping
 from repro.errors import SimulationError
-from repro.telemetry.core import get_telemetry
 
 
 def ring_allreduce_cycles(
@@ -278,29 +277,6 @@ def minibatch_sync(
     stages = _stage_reports(mapping, training=True, tile_multiplier=1)
     bottleneck = max(s.cycles for s in stages) if stages else 0.0
     compute = bottleneck * minibatch / max(1, mapping.copies)
-
-    tel = get_telemetry()
-    if tel.enabled:
-        # The two phases serialize: wheel accumulation, then the ring.
-        tel.span(
-            "sync.wheel", "sync", ("sync", net.name), 0.0, wheel,
-            payload_bytes=conv_bytes, chips=chips_active,
-        )
-        tel.span(
-            "sync.ring", "sync", ("sync", net.name), wheel, ring,
-            payload_bytes=ring_payload, clusters=clusters,
-        )
-        if internode > 0.0:
-            tel.span(
-                "sync.fabric", "sync", ("sync", net.name),
-                wheel + ring, internode, nodes=nodes,
-            )
-        group = f"sync/{net.name}"
-        tel.record(group, "conv_gradient_bytes", conv_bytes)
-        tel.record(group, "fc_gradient_bytes", fc_bytes)
-        tel.record(group, "wheel_cycles", wheel)
-        tel.record(group, "ring_cycles", ring)
-        tel.record(group, "minibatch", minibatch)
 
     return SyncReport(
         network=net.name,

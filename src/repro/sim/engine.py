@@ -97,7 +97,7 @@ from repro.sim.tracker import (
     gate,
     runs,
 )
-from repro.telemetry.core import NullTelemetry, Telemetry, get_telemetry
+from repro.telemetry.core import get_telemetry
 
 #: Port value addressing external memory instead of a MemHeavy tile.
 EXTERNAL_PORT = 0xFFFF
@@ -178,7 +178,7 @@ class RunReport:
 class _Tag(NamedTuple):
     """How telemetry reports one op-table entry."""
 
-    name: str  # span name (and execution-trace text of a superop)
+    name: str  # span name
     metric: str  # ``engine.instr_cycles`` key
     dma: bool  # whether its cycles count as the tile's ``dma_cycles``
     args: Dict[str, int]  # extra span arguments (read-only)
@@ -244,10 +244,6 @@ class _Decoded:
                 f"{metric}[{sup.start}:{sup.end}]", metric,
                 sup.kind == "load_run", {"instructions": self.count},
             )
-
-    def __str__(self) -> str:
-        """The execution-trace text: the instruction, or the superop."""
-        return self.tag.name if self.instr is None else str(self.instr)
 
 
 #: The op-table entry at each member pc of a superop but its first:
@@ -380,25 +376,21 @@ def _observe_dma(tel, comp: Optional[CompTile], tile_id: str, size: int):
 
 class _Shared:
     """What an engine's decoded closures and tracker hooks share with
-    it: the round counter, telemetry and the DMA fault stream.  They
-    hold this, never the engine, so a dropped engine and its machine
-    are freed by reference counting, without the cyclic GC."""
+    it: the round counter and the DMA fault stream.  They hold this,
+    never the engine, so a dropped engine and its machine are freed by
+    reference counting, without the cyclic GC."""
 
-    __slots__ = (
-        "rounds", "telemetry", "tel_on", "flip_rate", "rng", "flips",
-    )
+    __slots__ = ("rounds", "flip_rate", "rng", "flips")
 
-    def __init__(self, telemetry, flip_rate: float, seed) -> None:
+    def __init__(self, flip_rate: float, seed) -> None:
         self.rounds = 0
-        self.telemetry = telemetry
-        self.tel_on = telemetry.enabled
         self.flip_rate = flip_rate
         #: Flips are drawn from a named RNG stream so a given seed
         #: corrupts the same transfers in every run.
         self.rng = random.Random(f"scaledeep-dma:{seed}")
         self.flips = 0
 
-    def dma_payload(self, data: np.ndarray, tile_id: str) -> np.ndarray:
+    def dma_payload(self, data: np.ndarray) -> np.ndarray:
         """Copy a DMA transfer's words, injecting a sign-bit flip on one
         word when a dma-bitflip fault fires for this transfer."""
         out = np.array(data, dtype=np.float32)
@@ -411,12 +403,6 @@ class _Shared:
             index = self.rng.randrange(flat.size)
             flat[index] = -flat[index]
             self.flips += 1
-            if self.tel_on:
-                self.telemetry.instant(
-                    "fault.dma_flip", "faults", ("faults", "dma-bitflip"),
-                    self.rounds, tile=tile_id, index=index,
-                )
-                self.telemetry.count("faults", "dma_flips")
         return out
 
 
@@ -428,13 +414,16 @@ class Engine:
         machine: Machine,
         external_words: int = 1 << 22,
         max_rounds: int = 10_000_000,
-        trace: bool = False,
-        trace_limit: int = 100_000,
-        telemetry: "Telemetry | NullTelemetry | None" = None,
         wall_clock_limit: Optional[float] = None,
         faults=None,
         fused: bool = False,
     ) -> None:
+        """An engine over ``machine``.  It reports to the telemetry
+        handle installed when it is built (a null object unless a
+        :func:`~repro.telemetry.capture` is active): one
+        ``engine.instr`` span per issued entry, tracker instants, and
+        the ``tile/``, ``mem/`` and ``engine`` counters.  ``faults``
+        turns on dma-bitflip faults, which :attr:`dma_flips` counts."""
         self.machine = machine
         self.external = zeroed_words(external_words)
         self.max_rounds = max_rounds
@@ -451,20 +440,11 @@ class Engine:
         #: it is killed with a :class:`SimulationTimeout` (None = no
         #: limit; the ``max_rounds`` cycle budget always applies).
         self.wall_clock_limit = wall_clock_limit
-        #: Optional execution trace: (round, tile_id, instruction text).
-        self.trace_enabled = trace
-        self.trace_limit = trace_limit
-        self.trace: List[Tuple[int, str, str]] = []
-        #: Telemetry handle: explicit injection wins, else the process
-        #: global (a null object by default — see repro.telemetry).
-        self.telemetry = telemetry if telemetry is not None else (
-            get_telemetry()
-        )
+        self.telemetry = get_telemetry()
         self._tel_on = self.telemetry.enabled
         #: DMA bit-flip faults: a :class:`repro.faults.model.FaultMask`
         #: (duck-typed — ``dma_flip_rate`` and ``spec.seed`` suffice).
         self._shared = _Shared(
-            self.telemetry,
             float(getattr(faults, "dma_flip_rate", 0.0) or 0.0),
             getattr(getattr(faults, "spec", None), "seed", 0),
         )
@@ -494,7 +474,7 @@ class Engine:
 
     def _tracker_emitter(self, mem_tile_id: int):
         shared = self._shared
-        tel = shared.telemetry
+        tel = self.telemetry
 
         def emit(event: str, start: int, size: int, phase: str) -> None:
             tel.instant(
@@ -1247,7 +1227,7 @@ class Engine:
 
             def dma() -> None:
                 data = rd(src_addr, size)
-                wr(dst_addr, payload(data, tile_id), accum)
+                wr(dst_addr, payload(data), accum)
                 if tel is not None:
                     _observe_dma(tel, comp, tile_id, size)
 
@@ -1266,7 +1246,7 @@ class Engine:
 
             def prefetch() -> None:
                 data = rd(src_addr, size)
-                wr(dst_addr, payload(data, tile_id), False)
+                wr(dst_addr, payload(data), False)
                 if tel is not None:
                     _observe_dma(tel, comp, tile_id, size)
 
@@ -1396,11 +1376,6 @@ class Engine:
                                 float(tile.blocked_retries),
                             )
                     tile.blocked_retries = 0
-                    if (
-                        self.trace_enabled
-                        and len(self.trace) < self.trace_limit
-                    ):
-                        self.trace.append((rounds, tile.tile_id, str(entry)))
                 slot = None
                 if not live:
                     break
@@ -1508,8 +1483,6 @@ class Engine:
             group = f"mem/{mem.tile_id}"
             tel.record(group, "blocked_reads", mem.trackers.blocked_reads)
             tel.record(group, "blocked_writes", mem.trackers.blocked_writes)
-        if self.dma_flips:
-            tel.record("engine", "dma_flips", self.dma_flips)
         tel.record("engine", "rounds", self.rounds)
         tel.record("engine", "total_cycles", self.machine.total_cycles)
         tel.record(

@@ -695,10 +695,6 @@ class SystemPerfResult:
         return self.system_training_images_per_s / self.node_count
 
     @property
-    def per_node_evaluation_images_per_s(self) -> float:
-        return self.system_evaluation_images_per_s / self.node_count
-
-    @property
     def speedup(self) -> float:
         """Training speedup over one node."""
         return (
@@ -808,15 +804,6 @@ def simulate_system(
     training_flops = profile_network(net, node.dtype_bytes).training_flops
     achieved = training_flops * system_train
     gflops_per_watt = achieved / power_w / 1e9
-
-    tel = get_telemetry()
-    if tel.enabled:
-        group = f"system/{net.name}"
-        tel.record(group, "nodes", system.node_count)
-        tel.record(group, "system_train_images_per_s", system_train)
-        tel.record(group, "system_eval_images_per_s", system_eval)
-        tel.record(group, "scaling_efficiency", efficiency)
-        tel.record(group, "internode_sync_s", sync_s)
 
     return SystemPerfResult(
         network=net.name,

@@ -10,11 +10,10 @@ through the content-keyed compile cache (:mod:`repro.sweep.cache`), so:
   independent, the simulator is deterministic, and results return in
   job order;
 * a warm rerun answers every job from the cache without touching
-  STEP1-6 (observable through the ``cache`` telemetry counters);
-* each job's telemetry (mapping decisions, stage spans, counters) is
-  captured in the worker and replayed into the caller's active handle,
-  plus one ``sweep.job`` span per job, so ``trace``/``profile``-style
-  exporters work on sweep runs.
+  STEP1-6 (:attr:`SweepReport.cache_stats` counts the hits);
+* a job that raises becomes a ``status="failed"`` row on its first
+  failure: a job is a pure function of its fields, so a re-attempt
+  would fail the same way.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -40,12 +38,11 @@ from typing import (
 from repro.arch.presets import load_preset
 from repro.arch.system import ParallelismStrategy, make_system
 from repro.dnn import zoo
-from repro.errors import ConfigError, ReproError, SweepError
+from repro.errors import ConfigError, SweepError
 from repro.faults.model import FaultSpec
 from repro.sim.perf import DEFAULT_MINIBATCH, PerfResult, simulate_system
 from repro.sim.tco import tco_report
 from repro.sweep.cache import cached_simulation, get_cache, simulation_digest
-from repro.telemetry.core import capture, get_telemetry
 
 
 @dataclass(frozen=True)
@@ -73,9 +70,10 @@ class SweepJob:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """The exported row for one job (deterministic fields only — wall
-    times and cache outcomes live in telemetry, not in results, so
-    parallel and serial runs export byte-identical files).
+    """The exported row for one job (deterministic fields only — the
+    sweep's wall time lives on the :class:`SweepReport` and
+    ``cache_hit`` is left out of the export, so parallel and serial
+    runs export byte-identical files).
 
     A job that crashed is quarantined as a row with ``status="failed"``
     and the trimmed traceback in ``error`` (numeric fields zeroed); the
@@ -133,7 +131,9 @@ class SweepResult:
 
 @dataclass
 class SweepReport:
-    """Results plus run-level bookkeeping for one sweep invocation."""
+    """Results plus run-level bookkeeping for one sweep invocation: the
+    worker count, the wall time and the compile memo's hit/miss counts
+    summed over the jobs."""
 
     results: Tuple[SweepResult, ...]
     workers: int
@@ -215,43 +215,28 @@ def expand_jobs(
 # ---------------------------------------------------------------------------
 def _execute_job(
     job: SweepJob,
-) -> Tuple[SweepResult, PerfResult, Dict[str, int], tuple, tuple, object]:
+) -> Tuple[SweepResult, PerfResult, Dict[str, int]]:
     """Run one job; returns the result row, the full simulation (to warm
-    the parent's cache), the cache hit/miss delta, and the telemetry the
-    job emitted (events + counter rows + the metrics registry) for
-    replay in the parent."""
+    the parent's cache) and the cache hit/miss delta."""
     net = zoo.load(job.network)
     node = load_preset(job.preset)
     system = make_system(node, job.nodes, job.strategy)
 
     cache = get_cache()
     before = dict(cache.stats)
-
-    with capture() as tel:
-        job_started = time.perf_counter()
-        perf = cached_simulation(
-            net, node, job.minibatch, cache, faults=job.faults
-        )
-        sysres = simulate_system(
-            net, system, minibatch=job.minibatch, node_result=perf
-        )
-        tco = tco_report(sysres)
-        job_elapsed = time.perf_counter() - job_started
-        # Deterministic job metrics feed `repro stats`; wall-clock
-        # measurements go to `wall.*` groups, which snapshots and
-        # baseline comparisons exclude (see telemetry.metrics).
-        tel.observe(
-            "sweep.job_cycles", "bottleneck", perf.training_pipeline.beat
-        )
-        tel.observe("wall.sweep", "job_s", job_elapsed)
-
+    perf = cached_simulation(
+        net, node, job.minibatch, cache, faults=job.faults
+    )
+    sysres = simulate_system(
+        net, system, minibatch=job.minibatch, node_result=perf
+    )
+    tco = tco_report(sysres)
     delta = {
         k: v - before.get(k, 0)
         for k, v in cache.stats.items()
         if v != before.get(k, 0)
     }
     hit = delta.get("simulation_hits", 0) > 0
-    tel.observe("wall.cache", "hit_s" if hit else "miss_s", job_elapsed)
 
     bottleneck = perf.bottleneck
     row = SweepResult(
@@ -279,10 +264,7 @@ def _execute_job(
         dollars_per_training_run=tco.dollars_per_training_run,
         dollars_per_1m_inferences=tco.dollars_per_1m_inferences,
     )
-    return (
-        row, perf, delta, tuple(tel.events), tuple(tel.counters.rows()),
-        tel.metrics,
-    )
+    return row, perf, delta
 
 
 def _format_failure(exc: BaseException) -> str:
@@ -333,41 +315,16 @@ def _failed_result(job: SweepJob, error: str) -> SweepResult:
 
 def _run_job(
     job: SweepJob,
-    retries: int = 1,
-    backoff: float = 0.1,
-    sleep: Callable[[float], None] = time.sleep,
-) -> Tuple[
-    SweepResult, Optional[PerfResult], Dict[str, int], tuple, tuple, object
-]:
-    """Execute one job with retry + quarantine (runs in the worker, so
-    the pool never sees an exception and a poison job cannot abort the
-    sweep).  Unexpected crashes get ``retries`` re-attempts with
-    exponential backoff; a **typed** failure (:class:`ReproError` — e.g.
-    an unmappable network or a bad config) is deterministic and fails
-    identically every attempt, so it is quarantined immediately without
-    retrying or sleeping.  A job still failing is returned as a
-    ``status="failed"`` row carrying its traceback.  ``sleep`` is
-    injectable so robustness tests don't wall-sleep."""
-    attempt = 0
-    while True:
-        try:
-            return _execute_job(job)
-        except ReproError as exc:
-            # Deterministic domain failure: retrying burns wall-clock
-            # for an identical outcome.  Fail fast.
-            return (
-                _failed_result(job, _format_failure(exc)),
-                None, {}, (), (), None,
-            )
-        except Exception as exc:
-            if attempt < retries:
-                sleep(backoff * (2 ** attempt))
-                attempt += 1
-                continue
-            return (
-                _failed_result(job, _format_failure(exc)),
-                None, {}, (), (), None,
-            )
+) -> Tuple[SweepResult, Optional[PerfResult], Dict[str, int]]:
+    """Execute one job with quarantine (runs in the worker, so the pool
+    never sees an exception and a poison job cannot abort the sweep).
+    A job that raises, whether a typed :class:`~repro.errors.ReproError`
+    (an unmappable network, a bad config) or anything else, is returned
+    as a ``status="failed"`` row carrying its traceback."""
+    try:
+        return _execute_job(job)
+    except Exception as exc:
+        return _failed_result(job, _format_failure(exc)), None, {}
 
 
 _T = TypeVar("_T")
@@ -411,13 +368,7 @@ def fan_out(
     return [fn(item) for item in items]
 
 
-def run_sweep(
-    jobs: Iterable[SweepJob],
-    workers: int = 1,
-    retries: int = 1,
-    backoff: float = 0.1,
-    sleep: Callable[[float], None] = time.sleep,
-) -> SweepReport:
+def run_sweep(jobs: Iterable[SweepJob], workers: int = 1) -> SweepReport:
     """Evaluate ``jobs`` across ``workers`` processes.
 
     ``workers=1`` (or a single job) runs serially in-process; a pool
@@ -426,26 +377,18 @@ def run_sweep(
     the process's compile memo (:func:`repro.sweep.cache.get_cache`);
     results computed in workers warm the caller's memo.
 
-    A job crashing with an *unexpected* exception is retried ``retries``
-    times with exponential backoff (``sleep`` is injectable for tests)
-    and then quarantined as a ``status="failed"`` row — the other jobs
-    always complete.  Typed :class:`ReproError` failures are
-    deterministic and quarantine immediately without retrying.
+    Each job runs once: one that raises is quarantined as a
+    ``status="failed"`` row, and the other jobs always complete.
     """
     jobs = list(jobs)
-    run = partial(_run_job, retries=retries, backoff=backoff, sleep=sleep)
     started = time.perf_counter()
-    outputs = fan_out(run, jobs, workers=workers)
+    outputs = fan_out(_run_job, jobs, workers=workers)
     elapsed = time.perf_counter() - started
 
-    tel = get_telemetry()
     cache = get_cache()
     results: List[SweepResult] = []
     totals: Dict[str, int] = {}
-    offset = 0.0
-    for job, (row, perf, delta, events, counter_rows, job_metrics) in zip(
-        jobs, outputs
-    ):
+    for row, perf, delta in outputs:
         results.append(row)
         for key, value in delta.items():
             totals[key] = totals.get(key, 0) + value
@@ -453,37 +396,6 @@ def run_sweep(
             # Warm the parent's cache with worker-computed results so a
             # rerun hits even when this run fanned out to processes.
             cache.put("simulation", row.digest, perf)
-        if tel.enabled:
-            tel.span(
-                job.label, "sweep.job", ("sweep", job.preset),
-                offset, 1.0,
-                network=job.network, preset=job.preset,
-                minibatch=job.minibatch, digest=row.digest,
-                cache_hit=row.cache_hit, status=row.status,
-            )
-            offset += 1.0
-            tel.count("sweep", "jobs")
-            if row.failed:
-                tel.count("sweep", "failed_jobs")
-            else:
-                tel.count(
-                    "sweep",
-                    "cache_hits" if row.cache_hit else "cache_misses",
-                )
-            for event in events:
-                tel.events.append(event)
-            for group, name, value in counter_rows:
-                if group == "cache":
-                    tel.count(group, name, value)
-                else:
-                    tel.record(group, name, value)
-            if job_metrics is not None:
-                # Replayed in job order, so the merged registry is
-                # bit-identical regardless of worker count.
-                tel.metrics.merge(job_metrics)
-    if tel.enabled:
-        tel.record("sweep", "elapsed_s", elapsed)
-        tel.record("sweep", "workers", workers)
 
     return SweepReport(
         results=tuple(results),

@@ -29,7 +29,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     SUMMARY_PERCENTILES,
-    VOLATILE_GROUP_PREFIX,
     percentile_table,
 )
 from repro.telemetry.export import (
@@ -63,7 +62,6 @@ __all__ = [
     "SUMMARY_PERCENTILES",
     "StallAttribution",
     "StallCause",
-    "VOLATILE_GROUP_PREFIX",
     "NULL_TELEMETRY",
     "NullTelemetry",
     "PHASE_INSTANT",

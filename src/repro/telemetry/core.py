@@ -7,8 +7,7 @@ instruction stream of an engine run next to the stage costs of the
 analytical model, in one schema:
 
 * a **span** is a named interval on a *track* (``ts`` .. ``ts + dur``,
-  both in cycles) — an executed instruction, a pipeline stage, an
-  all-reduce phase;
+  both in cycles) — an executed instruction, a pipeline stage;
 * an **instant** is a point event — a tracker block, a compiler
   decision;
 * a **counter** is a monotonically-maintained scalar in a named group —
@@ -23,8 +22,11 @@ Telemetry is **disabled by default**: the process-global handle is a
 instrumented hot path guards on that flag before building any event, so
 a disabled run pays one attribute read per instrumentation site.  Use
 :func:`capture` to record a region, or :func:`set_telemetry` to install
-a handle for the whole process; components also accept an explicit
-handle for injection without global state.
+a handle for the whole process; instrumented code reads the installed
+handle through :func:`get_telemetry`.  ``repro stats``
+(:func:`repro.bench.stats.collect_stats`) is the one consumer, so only
+the code it runs is instrumented: the analytical model, the mapping
+compiler, and the engine's compile and run.
 """
 
 from __future__ import annotations

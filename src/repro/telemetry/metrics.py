@@ -21,19 +21,13 @@ the first observation so the switch loses no history, with a mirrored
 bucket family for negative observations), interpolated linearly within
 the matched bucket.  Everything is plain deterministic float
 arithmetic — no clocks, no randomness — so two captures of the same run
-produce bit-identical registries, and merging per-job registries in job
-order yields the same result regardless of how many sweep workers
-produced them.
-
-Wall-clock measurements (sweep job durations, cache hit latencies) are
-real time and therefore *not* reproducible; by convention they live in
-groups prefixed :data:`VOLATILE_GROUP_PREFIX` and are excluded from
-deterministic snapshots and baseline comparisons.
+produce bit-identical registries.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,10 +40,6 @@ HISTOGRAM_EXACT_CAP = 4096
 #: worst-case percentile error ~9% — the SCALE-Sim fidelity-vs-speed
 #: trade, applied to memory instead of time).
 BUCKETS_PER_OCTAVE = 4
-
-#: Groups whose metrics measure wall-clock time (non-reproducible).
-#: Snapshots and baseline comparisons exclude them by default.
-VOLATILE_GROUP_PREFIX = "wall."
 
 #: The percentiles every summary reports.
 SUMMARY_PERCENTILES = (50.0, 90.0, 95.0, 99.0)
@@ -140,8 +130,7 @@ class Histogram:
 
     def merge(self, other: "Histogram") -> None:
         """Fold ``other`` into this histogram (order-insensitive for
-        every derived statistic, so sweep replay is worker-count
-        independent)."""
+        every derived statistic)."""
         if other.count == 0:
             return
         self.count += other.count
@@ -201,8 +190,8 @@ class Histogram:
         for index in sorted(self._neg_buckets, reverse=True):
             n = self._neg_buckets[index]
             if rank < seen + n:
-                lo_mag = 2.0 ** (index / BUCKETS_PER_OCTAVE)
-                hi_mag = 2.0 ** ((index + 1) / BUCKETS_PER_OCTAVE)
+                lo_mag = _bucket_edge(index)
+                hi_mag = _bucket_edge(index + 1)
                 frac = (rank - seen) / n
                 value = -hi_mag + (hi_mag - lo_mag) * frac
                 return min(max(value, self.min), self.max)
@@ -214,8 +203,8 @@ class Histogram:
         for index in sorted(self._buckets):
             n = self._buckets[index]
             if rank < seen + n:
-                lo = 2.0 ** (index / BUCKETS_PER_OCTAVE)
-                hi = 2.0 ** ((index + 1) / BUCKETS_PER_OCTAVE)
+                lo = _bucket_edge(index)
+                hi = _bucket_edge(index + 1)
                 frac = (rank - seen) / n
                 value = lo + (hi - lo) * frac
                 return min(max(value, self.min), self.max)
@@ -237,6 +226,17 @@ class Histogram:
             label = f"p{q:g}".replace(".", "_")
             out[label] = self.percentile(q)
         return out
+
+
+def _bucket_edge(index: int) -> float:
+    """The magnitude ``2 ** (index / BUCKETS_PER_OCTAVE)`` where bucket
+    ``index`` starts, saturated at the largest float: the top bucket,
+    which holds magnitudes from ``2 ** 1023.75`` up, would end at
+    ``2 ** 1024``, which overflows."""
+    try:
+        return 2.0 ** (index / BUCKETS_PER_OCTAVE)
+    except OverflowError:
+        return sys.float_info.max
 
 
 def _add_to_buckets(buckets: Dict[int, int], magnitudes: np.ndarray) -> None:
@@ -284,30 +284,6 @@ class MetricsRegistry:
             hist = bucket[name] = Histogram()
         hist.observe(value)
 
-    def adopt(self, group: str, name: str, hist: Histogram) -> None:
-        """Merge a pre-built histogram into ``group/name`` (the serving
-        simulator builds distributions off-registry during the event
-        loop and folds them in afterwards)."""
-        bucket = self._hists.setdefault(group, {})
-        mine = bucket.get(name)
-        if mine is None:
-            mine = bucket[name] = Histogram()
-        mine.merge(hist)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (sweep workers replay into the
-        parent through this, in job order)."""
-        for group, values in other._gauges.items():
-            for name, value in values.items():
-                self.gauge(group, name, value)
-        for group, hists in other._hists.items():
-            bucket = self._hists.setdefault(group, {})
-            for name, hist in hists.items():
-                mine = bucket.get(name)
-                if mine is None:
-                    mine = bucket[name] = Histogram()
-                mine.merge(hist)
-
     # -- access --------------------------------------------------------
     def get_gauge(self, group: str, name: str, default: float = 0.0) -> float:
         return self._gauges.get(group, {}).get(name, default)
@@ -335,24 +311,15 @@ class MetricsRegistry:
         ]
 
     # -- snapshots -----------------------------------------------------
-    def to_dict(self, include_volatile: bool = False) -> Dict[str, Dict]:
+    def to_dict(self) -> Dict[str, Dict]:
         """Deterministic nested snapshot: ``{group: {name: entry}}``
         where an entry is ``{"kind": "gauge", "value": v}`` or a
-        ``{"kind": "histogram", ...summary...}``.  Volatile (wall-clock)
-        groups are excluded unless requested."""
+        ``{"kind": "histogram", ...summary...}``."""
         out: Dict[str, Dict] = {}
         for group, name, value in self.gauges():
-            if not include_volatile and group.startswith(
-                VOLATILE_GROUP_PREFIX
-            ):
-                continue
             entry = {"kind": "gauge", "value": value}
             out.setdefault(group, {})[name] = entry
         for group, name, hist in self.histograms():
-            if not include_volatile and group.startswith(
-                VOLATILE_GROUP_PREFIX
-            ):
-                continue
             entry = {"kind": "histogram"}
             entry.update(hist.summary())
             out.setdefault(group, {})[name] = entry

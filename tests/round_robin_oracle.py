@@ -10,7 +10,9 @@ below as functions.  The only edits are the binding of a gate quad, which
 now carries its mem tile's TrackerFile (and external accesses drop out
 at decode) instead of the MemTile, the quads' source (an entry now
 holds them grouped into the gate's runs, and :func:`quads` flattens
-them back) and a superop's force-expire, which its ``fn`` now runs.
+them back), a superop's force-expire, which its ``fn`` now runs, and
+the two lines that appended to the engine's execution trace, which is
+gone (the ``engine.instr`` spans record the same order).
 """
 
 from __future__ import annotations
@@ -255,8 +257,6 @@ class RetryingEngine(Engine):
                             float(tile.blocked_retries),
                         )
                 tile.blocked_retries = 0
-                if self.trace_enabled and len(self.trace) < self.trace_limit:
-                    self.trace.append((self.rounds, tile.tile_id, str(entry)))
             if not live:
                 break
             if not progress:

@@ -8,9 +8,11 @@ with verbatim copies of the request generator it called (every
 :class:`Request` built up front into a tuple) and of the timeline it
 built from per-request samples (one scalar ``observe`` each), so the
 oracle keeps neither the lazy request stream nor the bulk histogram
-fill of the code under test.  Everything else (config, per-request and
-per-tenant state, batcher, placement, lifecycle, report) is imported
-from the package.  ``tests/test_serve_oracle.py`` checks that both
+fill of the code under test.  Its telemetry (the outcome and fault
+counters, the end-of-run gauges and histograms) is dropped, as the loop
+under test dropped it; nothing else is edited.  Everything else
+(config, per-request and per-tenant state, batcher, placement,
+lifecycle, report) is imported from the package.  ``tests/test_serve_oracle.py`` checks that both
 loops produce byte-identical report JSON and that both generators yield
 the same requests.
 """
@@ -44,7 +46,6 @@ from repro.serve.simulator import (
     _Root,
     _TenantState,
 )
-from repro.telemetry.core import get_telemetry
 from repro.telemetry.metrics import Histogram
 
 
@@ -210,7 +211,6 @@ def simulate_serving(
         for name in names
     }
     roots: Dict[int, _Root] = {}
-    tel = get_telemetry()
     timeout_s = config.timeout_s
     robust = (
         timeout_s is not None
@@ -252,13 +252,6 @@ def simulate_serving(
         heapq.heappush(heap, (time_s, kind, sequence, payload))
         sequence += 1
 
-    def outcome(state: _TenantState, name: str, now_s: float) -> None:
-        if tel.enabled:
-            tel.count(
-                f"serve/{state.tenant.network}", name, 1.0,
-                ts=now_s * 1e6,
-            )
-
     def finalize(root: _Root, reason: str, now_s: float) -> None:
         """Resolve a root into its failure outcome."""
         root.resolved = True
@@ -270,7 +263,6 @@ def simulate_serving(
         else:
             state.failed += 1
         failure_samples.append((now_s, reason))
-        outcome(state, f"outcome_{reason}", now_s)
 
     def copy_death(root: _Root, reason: str, now_s: float) -> None:
         """One copy died (shed / expired / tenant down).  The root
@@ -286,7 +278,6 @@ def simulate_serving(
                 root.live += 1
                 state = states[root.network]
                 state.retries += 1
-                outcome(state, "retry", now_s)
                 nonlocal copy_index
                 push(at, _ARRIVAL, Request(
                     index=copy_index, network=root.network,
@@ -402,7 +393,6 @@ def simulate_serving(
                 try_dispatch(request.network, now_s)
             else:
                 root.live -= 1
-                outcome(state, "shed", now_s)
                 if not root.resolved:
                     copy_death(root, "shed", now_s)
         elif kind == _DEPART:
@@ -424,7 +414,6 @@ def simulate_serving(
                  else state.healthy_ms).observe(latency_ms)
                 state.completed += 1
                 completions.append((now_s, latency_ms, degraded))
-                outcome(state, "completed", now_s)
             last_completion_s = max(last_completion_s, now_s)
             state.busy = False
             try_dispatch(name, now_s)
@@ -446,7 +435,6 @@ def simulate_serving(
                     continue
                 root.live += 1
                 state.hedges += 1
-                outcome(state, "hedge", now_s)
                 push(now_s, _ARRIVAL, Request(
                     index=copy_index, network=request.network,
                     arrival_s=now_s, rid=request.rid,
@@ -464,10 +452,6 @@ def simulate_serving(
                 active_faults[event.fault.fault_id] = event.fault.site
                 interval_sites.append(event.fault.site)
                 interval_peak = max(interval_peak, len(active_faults))
-                if tel.enabled:
-                    tel.count(
-                        "serve/faults", "fault", 1.0, ts=now_s * 1e6
-                    )
             else:
                 active_faults.pop(event.fault.fault_id, None)
                 if not active_faults:
@@ -475,10 +459,6 @@ def simulate_serving(
                         interval_start, now_s, interval_peak,
                         tuple(interval_sites),
                     ))
-                if tel.enabled:
-                    tel.count(
-                        "serve/faults", "repair", 1.0, ts=now_s * 1e6
-                    )
             apply_transition(now_s)
 
     # The sustained rate divides by the full horizon: the arrival
@@ -524,7 +504,7 @@ def simulate_serving(
         )
         for name in names
     )
-    report = ServeReport(
+    return ServeReport(
         node=node.name,
         policy=config.policy,
         arrivals=config.arrivals,
@@ -546,20 +526,3 @@ def simulate_serving(
         degraded_intervals=tuple(intervals),
         timeline=_timeline(completions, failure_samples, horizon_s),
     )
-
-    if tel.enabled:
-        for stats in tenants:
-            group = f"serve/{stats.network}"
-            tel.count(group, "offered", stats.offered)
-            # "completed"/"shed" accumulated in-loop as timestamped
-            # samples (Chrome-trace counter series), not re-added here.
-            tel.gauge(group, "sustained_qps", stats.sustained_qps)
-            tel.gauge(group, "p99_ms", stats.latency_percentile_ms(99))
-            tel.gauge(group, "availability", stats.availability)
-            tel.metrics.adopt(
-                "serve.latency_ms", stats.network, stats.latency_ms
-            )
-            tel.metrics.adopt(
-                "serve.batch_size", stats.network, stats.batch_sizes
-            )
-    return report

@@ -333,35 +333,6 @@ class TestSLOReport:
         assert report.to_dict()["slo"]["violations"] >= 1
 
 
-class TestTelemetry:
-    def test_outcome_counters_are_timestamped_samples(self):
-        # The Chrome-trace exporter needs "C"-phase series: shed,
-        # completed and fault/repair counters must carry per-event
-        # timestamps, not just end-of-run totals.
-        from repro.telemetry import capture
-
-        config = ServeConfig(
-            qps=200_000.0, duration_s=0.02, seed=7,
-            policy=BatchPolicy(queue_depth=4),
-            failures=FailureConfig(mtbf_s=0.005, mttr_s=0.002, seed=7),
-        )
-        with capture() as tel:
-            simulate_serving(_nets("LeNet-5"), NODE, config)
-        names = {(s.group, s.name) for s in tel.counter_samples}
-        assert ("serve/LeNet-5", "completed") in names
-        assert ("serve/LeNet-5", "shed") in names
-        assert ("serve/faults", "fault") in names
-        assert ("serve/faults", "repair") in names
-        times = [s.ts for s in tel.counter_samples]
-        assert all(t >= 0 for t in times)
-        # Samples carry the running value, so each series is monotone.
-        shed = [
-            s.value for s in tel.counter_samples
-            if s.name == "shed" and s.group == "serve/LeNet-5"
-        ]
-        assert shed == sorted(shed) and shed
-
-
 class TestChaosDashboard:
     def test_chaos_html_renders_bands_and_tables(self, tmp_path):
         report = simulate_serving(_nets("LeNet-5"), NODE, FAST)

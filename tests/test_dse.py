@@ -115,36 +115,16 @@ class TestEngineTrace:
     def test_trace_records_execution_order(self):
         from repro.arch.presets import conv_chip
         from repro.isa import assemble
+        from repro.telemetry import capture
 
         machine = Machine(conv_chip(), 2, 1)
         machine.load_program(assemble(
             "LDRI rd=1, value=2\nADDRI rd=1, rs=1, value=3\nHALT",
             tile="t0",
         ))
-        engine = Engine(machine, trace=True)
-        engine.run()
-        ops = [entry[2].split(" ")[0] for entry in engine.trace]
-        assert ops == ["LDRI", "ADDRI", "HALT"]
-        rounds = [entry[0] for entry in engine.trace]
+        with capture() as tel:
+            Engine(machine).run()
+        spans = tel.events_in("engine.instr")
+        assert [span.name for span in spans] == ["LDRI", "ADDRI", "HALT"]
+        rounds = [span.args["round"] for span in spans]
         assert rounds == sorted(rounds)
-
-    def test_trace_disabled_by_default(self):
-        from repro.arch.presets import conv_chip
-        from repro.isa import assemble
-
-        machine = Machine(conv_chip(), 2, 1)
-        machine.load_program(assemble("HALT", tile="t0"))
-        engine = Engine(machine)
-        engine.run()
-        assert engine.trace == []
-
-    def test_trace_limit(self):
-        from repro.arch.presets import conv_chip
-        from repro.isa import assemble
-
-        machine = Machine(conv_chip(), 2, 1)
-        source = "\n".join("LDRI rd=1, value=0" for _ in range(20)) + "\nHALT"
-        machine.load_program(assemble(source, tile="t0"))
-        engine = Engine(machine, trace=True, trace_limit=5)
-        engine.run()
-        assert len(engine.trace) == 5

@@ -7,7 +7,9 @@ interpreter this replaced: the data and tracker branches of its
 triple-based ``_gate`` and its ``_read_words``/``_write_words``
 accessors, kept verbatim (the deleted ``TrackerFile.phase_of`` and
 ``operand_accesses`` are copied beside them; of the scalar branch only
-``LDRI`` and ``HALT`` remain), driven by the per-round retry loop of
+``LDRI`` and ``HALT`` remain; the DMA branches no longer pass the tile
+id to the fault stream, which used it only for a deleted telemetry
+event), driven by the per-round retry loop of
 :mod:`tests.round_robin_oracle`.  One generated data instruction per
 example, optionally behind ``LDRI``-set register operands and an armed
 MEMTRACK, must leave every scratchpad, the external memory, the tracker
@@ -309,7 +311,7 @@ class OracleEngine(RetryingEngine):
             data = self._read_words(o["src_port"], o["src_addr"], size)
             self._write_words(
                 o["dst_port"], o["dst_addr"],
-                self._shared.dma_payload(data, tile.tile_id),
+                self._shared.dma_payload(data),
                 bool(o["is_accum"]),
             )
             if self._tel_on:
@@ -324,7 +326,7 @@ class OracleEngine(RetryingEngine):
             data = self.external[o["src_addr"] : o["src_addr"] + size]
             self._write_words(
                 o["dst_port"], o["dst_addr"],
-                self._shared.dma_payload(data, tile.tile_id), False,
+                self._shared.dma_payload(data), False,
             )
             if self._tel_on:
                 _observe_dma(self.telemetry, tile, tile.tile_id, size)

@@ -91,8 +91,7 @@ class TestExitCodes:
         out_path = tmp_path / "r.json"
         code, out, err = run_cli(
             ["sweep", "tinymlp", "--fault-rate", "0.95",
-             "--fault-seed", "3", "--retries", "0",
-             "--out", str(out_path)]
+             "--fault-seed", "3", "--out", str(out_path)]
         )
         assert code == 1
         assert out_path.exists()

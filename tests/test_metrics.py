@@ -1,9 +1,9 @@
 """Tests for the metrics layer: streaming histograms, the registry,
 telemetry integration, and Chrome-trace counter series.
 
-Covers the tentpole's determinism contract — percentile summaries are
-exact for small N, bucket-interpolated beyond the cap, and registries
-merge bit-identically regardless of the merge sequence's partitioning.
+Covers the determinism contract — percentile summaries are exact for
+small N, bucket-interpolated beyond the cap, and histograms merge
+bit-identically regardless of the merge sequence's partitioning.
 """
 
 import json
@@ -23,7 +23,6 @@ from repro.telemetry import (
     MetricsRegistry,
     NULL_TELEMETRY,
     Telemetry,
-    VOLATILE_GROUP_PREFIX,
     capture,
     chrome_trace,
     percentile_table,
@@ -138,34 +137,6 @@ class TestMetricsRegistry:
 
         assert build() == build()
 
-    def test_volatile_groups_excluded_from_snapshot(self):
-        reg = MetricsRegistry()
-        reg.observe(VOLATILE_GROUP_PREFIX + "sweep", "job_s", 1.0)
-        reg.gauge("real", "x", 1.0)
-        snap = reg.to_dict()
-        assert "real" in snap
-        assert VOLATILE_GROUP_PREFIX + "sweep" not in snap
-        assert VOLATILE_GROUP_PREFIX + "sweep" in reg.to_dict(
-            include_volatile=True
-        )
-
-    def test_merge_is_order_insensitive_for_histograms(self):
-        def worker(seed):
-            reg = MetricsRegistry()
-            for i in range(40):
-                reg.observe("m", "v", float((seed * 7 + i) % 13 + 1))
-            return reg
-
-        ab = MetricsRegistry()
-        ab.merge(worker(1))
-        ab.merge(worker(2))
-        ba = MetricsRegistry()
-        ba.merge(worker(2))
-        ba.merge(worker(1))
-        assert json.dumps(ab.to_dict(), sort_keys=True) == json.dumps(
-            ba.to_dict(), sort_keys=True
-        )
-
     def test_percentile_table_lists_all_histograms(self):
         reg = MetricsRegistry()
         for i in range(10):
@@ -273,6 +244,29 @@ class TestHistogramBucketedNegatives:
         ba = build(positives)
         ba.merge(build(negatives))
         assert ab.summary() == ba.summary()
+
+
+class TestHistogramTopBucket:
+    """Regression: the bucketed path computed the top bucket's upper
+    edge as ``2 ** 1024``, which overflows, so a percentile over any
+    observation of magnitude at or above ``2 ** 1023.75`` raised
+    ``OverflowError``.  The edge saturates at the largest float, and the
+    result still clamps to the observed range."""
+
+    @pytest.mark.parametrize("value", [1.5116737128318743e+308, -1.6e308])
+    def test_percentile_of_a_top_bucket_value(self, value):
+        hist = Histogram(exact_cap=0)
+        hist.observe(value)
+        assert not hist.exact
+        assert hist.percentile(50) == value
+
+    def test_top_bucket_interpolates_within_the_observed_range(self):
+        hist = Histogram(exact_cap=0)
+        for value in (1.52e308, 1.6e308, 1.7e308):
+            hist.observe(value)
+        walked = [hist.percentile(q) for q in (0, 25, 50, 75, 100)]
+        assert walked == sorted(walked)
+        assert walked[0] == 1.52e308 and walked[-1] == 1.7e308
 
 
 class TestHistogramSortedCache:

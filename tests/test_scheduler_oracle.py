@@ -86,7 +86,7 @@ def telemetry(tel):
     )
     return (
         events, samples, tel.counters.rows(),
-        tel.metrics.to_dict(include_volatile=True),
+        tel.metrics.to_dict(),
     )
 
 

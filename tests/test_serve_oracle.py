@@ -10,8 +10,7 @@ of configurations (both batch policies, both arrival processes,
 weights, a microsecond deadline, retries against shallow queues with
 and without backoff, zero and short hedges, a lifecycle over every
 chaos kind, a tenant taken down by its faults, a binding request cap, a
-latency curve under faults) and on hypothesis-drawn ones, and identical
-telemetry under a capture.
+latency curve under faults) and on hypothesis-drawn ones.
 
 ``TestRequestStream`` checks the lazily built request stream against
 the oracle's copy of the generator that built every request up front.
@@ -44,7 +43,6 @@ from repro.serve import (
     simulate_serving,
 )
 from repro.serve.failures import RebuiltService
-from repro.telemetry import capture
 from tests import serve_heap_oracle
 
 NODE = single_precision_node()
@@ -230,24 +228,6 @@ class TestFixedSpread:
         assert json.dumps(new.to_dict(), sort_keys=True) == json.dumps(
             old.to_dict(), sort_keys=True
         )
-
-    def test_telemetry_is_identical(self):
-        captured = []
-        for simulate in (simulate_serving,
-                         serve_heap_oracle.simulate_serving):
-            # A lifecycle each: rebuilds are memoized, and a second run
-            # on a shared one would skip the compiles the first traced.
-            names, config, lifecycle = _down_case()
-            nets = [NETS[name] for name in names]
-            with capture() as tel:
-                simulate(nets, NODE, config, lifecycle=lifecycle)
-            captured.append((
-                [repr(s) for s in tel.counter_samples],
-                tel.counters.rows(),
-                json.dumps(tel.metrics.to_dict(), sort_keys=True),
-            ))
-        assert captured[0] == captured[1]
-        assert captured[0][0]
 
 
 class TestRequestStream:

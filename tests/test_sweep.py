@@ -27,7 +27,6 @@ from repro.sweep import (
     set_cache,
     simulation_digest,
 )
-from repro.telemetry.core import capture
 
 TINY = ("TinyCNN", "TinyMLP")
 
@@ -198,25 +197,12 @@ class TestRunSweep:
     def test_warm_rerun_answers_from_cache_without_compiling(self):
         jobs = expand_jobs(TINY)
         run_sweep(jobs, workers=2)  # cold: workers warm the parent cache
-        with capture() as tel:
-            warm = run_sweep(jobs, workers=2)
+        warm = run_sweep(jobs, workers=2)
         assert all(r.cache_hit for r in warm.results)
         assert warm.cache_misses == 0
-        # Zero STEP1-6 work: no compiler-category telemetry at all.
-        assert tel.events_in("compiler") == []
-        counters = {
-            (g, n): v for g, n, v in tel.counters.rows() if g == "cache"
-        }
-        assert counters == {
-            ("cache", "simulation_hits"): float(len(jobs))
-        }
-
-    def test_sweep_emits_job_spans(self):
-        jobs = expand_jobs(TINY)
-        with capture() as tel:
-            run_sweep(jobs, workers=1)
-        spans = tel.events_in("sweep.job")
-        assert [s.name for s in spans] == [j.label for j in jobs]
+        # Zero STEP1-6 work: every job is one simulation hit, and no
+        # mapping is looked up, let alone built.
+        assert warm.cache_stats == {"simulation_hits": len(jobs)}
 
 
 class TestSweepExport:

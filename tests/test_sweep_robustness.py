@@ -1,5 +1,5 @@
-"""Robustness tests for the sweep runner: poison-job quarantine,
-retry semantics and fault-sweep determinism across worker counts."""
+"""Robustness tests for the sweep runner: poison-job quarantine on a
+job's one attempt and fault-sweep determinism across worker counts."""
 
 import json
 
@@ -12,10 +12,10 @@ from repro.sweep import (
     SweepJob,
     expand_jobs,
     run_sweep,
+    runner,
     set_cache,
 )
 from repro.sweep.runner import SweepResult
-from repro.telemetry.core import capture
 
 TINY = ("TinyCNN", "TinyMLP")
 
@@ -35,7 +35,7 @@ def poison_job():
 class TestQuarantine:
     def test_poison_job_becomes_failed_row(self):
         jobs = expand_jobs(TINY) + [poison_job()]
-        report = run_sweep(jobs, retries=0)
+        report = run_sweep(jobs)
         assert len(report.results) == 3
         ok = [r for r in report.results if not r.failed]
         assert len(ok) == 2
@@ -47,26 +47,31 @@ class TestQuarantine:
 
     def test_failed_rows_identical_across_worker_counts(self):
         jobs = expand_jobs(TINY) + [poison_job()]
-        serial = run_sweep(jobs, workers=1, retries=0)
-        pooled = run_sweep(jobs, workers=2, retries=0)
+        serial = run_sweep(jobs, workers=1)
+        pooled = run_sweep(jobs, workers=2)
         # cache_hit is informational and excluded from exported rows;
         # everything exported must match bit for bit.
         assert [r.to_row() for r in serial.results] == [
             r.to_row() for r in pooled.results
         ]
 
-    def test_retries_still_quarantine_persistent_failures(self):
-        report = run_sweep([poison_job()], retries=2, backoff=0.0)
+    def test_retries_still_quarantine_persistent_failures(self, monkeypatch):
+        # A job is a pure function of its fields, so it runs once: a
+        # failure is quarantined after one call, never re-attempted.
+        calls = []
+        execute = runner._execute_job
+
+        def counted(job):
+            calls.append(job)
+            return execute(job)
+
+        monkeypatch.setattr(runner, "_execute_job", counted)
+        report = run_sweep([poison_job()])
+        assert calls == [poison_job()]
         assert report.failures[0].status == "failed"
 
-    def test_failed_jobs_counted_in_telemetry(self):
-        with capture() as tel:
-            run_sweep([poison_job()], retries=0)
-        assert tel.counters.get("sweep", "failed_jobs") == 1
-
     def test_export_carries_status_and_error(self, tmp_path):
-        report = run_sweep(expand_jobs(("TinyMLP",)) + [poison_job()],
-                           retries=0)
+        report = run_sweep(expand_jobs(("TinyMLP",)) + [poison_job()])
         path = write_sweep_json(report.results, tmp_path / "rows.json")
         rows = json.loads(path.read_text())
         assert [r["status"] for r in rows] == ["ok", "failed"]
@@ -101,11 +106,9 @@ class TestFaultSweep:
 
 
 class TestRetrySemantics:
-    """Regression: the retry loop used to re-attempt *every* failure,
-    including typed :class:`ReproError` domain failures that are
-    deterministic and fail identically on each attempt — burning
-    ``retries`` wall-clock sleeps for nothing.  Typed failures must now
-    quarantine immediately; only unexpected crashes retry."""
+    """A typed :class:`ReproError` domain failure is quarantined like
+    any other: as a ``status="failed"`` row beside the jobs that
+    succeed, on the job's one attempt."""
 
     def typed_failure_job(self):
         """Fails with SimulationError (a ReproError) in the worker:
@@ -113,27 +116,12 @@ class TestRetrySemantics:
         return SweepJob(network="TinyMLP", preset="sp", minibatch=0)
 
     def test_typed_failures_quarantine_without_retrying(self):
-        sleeps = []
-        report = run_sweep(
-            [self.typed_failure_job()], retries=5, backoff=0.1,
-            sleep=sleeps.append,
-        )
+        report = run_sweep([self.typed_failure_job()])
         failed = report.failures[0]
         assert failed.status == "failed"
         assert "SimulationError" in failed.error
-        assert sleeps == []  # deterministic failure: zero backoff sleeps
-
-    def test_unexpected_crashes_retry_with_backoff(self):
-        sleeps = []
-        report = run_sweep(
-            [poison_job()], retries=2, backoff=0.1,
-            sleep=sleeps.append,
-        )
-        assert report.failures[0].status == "failed"
-        # One sleep per re-attempt, exponential: 0.1 * 2**attempt.
-        assert sleeps == [pytest.approx(0.1), pytest.approx(0.2)]
 
     def test_typed_failure_row_survives_alongside_ok_rows(self):
         jobs = expand_jobs(("TinyCNN",)) + [self.typed_failure_job()]
-        report = run_sweep(jobs, retries=3, sleep=lambda _s: None)
+        report = run_sweep(jobs)
         assert [r.status for r in report.results] == ["ok", "failed"]

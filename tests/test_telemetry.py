@@ -315,16 +315,151 @@ class TestAnalyticalProfile:
         with capture() as tel:
             mapping = map_network(zoo.load("AlexNet"),
                                   single_precision_node())
-            sync = minibatch_sync(mapping, minibatch=256)
+            minibatch_sync(mapping, minibatch=256)
         compiler_events = tel.events_in("compiler")
         names = {e.name for e in compiler_events}
         assert "step1.partition" in names
         assert "step3a.min_columns" in names
         assert "step6.weight_placement" in names
-        sync_spans = tel.events_in("sync")
-        assert {e.name for e in sync_spans} == {"sync.wheel", "sync.ring"}
-        wheel = next(e for e in sync_spans if e.name == "sync.wheel")
-        assert wheel.dur == pytest.approx(sync.wheel_cycles)
+        # The sync model reports through its SyncReport only.
+        assert compiler_events == tel.events
+
+
+#: What a ``repro stats`` capture holds (README "Observability"): its
+#: event categories, counter groups and metric groups, with ``/*``
+#: standing for a network, tile or mem tile name.
+STATS_SCHEMA = (
+    {"compiler", "engine.instr", "engine.block", "engine.tracker",
+     "perf.stage"},
+    {"cache", "engine", "engine.fallback", "mapping/*", "mem/*", "perf/*",
+     "tile/*"},
+    {"engine.instr_cycles", "engine.dma", "engine.block_cycles",
+     "perf.stage_cycles", "perf/*"},
+)
+
+
+def _schema(tel):
+    """A capture's event categories, counter groups and metric groups,
+    in the form of :data:`STATS_SCHEMA`."""
+    def kinds(groups):
+        return {g.partition("/")[0] + "/*" if "/" in g else g for g in groups}
+
+    return (
+        {e.category for e in tel.events},
+        kinds(tel.counters.groups()),
+        kinds(tel.metrics.groups()),
+    )
+
+
+def _serve_tenant_down():
+    from repro.serve import simulate_serving
+    from tests.test_serve_oracle import NETS, NODE, _down_case
+
+    names, config, lifecycle = _down_case()
+    report = simulate_serving(
+        [NETS[name] for name in names], NODE, config, lifecycle=lifecycle
+    )
+    assert report.failed > 0
+    assert sum(t.retries for t in report.tenants) > 0
+    assert sum(t.hedges for t in report.tenants) > 0
+
+
+def _sweep_faulted_scale_out():
+    from repro.faults import FaultSpec
+    from repro.sweep import CompileCache, expand_jobs, run_sweep, set_cache
+
+    previous = set_cache(CompileCache())  # cold: the job compiles
+    try:
+        report = run_sweep(expand_jobs(
+            ("TinyCNN",), faults=FaultSpec(rate=0.05, seed=3), nodes=(4,),
+        ))
+    finally:
+        set_cache(previous)
+    assert not report.failures
+
+
+def _sample_faults():
+    from repro.arch import single_precision_node
+    from repro.faults import ALL_KINDS, FaultSpec, sample_faults
+
+    mask = sample_faults(
+        FaultSpec(rate=0.05, seed=3, kinds=ALL_KINDS),
+        single_precision_node(),
+    )
+    assert mask.fault_count > 0
+
+
+def _faulted_compile():
+    from repro.arch import single_precision_node
+    from repro.compiler.pipeline import compile_network
+    from repro.dnn import zoo
+    from repro.faults import FaultSpec, sample_faults
+
+    node = single_precision_node()
+    mask = sample_faults(FaultSpec(rate=0.05, seed=1), node)
+    compiled = compile_network(zoo.load("AlexNet"), node, faults=mask)
+    assert compiled.mapping.remapped_columns > 0
+
+
+def _simulate_system():
+    from repro.arch import single_precision_node
+    from repro.arch.system import make_system
+    from repro.dnn import zoo
+    from repro.sim.perf import simulate_system
+
+    system = make_system(single_precision_node(), 4, "hybrid:2")
+    result = simulate_system(zoo.load("GoogLeNet"), system)
+    assert result.node_count == 4
+
+
+def _minibatch_sync():
+    from repro.arch import single_precision_node
+    from repro.arch.system import make_system
+    from repro.compiler import map_network
+    from repro.dnn import zoo
+    from repro.sim.allreduce import minibatch_sync
+
+    node = single_precision_node()
+    mapping = map_network(zoo.load("AlexNet"), node)
+    sync = minibatch_sync(mapping, system=make_system(node, 4, "data"))
+    assert sync.internode_cycles > 0
+
+
+def _dma_flip_run():
+    import types
+
+    net, compiled = tiny_compiled()
+    machine = compiled.build_machine()
+    compiled.load_image(machine, tiny_image(net))
+    engine = Engine(machine, faults=types.SimpleNamespace(
+        dma_flip_rate=0.5, spec=types.SimpleNamespace(seed=7)))
+    engine.run()
+    assert engine.dma_flips > 0
+
+
+class TestOneConsumer:
+    """Only the code ``repro stats`` captures reports telemetry: under a
+    capture, the serving loop, a sweep, the fault sampler and remapper,
+    the scale-out overlay, gradient sync and a faulted engine run
+    record nothing outside the schema that a ``stats`` capture holds
+    (their numbers live in the report each call returns)."""
+
+    @pytest.mark.parametrize("run", [
+        _serve_tenant_down, _sweep_faulted_scale_out, _sample_faults,
+        _faulted_compile, _simulate_system, _minibatch_sync, _dma_flip_run,
+    ], ids=lambda run: run.__name__.lstrip("_"))
+    def test_records_only_the_stats_schema(self, run):
+        with capture() as tel:
+            run()
+        for recorded, documented in zip(_schema(tel), STATS_SCHEMA):
+            assert recorded <= documented
+
+    def test_schema_is_what_stats_captures(self):
+        from repro.arch import single_precision_node
+        from repro.bench.stats import collect_stats
+
+        tel = collect_stats(lenet5(), single_precision_node()).telemetry
+        assert _schema(tel) == STATS_SCHEMA
 
 
 class TestExporters:
